@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -294,6 +295,14 @@ def _seed_worker(args) -> SweepRow:
         return SweepRow(seed=seed, status="failed", error=f"{type(exc).__name__}: {exc}")
 
 
+def _pool_row(future, seed: int) -> SweepRow:
+    """A seed's row from the pool; a seed whose worker died is failed, not fatal."""
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        return SweepRow(seed=seed, status="failed", error=f"{type(exc).__name__}: {exc}")
+
+
 def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     """All seeds, optionally in parallel; writes sweep.csv and sweep.json."""
     os.makedirs(out_dir, exist_ok=True)
@@ -304,7 +313,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
         rows = [_seed_worker((cfg, s)) for s in seeds]
     else:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(_seed_worker, [(cfg, s) for s in seeds]))
+            futures = [pool.submit(_seed_worker, (cfg, s)) for s in seeds]
+            rows = [_pool_row(f, s) for f, s in zip(futures, seeds)]
 
     columns = _csv_columns(cfg.methods)
     csv_path = os.path.join(out_dir, "sweep.csv")
@@ -378,18 +388,13 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
+    arch = [int(v) for v in args.arch.split(",")]
     try:
-        dataset = synthdata.load_csv(args.data)
+        dataset = synthdata.load_csv(args.data, arch[-1])
     except FileNotFoundError as exc:
         raise UsageError(f"dataset not found: {args.data}") from exc
-    arch = [int(v) for v in args.arch.split(",")]
     if arch[0] != dataset.dim:
         raise UsageError(f"arch input {arch[0]} != dataset dim {dataset.dim}")
-    if arch[-1] < dataset.num_classes:
-        raise UsageError(
-            f"arch output {arch[-1]} smaller than label range {dataset.num_classes}"
-        )
-    dataset.num_classes = arch[-1]
     opt = OptimizerConfig(
         kind=args.optimizer, learning_rate=args.lr, clip_norm=args.clip_norm
     )

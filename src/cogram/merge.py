@@ -9,6 +9,14 @@ granularity level down (neurons, then single weights). Refined updates
 are only kept when they strictly lower the loss; otherwise the structure
 rolls back to the coarser fusion, bit for bit. The whole merge can be
 applied iteratively, each pass operating on the latest fused network.
+
+One evaluator per layer (``_LayerEvaluator``) scores every candidate of
+that layer: it caches the activation entering the layer, writes each
+candidate in place into a private copy of the layer, and keeps or restores
+it. A score uses exactly the operations of a full forward pass, so the
+merge is bit-identical to building each candidate network with
+``set_structure`` and evaluating it from the input, the reference engine
+of the tests. The finished layer leaves as a new, validated network.
 """
 
 from __future__ import annotations
@@ -18,11 +26,12 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import net as netmod
-from .net import Network, StructureAddress
+from .net import DenseLayer, Network, StructureAddress
 from .prototypes import (
     PrototypeSet,
     build_prototypes_kmeans,
@@ -166,6 +175,82 @@ def _loss_function(kind: str):
     raise ValueError(f"unknown loss {kind!r}")
 
 
+class _LayerEvaluator:
+    """Loss of M with candidate parameters written into layer k.
+
+    While layer k is decided every other layer of M is fixed, so the
+    activation entering layer k is computed once. Candidates are written in
+    place into a private working copy of layer k (``layer``); ``view`` is M
+    with that working layer, the network each score is the loss of. A score
+    runs layer k and the hidden layers above it into buffers allocated once,
+    then hands the last of them, with the output layer alone, to the net loss
+    function: the loss kernel stays net's own (finiteness check included),
+    each score is one call of it, and its operations are exactly those of a
+    full forward pass over ``view``.
+    """
+
+    def __init__(self, m: Network, layer_idx: int, eval_set: PrototypeSet, loss: str):
+        self.m = m
+        self.layer_idx = layer_idx
+        self._lossf = _loss_function(loss)
+        src = m.layers[layer_idx]
+        self.layer = DenseLayer(src.weights.copy(), src.biases.copy(), src.activation)
+        layers = list(m.layers)
+        layers[layer_idx] = self.layer
+        self.view = Network(layers, m.input_dim, m.num_classes)
+
+        x = np.asarray(eval_set.inputs, dtype=np.float64)
+        if layer_idx > 0:
+            below = Network(layers[:layer_idx], m.input_dim, layers[layer_idx - 1].out_dim)
+            x = netmod.forward(below, x)
+        self._input = x
+        self._hidden = hidden = layers[layer_idx:-1]
+        self._buffers = [np.empty((x.shape[0], layer.out_dim)) for layer in hidden]
+        head = layers[-1]
+        self._head = Network([head], head.in_dim, m.num_classes)
+        top = self._buffers[-1] if hidden else x
+        self._rows = SimpleNamespace(inputs=top, targets=eval_set.targets)
+
+    def loss(self) -> float:
+        a = self._input
+        for layer, out in zip(self._hidden, self._buffers):
+            np.matmul(a, layer.weights.T, out=out)
+            out += layer.biases
+            a = netmod._apply_activation(out, layer.activation, inplace=True)
+        return self._lossf(self._head, self._rows)
+
+    def block(self, addr: StructureAddress):
+        return netmod.get_structure(self.view, addr)
+
+    def write(self, addr: StructureAddress, block) -> None:
+        """set_structure in place: the addressed block of the working layer."""
+        w, b = self.layer.weights, self.layer.biases
+        if addr.neuron is None:
+            w[...] = block[:, :-1]
+            b[...] = block[:, -1]
+        elif addr.weight is None:
+            w[addr.neuron] = block[:-1]
+            b[addr.neuron] = block[-1]
+        elif addr.weight == self.layer.in_dim:
+            b[addr.neuron] = block
+        else:
+            w[addr.neuron, addr.weight] = block
+
+    def difference(self, addr: StructureAddress, block_a, block_b) -> tuple[float, float, float]:
+        """Loss with A's block at addr, with B's block, and their gap. B's
+        block stays written."""
+        self.write(addr, block_a)
+        l_a = self.loss()
+        self.write(addr, block_b)
+        l_b = self.loss()
+        return l_a, l_b, l_a - l_b
+
+    def network(self) -> Network:
+        """M with the working layer, copied and validated as a new network."""
+        addr = StructureAddress(self.layer_idx)
+        return netmod.set_structure(self.m, addr, self.block(addr))
+
+
 def loss_difference(
     m: Network,
     addr: StructureAddress,
@@ -176,15 +261,12 @@ def loss_difference(
 ) -> tuple[float, float, float]:
     """Loss of M with A's block at addr, with B's block, and their gap.
 
-    The candidate insertions are transactional: M is never modified (the
-    swapped variants are fresh networks sharing M's untouched layers).
+    M is never modified: the candidates go into a private copy of its layer.
     """
     netmod.require_compatible(m, a)
     netmod.require_compatible(m, b)
-    lossf = _loss_function(loss)
-    l_a = lossf(netmod.set_structure(m, addr, netmod.get_structure(a, addr)), eval_set)
-    l_b = lossf(netmod.set_structure(m, addr, netmod.get_structure(b, addr)), eval_set)
-    return l_a, l_b, l_a - l_b
+    block_a, block_b = netmod.get_structure(a, addr), netmod.get_structure(b, addr)
+    return _LayerEvaluator(m, addr.layer, eval_set, loss).difference(addr, block_a, block_b)
 
 
 # --- evaluation data ----------------------------------------------------------
@@ -205,122 +287,100 @@ def build_eval_set(dataset: Dataset, config: MergeConfig) -> PrototypeSet:
 # --- the sweep ----------------------------------------------------------------
 
 
-def _record(report: MergeReport, rec: DecisionRecord) -> DecisionRecord:
-    report.records.append(rec)
-    return rec
+def _weigh(
+    ev: _LayerEvaluator, addr: StructureAddress, a: Network, b: Network, config: MergeConfig
+) -> tuple[DecisionRecord, np.ndarray | float]:
+    """Score A's and B's block at addr and classify the gap. Returns the
+    decision's record (action "merged" until the caller says otherwise) and
+    the blend of the two blocks."""
+    block_a, block_b = netmod.get_structure(a, addr), netmod.get_structure(b, addr)
+    l_a, l_b, delta = ev.difference(addr, block_a, block_b)
+    band = config.thresholds.for_level(addr.level)
+    alpha = mixing_factor(delta, config.lam)
+    rec = DecisionRecord(
+        level=addr.level, layer=addr.layer, neuron=addr.neuron, weight=addr.weight,
+        loss_a=l_a, loss_b=l_b, delta=delta,
+        case=classify_case(delta, band.tau_min, band.tau_max), alpha=alpha, action="merged",
+    )
+    return rec, convex_combine(block_a, block_b, alpha)
 
 
 def merge_weight_level(
-    m: Network,
-    layer_idx: int,
+    ev: _LayerEvaluator,
     neuron_idx: int,
     weight_idx: int,
     a: Network,
     b: Network,
     config: MergeConfig,
-    eval_set: PrototypeSet,
     report: MergeReport,
-    loss_pre: float | None = None,
-) -> tuple[Network, float]:
-    """Blend one scalar (index in_dim is the bias); keep it only on strict
-    improvement, else the neuron-level value stays. Terminal level: threshold
-    cases are logged but trigger no descent.
+    loss_pre: float,
+) -> float:
+    """Blend one scalar of the working layer (index in_dim is the bias); keep
+    it only on strict improvement over ``loss_pre``, else the neuron-level
+    value stays. Terminal level: threshold cases are logged but trigger no
+    descent.
 
-    Returns the updated network and its current loss.
+    Returns the loss after the decision.
     """
-    lossf = _loss_function(config.loss)
-    addr = StructureAddress(layer_idx, neuron_idx, weight_idx)
-    if loss_pre is None:
-        loss_pre = lossf(m, eval_set)
-    l_a, l_b, delta = loss_difference(m, addr, a, b, eval_set, loss=config.loss)
-    level = config.thresholds.weight
-    case = classify_case(delta, level.tau_min, level.tau_max)
-    alpha = mixing_factor(delta, config.lam)
-    fused = convex_combine(
-        netmod.get_structure(a, addr), netmod.get_structure(b, addr), alpha
-    )
-    candidate = netmod.set_structure(m, addr, fused)
-    loss_post = lossf(candidate, eval_set)
-    if loss_post < loss_pre:
-        action, m, current = "merged", candidate, loss_post
-    else:
-        action, current = "rolled_back", loss_pre
-    _record(report, DecisionRecord(
-        level="weight", layer=layer_idx, neuron=neuron_idx, weight=weight_idx,
-        loss_a=l_a, loss_b=l_b, delta=delta, case=case, alpha=alpha,
-        action=action, loss_pre=loss_pre, loss_post=loss_post,
-    ))
-    return m, current
+    addr = StructureAddress(ev.layer_idx, neuron_idx, weight_idx)
+    before = ev.block(addr)
+    rec, fused = _weigh(ev, addr, a, b, config)
+    ev.write(addr, fused)
+    rec.loss_pre, rec.loss_post = loss_pre, ev.loss()
+    report.records.append(rec)
+    if rec.loss_post < loss_pre:
+        return rec.loss_post
+    rec.action = "rolled_back"
+    ev.write(addr, before)
+    return loss_pre
 
 
 def merge_neuron_level(
-    m: Network,
-    layer_idx: int,
+    ev: _LayerEvaluator,
     neuron_idx: int,
     a: Network,
     b: Network,
     config: MergeConfig,
-    eval_set: PrototypeSet,
     report: MergeReport,
     check_restores: bool = False,
-) -> Network:
-    """Blend one neuron (weight row + bias) against the layer-level baseline.
+) -> None:
+    """Blend one neuron (weight row + bias) of the working layer against the
+    layer-level baseline.
 
     Inside the threshold band (or when neurons are the granularity limit)
     the blend is kept only on strict loss improvement. Outside the band the
     blend becomes the provisional baseline for a weight-level pass, and the
     whole neuron rolls back to the layer-level parameters unless the pass
-    beats the entry loss.
+    beats the entry loss. ``check_restores`` asserts that a rollback leaves
+    the working layer, and its loss, bit-identical to the neuron's entry.
     """
-    lossf = _loss_function(config.loss)
-    addr = StructureAddress(layer_idx, neuron_idx)
-    baseline = netmod.get_structure(m, addr)
-    loss_pre = lossf(m, eval_set)
-    l_a, l_b, delta = loss_difference(m, addr, a, b, eval_set, loss=config.loss)
-    level = config.thresholds.neuron
-    case = classify_case(delta, level.tau_min, level.tau_max)
-    alpha = mixing_factor(delta, config.lam)
-    fused = convex_combine(
-        netmod.get_structure(a, addr), netmod.get_structure(b, addr), alpha
-    )
-
-    if case == 3 or config.max_granularity == "neuron":
-        candidate = netmod.set_structure(m, addr, fused)
-        loss_post = lossf(candidate, eval_set)
-        if loss_post < loss_pre:
-            action, m = "merged", candidate
-        else:
-            action = "rolled_back"
-        if check_restores and action == "rolled_back":
-            assert np.array_equal(netmod.get_structure(m, addr), baseline)
-        _record(report, DecisionRecord(
-            level="neuron", layer=layer_idx, neuron=neuron_idx, weight=None,
-            loss_a=l_a, loss_b=l_b, delta=delta, case=case, alpha=alpha,
-            action=action, loss_pre=loss_pre, loss_post=loss_post,
-        ))
-        return m
-
-    # refine to single weights from the fused-neuron baseline
-    rec = _record(report, DecisionRecord(
-        level="neuron", layer=layer_idx, neuron=neuron_idx, weight=None,
-        loss_a=l_a, loss_b=l_b, delta=delta, case=case, alpha=alpha,
-        action="refined", loss_pre=loss_pre, loss_post=None,
-    ))
-    work = netmod.set_structure(m, addr, fused)
-    running = lossf(work, eval_set)
-    in_dim = m.layers[layer_idx].in_dim
-    for weight_idx in range(in_dim + 1):  # incoming weights, then the bias
-        work, running = merge_weight_level(
-            work, layer_idx, neuron_idx, weight_idx, a, b, config, eval_set,
-            report, loss_pre=running,
-        )
-    rec.loss_post = running
-    if running < loss_pre:
-        return work
-    rec.action = "rolled_back"
+    addr = StructureAddress(ev.layer_idx, neuron_idx)
+    baseline = ev.block(addr)
     if check_restores:
-        assert np.array_equal(netmod.get_structure(m, addr), baseline)
-    return m
+        entry = ev.layer.weights.copy(), ev.layer.biases.copy()
+    loss_pre = ev.loss()
+    rec, fused = _weigh(ev, addr, a, b, config)
+    rec.loss_pre = loss_pre
+    ev.write(addr, fused)
+    report.records.append(rec)
+    if rec.case == 3 or config.max_granularity == "neuron":
+        rec.loss_post = ev.loss()
+    else:  # refine to single weights from the fused-neuron baseline
+        rec.action = "refined"
+        running = ev.loss()
+        for weight_idx in range(ev.layer.in_dim + 1):  # incoming weights, then the bias
+            running = merge_weight_level(
+                ev, neuron_idx, weight_idx, a, b, config, report, running
+            )
+        rec.loss_post = running
+    if rec.loss_post < loss_pre:
+        return
+    rec.action = "rolled_back"
+    ev.write(addr, baseline)
+    if check_restores:
+        assert np.array_equal(ev.layer.weights, entry[0])
+        assert np.array_equal(ev.layer.biases, entry[1])
+        assert ev.loss() == loss_pre
 
 
 def merge_layer_level(
@@ -337,36 +397,21 @@ def merge_layer_level(
 
     Inside the band (or when layers are the granularity limit) the blend is
     final. Outside it the blend still goes in as the provisional baseline
-    and every neuron of the layer is refined individually.
+    and every neuron of the layer is refined individually, all in one
+    evaluator for the layer.
     """
-    lossf = _loss_function(config.loss)
+    ev = _LayerEvaluator(m, layer_idx, eval_set, config.loss)
     addr = StructureAddress(layer_idx)
-    l_a, l_b, delta = loss_difference(m, addr, a, b, eval_set, loss=config.loss)
-    level = config.thresholds.layer
-    case = classify_case(delta, level.tau_min, level.tau_max)
-    alpha = mixing_factor(delta, config.lam)
-    fused = convex_combine(
-        netmod.get_structure(a, addr), netmod.get_structure(b, addr), alpha
-    )
-    m = netmod.set_structure(m, addr, fused)
-    if case == 3 or config.max_granularity == "layer":
-        _record(report, DecisionRecord(
-            level="layer", layer=layer_idx, neuron=None, weight=None,
-            loss_a=l_a, loss_b=l_b, delta=delta, case=case, alpha=alpha,
-            action="merged",
-        ))
-        return m
-    _record(report, DecisionRecord(
-        level="layer", layer=layer_idx, neuron=None, weight=None,
-        loss_a=l_a, loss_b=l_b, delta=delta, case=case, alpha=alpha,
-        action="refined",
-    ))
-    for neuron_idx in range(m.layers[layer_idx].out_dim):
-        m = merge_neuron_level(
-            m, layer_idx, neuron_idx, a, b, config, eval_set, report,
-            check_restores=check_restores,
-        )
-    return m
+    rec, fused = _weigh(ev, addr, a, b, config)
+    ev.write(addr, fused)
+    report.records.append(rec)
+    if rec.case != 3 and config.max_granularity != "layer":
+        rec.action = "refined"
+        for neuron_idx in range(ev.layer.out_dim):
+            merge_neuron_level(
+                ev, neuron_idx, a, b, config, report, check_restores=check_restores
+            )
+    return ev.network()
 
 
 def cogram_merge(

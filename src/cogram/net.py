@@ -3,8 +3,8 @@
 Everything is float64 numpy. Networks are treated as immutable values:
 operations are either pure or return a new network that shares the
 untouched layers with the original. Nothing here mutates parameter
-arrays in place, which is what makes the transactional candidate swaps
-in the merge engine safe.
+arrays in place; the merge engine writes candidates only into its own
+private copy of a layer, so networks it shares stay unchanged.
 
 Parameter addressing convention: a neuron's block is its incoming
 weight row plus its bias, and at scalar granularity the bias is
@@ -173,11 +173,12 @@ def random_network(layer_sizes, seed, hidden_activation: str = "relu") -> Networ
 # --- forward / losses -------------------------------------------------------
 
 
-def _apply_activation(z: np.ndarray, activation: str) -> np.ndarray:
+def _apply_activation(z: np.ndarray, activation: str, inplace: bool = False) -> np.ndarray:
+    out = z if inplace else None
     if activation == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if activation == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=out)
     return z
 
 
@@ -200,7 +201,8 @@ def forward_trace(net: Network, x: np.ndarray):
     acts = [x]
     a = x
     for layer in net.layers:
-        z = a @ layer.weights.T + layer.biases
+        z = a @ layer.weights.T
+        z += layer.biases
         pres.append(z)
         a = _apply_activation(z, layer.activation)
         acts.append(a)
@@ -236,27 +238,36 @@ def log_softmax(logits) -> np.ndarray:
     if not np.isfinite(z).all():
         raise ValueError("log_softmax requires finite logits")
     shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
+
+
+def _loss_of_logits(loss: str, logits: np.ndarray, targets: np.ndarray) -> float:
+    """The one loss kernel: mean cross-entropy of softmax(logits) against
+    target distributions, or the mean over samples and output dimensions of
+    squared residuals."""
+    if loss == "cross_entropy":
+        return float(-np.mean(np.sum(targets * log_softmax(logits), axis=-1)))
+    if loss == "mse":
+        return float(np.mean((logits - targets) ** 2))
+    raise ValueError(f"unknown loss {loss!r}")
+
+
+def _loss_arrays(loss: str, net: Network, inputs, targets) -> float:
+    x = _as_f64(inputs)
+    if x.shape[0] == 0:
+        raise ValueError("empty evaluation set")
+    return _loss_of_logits(loss, forward(net, x), _as_f64(targets))
 
 
 def cross_entropy_arrays(net: Network, inputs: np.ndarray, targets: np.ndarray) -> float:
     """Mean cross-entropy of softmax(logits) against target distributions."""
-    x = _as_f64(inputs)
-    y = _as_f64(targets)
-    if x.shape[0] == 0:
-        raise ValueError("empty evaluation set")
-    logits = forward(net, x)
-    return float(-np.mean(np.sum(y * log_softmax(logits), axis=-1)))
+    return _loss_arrays("cross_entropy", net, inputs, targets)
 
 
 def mse_arrays(net: Network, inputs: np.ndarray, targets: np.ndarray) -> float:
     """Mean over samples and output dimensions of squared residuals."""
-    x = _as_f64(inputs)
-    y = _as_f64(targets)
-    if x.shape[0] == 0:
-        raise ValueError("empty evaluation set")
-    out = forward(net, x)
-    return float(np.mean((out - y) ** 2))
+    return _loss_arrays("mse", net, inputs, targets)
 
 
 def cross_entropy_loss(net: Network, eval_set) -> float:
@@ -283,15 +294,12 @@ def backward_arrays(
     pres, acts = forward_trace(net, x)
     logits = acts[-1]
 
+    value = _loss_of_logits(loss, logits, y)
     if loss == "cross_entropy":
-        value = float(-np.mean(np.sum(y * log_softmax(logits), axis=-1)))
         # d(mean CE)/dlogits; holds for any target distribution summing to 1
         delta = (softmax(logits) - y) / n
-    elif loss == "mse":
-        value = float(np.mean((logits - y) ** 2))
-        delta = 2.0 * (logits - y) / (n * logits.shape[1])
     else:
-        raise ValueError(f"unknown loss {loss!r}")
+        delta = 2.0 * (logits - y) / (n * logits.shape[1])
 
     grad_w = [None] * len(net.layers)
     grad_b = [None] * len(net.layers)
@@ -337,10 +345,11 @@ def get_structure(net: Network, addr: StructureAddress):
     layer = _validate_address(net, addr)
     if addr.neuron is None:
         return np.hstack([layer.weights, layer.biases[:, None]])
-    row = np.append(layer.weights[addr.neuron], layer.biases[addr.neuron])
     if addr.weight is None:
-        return row
-    return float(row[addr.weight])
+        return np.append(layer.weights[addr.neuron], layer.biases[addr.neuron])
+    if addr.weight == layer.in_dim:
+        return float(layer.biases[addr.neuron])
+    return float(layer.weights[addr.neuron, addr.weight])
 
 
 def set_structure(net: Network, addr: StructureAddress, block) -> Network:

@@ -215,6 +215,12 @@ def save_csv(dataset: Dataset, path) -> None:
 
 
 def load_csv(path, num_classes: int | None = None) -> Dataset:
+    """Read a CSV written by save_csv. Without ``num_classes`` the label
+    range is 0..max label.
+
+    Raises ValueError for non-finite features, labels that are not whole
+    numbers and labels outside 0..num_classes-1, instead of coercing them.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         columns = header.split(",")
@@ -223,8 +229,23 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
         raw = np.loadtxt(fh, delimiter=",", ndmin=2)
     if raw.size == 0:
         raise ValueError(f"{path}: no data rows")
-    features = raw[:, :-1]
-    labels = raw[:, -1].astype(np.int64)
+    features, column = raw[:, :-1], raw[:, -1]
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}: data row {np.argmin(finite) + 1} has a non-finite feature")
+    whole = np.isfinite(column) & (column == np.floor(column))
+    if not whole.all():
+        row = np.argmin(whole)
+        raise ValueError(
+            f"{path}: data row {row + 1} has label {float(column[row])!r}, not a whole number"
+        )
+    labels = column.astype(np.int64)
     if num_classes is None:
         num_classes = int(labels.max()) + 1
+    outside = (labels < 0) | (labels >= num_classes)
+    if outside.any():
+        raise ValueError(
+            f"{path}: label {labels[np.argmax(outside)]} is outside the label range "
+            f"0..{num_classes - 1}"
+        )
     return Dataset(features, labels, num_classes)

@@ -1,13 +1,15 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from cogram import net as netmod
-from cogram.cli import main
+from cogram import cli, net as netmod
+from cogram.cli import SweepRow, main
 from cogram.synthdata import load_csv
 
 
@@ -94,6 +96,24 @@ def test_train_missing_dataset_exits_2(tmp_path):
     rc = main(["train", "--data", str(tmp_path / "nope.csv"),
                "--arch", "6,12,4", "--out", str(tmp_path / "m.json")])
     assert rc == 2
+
+
+def test_train_arch_output_smaller_than_label_range_exits_2(workspace, tmp_path, capsys):
+    data = workspace / "data" / "data_a.csv"
+    rc = main(["train", "--data", str(data), "--arch", "6,12,3",
+               "--out", str(tmp_path / "m.json")])
+    assert rc == 2
+    assert "label range" in capsys.readouterr().err
+
+
+def test_eval_rejects_non_integer_labels_with_exit_2(workspace, tmp_path, capsys):
+    lines = (workspace / "data" / "test.csv").read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",1.7"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    rc = main(["eval", "--model", str(workspace / "a.json"), "--data", str(bad)])
+    assert rc == 2
+    assert "not a whole number" in capsys.readouterr().err
 
 
 def test_eval_reproduces_train_report_accuracy(workspace, tmp_path, capsys):
@@ -269,6 +289,28 @@ def test_sweep_failed_seed_is_flagged_but_kept(tmp_path):
     assert len(lines) == 3  # header + one row per seed
     for line in lines[1:]:
         assert line.endswith(",failed")
+
+
+def _seed_or_die(cfg, seed):
+    """Stands in for run_experiment_seed: seed 1's worker process dies."""
+    if seed == 1:
+        time.sleep(1.0)  # lets seed 0's result reach the parent first
+        os._exit(1)
+    return SweepRow(seed=seed, acc_a=0.5, acc_b=0.5, accuracies={"average": 0.5})
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the stand-in reaches the workers only through fork")
+def test_sweep_survives_a_dead_worker(tmp_path, monkeypatch):
+    monkeypatch.setenv("COGRAM_THREADS", "2")
+    monkeypatch.setattr(cli, "run_experiment_seed", _seed_or_die)
+    cfg = _sweep_config(tmp_path, [1, 0], ["average"])
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    assert lines[1:] == ["0,0.5,0.5,0.5,ok", "1,,,,failed"]
+    rows = json.loads((tmp_path / "out" / "sweep.json").read_text())["rows"]
+    assert [r["seed"] for r in rows] == [0, 1]
+    assert rows[1]["error"].startswith("BrokenProcessPool")
 
 
 def test_console_entrypoint_via_subprocess(workspace):

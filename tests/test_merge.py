@@ -6,6 +6,7 @@ import pytest
 
 from cogram import net as netmod
 from cogram.merge import (
+    _LayerEvaluator,
     LevelThresholds,
     MergeConfig,
     Thresholds,
@@ -277,7 +278,9 @@ def test_merge_neuron_level_tie_rolls_back_bit_identical():
     es = _random_eval(rng, 6, 5, 3)
     cfg = MergeConfig()
     rep = _report_for(cfg)
-    merged = merge_neuron_level(m, 1, 2, m, m, cfg, es, rep, check_restores=True)
+    ev = _LayerEvaluator(m, 1, es, cfg.loss)
+    merge_neuron_level(ev, 2, m, m, cfg, rep, check_restores=True)
+    merged = ev.network()
     rec = rep.records[-1]
     assert rec.action == "rolled_back"
     assert rec.loss_post == rec.loss_pre  # tie rejected by strict <
@@ -292,9 +295,10 @@ def test_merge_neuron_level_adversarial_eval_always_rolls_back():
     b = random_network([6, 5, 4], seed=2)
     cfg = MergeConfig()
     rep = _report_for(cfg)
-    out = m
+    ev = _LayerEvaluator(m, 0, es, cfg.loss)
     for neuron in range(5):
-        out = merge_neuron_level(out, 0, neuron, a, b, cfg, es, rep, check_restores=True)
+        merge_neuron_level(ev, neuron, a, b, cfg, rep, check_restores=True)
+    out = ev.network()
     assert all(r.action == "rolled_back" for r in rep.records)
     assert all(r.loss_post >= r.loss_pre for r in rep.records)
     assert _param_bytes(out) == _param_bytes(m)
@@ -310,7 +314,9 @@ def test_merge_neuron_level_loss_never_increases():
         es = _random_eval(rng, 8, 5, 3)
         rep = _report_for(cfg)
         before = cross_entropy_loss(m, es)
-        out = merge_neuron_level(m, 1, trial % 3, a, b, cfg, es, rep)
+        ev = _LayerEvaluator(m, 1, es, cfg.loss)
+        merge_neuron_level(ev, trial % 3, a, b, cfg, rep)
+        out = ev.network()
         assert cross_entropy_loss(out, es) <= before
 
 
@@ -320,14 +326,18 @@ def test_merge_weight_level_tie_and_locality():
     es = _random_eval(rng, 6, 5, 3)
     cfg = MergeConfig()
     rep = _report_for(cfg)
-    out, _ = merge_weight_level(m, 1, 1, 2, m, m, cfg, es, rep)
+    ev = _LayerEvaluator(m, 1, es, cfg.loss)
+    merge_weight_level(ev, 1, 2, m, m, cfg, rep, ev.loss())
+    out = ev.network()
     assert rep.records[-1].action == "rolled_back"
     assert _param_bytes(out) == _param_bytes(m)
 
     a = random_network([5, 4, 3], seed=1)
     b = random_network([5, 4, 3], seed=2)
     rep = _report_for(cfg)
-    out, _ = merge_weight_level(m, 1, 1, 2, a, b, cfg, es, rep)
+    ev = _LayerEvaluator(m, 1, es, cfg.loss)
+    merge_weight_level(ev, 1, 2, a, b, cfg, rep, ev.loss())
+    out = ev.network()
     if rep.records[-1].action == "merged":
         diff = np.abs(out.layers[1].weights - m.layers[1].weights)
         assert np.count_nonzero(diff) == 1  # exactly one scalar changed
@@ -343,7 +353,9 @@ def test_merge_weight_level_bias_index():
     cfg = MergeConfig()
     rep = _report_for(cfg)
     in_dim = m.layers[0].in_dim
-    out, _ = merge_weight_level(m, 0, 1, in_dim, a, b, cfg, es, rep)
+    ev = _LayerEvaluator(m, 0, es, cfg.loss)
+    merge_weight_level(ev, 1, in_dim, a, b, cfg, rep, ev.loss())
+    out = ev.network()
     rec = rep.records[-1]
     assert rec.weight == in_dim
     assert np.array_equal(out.layers[0].weights, m.layers[0].weights)  # only bias may move

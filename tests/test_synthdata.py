@@ -167,3 +167,20 @@ def test_csv_rejects_missing_label_column(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         load_csv(path)
+
+
+@pytest.mark.parametrize("row, num_classes, message", [
+    ("0.5,1.0,1.7", None, "not a whole number"),
+    ("0.5,1.0,nan", None, "not a whole number"),
+    ("0.5,1.0,-1", None, "label range"),
+    ("0.5,1.0,3", 3, "label range"),
+    ("nan,1.0,1", None, "non-finite feature"),
+    ("0.5,inf,1", None, "non-finite feature"),
+])
+def test_csv_rejects_bad_values(tmp_path, row, num_classes, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"f0,f1,label\n0.0,0.0,0\n{row}\n")
+    with pytest.raises(ValueError, match=message):
+        load_csv(path, num_classes)
+    path.write_text("f0,f1,label\n0.0,0.0,0\n0.5,1.0,2\n")
+    assert load_csv(path, num_classes).labels.tolist() == [0, 2]
