@@ -68,7 +68,7 @@ def fisher_information(
     fisher_b = []
     for k in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[k]
-        delta = delta * netmod._activation_derivative(pres[k], layer.activation)
+        netmod._times_activation_derivative(delta, pres[k], layer.activation)
         d2 = delta**2
         a2 = acts[k] ** 2
         fisher_w.append(d2.T @ a2 / n)

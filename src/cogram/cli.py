@@ -9,6 +9,7 @@ byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -82,6 +83,17 @@ class ExperimentConfig:
                 f"arch {self.arch} does not match data (dim={self.data.dim}, "
                 f"classes={self.data.num_classes})"
             )
+        for name, low, high in (
+            ("epochs", 0, None),
+            ("batch_size", 1, None),
+            ("kickoff_epochs", 0, merge.MAX_KICKOFF_EPOCHS),
+            ("finetune_epochs", 0, None),
+        ):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, int) or value < low
+                    or (high is not None and value > high)):
+                bounds = f"in {low}..{high}" if high is not None else f"an integer >= {low}"
+                raise UsageError(f"{name} must be {bounds}, got {value!r}")
 
 
 def _dataconfig_from_dict(doc: dict) -> DataConfig:
@@ -191,44 +203,65 @@ class SweepRow:
     accuracies: dict = field(default_factory=dict)   # method column -> accuracy
     eval_losses: dict = field(default_factory=dict)  # method column -> prototype loss
     wall_time_s: float = 0.0
+    stage_s: dict = field(default_factory=dict)      # stage -> seconds, see STAGES
     error: str | None = None
+
+
+# the stages of one sweep seed, timed into SweepRow.stage_s
+STAGES = ("data", "train_a", "train_b", "fisher", "eval_set", "cogram", "kickoff", "evaluate")
+
+
+@contextlib.contextmanager
+def _timed(stage_s: dict, stage: str):
+    """Adds the wall time of the ``with`` body to ``stage_s[stage]``."""
+    start = time.perf_counter()
+    yield
+    stage_s[stage] += time.perf_counter() - start
 
 
 def run_experiment_seed(cfg: ExperimentConfig, seed: int) -> SweepRow:
     """Generate the pair, train A/B, run every configured method, evaluate."""
     start = time.perf_counter()
-    data_cfg = synthdata.DataConfig(**{**asdict(cfg.data), "seed": seed})
-    data_a, data_b, test = synthdata.generate_pair(data_cfg, cfg.mode)
+    row = SweepRow(seed=seed, stage_s=dict.fromkeys(STAGES, 0.0))
+    stage_s = row.stage_s
+    with _timed(stage_s, "data"):
+        data_cfg = synthdata.DataConfig(**{**asdict(cfg.data), "seed": seed})
+        data_a, data_b, test = synthdata.generate_pair(data_cfg, cfg.mode)
 
-    net_a = netmod.random_network(cfg.arch, _role_seed(seed, 1))
-    net_a, _ = training.train(
-        net_a, data_a, cfg.optimizer, cfg.epochs, cfg.batch_size, _role_seed(seed, 2)
-    )
-    net_b = netmod.random_network(cfg.arch, _role_seed(seed, 3))
-    net_b, _ = training.train(
-        net_b, data_b, cfg.optimizer, cfg.epochs, cfg.batch_size, _role_seed(seed, 4)
-    )
+    with _timed(stage_s, "train_a"):
+        net_a = netmod.random_network(cfg.arch, _role_seed(seed, 1))
+        net_a, _ = training.train(
+            net_a, data_a, cfg.optimizer, cfg.epochs, cfg.batch_size, _role_seed(seed, 2)
+        )
+    with _timed(stage_s, "train_b"):
+        net_b = netmod.random_network(cfg.arch, _role_seed(seed, 3))
+        net_b, _ = training.train(
+            net_b, data_b, cfg.optimizer, cfg.epochs, cfg.batch_size, _role_seed(seed, 4)
+        )
 
-    row = SweepRow(seed=seed)
-    row.acc_a = training.accuracy(net_a, test)
-    row.acc_b = training.accuracy(net_b, test)
+    with _timed(stage_s, "evaluate"):
+        row.acc_a = training.accuracy(net_a, test)
+        row.acc_b = training.accuracy(net_b, test)
 
-    combined = synthdata.concat(data_a, data_b)
-    eval_set = merge.build_eval_set(combined, cfg.merge)
+    with _timed(stage_s, "eval_set"):
+        combined = synthdata.concat(data_a, data_b)
+        eval_set = merge.build_eval_set(combined, cfg.merge)
     lossf = netmod.cross_entropy_loss if cfg.merge.loss == "cross_entropy" else netmod.mse_loss
 
     needs_fisher = any(m != "average" for m in cfg.methods)
     fused_fisher = None
     if needs_fisher:
-        f_a = baseline.fisher_information(net_a, data_a, cfg.fisher_samples, _role_seed(seed, 5))
-        f_b = baseline.fisher_information(net_b, data_b, cfg.fisher_samples, _role_seed(seed, 6))
-        fused_fisher = baseline.fisher_merge(net_a, net_b, f_a, f_b)
+        with _timed(stage_s, "fisher"):
+            f_a = baseline.fisher_information(net_a, data_a, cfg.fisher_samples, _role_seed(seed, 5))
+            f_b = baseline.fisher_information(net_b, data_b, cfg.fisher_samples, _role_seed(seed, 6))
+            fused_fisher = baseline.fisher_merge(net_a, net_b, f_a, f_b)
 
     fused_cogram = None
     if any(m.startswith("fisher+cogram") for m in cfg.methods):
-        fused_cogram, _ = merge.cogram_iterate(
-            fused_fisher, net_a, net_b, cfg.merge, eval_set=eval_set
-        )
+        with _timed(stage_s, "cogram"):
+            fused_cogram, _ = merge.cogram_iterate(
+                fused_fisher, net_a, net_b, cfg.merge, eval_set=eval_set
+            )
 
     for method in cfg.methods:
         column = _METHOD_COLUMN[method]
@@ -244,13 +277,15 @@ def run_experiment_seed(cfg: ExperimentConfig, seed: int) -> SweepRow:
                 optimizer=cfg.optimizer.kind, momentum=cfg.optimizer.momentum,
                 clip_norm=cfg.optimizer.clip_norm,
             )
-            fused, _ = merge.gradient_kickoff(
-                fused_cogram, combined, kick_cfg, fine_cfg,
-                cfg.kickoff_epochs, cfg.finetune_epochs, cfg.batch_size,
-                _role_seed(seed, 8),
-            )
-        row.accuracies[column] = training.accuracy(fused, test)
-        row.eval_losses[column] = lossf(fused, eval_set)
+            with _timed(stage_s, "kickoff"):
+                fused, _ = merge.gradient_kickoff(
+                    fused_cogram, combined, kick_cfg, fine_cfg,
+                    cfg.kickoff_epochs, cfg.finetune_epochs, cfg.batch_size,
+                    _role_seed(seed, 8),
+                )
+        with _timed(stage_s, "evaluate"):
+            row.accuracies[column] = training.accuracy(fused, test)
+            row.eval_losses[column] = lossf(fused, eval_set)
     row.wall_time_s = time.perf_counter() - start
     return row
 
@@ -357,6 +392,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
                 "accuracies": r.accuracies,
                 "eval_losses": r.eval_losses,
                 "wall_time_s": r.wall_time_s,
+                "stage_s": r.stage_s,
                 "error": r.error,
             }
             for r in rows

@@ -42,6 +42,7 @@ from .synthdata import Dataset
 from .training import OptimizerConfig, TrainReport, train
 
 GRANULARITIES = ("layer", "neuron", "weight")
+MAX_KICKOFF_EPOCHS = 9  # the kickoff is a short phase
 
 
 @dataclass(frozen=True)
@@ -500,8 +501,10 @@ def gradient_kickoff(
     """
     if len(combined_train_data) == 0:
         raise ValueError("empty dataset")
-    if not 0 <= kickoff_epochs < 10:
-        raise ValueError("kickoff_epochs must be in 0..9 (kickoff is a short phase)")
+    if not 0 <= kickoff_epochs <= MAX_KICKOFF_EPOCHS:
+        raise ValueError(
+            f"kickoff_epochs must be in 0..{MAX_KICKOFF_EPOCHS} (kickoff is a short phase)"
+        )
     if finetune_epochs < 0:
         raise ValueError("finetune_epochs must be >= 0")
     ratio = kickoff_config.learning_rate / finetune_config.learning_rate

@@ -4,7 +4,8 @@ Everything is float64 numpy. Networks are treated as immutable values:
 operations are either pure or return a new network that shares the
 untouched layers with the original. Nothing here mutates parameter
 arrays in place; the merge engine writes candidates only into its own
-private copy of a layer, so networks it shares stay unchanged.
+private copy of a layer, and training updates only its own flat copy of
+the parameters, so networks they share stay unchanged.
 
 Parameter addressing convention: a neuron's block is its incoming
 weight row plus its bias, and at scalar granularity the bias is
@@ -182,13 +183,13 @@ def _apply_activation(z: np.ndarray, activation: str, inplace: bool = False) -> 
     return z
 
 
-def _activation_derivative(z: np.ndarray, activation: str) -> np.ndarray:
+def _times_activation_derivative(delta: np.ndarray, z: np.ndarray, activation: str) -> None:
+    """delta *= activation'(z), in place; the identity's derivative is 1."""
     if activation == "relu":
-        return (z > 0.0).astype(np.float64)
-    if activation == "tanh":
+        np.multiply(delta, z > 0.0, out=delta)
+    elif activation == "tanh":
         t = np.tanh(z)
-        return 1.0 - t * t
-    return np.ones_like(z)
+        delta *= 1.0 - t * t
 
 
 def forward_trace(net: Network, x: np.ndarray):
@@ -222,23 +223,29 @@ def forward(net: Network, inputs) -> np.ndarray:
     return logits[0] if squeezed else logits
 
 
-def softmax(logits) -> np.ndarray:
-    """Max-subtracted softmax over the last axis."""
+def _shift_exp_sum(logits, caller: str):
+    """The pass softmax, log_softmax and the cross-entropy gradient share:
+    the logits minus their maximum over the last axis, the exp of that, and
+    the sums of the exp over the last axis. Rejects non-finite logits."""
     z = _as_f64(logits)
     if not np.isfinite(z).all():
-        raise ValueError("softmax requires finite logits")
+        raise ValueError(f"{caller} requires finite logits")
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return shifted, e, e.sum(axis=-1, keepdims=True)
+
+
+def softmax(logits) -> np.ndarray:
+    """Max-subtracted softmax over the last axis."""
+    _, e, sums = _shift_exp_sum(logits, "softmax")
+    e /= sums
+    return e
 
 
 def log_softmax(logits) -> np.ndarray:
     """log(softmax) in fused log-sum-exp form; safe for confident logits."""
-    z = _as_f64(logits)
-    if not np.isfinite(z).all():
-        raise ValueError("log_softmax requires finite logits")
-    shifted = z - z.max(axis=-1, keepdims=True)
-    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted, _, sums = _shift_exp_sum(logits, "log_softmax")
+    shifted -= np.log(sums)
     return shifted
 
 
@@ -247,6 +254,8 @@ def _loss_of_logits(loss: str, logits: np.ndarray, targets: np.ndarray) -> float
     target distributions, or the mean over samples and output dimensions of
     squared residuals."""
     if loss == "cross_entropy":
+        # log_softmax's result is a temporary here, so numpy multiplies into
+        # it instead of mapping one more N x C array
         return float(-np.mean(np.sum(targets * log_softmax(logits), axis=-1)))
     if loss == "mse":
         return float(np.mean((logits - targets) ** 2))
@@ -281,9 +290,15 @@ def mse_loss(net: Network, eval_set) -> float:
 
 
 def backward_arrays(
-    net: Network, inputs: np.ndarray, targets: np.ndarray, loss: str = "cross_entropy"
+    net: Network, inputs: np.ndarray, targets: np.ndarray, loss: str = "cross_entropy",
+    out: Gradients | None = None,
 ) -> tuple[float, Gradients]:
-    """Loss and its exact analytic gradient w.r.t. every weight and bias."""
+    """Loss and its exact analytic gradient w.r.t. every weight and bias.
+
+    The gradient is written into ``out`` when given (arrays shaped like the
+    network's layers, returned as the second value) and into new arrays
+    otherwise.
+    """
     x = _as_f64(inputs)
     y = _as_f64(targets)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
@@ -294,23 +309,34 @@ def backward_arrays(
     pres, acts = forward_trace(net, x)
     logits = acts[-1]
 
-    value = _loss_of_logits(loss, logits, y)
     if loss == "cross_entropy":
-        # d(mean CE)/dlogits; holds for any target distribution summing to 1
-        delta = (softmax(logits) - y) / n
+        # one shift/exp/sum gives the loss and d(mean CE)/dlogits = (softmax - y) / n,
+        # which holds for any target distribution summing to 1
+        log_probs, delta, sums = _shift_exp_sum(logits, "log_softmax")
+        log_probs -= np.log(sums)
+        value = float(-np.mean(np.sum(y * log_probs, axis=-1)))
+        delta /= sums
+        delta -= y
+        delta /= n
     else:
-        delta = 2.0 * (logits - y) / (n * logits.shape[1])
+        value = _loss_of_logits(loss, logits, y)
+        delta = logits - y
+        delta *= 2.0
+        delta /= n * logits.shape[1]
 
-    grad_w = [None] * len(net.layers)
-    grad_b = [None] * len(net.layers)
+    if out is None:
+        out = Gradients(
+            weights=[np.empty_like(layer.weights) for layer in net.layers],
+            biases=[np.empty_like(layer.biases) for layer in net.layers],
+        )
     for k in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[k]
-        delta = delta * _activation_derivative(pres[k], layer.activation)
-        grad_w[k] = delta.T @ acts[k]
-        grad_b[k] = delta.sum(axis=0)
+        _times_activation_derivative(delta, pres[k], layer.activation)
+        np.matmul(delta.T, acts[k], out=out.weights[k])
+        np.sum(delta, axis=0, out=out.biases[k])
         if k > 0:
             delta = delta @ layer.weights
-    return value, Gradients(weights=grad_w, biases=grad_b)
+    return value, out
 
 
 def backward(net: Network, eval_set, loss: str = "cross_entropy") -> tuple[float, Gradients]:

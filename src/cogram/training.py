@@ -7,7 +7,7 @@ same (net, data, config, seed) always produces bit-identical parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,22 +47,19 @@ class TrainReport:
 
 @dataclass
 class OptimizerState:
+    """Moments over the flat parameter layout of ``_flatten``: the SGD
+    velocity or Adam's first moment, and Adam's second moment."""
+
     config: OptimizerConfig
     step: int = 0
-    velocity_w: list[np.ndarray] = field(default_factory=list)
-    velocity_b: list[np.ndarray] = field(default_factory=list)
-    second_w: list[np.ndarray] = field(default_factory=list)
-    second_b: list[np.ndarray] = field(default_factory=list)
+    velocity: np.ndarray | None = None
+    second: np.ndarray | None = None
 
 
 def init_optimizer_state(config: OptimizerConfig, net: Network) -> OptimizerState:
-    zeros_w = [np.zeros_like(l.weights) for l in net.layers]
-    zeros_b = [np.zeros_like(l.biases) for l in net.layers]
-    state = OptimizerState(config=config, velocity_w=zeros_w, velocity_b=zeros_b)
-    if config.kind == "adam":
-        state.second_w = [np.zeros_like(l.weights) for l in net.layers]
-        state.second_b = [np.zeros_like(l.biases) for l in net.layers]
-    return state
+    size = sum(layer.weights.size + layer.biases.size for layer in net.layers)
+    second = np.zeros(size) if config.kind == "adam" else None
+    return OptimizerState(config=config, velocity=np.zeros(size), second=second)
 
 
 def clip_gradients(g: Gradients, clip_norm: float) -> Gradients:
@@ -75,48 +72,79 @@ def clip_gradients(g: Gradients, clip_norm: float) -> Gradients:
     return g.scaled(clip_norm / norm)
 
 
-def optimizer_step(
-    state: OptimizerState, net: Network, g: Gradients
-) -> tuple[Network, OptimizerState]:
-    """One update. SGD: v <- mu*v - lr*g, theta <- theta + v. Adam: bias-corrected."""
+# --- the flat parameter vector ------------------------------------------------
+#
+# Training keeps every parameter in one float64 vector theta, layer by layer,
+# each layer's weights (row-major) followed by its biases. Gradients and
+# optimizer moments use the same layout, so an update is a few whole-vector
+# operations.
+
+
+def _flatten(weights, biases) -> np.ndarray:
+    return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
+
+
+def _layer_views(flat: np.ndarray, net: Network) -> tuple[list, list]:
+    """Per-layer weight and bias views of a flat vector laid out for ``net``."""
+    weights, biases, at = [], [], 0
+    for layer in net.layers:
+        rows, cols = layer.weights.shape
+        weights.append(flat[at : at + rows * cols].reshape(rows, cols))
+        at += rows * cols
+        biases.append(flat[at : at + rows])
+        at += rows
+    return weights, biases
+
+
+def _network_on(theta: np.ndarray, net: Network) -> Network:
+    """A network shaped like ``net`` whose layers are views into ``theta``."""
+    weights, biases = _layer_views(theta, net)
+    layers = [
+        netmod.DenseLayer(w, b, layer.activation)
+        for w, b, layer in zip(weights, biases, net.layers)
+    ]
+    return Network(layers, net.input_dim, net.num_classes)
+
+
+def _update(state: OptimizerState, theta: np.ndarray, grad: np.ndarray) -> None:
+    """One optimizer update of ``theta`` in place. The elementwise operations
+    and their order are those of the per-layer rule, so every bit is kept."""
     cfg = state.config
-    for gw, gb, layer in zip(g.weights, g.biases, net.layers):
-        if gw.shape != layer.weights.shape or gb.shape != layer.biases.shape:
-            raise netmod.ShapeError("gradient shapes do not match the network")
-    new_layers = []
+    v, s = state.velocity, state.second
     if cfg.kind == "sgd_momentum":
-        for k, layer in enumerate(net.layers):
-            state.velocity_w[k] = cfg.momentum * state.velocity_w[k] - cfg.learning_rate * g.weights[k]
-            state.velocity_b[k] = cfg.momentum * state.velocity_b[k] - cfg.learning_rate * g.biases[k]
-            new_layers.append(
-                netmod.DenseLayer(
-                    layer.weights + state.velocity_w[k],
-                    layer.biases + state.velocity_b[k],
-                    layer.activation,
-                )
-            )
+        v *= cfg.momentum
+        v -= cfg.learning_rate * grad
+        theta += v
     else:
         state.step += 1
         b1, b2 = cfg.betas
         corr1 = 1.0 - b1 ** state.step
         corr2 = 1.0 - b2 ** state.step
-        for k, layer in enumerate(net.layers):
-            state.velocity_w[k] = b1 * state.velocity_w[k] + (1 - b1) * g.weights[k]
-            state.velocity_b[k] = b1 * state.velocity_b[k] + (1 - b1) * g.biases[k]
-            state.second_w[k] = b2 * state.second_w[k] + (1 - b2) * g.weights[k] ** 2
-            state.second_b[k] = b2 * state.second_b[k] + (1 - b2) * g.biases[k] ** 2
-            step_w = cfg.learning_rate * (state.velocity_w[k] / corr1) / (
-                np.sqrt(state.second_w[k] / corr2) + cfg.eps
-            )
-            step_b = cfg.learning_rate * (state.velocity_b[k] / corr1) / (
-                np.sqrt(state.second_b[k] / corr2) + cfg.eps
-            )
-            new_layers.append(
-                netmod.DenseLayer(
-                    layer.weights - step_w, layer.biases - step_b, layer.activation
-                )
-            )
-    return Network(new_layers, net.input_dim, net.num_classes), state
+        v *= b1
+        v += (1 - b1) * grad
+        s *= b2
+        s += (1 - b2) * grad ** 2
+        step = v / corr1
+        step *= cfg.learning_rate
+        denom = s / corr2
+        np.sqrt(denom, out=denom)
+        denom += cfg.eps
+        step /= denom
+        theta -= step
+    if not np.isfinite(theta).all():
+        raise ValueError("layer parameters must be finite")
+
+
+def optimizer_step(
+    state: OptimizerState, net: Network, g: Gradients
+) -> tuple[Network, OptimizerState]:
+    """One update. SGD: v <- mu*v - lr*g, theta <- theta + v. Adam: bias-corrected."""
+    for gw, gb, layer in zip(g.weights, g.biases, net.layers):
+        if gw.shape != layer.weights.shape or gb.shape != layer.biases.shape:
+            raise netmod.ShapeError("gradient shapes do not match the network")
+    theta = _flatten([l.weights for l in net.layers], [l.biases for l in net.layers])
+    _update(state, theta, _flatten(g.weights, g.biases))
+    return _network_on(theta, net), state
 
 
 def accuracy(net: Network, dataset: Dataset) -> float:
@@ -144,29 +172,41 @@ def train(
         raise ValueError("labels out of range for num_classes")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
+    if epochs < 0:
+        raise ValueError("epochs must be >= 0")
     rng = np.random.default_rng(seed)
     targets = dataset.one_hot()
     n = len(dataset)
     state = init_optimizer_state(optimizer_config, net)
+    clip_norm = optimizer_config.clip_norm
+    # the working network's layers are views into theta, which each step
+    # updates in place; the gradient is written into views of one vector too
+    theta = _flatten([l.weights for l in net.layers], [l.biases for l in net.layers])
+    working = _network_on(theta, net)
+    grad = np.empty_like(theta)
+    grads = Gradients(*_layer_views(grad, net))
     epoch_losses: list[float] = []
     for _ in range(epochs):
         order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            loss, grads = netmod.backward_arrays(
-                net, dataset.features[idx], targets[idx], loss="cross_entropy"
+            loss, _ = netmod.backward_arrays(
+                working, dataset.features[idx], targets[idx], loss="cross_entropy", out=grads
             )
-            if optimizer_config.clip_norm is not None:
-                grads = clip_gradients(grads, optimizer_config.clip_norm)
-            net, state = optimizer_step(state, net, grads)
+            if clip_norm is not None:
+                norm = grads.global_norm()
+                if norm > clip_norm:
+                    grad *= clip_norm / norm
+            _update(state, theta, grad)
             total += loss * len(idx)
         epoch_losses.append(total / n)
+    trained = _network_on(theta.copy(), net)  # shares nothing with theta
     report = TrainReport(
         epoch_losses=epoch_losses,
-        final_train_accuracy=accuracy(net, dataset),
-        final_test_accuracy=accuracy(net, test_data) if test_data is not None else None,
+        final_train_accuracy=accuracy(trained, dataset),
+        final_test_accuracy=accuracy(trained, test_data) if test_data is not None else None,
         epochs_run=epochs,
         seed=int(seed),
     )
-    return net, report
+    return trained, report

@@ -106,6 +106,14 @@ def test_train_arch_output_smaller_than_label_range_exits_2(workspace, tmp_path,
     assert "label range" in capsys.readouterr().err
 
 
+def test_train_negative_epochs_exits_2(workspace, tmp_path, capsys):
+    rc = main(["train", "--data", str(workspace / "data" / "data_a.csv"),
+               "--arch", "6,12,4", "--epochs", "-1", "--out", str(tmp_path / "m.json")])
+    assert rc == 2
+    assert "epochs" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_eval_rejects_non_integer_labels_with_exit_2(workspace, tmp_path, capsys):
     lines = (workspace / "data" / "test.csv").read_text().splitlines()
     lines[1] = lines[1].rsplit(",", 1)[0] + ",1.7"
@@ -268,6 +276,44 @@ def test_sweep_bad_config_exits_2(tmp_path, capsys):
     path.write_text(json.dumps({"methods": ["teleport"], "seeds": [0]}))
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "teleport" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, settings", [
+    ("kickoff", {"kickoff_epochs": 12}),
+    ("kickoff", {"finetune_epochs": -2}),
+    ("train", {"epochs": -1}),
+    ("train", {"batch_size": 0}),
+    ("train", {"epochs": 2.5}),
+])
+def test_sweep_bad_training_settings_exit_2(tmp_path, capsys, section, settings):
+    path = _sweep_config(tmp_path, [0], ["fisher+cogram+kickoff"])
+    doc = json.loads(path.read_text())
+    doc.setdefault(section, {}).update(settings)
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert next(iter(settings)) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_rows_carry_stage_timings(tmp_path):
+    methods = ["average", "fisher", "fisher+cogram", "fisher+cogram+kickoff"]
+    cfg = _sweep_config(tmp_path, [0, 1], methods)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    rows = json.loads((tmp_path / "out" / "sweep.json").read_text())["rows"]
+    for row in rows:
+        assert row["status"] == "ok"
+        assert list(row["stage_s"]) == list(cli.STAGES)
+        assert all(v >= 0.0 for v in row["stage_s"].values())
+        assert sum(row["stage_s"].values()) <= row["wall_time_s"]
+
+
+def test_sweep_csv_same_bytes_for_one_and_two_workers(tmp_path, monkeypatch):
+    cfg = _sweep_config(tmp_path, [0, 1], ["average", "fisher", "fisher+cogram"])
+    for workers in ("1", "2"):
+        monkeypatch.setenv("COGRAM_THREADS", workers)
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / workers)]) == 0
+    assert (tmp_path / "1" / "sweep.csv").read_bytes() == \
+        (tmp_path / "2" / "sweep.csv").read_bytes()
 
 
 def test_sweep_failed_seed_is_flagged_but_kept(tmp_path):

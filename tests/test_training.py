@@ -191,6 +191,12 @@ def test_train_rejects_empty_and_bad_labels():
         train(net, bad, OptimizerConfig(), epochs=1)
 
 
+
+def test_train_rejects_negative_epochs():
+    with pytest.raises(ValueError, match="epochs"):
+        train(random_network([2, 2], seed=0), _toy_separable(), OptimizerConfig(), epochs=-3)
+
+
 # --- accuracy ---------------------------------------------------------------------
 
 

@@ -1,0 +1,263 @@
+"""Flat-vector training against the per-layer reference it replaced.
+
+``training.train`` keeps every parameter in one flat vector, updates it in
+place and writes gradients into reused buffers. The reference below is the
+per-layer backprop, optimizer step and training loop it replaced, kept
+verbatim: it rebuilds every layer and the network at each step. Trained
+models and reports must match it byte for byte.
+"""
+
+import json
+from dataclasses import asdict, dataclass, field
+
+import numpy as np
+import pytest
+
+from cogram import net as netmod, synthdata, training
+from cogram.net import DenseLayer, Gradients, Network
+from cogram.synthdata import DataConfig
+from cogram.training import OptimizerConfig, TrainReport
+
+# --- reference: per-layer backprop and training ---------------------------------
+
+
+def _ref_activation_derivative(z, activation):
+    if activation == "relu":
+        return (z > 0.0).astype(np.float64)
+    if activation == "tanh":
+        t = np.tanh(z)
+        return 1.0 - t * t
+    return np.ones_like(z)
+
+
+def _ref_softmax(z):
+    if not np.isfinite(z).all():
+        raise ValueError("softmax requires finite logits")
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _ref_log_softmax(z):
+    if not np.isfinite(z).all():
+        raise ValueError("log_softmax requires finite logits")
+    shifted = z - z.max(axis=-1, keepdims=True)
+    shifted -= np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return shifted
+
+
+def _ref_backward(net, x, y, loss="cross_entropy"):
+    n = x.shape[0]
+    pres, acts = netmod.forward_trace(net, x)
+    logits = acts[-1]
+    if loss == "cross_entropy":
+        value = float(-np.mean(np.sum(y * _ref_log_softmax(logits), axis=-1)))
+        delta = (_ref_softmax(logits) - y) / n
+    else:
+        value = float(np.mean((logits - y) ** 2))
+        delta = 2.0 * (logits - y) / (n * logits.shape[1])
+    grad_w = [None] * len(net.layers)
+    grad_b = [None] * len(net.layers)
+    for k in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[k]
+        delta = delta * _ref_activation_derivative(pres[k], layer.activation)
+        grad_w[k] = delta.T @ acts[k]
+        grad_b[k] = delta.sum(axis=0)
+        if k > 0:
+            delta = delta @ layer.weights
+    return value, Gradients(weights=grad_w, biases=grad_b)
+
+
+@dataclass
+class _RefState:
+    config: OptimizerConfig
+    step: int = 0
+    velocity_w: list = field(default_factory=list)
+    velocity_b: list = field(default_factory=list)
+    second_w: list = field(default_factory=list)
+    second_b: list = field(default_factory=list)
+
+
+def _ref_init_state(config, net):
+    zeros_w = [np.zeros_like(l.weights) for l in net.layers]
+    zeros_b = [np.zeros_like(l.biases) for l in net.layers]
+    state = _RefState(config=config, velocity_w=zeros_w, velocity_b=zeros_b)
+    if config.kind == "adam":
+        state.second_w = [np.zeros_like(l.weights) for l in net.layers]
+        state.second_b = [np.zeros_like(l.biases) for l in net.layers]
+    return state
+
+
+def _ref_optimizer_step(state, net, g):
+    cfg = state.config
+    new_layers = []
+    if cfg.kind == "sgd_momentum":
+        for k, layer in enumerate(net.layers):
+            state.velocity_w[k] = cfg.momentum * state.velocity_w[k] - cfg.learning_rate * g.weights[k]
+            state.velocity_b[k] = cfg.momentum * state.velocity_b[k] - cfg.learning_rate * g.biases[k]
+            new_layers.append(
+                DenseLayer(
+                    layer.weights + state.velocity_w[k],
+                    layer.biases + state.velocity_b[k],
+                    layer.activation,
+                )
+            )
+    else:
+        state.step += 1
+        b1, b2 = cfg.betas
+        corr1 = 1.0 - b1 ** state.step
+        corr2 = 1.0 - b2 ** state.step
+        for k, layer in enumerate(net.layers):
+            state.velocity_w[k] = b1 * state.velocity_w[k] + (1 - b1) * g.weights[k]
+            state.velocity_b[k] = b1 * state.velocity_b[k] + (1 - b1) * g.biases[k]
+            state.second_w[k] = b2 * state.second_w[k] + (1 - b2) * g.weights[k] ** 2
+            state.second_b[k] = b2 * state.second_b[k] + (1 - b2) * g.biases[k] ** 2
+            step_w = cfg.learning_rate * (state.velocity_w[k] / corr1) / (
+                np.sqrt(state.second_w[k] / corr2) + cfg.eps
+            )
+            step_b = cfg.learning_rate * (state.velocity_b[k] / corr1) / (
+                np.sqrt(state.second_b[k] / corr2) + cfg.eps
+            )
+            new_layers.append(
+                DenseLayer(layer.weights - step_w, layer.biases - step_b, layer.activation)
+            )
+    return Network(new_layers, net.input_dim, net.num_classes), state
+
+
+def _ref_train(net, dataset, optimizer_config, epochs, batch_size=64, seed=0, test_data=None):
+    rng = np.random.default_rng(seed)
+    targets = dataset.one_hot()
+    n = len(dataset)
+    state = _ref_init_state(optimizer_config, net)
+    epoch_losses = []
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            loss, grads = _ref_backward(net, dataset.features[idx], targets[idx])
+            if optimizer_config.clip_norm is not None:
+                grads = training.clip_gradients(grads, optimizer_config.clip_norm)
+            net, state = _ref_optimizer_step(state, net, grads)
+            total += loss * len(idx)
+        epoch_losses.append(total / n)
+    report = TrainReport(
+        epoch_losses=epoch_losses,
+        final_train_accuracy=training.accuracy(net, dataset),
+        final_test_accuracy=training.accuracy(net, test_data) if test_data is not None else None,
+        epochs_run=epochs,
+        seed=int(seed),
+    )
+    return net, report
+
+
+# --- fixtures ------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def data():
+    """150 training rows: batches of 64, 37 and 41 all leave a ragged last batch."""
+    train_set, _, test = synthdata.generate_pair(
+        DataConfig(num_classes=5, dim=8, samples_per_class=30, test_samples_per_class=10,
+                   seed=3),
+        "heterogeneous",
+    )
+    return train_set, test
+
+
+def _bytes(net, report):
+    return netmod.serialize(net), json.dumps(asdict(report))
+
+
+CASES = {
+    "adam": (OptimizerConfig(), "relu", 64, 3),
+    "sgd_momentum": (OptimizerConfig(kind="sgd_momentum", learning_rate=5e-3), "relu", 64, 3),
+    "adam_clip": (OptimizerConfig(learning_rate=1e-2, clip_norm=0.5), "relu", 64, 3),
+    "sgd_clip": (OptimizerConfig(kind="sgd_momentum", learning_rate=5e-2, clip_norm=0.3),
+                 "tanh", 64, 3),
+    "tanh_ragged": (OptimizerConfig(), "tanh", 37, 2),
+    "identity_ragged": (OptimizerConfig(kind="sgd_momentum", learning_rate=1e-2),
+                        "identity", 41, 2),
+    "zero_epochs": (OptimizerConfig(), "relu", 64, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_train_matches_per_layer_reference_bytes(case, data):
+    config, activation, batch_size, epochs = CASES[case]
+    train_set, test = data
+    net0 = netmod.random_network([8, 16, 12, 5], 7, hidden_activation=activation)
+    got = training.train(net0, train_set, config, epochs, batch_size, 11, test)
+    want = _ref_train(net0, train_set, config, epochs, batch_size, 11, test)
+    assert _bytes(*got) == _bytes(*want)
+
+
+def test_clip_cases_do_clip(data):
+    """The first batch's gradient is above both clip norms, so clipping runs."""
+    train_set, _ = data
+    net0 = netmod.random_network([8, 16, 12, 5], 7)
+    _, g = netmod.backward_arrays(net0, train_set.features[:64], train_set.one_hot()[:64])
+    assert g.global_norm() > 0.5
+
+
+@pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
+@pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+def test_backward_into_buffers_matches_allocating_and_reference(loss, activation):
+    rng = np.random.default_rng(5)
+    net = netmod.random_network([6, 9, 7, 4], 2, hidden_activation=activation)
+    x = rng.normal(size=(13, 6))
+    y = np.eye(4)[rng.integers(0, 4, size=13)]
+    value, alloc = netmod.backward_arrays(net, x, y, loss=loss)
+    ref_value, ref = _ref_backward(net, x, y, loss)
+    buffers = Gradients(
+        weights=[np.full_like(l.weights, np.nan) for l in net.layers],
+        biases=[np.full_like(l.biases, np.nan) for l in net.layers],
+    )
+    out_value, returned = netmod.backward_arrays(net, x, y, loss=loss, out=buffers)
+    assert returned is buffers
+    assert value == out_value == ref_value
+    for got in (alloc, buffers):
+        for a, b in zip(got.weights + got.biases, ref.weights + ref.biases):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["adam", "sgd_momentum"])
+def test_public_optimizer_step_matches_reference_step(kind):
+    rng = np.random.default_rng(8)
+    net = netmod.random_network([5, 7, 3], 4)
+    config = OptimizerConfig(kind=kind, learning_rate=1e-2)
+    state, ref_state = training.init_optimizer_state(config, net), _ref_init_state(config, net)
+    got, want = net, net
+    for _ in range(3):
+        g = Gradients(
+            weights=[rng.normal(size=l.weights.shape) for l in net.layers],
+            biases=[rng.normal(size=l.biases.shape) for l in net.layers],
+        )
+        got, state = training.optimizer_step(state, got, g)
+        want, ref_state = _ref_optimizer_step(ref_state, want, g)
+        assert netmod.serialize(got) == netmod.serialize(want)
+    assert state.step == ref_state.step
+
+
+def test_non_finite_update_raises_the_reference_error():
+    net = netmod.random_network([3, 2], 0)
+    config = OptimizerConfig(kind="sgd_momentum", learning_rate=1.0)
+    g = Gradients(weights=[np.full((2, 3), np.inf)], biases=[np.zeros(2)])
+    with pytest.raises(ValueError) as want:
+        _ref_optimizer_step(_ref_init_state(config, net), net, g)
+    with pytest.raises(ValueError) as got:
+        training.optimizer_step(training.init_optimizer_state(config, net), net, g)
+    assert str(got.value) == str(want.value) == "layer parameters must be finite"
+
+
+def test_trained_model_shares_nothing_with_later_training(data):
+    train_set, _ = data
+    net0 = netmod.random_network([8, 16, 12, 5], 7)
+    before = netmod.serialize(net0)
+    trained, _ = training.train(net0, train_set, OptimizerConfig(), 1, 64, 1)
+    snapshot = netmod.serialize(trained)
+    again, _ = training.train(trained, train_set, OptimizerConfig(), 2, 64, 2)
+    assert netmod.serialize(trained) == snapshot
+    assert netmod.serialize(net0) == before
+    assert netmod.serialize(again) != snapshot
+
