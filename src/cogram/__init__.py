@@ -25,6 +25,7 @@ from .net import (
     Network,
     ShapeError,
     StructureAddress,
+    Workspace,
     backward,
     compatible,
     cross_entropy_loss,

@@ -47,6 +47,8 @@ def fisher_information(
     """Diagonal empirical Fisher over up to sample_cap seeded samples."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
+    if sample_cap < 1:
+        raise ValueError(f"the Fisher sample cap must be >= 1, got {sample_cap!r}")
     rng = np.random.default_rng(seed)
     n = min(sample_cap, len(dataset))
     rows = rng.choice(len(dataset), size=n, replace=False) if n < len(dataset) else np.arange(n)

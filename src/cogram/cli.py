@@ -86,6 +86,7 @@ class ExperimentConfig:
         for name, low, high in (
             ("epochs", 0, None),
             ("batch_size", 1, None),
+            ("fisher_samples", 1, None),
             ("kickoff_epochs", 0, merge.MAX_KICKOFF_EPOCHS),
             ("finetune_epochs", 0, None),
         ):

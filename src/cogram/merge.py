@@ -183,11 +183,9 @@ class _LayerEvaluator:
     activation entering layer k is computed once. Candidates are written in
     place into a private working copy of layer k (``layer``); ``view`` is M
     with that working layer, the network each score is the loss of. A score
-    runs layer k and the hidden layers above it into buffers allocated once,
-    then hands the last of them, with the output layer alone, to the net loss
-    function: the loss kernel stays net's own (finiteness check included),
-    each score is one call of it, and its operations are exactly those of a
-    full forward pass over ``view``.
+    is one call of the net loss function on layers k and above, fed the
+    cached input and run into one workspace: its operations are exactly
+    those of a full forward pass over ``view``, and it allocates no array.
     """
 
     def __init__(self, m: Network, layer_idx: int, eval_set: PrototypeSet, loss: str):
@@ -202,23 +200,14 @@ class _LayerEvaluator:
 
         x = np.asarray(eval_set.inputs, dtype=np.float64)
         if layer_idx > 0:
-            below = Network(layers[:layer_idx], m.input_dim, layers[layer_idx - 1].out_dim)
+            below = Network(layers[:layer_idx], m.input_dim, self.layer.in_dim)
             x = netmod.forward(below, x)
-        self._input = x
-        self._hidden = hidden = layers[layer_idx:-1]
-        self._buffers = [np.empty((x.shape[0], layer.out_dim)) for layer in hidden]
-        head = layers[-1]
-        self._head = Network([head], head.in_dim, m.num_classes)
-        top = self._buffers[-1] if hidden else x
-        self._rows = SimpleNamespace(inputs=top, targets=eval_set.targets)
+        self._upper = Network(layers[layer_idx:], self.layer.in_dim, m.num_classes)
+        self._rows = SimpleNamespace(inputs=x, targets=eval_set.targets)
+        self._work = netmod.Workspace(self._upper, x.shape[0])
 
     def loss(self) -> float:
-        a = self._input
-        for layer, out in zip(self._hidden, self._buffers):
-            np.matmul(a, layer.weights.T, out=out)
-            out += layer.biases
-            a = netmod._apply_activation(out, layer.activation, inplace=True)
-        return self._lossf(self._head, self._rows)
+        return self._lossf(self._upper, self._rows, work=self._work)
 
     def block(self, addr: StructureAddress):
         return netmod.get_structure(self.view, addr)

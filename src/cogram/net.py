@@ -210,29 +210,66 @@ def forward_trace(net: Network, x: np.ndarray):
     return pres, acts
 
 
-def forward(net: Network, inputs) -> np.ndarray:
-    """Logits for a batch of inputs (or a single vector). Pure."""
+class Workspace:
+    """Caller-owned buffers for ``forward`` and the losses over ``rows``
+    inputs to networks shaped like ``net``: one activation buffer per layer,
+    and the scratch arrays of the loss (the exp of the shifted logits, the
+    finiteness mask, one value per row kept as a column, and the per-row
+    loss terms). One workspace serves any network of the same layer widths;
+    it holds no state between calls.
+    """
+
+    def __init__(self, net: Network, rows: int):
+        self.acts = [np.empty((rows, layer.out_dim)) for layer in net.layers]
+        self.exp = np.empty((rows, net.num_classes))
+        self.finite = np.empty((rows, net.num_classes), dtype=bool)
+        self.col = np.empty((rows, 1))
+        self.row = np.empty(rows)
+
+
+def forward(net: Network, inputs, work: Workspace | None = None) -> np.ndarray:
+    """Logits for a batch of inputs (or a single vector). Pure.
+
+    With ``work`` every layer runs into the workspace's buffers and the
+    logits returned are its last one, overwritten by the next call;
+    otherwise the same loop runs into new arrays.
+    """
     x = _as_f64(inputs)
     squeezed = x.ndim == 1
     if squeezed:
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ShapeError(f"inputs must have {net.input_dim} features, got shape {x.shape}")
-    _, acts = forward_trace(net, x)
-    logits = acts[-1]
-    return logits[0] if squeezed else logits
+    shapes = [(x.shape[0], layer.out_dim) for layer in net.layers]
+    if work is None:
+        acts = [np.empty(shape) for shape in shapes]
+    elif [a.shape for a in work.acts] == shapes:
+        acts = work.acts
+    else:
+        raise ShapeError(
+            f"workspace buffers {[a.shape for a in work.acts]} do not fit {shapes}"
+        )
+    a = x
+    for layer, out in zip(net.layers, acts):
+        np.matmul(a, layer.weights.T, out=out)
+        out += layer.biases
+        a = _apply_activation(out, layer.activation, inplace=True)
+    return a[0] if squeezed else a
 
 
-def _shift_exp_sum(logits, caller: str):
-    """The pass softmax, log_softmax and the cross-entropy gradient share:
-    the logits minus their maximum over the last axis, the exp of that, and
-    the sums of the exp over the last axis. Rejects non-finite logits."""
+def _shift_exp_sum(logits, caller: str, shifted=None, work: Workspace | None = None):
+    """The pass softmax, log_softmax and the losses share: the logits minus
+    their maximum over the last axis (into ``shifted`` when given, which may
+    be the logits themselves), the exp of that, and the sums of the exp over
+    the last axis. Rejects non-finite logits. Scratch comes from ``work``
+    when given, else from new arrays."""
     z = _as_f64(logits)
-    if not np.isfinite(z).all():
+    finite, e, sums = (None, None, None) if work is None else (work.finite, work.exp, work.col)
+    if not np.isfinite(z, out=finite).all():
         raise ValueError(f"{caller} requires finite logits")
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return shifted, e, e.sum(axis=-1, keepdims=True)
+    shifted = np.subtract(z, z.max(axis=-1, keepdims=True, out=sums), out=shifted)
+    e = np.exp(shifted, out=e)
+    return shifted, e, e.sum(axis=-1, keepdims=True, out=sums)
 
 
 def softmax(logits) -> np.ndarray:
@@ -249,44 +286,61 @@ def log_softmax(logits) -> np.ndarray:
     return shifted
 
 
-def _loss_of_logits(loss: str, logits: np.ndarray, targets: np.ndarray) -> float:
+def _loss_of_logits(
+    loss: str, logits: np.ndarray, targets: np.ndarray, work: Workspace | None = None
+) -> float:
     """The one loss kernel: mean cross-entropy of softmax(logits) against
     target distributions, or the mean over samples and output dimensions of
-    squared residuals."""
+    squared residuals.
+
+    Every intermediate goes into ``work``'s scratch when given, else into new
+    arrays. The cross-entropy builds the log-softmax in place in ``logits``,
+    so its caller must not keep them; the squared error only reads them.
+    """
     if loss == "cross_entropy":
-        # log_softmax's result is a temporary here, so numpy multiplies into
-        # it instead of mapping one more N x C array
-        return float(-np.mean(np.sum(targets * log_softmax(logits), axis=-1)))
+        shifted, e, sums = _shift_exp_sum(logits, "log_softmax", shifted=logits, work=work)
+        shifted -= np.log(sums, out=sums)
+        terms = np.multiply(targets, shifted, out=e)
+        return float(-np.mean(terms.sum(axis=-1, out=None if work is None else work.row)))
     if loss == "mse":
-        return float(np.mean((logits - targets) ** 2))
+        diff = np.subtract(logits, targets, out=None if work is None else work.exp)
+        return float(np.mean(np.square(diff, out=diff)))
     raise ValueError(f"unknown loss {loss!r}")
 
 
-def _loss_arrays(loss: str, net: Network, inputs, targets) -> float:
+def _loss_arrays(loss: str, net: Network, inputs, targets, work: Workspace | None) -> float:
     x = _as_f64(inputs)
     if x.shape[0] == 0:
         raise ValueError("empty evaluation set")
-    return _loss_of_logits(loss, forward(net, x), _as_f64(targets))
+    return _loss_of_logits(loss, forward(net, x, work=work), _as_f64(targets), work)
 
 
-def cross_entropy_arrays(net: Network, inputs: np.ndarray, targets: np.ndarray) -> float:
+def cross_entropy_arrays(
+    net: Network, inputs: np.ndarray, targets: np.ndarray, work: Workspace | None = None
+) -> float:
     """Mean cross-entropy of softmax(logits) against target distributions."""
-    return _loss_arrays("cross_entropy", net, inputs, targets)
+    return _loss_arrays("cross_entropy", net, inputs, targets, work)
 
 
-def mse_arrays(net: Network, inputs: np.ndarray, targets: np.ndarray) -> float:
+def mse_arrays(
+    net: Network, inputs: np.ndarray, targets: np.ndarray, work: Workspace | None = None
+) -> float:
     """Mean over samples and output dimensions of squared residuals."""
-    return _loss_arrays("mse", net, inputs, targets)
+    return _loss_arrays("mse", net, inputs, targets, work)
 
 
-def cross_entropy_loss(net: Network, eval_set) -> float:
-    """Mean cross-entropy over an evaluation set (anything with .inputs/.targets)."""
-    return cross_entropy_arrays(net, eval_set.inputs, eval_set.targets)
+def cross_entropy_loss(net: Network, eval_set, work: Workspace | None = None) -> float:
+    """Mean cross-entropy over an evaluation set (anything with .inputs/.targets).
+
+    With ``work`` (a ``Workspace`` for the set's rows) the whole pass runs
+    into its buffers and allocates no array.
+    """
+    return cross_entropy_arrays(net, eval_set.inputs, eval_set.targets, work)
 
 
-def mse_loss(net: Network, eval_set) -> float:
-    """Mean squared error over an evaluation set."""
-    return mse_arrays(net, eval_set.inputs, eval_set.targets)
+def mse_loss(net: Network, eval_set, work: Workspace | None = None) -> float:
+    """Mean squared error over an evaluation set; ``work`` as for cross_entropy_loss."""
+    return mse_arrays(net, eval_set.inputs, eval_set.targets, work)
 
 
 def backward_arrays(

@@ -100,6 +100,9 @@ def test_fisher_sample_cap_and_empty():
     assert fisher_information(net, data, sample_cap=500, seed=0).sample_count == 30
     with pytest.raises(ValueError):
         fisher_information(net, Dataset(np.zeros((0, 6)), np.zeros(0, dtype=int), 4), 10, 0)
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="sample cap must be >= 1"):
+            fisher_information(net, data, sample_cap=cap, seed=0)
 
 
 # --- fisher merge --------------------------------------------------------------------

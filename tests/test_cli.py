@@ -212,6 +212,19 @@ def test_merge_with_kickoff_runs(workspace, tmp_path):
     assert (tmp_path / "mk.json").exists()
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_merge_fisher_samples_below_one_exits_2(workspace, tmp_path, capsys, samples):
+    rc = main(["merge", "--method", "fisher",
+               "--model-a", str(workspace / "a.json"),
+               "--model-b", str(workspace / "b.json"),
+               "--data-a", str(workspace / "data" / "data_a.csv"),
+               "--data-b", str(workspace / "data" / "data_b.csv"),
+               "--fisher-samples", samples, "--out", str(tmp_path / "m.json")])
+    assert rc == 2
+    assert f"Fisher sample cap must be >= 1, got {samples}" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_merge_incompatible_models_exits_2(workspace, tmp_path):
     other = netmod.random_network([6, 9, 4], seed=0)
     netmod.save_model(other, tmp_path / "other.json")
@@ -292,6 +305,17 @@ def test_sweep_bad_training_settings_exit_2(tmp_path, capsys, section, settings)
     path.write_text(json.dumps(doc))
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert next(iter(settings)) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [0, -3, 2.5, True])
+def test_sweep_bad_fisher_samples_exit_2(tmp_path, capsys, value):
+    path = _sweep_config(tmp_path, [0], ["fisher"])
+    doc = json.loads(path.read_text())
+    doc["fisher_samples"] = value
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "fisher_samples must be an integer >= 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -234,6 +235,28 @@ def test_loss_difference_leaves_m_untouched():
     loss_difference(m, StructureAddress(0), random_network([5, 4, 3], 1),
                     random_network([5, 4, 3], 2), _random_eval(rng, 5, 5, 3))
     assert _param_bytes(m) == before
+
+
+@pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
+def test_evaluator_score_allocates_less_than_one_logits_array(loss):
+    # 2,048 rows, 20 classes: one N x C float64 array is 320 KiB
+    rng = np.random.default_rng(0)
+    m = random_network([32, 64, 64, 20], seed=0)
+    eval_set = _random_eval(rng, 2048, 32, 20)
+    for k in range(len(m.layers)):
+        ev = _LayerEvaluator(m, k, eval_set, loss)
+        expected = ev.loss()
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert ev.loss() == expected
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 2048 * 20 * 8, (k, peak)
 
 
 # --- level operations -------------------------------------------------------------------

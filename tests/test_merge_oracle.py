@@ -2,10 +2,12 @@
 
 The reference below is the straightforward engine: every candidate is built
 as a new network with ``set_structure`` and scored with a full forward pass
-from the input. The engine scores candidates in one per-layer evaluator
-instead (cached layer input, candidates written in place, reused buffers);
-its records, reports and merged parameters must match the reference bit for
-bit.
+from the input, through its own copy of the allocating forward pass and loss
+kernel, kept verbatim, so a change to net's shared kernel cannot move the
+reference along with the engine. The engine scores candidates in one
+per-layer evaluator instead (cached layer input, candidates written in
+place, one workspace); its records, reports and merged parameters must match
+the reference bit for bit.
 """
 
 import math
@@ -33,8 +35,41 @@ from conftest import ArrayEvalSet
 # --- the reference engine -------------------------------------------------------
 
 
+def _ref_forward(net, x):
+    a = x
+    for layer in net.layers:
+        z = a @ layer.weights.T
+        z += layer.biases
+        if layer.activation == "relu":
+            a = np.maximum(z, 0.0)
+        elif layer.activation == "tanh":
+            a = np.tanh(z)
+        else:
+            a = z
+    return a
+
+
+def _ref_log_softmax(z):
+    if not np.isfinite(z).all():
+        raise ValueError("log_softmax requires finite logits")
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    shifted -= np.log(e.sum(axis=-1, keepdims=True))
+    return shifted
+
+
 def _ref_loss(kind):
-    return netmod.cross_entropy_loss if kind == "cross_entropy" else netmod.mse_loss
+    def lossf(net, eval_set):
+        x = np.asarray(eval_set.inputs, dtype=np.float64)
+        if x.shape[0] == 0:
+            raise ValueError("empty evaluation set")
+        logits = _ref_forward(net, x)
+        targets = np.asarray(eval_set.targets, dtype=np.float64)
+        if kind == "cross_entropy":
+            return float(-np.mean(np.sum(targets * _ref_log_softmax(logits), axis=-1)))
+        return float(np.mean((logits - targets) ** 2))
+
+    return lossf
 
 
 def _ref_decide(m, addr, a, b, config, eval_set):
@@ -120,17 +155,17 @@ def reference_iterate(m, a, b, config, eval_set):
 SIZES = [5, 6, 4, 3]
 
 
-def _dataset(seed=0, n=40):
+def _dataset(seed=0, n=40, sizes=SIZES):
     rng = np.random.default_rng(seed)
-    return Dataset(rng.normal(size=(n, SIZES[0])), np.arange(n) % SIZES[-1], SIZES[-1])
+    return Dataset(rng.normal(size=(n, sizes[0])), np.arange(n) % sizes[-1], sizes[-1])
 
 
-def _trio(activation, seed=0):
+def _trio(activation, seed=0, sizes=SIZES):
     """Three random networks with nonzero biases."""
     rng = np.random.default_rng(seed)
     nets = []
     for i in range(3):
-        net = netmod.random_network(SIZES, seed + i, hidden_activation=activation)
+        net = netmod.random_network(sizes, seed + i, hidden_activation=activation)
         layers = [netmod.DenseLayer(l.weights, rng.normal(scale=0.1, size=l.out_dim),
                                     l.activation) for l in net.layers]
         nets.append(netmod.Network(layers, net.input_dim, net.num_classes))
@@ -174,6 +209,18 @@ def test_engine_matches_reference_bit_for_bit(granularity, eval_mode, loss, acti
     _, reports = _assert_engine_matches_reference(m, a, b, config, eval_set)
     levels = {rec.level for rep in reports for rec in rep.records}
     assert levels == set(merge.GRANULARITIES[:merge.GRANULARITIES.index(granularity) + 1])
+
+
+def test_engine_matches_reference_at_the_benchmark_shape():
+    # 2,048 rows through 64-wide layers: BLAS takes its full-tile paths
+    sizes = [32, 64, 64, 20]
+    config = MergeConfig(thresholds=BANDS["descend"], max_granularity="neuron",
+                         eval_mode="batch", batch_size=2048, eval_seed=1)
+    eval_set = merge.build_eval_set(_dataset(n=2048, sizes=sizes), config)
+    assert eval_set.inputs.shape == (2048, 32)
+    m, a, b = _trio("relu", sizes=sizes)
+    _, reports = _assert_engine_matches_reference(m, a, b, config, eval_set)
+    assert sum(rec.level == "neuron" for rec in reports[0].records) == 64 + 64 + 20
 
 
 @pytest.mark.parametrize("granularity", merge.GRANULARITIES)

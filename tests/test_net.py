@@ -207,6 +207,64 @@ def test_mse_quadratic_homogeneity():
     assert abs(scaled - 4.0 * base) < 1e-12
 
 
+# --- workspaces --------------------------------------------------------------
+
+
+def _workspace_case(activation, rows, soft, seed=0):
+    rng = np.random.default_rng(seed)
+    net = random_network([6, 8, 7, 5], seed, hidden_activation=activation)
+    layers = [DenseLayer(l.weights, rng.normal(scale=0.1, size=l.out_dim), l.activation)
+              for l in net.layers]
+    net = Network(layers, net.input_dim, net.num_classes)
+    targets = (softmax(rng.normal(size=(rows, 5))) if soft
+               else np.eye(5)[rng.integers(0, 5, size=rows)])
+    return net, ArrayEvalSet(rng.normal(size=(rows, 6)), targets)
+
+
+@pytest.mark.parametrize("rows", [1, 37])
+@pytest.mark.parametrize("soft", [False, True])
+@pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+def test_workspace_matches_allocating_call_bit_for_bit(activation, soft, rows):
+    net, es = _workspace_case(activation, rows, soft)
+    work = netmod.Workspace(net, rows)
+    for lossf in (netmod.cross_entropy_loss, netmod.mse_loss):
+        assert lossf(net, es, work=work) == lossf(net, es)
+    logits = forward(net, es.inputs)
+    assert forward(net, es.inputs, work=work).tobytes() == logits.tobytes()
+    assert forward(net, es.inputs[0], work=netmod.Workspace(net, 1)).tobytes() == \
+        forward(net, es.inputs[0]).tobytes()
+
+
+def test_workspace_reused_across_networks_keeps_no_state():
+    (n1, es), (n2, _) = _workspace_case("relu", 9, True, 1), _workspace_case("relu", 9, True, 2)
+    work = netmod.Workspace(n1, 9)
+    for lossf in (netmod.cross_entropy_loss, netmod.mse_loss):
+        expected = lossf(n1, es), lossf(n2, es)
+        assert expected[0] != expected[1]
+        assert (lossf(n1, es, work=work), lossf(n2, es, work=work)) == expected
+        assert (lossf(n2, es, work=work), lossf(n1, es, work=work)) == expected[::-1]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_workspace_rejects_non_finite_logits_like_the_allocating_call(bad):
+    net = Network([DenseLayer(np.eye(3), np.zeros(3), "identity")], 3, 3)
+    es = ArrayEvalSet(np.array([[0.0, bad, 1.0], [1.0, 2.0, 3.0]]), np.eye(3)[:2])
+    for work in (None, netmod.Workspace(net, 2)):
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="^log_softmax requires finite logits$"):
+            netmod.cross_entropy_loss(net, es, work=work)
+
+
+def test_workspace_of_other_rows_or_widths_is_rejected():
+    net, es = _workspace_case("relu", 4, False)
+    wider = random_network([6, 9, 7, 5], 0)
+    for work in (netmod.Workspace(net, 3), netmod.Workspace(net, 1), netmod.Workspace(wider, 4)):
+        with pytest.raises(ShapeError):
+            netmod.cross_entropy_loss(net, es, work=work)
+        with pytest.raises(ShapeError):
+            forward(net, es.inputs, work=work)
+
+
 # --- backward ----------------------------------------------------------------
 
 
