@@ -15,7 +15,6 @@ from .merge import (
     cogram_merge,
     convex_combine,
     gradient_kickoff,
-    loss_difference,
     mixing_factor,
 )
 from .net import (
@@ -26,7 +25,6 @@ from .net import (
     ShapeError,
     StructureAddress,
     Workspace,
-    backward,
     compatible,
     cross_entropy_loss,
     deserialize,

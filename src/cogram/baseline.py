@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import net as netmod
-from .net import DenseLayer, Network
+from .net import Network
 from .synthdata import Dataset
 
 
@@ -30,15 +30,7 @@ class FisherInfo:
 def uniform_average(a: Network, b: Network) -> Network:
     """Parameter-wise midpoint of two architecture-compatible networks."""
     netmod.require_compatible(a, b)
-    layers = [
-        DenseLayer(
-            0.5 * la.weights + 0.5 * lb.weights,
-            0.5 * la.biases + 0.5 * lb.biases,
-            la.activation,
-        )
-        for la, lb in zip(a.layers, b.layers)
-    ]
-    return Network(layers, a.input_dim, a.num_classes)
+    return a.with_theta(0.5 * a.theta + 0.5 * b.theta)
 
 
 def fisher_information(
@@ -93,19 +85,7 @@ def fisher_merge(
     netmod.require_compatible(a, b)
     if floor <= 0:
         raise ValueError("floor must be > 0")
-    layers = []
-    for la, lb, faw, fbw, fab, fbb in zip(
-        a.layers, b.layers, f_a.weights, f_b.weights, f_a.biases, f_b.biases
-    ):
-        if faw.shape != la.weights.shape or fbw.shape != lb.weights.shape:
-            raise netmod.ShapeError("Fisher shapes do not match the networks")
-        wa_w = np.maximum(faw, floor) / (np.maximum(faw, floor) + np.maximum(fbw, floor))
-        wa_b = np.maximum(fab, floor) / (np.maximum(fab, floor) + np.maximum(fbb, floor))
-        layers.append(
-            DenseLayer(
-                wa_w * la.weights + (1.0 - wa_w) * lb.weights,
-                wa_b * la.biases + (1.0 - wa_b) * lb.biases,
-                la.activation,
-            )
-        )
-    return Network(layers, a.input_dim, a.num_classes)
+    fa = np.maximum(a.flat(f_a.weights, f_a.biases), floor)
+    fb = np.maximum(b.flat(f_b.weights, f_b.biases), floor)
+    wa = fa / (fa + fb)
+    return a.with_theta(wa * a.theta + (1.0 - wa) * b.theta)

@@ -12,11 +12,12 @@ applied iteratively, each pass operating on the latest fused network.
 
 One evaluator per layer (``_LayerEvaluator``) scores every candidate of
 that layer: it caches the activation entering the layer, writes each
-candidate in place into a private copy of the layer, and keeps or restores
-it. A score uses exactly the operations of a full forward pass, so the
-merge is bit-identical to building each candidate network with
-``set_structure`` and evaluating it from the input, the reference engine
-of the tests. The finished layer leaves as a new, validated network.
+candidate in place into the parameter vector of its private network for
+this layer and the ones above, and keeps or restores it. A score uses
+exactly the operations of a full forward pass, so the merge is
+bit-identical to building each candidate network with ``set_structure``
+and evaluating it from the input, the reference engine of the tests. The
+finished layer leaves as a new, validated network.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import net as netmod
-from .net import DenseLayer, Network, StructureAddress
+from .net import Network, StructureAddress
 from .prototypes import (
     PrototypeSet,
     build_prototypes_kmeans,
@@ -180,51 +181,42 @@ class _LayerEvaluator:
     """Loss of M with candidate parameters written into layer k.
 
     While layer k is decided every other layer of M is fixed, so the
-    activation entering layer k is computed once. Candidates are written in
-    place into a private working copy of layer k (``layer``); ``view`` is M
-    with that working layer, the network each score is the loss of. A score
-    is one call of the net loss function on layers k and above, fed the
-    cached input and run into one workspace: its operations are exactly
-    those of a full forward pass over ``view``, and it allocates no array.
+    activation entering layer k is computed once. The evaluator keeps a
+    private network for layers k and up and the parameter vector behind it:
+    a candidate is written in place at its block's positions in that vector,
+    and ``layer``, the private network's first layer, shows every write. A
+    score is one call of the net loss function on the private network, fed
+    the cached input and run into one workspace: its operations are exactly
+    those of a full forward pass over M with the working layer, and it
+    allocates no array.
     """
 
     def __init__(self, m: Network, layer_idx: int, eval_set: PrototypeSet, loss: str):
-        self.m = m
         self.layer_idx = layer_idx
         self._lossf = _loss_function(loss)
-        src = m.layers[layer_idx]
-        self.layer = DenseLayer(src.weights.copy(), src.biases.copy(), src.activation)
-        layers = list(m.layers)
-        layers[layer_idx] = self.layer
-        self.view = Network(layers, m.input_dim, m.num_classes)
-
+        self._below = m.layers[:layer_idx]
+        in_dim = m.layers[layer_idx].in_dim
         x = np.asarray(eval_set.inputs, dtype=np.float64)
         if layer_idx > 0:
-            below = Network(layers[:layer_idx], m.input_dim, self.layer.in_dim)
-            x = netmod.forward(below, x)
-        self._upper = Network(layers[layer_idx:], self.layer.in_dim, m.num_classes)
+            x = netmod.forward(Network(self._below, m.input_dim, in_dim), x)
+        upper = Network(m.layers[layer_idx:], in_dim, m.num_classes)
+        self._theta = upper.theta.copy()
+        self._upper = upper.with_theta(self._theta)
+        self._positions = upper.positions[0]
+        self.layer = self._upper.layers[0]
         self._rows = SimpleNamespace(inputs=x, targets=eval_set.targets)
         self._work = netmod.Workspace(self._upper, x.shape[0])
+        self._input_dim = m.input_dim
 
     def loss(self) -> float:
         return self._lossf(self._upper, self._rows, work=self._work)
 
     def block(self, addr: StructureAddress):
-        return netmod.get_structure(self.view, addr)
+        return self._theta[self._positions[addr.key]]
 
     def write(self, addr: StructureAddress, block) -> None:
         """set_structure in place: the addressed block of the working layer."""
-        w, b = self.layer.weights, self.layer.biases
-        if addr.neuron is None:
-            w[...] = block[:, :-1]
-            b[...] = block[:, -1]
-        elif addr.weight is None:
-            w[addr.neuron] = block[:-1]
-            b[addr.neuron] = block[-1]
-        elif addr.weight == self.layer.in_dim:
-            b[addr.neuron] = block
-        else:
-            w[addr.neuron, addr.weight] = block
+        self._theta[self._positions[addr.key]] = block
 
     def difference(self, addr: StructureAddress, block_a, block_b) -> tuple[float, float, float]:
         """Loss with A's block at addr, with B's block, and their gap. B's
@@ -237,26 +229,7 @@ class _LayerEvaluator:
 
     def network(self) -> Network:
         """M with the working layer, copied and validated as a new network."""
-        addr = StructureAddress(self.layer_idx)
-        return netmod.set_structure(self.m, addr, self.block(addr))
-
-
-def loss_difference(
-    m: Network,
-    addr: StructureAddress,
-    a: Network,
-    b: Network,
-    eval_set: PrototypeSet,
-    loss: str = "cross_entropy",
-) -> tuple[float, float, float]:
-    """Loss of M with A's block at addr, with B's block, and their gap.
-
-    M is never modified: the candidates go into a private copy of its layer.
-    """
-    netmod.require_compatible(m, a)
-    netmod.require_compatible(m, b)
-    block_a, block_b = netmod.get_structure(a, addr), netmod.get_structure(b, addr)
-    return _LayerEvaluator(m, addr.layer, eval_set, loss).difference(addr, block_a, block_b)
+        return Network(self._below + self._upper.layers, self._input_dim, self._upper.num_classes)
 
 
 # --- evaluation data ----------------------------------------------------------

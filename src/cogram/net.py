@@ -1,20 +1,25 @@
 """Minimal dense feed-forward networks with analytic gradients.
 
-Everything is float64 numpy. Networks are treated as immutable values:
-operations are either pure or return a new network that shares the
-untouched layers with the original. Nothing here mutates parameter
-arrays in place; the merge engine writes candidates only into its own
-private copy of a layer, and training updates only its own flat copy of
-the parameters, so networks they share stay unchanged.
+Everything is float64 numpy. A network keeps all its parameters in one
+contiguous vector ``theta`` of its own, and its layers are read-only views
+into it. Networks are treated as immutable values: operations are either
+pure or return a new network with its own copy of the parameters. Only
+the holder of a writable vector behind a network (``Network.with_theta``)
+changes it in place: training updates the network it trains, and the
+merge engine writes candidates into its private network for the layers it
+decides.
 
 Parameter addressing convention: a neuron's block is its incoming
 weight row plus its bias, and at scalar granularity the bias is
 addressable as weight index ``in_dim``. Every parameter is reachable
-by exactly one address.
+by exactly one address, and ``Network.index`` maps an address to the
+positions of its block in ``theta``.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
 from dataclasses import dataclass
 
@@ -68,31 +73,96 @@ class DenseLayer:
         return self.weights.shape[1]
 
 
-@dataclass
 class Network:
-    """Ordered dense layers mapping ``input_dim`` features to ``num_classes`` logits."""
+    """Ordered dense layers mapping ``input_dim`` features to ``num_classes`` logits.
 
-    layers: list[DenseLayer]
-    input_dim: int
-    num_classes: int
+    Every parameter lives in one contiguous float64 vector ``theta``, layer
+    by layer: each layer's weights (row-major), then its biases, the order
+    of the model file. ``layers`` is a tuple of read-only ``DenseLayer``
+    views into ``theta``, and ``positions[k]`` is the (out_dim, in_dim + 1)
+    matrix of the positions in ``theta`` of layer k's weights, with its
+    biases in the last column. The constructor copies the arrays it is given.
+    """
 
-    def __post_init__(self):
-        if not self.layers:
+    def __init__(self, layers, input_dim: int, num_classes: int):
+        layers = tuple(layers)
+        if not layers:
             raise ValueError("network needs at least one layer")
-        if self.layers[0].in_dim != self.input_dim:
+        if layers[0].in_dim != input_dim:
             raise ShapeError(
-                f"layer 0 expects {self.layers[0].in_dim} inputs, input_dim is {self.input_dim}"
+                f"layer 0 expects {layers[0].in_dim} inputs, input_dim is {input_dim}"
             )
-        for k in range(1, len(self.layers)):
-            if self.layers[k].in_dim != self.layers[k - 1].out_dim:
+        for k in range(1, len(layers)):
+            if layers[k].in_dim != layers[k - 1].out_dim:
                 raise ShapeError(
-                    f"layer {k} in_dim {self.layers[k].in_dim} != "
-                    f"layer {k - 1} out_dim {self.layers[k - 1].out_dim}"
+                    f"layer {k} in_dim {layers[k].in_dim} != "
+                    f"layer {k - 1} out_dim {layers[k - 1].out_dim}"
                 )
-        if self.layers[-1].out_dim != self.num_classes:
+        if layers[-1].out_dim != num_classes:
             raise ShapeError(
-                f"last layer out_dim {self.layers[-1].out_dim} != num_classes {self.num_classes}"
+                f"last layer out_dim {layers[-1].out_dim} != num_classes {num_classes}"
             )
+        self.input_dim, self.num_classes = input_dim, num_classes
+        self._shapes = tuple(layer.weights.shape for layer in layers)
+        self._activations = tuple(layer.activation for layer in layers)
+        self._bind(np.concatenate([a.ravel() for l in layers for a in (l.weights, l.biases)]))
+
+    def _bind(self, theta: np.ndarray) -> None:
+        self.theta = theta.view()
+        self.theta.flags.writeable = False
+        self.layers = tuple(
+            DenseLayer(w, b, act)
+            for w, b, act in zip(*self.layer_views(self.theta), self._activations)
+        )
+
+    @functools.cached_property
+    def positions(self) -> tuple[np.ndarray, ...]:
+        """Built on first use and shared with every ``with_theta`` network
+        made after that."""
+        positions = tuple(
+            np.column_stack(pair) for pair in zip(*self.layer_views(np.arange(self.theta.size)))
+        )
+        for pos in positions:
+            pos.flags.writeable = False
+        return positions
+
+    def layer_views(self, vec: np.ndarray) -> tuple[list, list]:
+        """Per-layer weight and bias views of a vector laid out like ``theta``."""
+        weights, biases, at = [], [], 0
+        for rows, cols in self._shapes:
+            weights.append(vec[at : at + rows * cols].reshape(rows, cols))
+            at += rows * cols
+            biases.append(vec[at : at + rows])
+            at += rows
+        return weights, biases
+
+    def flat(self, weights, biases) -> np.ndarray:
+        """Per-layer weight and bias arrays (a gradient, a Fisher estimate) as
+        one vector laid out like ``theta``; there must be one of each per
+        layer, shaped like the layer's."""
+        got = [np.shape(a) for a in weights] + [np.shape(a) for a in biases]
+        want = [l.weights.shape for l in self.layers] + [l.biases.shape for l in self.layers]
+        if got != want:
+            raise ShapeError(f"per-layer arrays of shapes {got} do not match the network's {want}")
+        return np.concatenate([np.ravel(a) for pair in zip(weights, biases) for a in pair])
+
+    def with_theta(self, theta: np.ndarray) -> "Network":
+        """A network shaped like this one whose parameters are ``theta``
+        itself, not a copy: whoever holds ``theta`` can update it in place."""
+        if (theta.dtype != np.float64 or theta.shape != self.theta.shape
+                or not theta.flags.c_contiguous):
+            raise ShapeError(
+                f"parameters must be a contiguous float64 vector of shape "
+                f"{self.theta.shape}, got {theta.dtype} {theta.shape}"
+            )
+        net = copy.copy(self)
+        net._bind(theta)
+        return net
+
+    def index(self, addr: "StructureAddress"):
+        """The positions in ``theta`` of the addressed block, shaped like it."""
+        _validate_address(self, addr)
+        return self.positions[addr.layer][addr.key]
 
 
 @dataclass(frozen=True)
@@ -118,6 +188,16 @@ class StructureAddress:
             return "neuron"
         return "weight"
 
+    @functools.cached_property
+    def key(self) -> tuple:
+        """The index of the block within its layer's block: (), (neuron,) or
+        (neuron, weight)."""
+        if self.neuron is None:
+            return ()
+        if self.weight is None:
+            return (self.neuron,)
+        return (self.neuron, self.weight)
+
 
 @dataclass
 class Gradients:
@@ -141,14 +221,9 @@ class Gradients:
 
 def compatible(a: Network, b: Network) -> bool:
     """True iff the two networks have identical shapes and activations."""
-    if a.input_dim != b.input_dim or a.num_classes != b.num_classes:
-        return False
-    if len(a.layers) != len(b.layers):
-        return False
-    for la, lb in zip(a.layers, b.layers):
-        if la.weights.shape != lb.weights.shape or la.activation != lb.activation:
-            return False
-    return True
+    return (a.input_dim, a.num_classes, a._shapes, a._activations) == (
+        b.input_dim, b.num_classes, b._shapes, b._activations
+    )
 
 
 def require_compatible(a: Network, b: Network) -> None:
@@ -393,15 +468,10 @@ def backward_arrays(
     return value, out
 
 
-def backward(net: Network, eval_set, loss: str = "cross_entropy") -> tuple[float, Gradients]:
-    """Backprop over an evaluation set; returns (loss, Gradients)."""
-    return backward_arrays(net, eval_set.inputs, eval_set.targets, loss=loss)
-
-
 # --- addressable extraction / insertion -------------------------------------
 
 
-def _validate_address(net: Network, addr: StructureAddress) -> DenseLayer:
+def _validate_address(net: Network, addr: StructureAddress) -> None:
     if not 0 <= addr.layer < len(net.layers):
         raise ShapeError(f"layer index {addr.layer} out of range")
     layer = net.layers[addr.layer]
@@ -412,61 +482,27 @@ def _validate_address(net: Network, addr: StructureAddress) -> DenseLayer:
             f"weight index {addr.weight} out of range for layer {addr.layer} "
             f"(bias lives at {layer.in_dim})"
         )
-    return layer
 
 
 def get_structure(net: Network, addr: StructureAddress):
-    """Copy out the addressed block.
+    """Copy out the addressed block, ``theta`` at ``net.index(addr)``.
 
     Layer blocks are (out_dim, in_dim + 1) with the bias in the last column,
     neuron blocks are length in_dim + 1 with the bias last, weight blocks are
     scalars (index in_dim reads the bias).
     """
-    layer = _validate_address(net, addr)
-    if addr.neuron is None:
-        return np.hstack([layer.weights, layer.biases[:, None]])
-    if addr.weight is None:
-        return np.append(layer.weights[addr.neuron], layer.biases[addr.neuron])
-    if addr.weight == layer.in_dim:
-        return float(layer.biases[addr.neuron])
-    return float(layer.weights[addr.neuron, addr.weight])
+    return net.theta[net.index(addr)]
 
 
 def set_structure(net: Network, addr: StructureAddress, block) -> Network:
-    """Return a network with the addressed block replaced.
-
-    All other parameters are the same arrays as in ``net`` (shared, never
-    mutated), so byte-identity outside the addressed block is structural.
-    """
-    layer = _validate_address(net, addr)
-    if addr.neuron is None:
-        blk = _as_f64(block)
-        if blk.shape != (layer.out_dim, layer.in_dim + 1):
-            raise ShapeError(
-                f"layer block must have shape {(layer.out_dim, layer.in_dim + 1)}, got {blk.shape}"
-            )
-        new_layer = DenseLayer(blk[:, :-1].copy(), blk[:, -1].copy(), layer.activation)
-    elif addr.weight is None:
-        blk = _as_f64(block)
-        if blk.shape != (layer.in_dim + 1,):
-            raise ShapeError(f"neuron block must have length {layer.in_dim + 1}, got {blk.shape}")
-        w = layer.weights.copy()
-        b = layer.biases.copy()
-        w[addr.neuron] = blk[:-1]
-        b[addr.neuron] = blk[-1]
-        new_layer = DenseLayer(w, b, layer.activation)
-    else:
-        value = float(block)
-        w = layer.weights.copy()
-        b = layer.biases.copy()
-        if addr.weight == layer.in_dim:
-            b[addr.neuron] = value
-        else:
-            w[addr.neuron, addr.weight] = value
-        new_layer = DenseLayer(w, b, layer.activation)
-    layers = list(net.layers)
-    layers[addr.layer] = new_layer
-    return Network(layers, net.input_dim, net.num_classes)
+    """Return a copy of ``net`` with the addressed block replaced."""
+    idx = net.index(addr)
+    blk = _as_f64(block)
+    if blk.shape != np.shape(idx):
+        raise ShapeError(f"{addr.level} block must have shape {np.shape(idx)}, got {blk.shape}")
+    theta = net.theta.copy()
+    theta[idx] = blk
+    return net.with_theta(theta)
 
 
 # --- serialization -----------------------------------------------------------
@@ -501,28 +537,24 @@ def from_json_dict(doc: dict) -> Network:
     for key in ("input_dim", "num_classes", "layers"):
         if key not in doc:
             raise FormatError(f"model document missing {key!r}")
+    dims = doc["input_dim"], doc["num_classes"]
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in dims):
+        raise FormatError(f"input_dim and num_classes must be integers, got {dims}")
+    if not (isinstance(doc["layers"], list) and all(isinstance(l, dict) for l in doc["layers"])):
+        raise FormatError("model 'layers' must be a list of layer objects")
     layers = []
     for idx, spec in enumerate(doc["layers"]):
         try:
-            weights = _as_f64(spec["weights"])
-            biases = _as_f64(spec["biases"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"layer {idx}: bad parameter arrays ({exc})") from exc
-        if weights.ndim != 2:
-            raise FormatError(f"layer {idx}: weights must be a rectangular matrix")
-        if weights.shape[0] != biases.shape[0]:
-            raise FormatError(
-                f"layer {idx}: declared {weights.shape[0]} rows but {biases.shape[0]} biases"
+            layers.append(
+                DenseLayer(_as_f64(spec["weights"]), _as_f64(spec["biases"]), spec.get("activation"))
             )
-        activation = spec.get("activation")
-        if activation not in ACTIVATIONS:
-            raise FormatError(f"layer {idx}: unknown activation {activation!r}")
-        if not (np.isfinite(weights).all() and np.isfinite(biases).all()):
-            raise FormatError(f"layer {idx}: non-finite parameters")
-        layers.append(DenseLayer(weights, biases, activation))
+        except KeyError as exc:
+            raise FormatError(f"layer {idx}: missing {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"layer {idx}: {exc}") from exc
     try:
-        return Network(layers, int(doc["input_dim"]), int(doc["num_classes"]))
-    except (ShapeError, ValueError) as exc:
+        return Network(layers, *dims)
+    except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
 
@@ -546,18 +578,9 @@ def load_model(path) -> Network:
 
 def parameters_equal(a: Network, b: Network) -> bool:
     """Bitwise parameter equality (shapes included)."""
-    if not compatible(a, b):
-        return False
-    return all(
-        np.array_equal(la.weights, lb.weights) and np.array_equal(la.biases, lb.biases)
-        for la, lb in zip(a.layers, b.layers)
-    )
+    return compatible(a, b) and np.array_equal(a.theta, b.theta)
 
 
 def max_parameter_difference(a: Network, b: Network) -> float:
     require_compatible(a, b)
-    worst = 0.0
-    for la, lb in zip(a.layers, b.layers):
-        worst = max(worst, float(np.max(np.abs(la.weights - lb.weights), initial=0.0)))
-        worst = max(worst, float(np.max(np.abs(la.biases - lb.biases), initial=0.0)))
-    return worst
+    return float(np.max(np.abs(a.theta - b.theta), initial=0.0))

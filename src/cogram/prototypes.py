@@ -9,7 +9,6 @@ Raw-batch mode skips the compression and evaluates on sampled rows.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,33 +178,3 @@ def build_raw_batch(dataset: Dataset, batch_size: int, seed: int = 0) -> Prototy
         for i in rows
     ]
     return PrototypeSet(protos, eval_mode="raw_batch")
-
-
-def to_json(pset: PrototypeSet) -> str:
-    doc = {
-        "mode": pset.eval_mode,
-        "prototypes": [
-            {
-                "x": p.x.tolist(),
-                "y": p.y.tolist(),
-                "class": p.source_class,
-                "count": p.member_count,
-            }
-            for p in pset.prototypes
-        ],
-    }
-    return json.dumps(doc, allow_nan=False)
-
-
-def from_json(text: str) -> PrototypeSet:
-    doc = json.loads(text)
-    protos = [
-        Prototype(
-            x=np.asarray(p["x"], dtype=np.float64),
-            y=np.asarray(p["y"], dtype=np.float64),
-            source_class=int(p["class"]),
-            member_count=int(p["count"]),
-        )
-        for p in doc["prototypes"]
-    ]
-    return PrototypeSet(protos, eval_mode=doc["mode"])

@@ -47,8 +47,8 @@ class TrainReport:
 
 @dataclass
 class OptimizerState:
-    """Moments over the flat parameter layout of ``_flatten``: the SGD
-    velocity or Adam's first moment, and Adam's second moment."""
+    """Moments laid out like the network's ``theta``: the SGD velocity or
+    Adam's first moment, and Adam's second moment."""
 
     config: OptimizerConfig
     step: int = 0
@@ -57,7 +57,7 @@ class OptimizerState:
 
 
 def init_optimizer_state(config: OptimizerConfig, net: Network) -> OptimizerState:
-    size = sum(layer.weights.size + layer.biases.size for layer in net.layers)
+    size = net.theta.size
     second = np.zeros(size) if config.kind == "adam" else None
     return OptimizerState(config=config, velocity=np.zeros(size), second=second)
 
@@ -72,38 +72,11 @@ def clip_gradients(g: Gradients, clip_norm: float) -> Gradients:
     return g.scaled(clip_norm / norm)
 
 
-# --- the flat parameter vector ------------------------------------------------
+# --- updates on the flat parameter vector -------------------------------------
 #
-# Training keeps every parameter in one float64 vector theta, layer by layer,
-# each layer's weights (row-major) followed by its biases. Gradients and
-# optimizer moments use the same layout, so an update is a few whole-vector
-# operations.
-
-
-def _flatten(weights, biases) -> np.ndarray:
-    return np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
-
-
-def _layer_views(flat: np.ndarray, net: Network) -> tuple[list, list]:
-    """Per-layer weight and bias views of a flat vector laid out for ``net``."""
-    weights, biases, at = [], [], 0
-    for layer in net.layers:
-        rows, cols = layer.weights.shape
-        weights.append(flat[at : at + rows * cols].reshape(rows, cols))
-        at += rows * cols
-        biases.append(flat[at : at + rows])
-        at += rows
-    return weights, biases
-
-
-def _network_on(theta: np.ndarray, net: Network) -> Network:
-    """A network shaped like ``net`` whose layers are views into ``theta``."""
-    weights, biases = _layer_views(theta, net)
-    layers = [
-        netmod.DenseLayer(w, b, layer.activation)
-        for w, b, layer in zip(weights, biases, net.layers)
-    ]
-    return Network(layers, net.input_dim, net.num_classes)
+# Training updates a network's whole parameter vector theta at once.
+# Gradients and optimizer moments use the same layout, so an update is a few
+# whole-vector operations.
 
 
 def _update(state: OptimizerState, theta: np.ndarray, grad: np.ndarray) -> None:
@@ -139,12 +112,10 @@ def optimizer_step(
     state: OptimizerState, net: Network, g: Gradients
 ) -> tuple[Network, OptimizerState]:
     """One update. SGD: v <- mu*v - lr*g, theta <- theta + v. Adam: bias-corrected."""
-    for gw, gb, layer in zip(g.weights, g.biases, net.layers):
-        if gw.shape != layer.weights.shape or gb.shape != layer.biases.shape:
-            raise netmod.ShapeError("gradient shapes do not match the network")
-    theta = _flatten([l.weights for l in net.layers], [l.biases for l in net.layers])
-    _update(state, theta, _flatten(g.weights, g.biases))
-    return _network_on(theta, net), state
+    grad = net.flat(g.weights, g.biases)
+    theta = net.theta.copy()
+    _update(state, theta, grad)
+    return net.with_theta(theta), state
 
 
 def accuracy(net: Network, dataset: Dataset) -> float:
@@ -179,12 +150,12 @@ def train(
     n = len(dataset)
     state = init_optimizer_state(optimizer_config, net)
     clip_norm = optimizer_config.clip_norm
-    # the working network's layers are views into theta, which each step
-    # updates in place; the gradient is written into views of one vector too
-    theta = _flatten([l.weights for l in net.layers], [l.biases for l in net.layers])
-    working = _network_on(theta, net)
+    # each step updates theta, the trained network's own parameters, in
+    # place; the gradient is written into per-layer views of one vector too
+    theta = net.theta.copy()
+    trained = net.with_theta(theta)
     grad = np.empty_like(theta)
-    grads = Gradients(*_layer_views(grad, net))
+    grads = Gradients(*net.layer_views(grad))
     epoch_losses: list[float] = []
     for _ in range(epochs):
         order = rng.permutation(n)
@@ -192,7 +163,7 @@ def train(
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             loss, _ = netmod.backward_arrays(
-                working, dataset.features[idx], targets[idx], loss="cross_entropy", out=grads
+                trained, dataset.features[idx], targets[idx], loss="cross_entropy", out=grads
             )
             if clip_norm is not None:
                 norm = grads.global_norm()
@@ -201,7 +172,6 @@ def train(
             _update(state, theta, grad)
             total += loss * len(idx)
         epoch_losses.append(total / n)
-    trained = _network_on(theta.copy(), net)  # shares nothing with theta
     report = TrainReport(
         epoch_losses=epoch_losses,
         final_train_accuracy=accuracy(trained, dataset),

@@ -162,3 +162,22 @@ def test_fisher_merge_validation():
     with pytest.raises(netmod.ShapeError):
         bad = _fisher_like(random_network([5, 3], seed=2), 1.0)
         fisher_merge(a, b, bad, _fisher_like(b, 1.0))
+
+
+def test_fisher_merge_rejects_a_fisher_with_fewer_layers():
+    a = random_network([4, 5, 3], seed=0)
+    b = random_network([4, 5, 3], seed=1)
+    short = _fisher_like(random_network([4, 3], seed=2), 1.0)
+    with pytest.raises(netmod.ShapeError):
+        fisher_merge(a, b, short, _fisher_like(b, 1.0))
+    with pytest.raises(netmod.ShapeError):
+        fisher_merge(a, b, _fisher_like(a, 1.0), short)
+
+
+def test_fisher_merge_rejects_a_bias_fisher_that_would_broadcast():
+    a = random_network([4, 3], seed=0)
+    b = random_network([4, 3], seed=1)
+    f_b = _fisher_like(b, 1.0)
+    f_b.biases = [np.ones(1)]
+    with pytest.raises(netmod.ShapeError):
+        fisher_merge(a, b, _fisher_like(a, 1.0), f_b)

@@ -159,6 +159,35 @@ def test_eval_loss_matches_full_batch_oracle(workspace, tmp_path, capsys):
     assert abs(doc["loss"] - netmod.cross_entropy_loss(model, full)) < 1e-12
 
 
+@pytest.fixture
+def one_feature_model(tmp_path):
+    """A 1-input, 1-class model document and a CSV it evaluates on: int()
+    would map True and 1.5 onto its true dimensions."""
+    from cogram.synthdata import Dataset, save_csv
+    layers = [netmod.DenseLayer(np.ones((1, 1)), np.zeros(1), "identity")]
+    save_csv(Dataset(np.arange(5.0)[:, None], np.zeros(5, dtype=int), 1), tmp_path / "d.csv")
+    return netmod.to_json_dict(netmod.Network(layers, 1, 1)), tmp_path / "d.csv"
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("layers", 5, "'layers' must be a list"),
+    ("input_dim", [3], "must be integers"),
+    ("num_classes", None, "must be integers"),
+    ("input_dim", 1.5, "must be integers"),
+    ("num_classes", True, "must be integers"),
+])
+def test_eval_rejects_malformed_model_with_exit_2(one_feature_model, tmp_path, capsys,
+                                                  key, value, message):
+    doc, data = one_feature_model
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    assert main(["eval", "--model", str(model), "--data", str(data)]) == 0
+    model.write_text(json.dumps({**doc, key: value}))
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--data", str(data)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_merge_average_of_identical_models(workspace, tmp_path):
     rc = main(["merge", "--method", "average",
                "--model-a", str(workspace / "a.json"),

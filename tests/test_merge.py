@@ -20,7 +20,6 @@ from cogram.merge import (
     convex_combine,
     gradient_kickoff,
     kickoff_optimizer_configs,
-    loss_difference,
     merge_layer_level,
     merge_neuron_level,
     merge_weight_level,
@@ -183,13 +182,19 @@ def test_classify_case_validation():
 # --- loss difference ------------------------------------------------------------------
 
 
+def _difference(m, addr, a, b, es):
+    """Loss of M with A's block at addr, with B's block, and their gap."""
+    ev = _LayerEvaluator(m, addr.layer, es, "cross_entropy")
+    return ev.difference(addr, get_structure(a, addr), get_structure(b, addr))
+
+
 def test_loss_difference_zero_for_identical_candidates():
     rng = np.random.default_rng(4)
     m = random_network([5, 4, 3], seed=0)
     a = random_network([5, 4, 3], seed=1)
     es = _random_eval(rng, 6, 5, 3)
     for addr in (StructureAddress(1), StructureAddress(0, 2), StructureAddress(1, 1, 4)):
-        l_a, l_b, delta = loss_difference(m, addr, a, a, es)
+        l_a, l_b, delta = _difference(m, addr, a, a, es)
         assert delta == 0.0
         assert l_a == l_b
 
@@ -201,8 +206,8 @@ def test_loss_difference_antisymmetric():
     b = random_network([5, 4, 3], seed=2)
     es = _random_eval(rng, 6, 5, 3)
     addr = StructureAddress(0)
-    l_a, l_b, delta = loss_difference(m, addr, a, b, es)
-    l_b2, l_a2, delta2 = loss_difference(m, addr, b, a, es)
+    l_a, l_b, delta = _difference(m, addr, a, b, es)
+    l_b2, l_a2, delta2 = _difference(m, addr, b, a, es)
     assert (l_a, l_b) == (l_a2, l_b2)
     assert delta2 == -delta
 
@@ -214,7 +219,7 @@ def test_loss_difference_matches_construct_then_evaluate_oracle():
     b = random_network([5, 4, 3], seed=2)
     es = _random_eval(rng, 8, 5, 3)
     addr = StructureAddress(1, 2)
-    l_a, l_b, _ = loss_difference(m, addr, a, b, es)
+    l_a, l_b, _ = _difference(m, addr, a, b, es)
 
     # oracle: assemble each candidate net by hand from copied arrays
     def candidate(src):
@@ -232,8 +237,8 @@ def test_loss_difference_leaves_m_untouched():
     rng = np.random.default_rng(7)
     m = random_network([5, 4, 3], seed=0)
     before = _param_bytes(m)
-    loss_difference(m, StructureAddress(0), random_network([5, 4, 3], 1),
-                    random_network([5, 4, 3], 2), _random_eval(rng, 5, 5, 3))
+    _difference(m, StructureAddress(0), random_network([5, 4, 3], 1),
+                random_network([5, 4, 3], 2), _random_eval(rng, 5, 5, 3))
     assert _param_bytes(m) == before
 
 
@@ -277,7 +282,9 @@ def test_merge_layer_level_identical_candidates_give_exact_copy():
     merged = merge_layer_level(m, 1, a, a, cfg, es, rep)
     assert np.array_equal(merged.layers[1].weights, a.layers[1].weights)
     assert np.array_equal(merged.layers[1].biases, a.layers[1].biases)
-    assert merged.layers[0] is m.layers[0]  # locality
+    # locality: the untouched layer is bitwise equal
+    assert merged.layers[0].weights.tobytes() == m.layers[0].weights.tobytes()
+    assert merged.layers[0].biases.tobytes() == m.layers[0].biases.tobytes()
 
 
 def test_merge_layer_level_forced_case3_blend():

@@ -346,8 +346,68 @@ def test_set_structure_locality():
     swapped = set_structure(m, addr, get_structure(a, addr))
     assert np.array_equal(swapped.layers[0].weights, a.layers[0].weights)
     assert np.array_equal(swapped.layers[0].biases, a.layers[0].biases)
-    for k in (1, 2):
-        assert swapped.layers[k] is m.layers[k]  # untouched layers are shared
+    for k in (1, 2):  # untouched layers are bitwise equal
+        assert swapped.layers[k].weights.tobytes() == m.layers[k].weights.tobytes()
+        assert swapped.layers[k].biases.tobytes() == m.layers[k].biases.tobytes()
+
+
+def test_layers_are_read_only_views_of_theta():
+    net = random_network([6, 5, 4], seed=1)
+    for layer in net.layers:
+        with pytest.raises(ValueError, match="read-only"):
+            layer.weights[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            layer.biases[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        net.theta[0] = 1.0
+
+
+def test_network_copies_the_arrays_it_is_given():
+    w, b = np.ones((3, 4)), np.zeros(3)
+    net = Network([DenseLayer(w, b, "identity")], 4, 3)
+    before = net.theta.tobytes()
+    w[0, 0], b[1] = 7.0, 7.0
+    assert net.theta.tobytes() == before
+    assert net.layers[0].weights[0, 0] == 1.0 and net.layers[0].biases[1] == 0.0
+
+
+def test_with_theta_views_the_vector_it_is_given():
+    net = random_network([4, 3], seed=5)
+    theta = net.theta.copy()
+    view = net.with_theta(theta)
+    theta[net.index(StructureAddress(0, 1, 4))] = 2.5  # weight in_dim is the bias
+    assert view.layers[0].biases[1] == 2.5 and net.layers[0].biases[1] == 0.0
+    for bad in (theta[:-1], np.zeros(2 * theta.size)[::2], theta.astype(np.float32)):
+        with pytest.raises(ShapeError):
+            net.with_theta(bad)
+
+
+def test_theta_is_in_the_order_of_the_model_file():
+    net = random_network([6, 5, 4], seed=2)
+    doc = netmod.to_json_dict(net)
+    expected = np.concatenate([np.ravel(spec[key]) for spec in doc["layers"]
+                               for key in ("weights", "biases")])
+    assert net.theta.tobytes() == expected.tobytes()
+    assert netmod.deserialize(netmod.serialize(net)).theta.tobytes() == net.theta.tobytes()
+
+
+def test_theta_at_index_is_get_structure_for_every_address():
+    net = random_network([5, 4, 3], seed=3)
+    net = net.with_theta(np.random.default_rng(3).normal(size=net.theta.size))
+    for k, layer in enumerate(net.layers):
+        addresses = [StructureAddress(k)] + [
+            StructureAddress(k, n, *w) for n in range(layer.out_dim)
+            for w in [()] + [(j,) for j in range(layer.in_dim + 1)]
+        ]
+        # the layer block with the bias as the last column, cut by the address
+        layer_block = np.hstack([layer.weights, layer.biases[:, None]])
+        for addr in addresses:
+            block = get_structure(net, addr)
+            assert np.array_equal(net.theta[net.index(addr)], block)
+            assert np.array_equal(block, layer_block[addr.key])
+            assert np.shape(block) == np.shape(layer_block[addr.key])
+    seen = np.concatenate([net.positions[k].ravel() for k in range(len(net.layers))])
+    assert np.array_equal(np.sort(seen), np.arange(net.theta.size))  # one address each
 
 
 def test_weight_address_in_dim_is_the_bias():

@@ -7,9 +7,7 @@ from cogram.prototypes import (
     build_prototypes_kmeans,
     build_prototypes_onehot,
     build_raw_batch,
-    from_json,
     geometric_mean_prototype,
-    to_json,
 )
 from cogram.synthdata import Dataset
 
@@ -199,7 +197,7 @@ def test_raw_batch_deterministic_and_validated():
         build_raw_batch(ds, len(ds) + 1, seed=0)
 
 
-# --- set container / JSON --------------------------------------------------------
+# --- set container -------------------------------------------------------------
 
 
 def test_prototype_set_validation():
@@ -210,16 +208,3 @@ def test_prototype_set_validation():
         PrototypeSet([p], eval_mode="mystery")
     with pytest.raises(ValueError):
         Prototype(np.ones(3), np.array([0.5, 0.2]), 0, 1)  # not a distribution
-
-
-def test_json_round_trip():
-    ds = _balanced_dataset(np.random.default_rng(10))
-    pset = build_prototypes_onehot(ds)
-    text = to_json(pset)
-    loaded = from_json(text)
-    assert loaded.eval_mode == pset.eval_mode
-    for a, b in zip(loaded.prototypes, pset.prototypes):
-        assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.y, b.y)
-        assert (a.source_class, a.member_count) == (b.source_class, b.member_count)
-    assert to_json(loaded) == text
