@@ -19,6 +19,7 @@ from .merge import (
 )
 from .net import (
     DenseLayer,
+    EvalSet,
     FormatError,
     Gradients,
     Network,
@@ -40,8 +41,6 @@ from .net import (
     softmax,
 )
 from .prototypes import (
-    Prototype,
-    PrototypeSet,
     build_prototypes_kmeans,
     build_prototypes_onehot,
     build_raw_batch,

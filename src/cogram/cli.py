@@ -112,8 +112,8 @@ def _mergeconfig_from_dict(doc: dict) -> MergeConfig:
     doc = dict(doc)
     tau_min = doc.pop("tau_min", 0.0)
     tau_max = doc.pop("tau_max", None)
-    lam = doc.pop("lambda", doc.pop("lam", 5.5))
-    granularity = doc.pop("granularity", doc.pop("max_granularity", "layer"))
+    lam = doc.pop("lambda", 5.5)
+    granularity = doc.pop("granularity", "layer")
     prototype = doc.pop("prototype", None)
     kwargs = dict(
         lam=lam,
@@ -124,7 +124,7 @@ def _mergeconfig_from_dict(doc: dict) -> MergeConfig:
     )
     if prototype is not None:
         kwargs.update(_parse_prototype_spec(prototype))
-    for key in ("epsilon", "eval_seed", "iterations", "loss", "k_per_class", "batch_size"):
+    for key in ("epsilon", "eval_seed", "iterations", "loss"):
         if key in doc:
             kwargs[key] = doc.pop(key)
     if doc:
@@ -137,15 +137,15 @@ def _mergeconfig_from_dict(doc: dict) -> MergeConfig:
 
 def _parse_prototype_spec(spec: str) -> dict:
     """onehot | kmeans:K | batch:N (batch: omitted N = whole dataset)."""
-    parts = spec.split(":")
-    if parts[0] == "onehot" and len(parts) == 1:
-        return {"eval_mode": "onehot"}
-    if parts[0] == "kmeans" and len(parts) == 2:
-        return {"eval_mode": "kmeans", "k_per_class": int(parts[1])}
-    if parts[0] == "batch":
-        if len(parts) == 1:
+    parts = str(spec).split(":")
+    with contextlib.suppress(ValueError):
+        if parts == ["onehot"]:
+            return {"eval_mode": "onehot"}
+        if parts[0] == "kmeans" and len(parts) == 2:
+            return {"eval_mode": "kmeans", "k_per_class": int(parts[1])}
+        if parts == ["batch"]:
             return {"eval_mode": "batch", "batch_size": None}
-        if len(parts) == 2:
+        if parts[0] == "batch" and len(parts) == 2:
             return {"eval_mode": "batch", "batch_size": int(parts[1])}
     raise UsageError(f"bad prototype spec {spec!r} (want onehot, kmeans:K or batch:N)")
 
@@ -247,7 +247,7 @@ def run_experiment_seed(cfg: ExperimentConfig, seed: int) -> SweepRow:
     with _timed(stage_s, "eval_set"):
         combined = synthdata.concat(data_a, data_b)
         eval_set = merge.build_eval_set(combined, cfg.merge)
-    lossf = netmod.cross_entropy_loss if cfg.merge.loss == "cross_entropy" else netmod.mse_loss
+    lossf = netmod.loss_function(cfg.merge.loss)
 
     needs_fisher = any(m != "average" for m in cfg.methods)
     fused_fisher = None
@@ -478,6 +478,18 @@ def cmd_merge(args) -> int:
             "merge method 'cogram' needs an initial fused network: pass "
             "--init fisher, --init average, or --init <model.json>"
         )
+    merge_cfg = None
+    if method == "cogram":
+        merge_cfg = MergeConfig(
+            lam=args.lam,
+            thresholds=Thresholds.uniform(
+                args.tau_min, math.inf if args.tau_max is None else args.tau_max
+            ),
+            max_granularity=args.granularity,
+            iterations=args.iterations,
+            eval_seed=args.seed,
+            **_parse_prototype_spec(args.prototype),
+        )
     net_a = _load_model_checked(args.model_a)
     net_b = _load_model_checked(args.model_b)
     if not netmod.compatible(net_a, net_b):
@@ -494,7 +506,6 @@ def cmd_merge(args) -> int:
         return baseline.fisher_merge(net_a, net_b, f_a, f_b)
 
     reports = []
-    merge_cfg = None
     if method == "average":
         fused = baseline.uniform_average(net_a, net_b)
     elif method == "fisher":
@@ -511,16 +522,6 @@ def cmd_merge(args) -> int:
         if data_a is None or data_b is None:
             raise UsageError("cogram merging needs --data-a and --data-b")
         combined = synthdata.concat(data_a, data_b)
-        merge_cfg = MergeConfig(
-            lam=args.lam,
-            thresholds=Thresholds.uniform(
-                args.tau_min, math.inf if args.tau_max is None else args.tau_max
-            ),
-            max_granularity=args.granularity,
-            iterations=args.iterations,
-            eval_seed=args.seed,
-            **_parse_prototype_spec(args.prototype),
-        )
         fused, reports = merge.cogram_iterate(m0, net_a, net_b, merge_cfg, data=combined)
 
     if args.kickoff:

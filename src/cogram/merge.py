@@ -24,21 +24,16 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import net as netmod
-from .net import Network, StructureAddress
-from .prototypes import (
-    PrototypeSet,
-    build_prototypes_kmeans,
-    build_prototypes_onehot,
-    build_raw_batch,
-)
+from .net import EvalSet, Network, StructureAddress
+from .prototypes import build_prototypes_kmeans, build_prototypes_onehot, build_raw_batch
 from .synthdata import Dataset
 from .training import OptimizerConfig, TrainReport, train
 
@@ -85,18 +80,23 @@ class MergeConfig:
     loss: str = "cross_entropy"           # "cross_entropy" | "mse"
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be > 0")
+        for name in ("lam", "epsilon"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value > 0:
+                raise ValueError(f"{name} must be a number > 0, got {value!r}")
+        for name, low in (("iterations", 1), ("k_per_class", 1), ("batch_size", 1),
+                          ("eval_seed", 0)):
+            value = getattr(self, name)
+            if name == "batch_size" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if self.max_granularity not in GRANULARITIES:
             raise ValueError(f"unknown granularity {self.max_granularity!r}")
         if self.eval_mode not in ("onehot", "kmeans", "batch"):
             raise ValueError(f"unknown eval_mode {self.eval_mode!r}")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
         if self.loss not in ("cross_entropy", "mse"):
             raise ValueError(f"unknown loss {self.loss!r}")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
 
 
 @dataclass
@@ -169,14 +169,6 @@ def classify_case(delta_l: float, tau_min: float, tau_max: float) -> int:
     return 3
 
 
-def _loss_function(kind: str):
-    if kind == "cross_entropy":
-        return netmod.cross_entropy_loss
-    if kind == "mse":
-        return netmod.mse_loss
-    raise ValueError(f"unknown loss {kind!r}")
-
-
 class _LayerEvaluator:
     """Loss of M with candidate parameters written into layer k.
 
@@ -191,12 +183,12 @@ class _LayerEvaluator:
     allocates no array.
     """
 
-    def __init__(self, m: Network, layer_idx: int, eval_set: PrototypeSet, loss: str):
+    def __init__(self, m: Network, layer_idx: int, eval_set: EvalSet, loss: str):
         self.layer_idx = layer_idx
-        self._lossf = _loss_function(loss)
+        self._lossf = netmod.loss_function(loss)
         self._below = m.layers[:layer_idx]
         in_dim = m.layers[layer_idx].in_dim
-        x = np.asarray(eval_set.inputs, dtype=np.float64)
+        x = eval_set.inputs
         if layer_idx > 0:
             x = netmod.forward(Network(self._below, m.input_dim, in_dim), x)
         upper = Network(m.layers[layer_idx:], in_dim, m.num_classes)
@@ -204,7 +196,7 @@ class _LayerEvaluator:
         self._upper = upper.with_theta(self._theta)
         self._positions = upper.positions[0]
         self.layer = self._upper.layers[0]
-        self._rows = SimpleNamespace(inputs=x, targets=eval_set.targets)
+        self._rows = EvalSet(x, eval_set.targets)
         self._work = netmod.Workspace(self._upper, x.shape[0])
         self._input_dim = m.input_dim
 
@@ -235,7 +227,7 @@ class _LayerEvaluator:
 # --- evaluation data ----------------------------------------------------------
 
 
-def build_eval_set(dataset: Dataset, config: MergeConfig) -> PrototypeSet:
+def build_eval_set(dataset: Dataset, config: MergeConfig) -> EvalSet:
     """The fixed evaluation set every decision in a merge run is measured on."""
     if config.eval_mode == "onehot":
         return build_prototypes_onehot(dataset, epsilon=config.epsilon)
@@ -352,7 +344,7 @@ def merge_layer_level(
     a: Network,
     b: Network,
     config: MergeConfig,
-    eval_set: PrototypeSet,
+    eval_set: EvalSet,
     report: MergeReport,
     check_restores: bool = False,
 ) -> Network:
@@ -383,7 +375,7 @@ def cogram_merge(
     b: Network,
     config: MergeConfig,
     data: Dataset | None = None,
-    eval_set: PrototypeSet | None = None,
+    eval_set: EvalSet | None = None,
     check_restores: bool = False,
 ) -> tuple[Network, MergeReport]:
     """One full back-to-front sweep over all layers of M.
@@ -398,7 +390,7 @@ def cogram_merge(
         if data is None:
             raise ValueError("cogram_merge needs either data or a prebuilt eval_set")
         eval_set = build_eval_set(data, config)
-    lossf = _loss_function(config.loss)
+    lossf = netmod.loss_function(config.loss)
     start = time.perf_counter()
     report = MergeReport(
         records=[], loss_before=lossf(m, eval_set), loss_after=math.nan,
@@ -419,7 +411,7 @@ def cogram_iterate(
     b: Network,
     config: MergeConfig,
     data: Dataset | None = None,
-    eval_set: PrototypeSet | None = None,
+    eval_set: EvalSet | None = None,
     check_restores: bool = False,
 ) -> tuple[Network, list[MergeReport]]:
     """Apply the merge config.iterations times, always on the latest M.

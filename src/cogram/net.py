@@ -14,6 +14,10 @@ weight row plus its bias, and at scalar granularity the bias is
 addressable as weight index ``in_dim``. Every parameter is reachable
 by exactly one address, and ``Network.index`` maps an address to the
 positions of its block in ``theta``.
+
+Losses are measured on an ``EvalSet``, two arrays: the inputs and one target
+distribution per row. ``cross_entropy_loss`` and ``mse_loss`` each run
+``forward`` and then the one loss kernel; ``loss_function`` picks one by name.
 """
 
 from __future__ import annotations
@@ -383,39 +387,69 @@ def _loss_of_logits(
     raise ValueError(f"unknown loss {loss!r}")
 
 
-def _loss_arrays(loss: str, net: Network, inputs, targets, work: Workspace | None) -> float:
-    x = _as_f64(inputs)
-    if x.shape[0] == 0:
-        raise ValueError("empty evaluation set")
-    return _loss_of_logits(loss, forward(net, x, work=work), _as_f64(targets), work)
+@dataclass(eq=False)
+class EvalSet:
+    """A fixed evaluation set: ``inputs`` (N, d) and the target distribution
+    of each row, ``targets`` (N, C), both float64, with N >= 1."""
+
+    inputs: np.ndarray
+    targets: np.ndarray
+
+    def __post_init__(self):
+        self.inputs = _as_f64(self.inputs)
+        self.targets = _as_f64(self.targets)
+        if self.inputs.ndim != 2 or self.targets.ndim != 2:
+            raise ShapeError(
+                f"evaluation inputs and targets must be 2-d, got shapes "
+                f"{self.inputs.shape} and {self.targets.shape}"
+            )
+        if self.inputs.shape[0] != self.targets.shape[0]:
+            raise ShapeError(
+                f"{self.inputs.shape[0]} evaluation inputs but {self.targets.shape[0]} targets"
+            )
+        if self.inputs.shape[0] == 0:
+            raise ValueError("empty evaluation set")
+
+    def __len__(self) -> int:
+        return self.inputs.shape[0]
 
 
-def cross_entropy_arrays(
-    net: Network, inputs: np.ndarray, targets: np.ndarray, work: Workspace | None = None
-) -> float:
-    """Mean cross-entropy of softmax(logits) against target distributions."""
-    return _loss_arrays("cross_entropy", net, inputs, targets, work)
+def _loss(kind: str, net: Network, eval_set: EvalSet, work: Workspace | None) -> float:
+    logits = forward(net, eval_set.inputs, work=work)
+    if eval_set.targets.shape != logits.shape:
+        raise ShapeError(
+            f"targets of shape {eval_set.targets.shape} do not match logits of shape {logits.shape}"
+        )
+    return _loss_of_logits(kind, logits, eval_set.targets, work)
 
 
-def mse_arrays(
-    net: Network, inputs: np.ndarray, targets: np.ndarray, work: Workspace | None = None
-) -> float:
-    """Mean over samples and output dimensions of squared residuals."""
-    return _loss_arrays("mse", net, inputs, targets, work)
-
-
-def cross_entropy_loss(net: Network, eval_set, work: Workspace | None = None) -> float:
-    """Mean cross-entropy over an evaluation set (anything with .inputs/.targets).
+def cross_entropy_loss(net: Network, eval_set: EvalSet, work: Workspace | None = None) -> float:
+    """Mean cross-entropy of softmax(logits) against the target distributions.
 
     With ``work`` (a ``Workspace`` for the set's rows) the whole pass runs
     into its buffers and allocates no array.
     """
-    return cross_entropy_arrays(net, eval_set.inputs, eval_set.targets, work)
+    return _loss("cross_entropy", net, eval_set, work)
 
 
-def mse_loss(net: Network, eval_set, work: Workspace | None = None) -> float:
-    """Mean squared error over an evaluation set; ``work`` as for cross_entropy_loss."""
-    return mse_arrays(net, eval_set.inputs, eval_set.targets, work)
+def mse_loss(net: Network, eval_set: EvalSet, work: Workspace | None = None) -> float:
+    """Mean over rows and output dimensions of squared residuals; ``work`` as
+    for cross_entropy_loss."""
+    return _loss("mse", net, eval_set, work)
+
+
+def loss_function(kind: str):
+    """``cross_entropy_loss`` or ``mse_loss``, by name."""
+    if kind == "cross_entropy":
+        return cross_entropy_loss
+    if kind == "mse":
+        return mse_loss
+    raise ValueError(f"unknown loss {kind!r}")
+
+
+def cross_entropy_arrays(net: Network, inputs: np.ndarray, targets: np.ndarray) -> float:
+    """cross_entropy_loss over the evaluation set of these rows."""
+    return cross_entropy_loss(net, EvalSet(inputs, targets))
 
 
 def backward_arrays(
@@ -435,6 +469,10 @@ def backward_arrays(
     if x.shape[0] == 0:
         raise ValueError("empty evaluation set")
     n = x.shape[0]
+    if y.shape != (n, net.num_classes):
+        raise ShapeError(
+            f"targets of shape {y.shape} do not match logits of shape {(n, net.num_classes)}"
+        )
     pres, acts = forward_trace(net, x)
     logits = acts[-1]
 

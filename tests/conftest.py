@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from cogram import net as netmod
-
-
-class ArrayEvalSet:
-    """Minimal eval-set stand-in: anything with .inputs/.targets works."""
-
-    def __init__(self, inputs, targets):
-        self.inputs = np.asarray(inputs, dtype=np.float64)
-        self.targets = np.asarray(targets, dtype=np.float64)
+from cogram.net import EvalSet as ArrayEvalSet
 
 
 # --- extended-precision central-difference oracle ------------------------------

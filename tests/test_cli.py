@@ -348,6 +348,67 @@ def test_sweep_bad_fisher_samples_exit_2(tmp_path, capsys, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"prototype": "kmeans:0"}, "k_per_class must be an integer >= 1, got 0"),
+    ({"prototype": "batch:0"}, "batch_size must be an integer >= 1, got 0"),
+    ({"prototype": "batch:-3"}, "batch_size must be an integer >= 1, got -3"),
+    ({"prototype": "kmeans:x"}, "bad prototype spec 'kmeans:x'"),
+    ({"prototype": 5}, "bad prototype spec 5"),
+    ({"iterations": 2.5}, "iterations must be an integer >= 1, got 2.5"),
+    ({"eval_seed": 1.5}, "eval_seed must be an integer >= 0, got 1.5"),
+    ({"eval_seed": -1}, "eval_seed must be an integer >= 0, got -1"),
+    ({"lambda": "5"}, "lam must be a number > 0, got '5'"),
+    ({"lambda": True}, "lam must be a number > 0, got True"),
+    ({"epsilon": "x"}, "epsilon must be a number > 0, got 'x'"),
+])
+def test_sweep_bad_merge_settings_exit_2_before_any_seed(tmp_path, capsys, settings, message):
+    path = _sweep_config(tmp_path, [0], ["fisher+cogram"])
+    doc = json.loads(path.read_text())
+    doc["merge"] = settings
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("settings", [
+    {"lam": 3.0},
+    {"max_granularity": "neuron"},
+    {"prototype": "kmeans:2", "k_per_class": 0},
+    {"prototype": "batch", "batch_size": 10},
+])
+def test_sweep_merge_settings_have_one_key_each(tmp_path, capsys, settings):
+    path = _sweep_config(tmp_path, [0], ["fisher+cogram"])
+    doc = json.loads(path.read_text())
+    doc["merge"] = settings
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    unknown = sorted(k for k in settings if k != "prototype")
+    assert f"unknown merge config fields: {unknown}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("kmeans:0", "k_per_class must be an integer >= 1, got 0"),
+    ("kmeans:x", "bad prototype spec 'kmeans:x'"),
+    ("batch:0", "batch_size must be an integer >= 1, got 0"),
+])
+def test_merge_bad_prototype_exits_2_before_the_fisher_pass(workspace, tmp_path, capsys,
+                                                             monkeypatch, spec, message):
+    def no_fisher(*args, **kwargs):
+        raise AssertionError("the Fisher pass ran before the merge config was checked")
+
+    monkeypatch.setattr(cli.baseline, "fisher_information", no_fisher)
+    rc = main(["merge", "--method", "fisher+cogram",
+               "--model-a", str(workspace / "a.json"),
+               "--model-b", str(workspace / "b.json"),
+               "--data-a", str(workspace / "data" / "data_a.csv"),
+               "--data-b", str(workspace / "data" / "data_b.csv"),
+               "--prototype", spec, "--out", str(tmp_path / "m.json")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_sweep_rows_carry_stage_timings(tmp_path):
     methods = ["average", "fisher", "fisher+cogram", "fisher+cogram+kickoff"]
     cfg = _sweep_config(tmp_path, [0, 1], methods)

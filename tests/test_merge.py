@@ -39,7 +39,6 @@ from cogram.net import (
     set_structure,
     softmax,
 )
-from cogram.prototypes import Prototype, PrototypeSet
 from cogram.synthdata import Dataset
 from cogram.training import OptimizerConfig
 from conftest import ArrayEvalSet
@@ -549,11 +548,11 @@ def test_build_eval_set_modes():
     labels = np.repeat(np.arange(4), 10)
     data = Dataset(feats, labels, 4)
     onehot = build_eval_set(data, MergeConfig(eval_mode="onehot"))
-    assert len(onehot) == 4 and onehot.eval_mode == "prototypes"
+    assert len(onehot) == 4 and np.array_equal(onehot.targets, np.eye(4))
     kmeans = build_eval_set(data, MergeConfig(eval_mode="kmeans", k_per_class=2))
     assert len(kmeans) == 8
     batch = build_eval_set(data, MergeConfig(eval_mode="batch", batch_size=7))
-    assert len(batch) == 7 and batch.eval_mode == "raw_batch"
+    assert len(batch) == 7 and all((feats == row).all(axis=1).any() for row in batch.inputs)
     whole = build_eval_set(data, MergeConfig(eval_mode="batch"))
     assert len(whole) == 40
 
@@ -567,6 +566,21 @@ def test_merge_config_validation():
         MergeConfig(iterations=0)
     with pytest.raises(ValueError):
         LevelThresholds(0.5, 0.1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lam", True), ("lam", "5"), ("lam", math.nan), ("epsilon", "x"), ("epsilon", 0.0),
+    ("iterations", 2.5), ("iterations", True), ("k_per_class", 0), ("batch_size", 0),
+    ("batch_size", 2.0), ("eval_seed", -1), ("eval_seed", 1.5),
+])
+def test_merge_config_rejects_bad_field_types_and_ranges(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        MergeConfig(**{field: value})
+
+
+def test_merge_config_accepts_numpy_scalars_and_whole_dataset_batches():
+    config = MergeConfig(lam=np.float64(2.0), iterations=np.int64(2), batch_size=None)
+    assert config.iterations == 2 and config.batch_size is None
 
 
 # --- gradient kickoff ------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from cogram import net as netmod
 from cogram.net import (
     DenseLayer,
+    EvalSet,
     FormatError,
     Network,
     ShapeError,
@@ -16,7 +17,7 @@ from cogram.net import (
     forward,
     get_structure,
     log_softmax,
-    mse_arrays,
+    mse_loss,
     random_network,
     set_structure,
     softmax,
@@ -183,28 +184,56 @@ def test_cross_entropy_equals_mean_of_per_sample_oracle():
 
 def test_cross_entropy_rejects_empty():
     net = random_network([4, 3], seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^empty evaluation set$"):
         cross_entropy_arrays(net, np.zeros((0, 4)), np.zeros((0, 3)))
 
 
 def test_mse_zero_when_outputs_equal_targets():
     net = Network([DenseLayer(np.eye(3), np.zeros(3), "identity")], 3, 3)
     x = np.random.default_rng(1).normal(size=(4, 3))
-    assert mse_arrays(net, x, x) == 0.0
+    assert mse_loss(net, EvalSet(x, x)) == 0.0
 
 
 def test_mse_single_prototype_value():
     # output (1, 0) vs target (0, 0): (1 + 0) / 2 = 0.5
     net = Network([DenseLayer(np.eye(2), np.zeros(2), "identity")], 2, 2)
-    assert mse_arrays(net, np.array([[1.0, 0.0]]), np.array([[0.0, 0.0]])) == 0.5
+    assert mse_loss(net, EvalSet(np.array([[1.0, 0.0]]), np.array([[0.0, 0.0]]))) == 0.5
 
 
 def test_mse_quadratic_homogeneity():
     net = Network([DenseLayer(np.eye(2), np.zeros(2), "identity")], 2, 2)
     x = np.array([[1.0, -2.0], [0.5, 3.0]])
-    base = mse_arrays(net, x, np.zeros_like(x))
-    scaled = mse_arrays(net, 2.0 * x, np.zeros_like(x))
+    base = mse_loss(net, EvalSet(x, np.zeros_like(x)))
+    scaled = mse_loss(net, EvalSet(2.0 * x, np.zeros_like(x)))
     assert abs(scaled - 4.0 * base) < 1e-12
+
+
+# --- mis-shaped targets -----------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", [(6, 1), (3,), (1, 3), (6, 2), (6, 4)])
+@pytest.mark.parametrize("lossf", [netmod.cross_entropy_loss, mse_loss])
+def test_losses_reject_targets_not_shaped_like_the_logits(lossf, shape):
+    # broadcasting would turn each of these into a plausible number
+    net = random_network([4, 5, 3], seed=0)
+    rng = np.random.default_rng(0)
+    es = EvalSet(rng.normal(size=(6, 4)), np.eye(3)[rng.integers(0, 3, size=6)])
+    es.targets = np.full(shape, 1.0 / shape[-1])
+    for work in (None, netmod.Workspace(net, 6)):
+        with pytest.raises(ShapeError, match="do not match logits of shape"):
+            lossf(net, es, work=work)
+    if len(shape) == 2 and shape[0] == 6:
+        with pytest.raises(ShapeError):
+            cross_entropy_arrays(net, es.inputs, es.targets)
+    with pytest.raises(ShapeError, match="do not match logits of shape"):
+        backward_arrays(net, es.inputs, es.targets, loss=lossf.__name__.removesuffix("_loss"))
+
+
+def test_loss_function_by_name():
+    assert netmod.loss_function("cross_entropy") is netmod.cross_entropy_loss
+    assert netmod.loss_function("mse") is netmod.mse_loss
+    with pytest.raises(ValueError, match="unknown loss"):
+        netmod.loss_function("hinge")
 
 
 # --- workspaces --------------------------------------------------------------
