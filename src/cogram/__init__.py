@@ -21,7 +21,6 @@ from .net import (
     DenseLayer,
     EvalSet,
     FormatError,
-    Gradients,
     Network,
     ShapeError,
     StructureAddress,

@@ -6,7 +6,9 @@ The Fisher estimate is the empirical diagonal with model-sampled labels:
 for each input, one label is drawn from the model's own softmax and the
 squared gradient of that label's log-probability is accumulated. For a
 dense stack the per-sample squared gradients reduce to (delta^2)^T @ (a^2)
-per layer, so the whole thing runs as one batched pass.
+per layer, so the whole thing runs as one batched pass. The estimate is one
+vector laid out like the network's ``theta``, one weight per parameter, and
+the Fisher merge is one expression on the two parameter vectors.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from .synthdata import Dataset
 
 @dataclass
 class FisherInfo:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    diagonal: np.ndarray  # laid out like the network's theta
     sample_count: int
 
 
@@ -58,20 +59,18 @@ def fisher_information(
     delta = -probs
     delta[np.arange(n), sampled] += 1.0
 
-    fisher_w = []
-    fisher_b = []
+    diagonal = np.empty_like(net.theta)
+    fisher_w, fisher_b = net.layer_views(diagonal)
     for k in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[k]
         netmod._times_activation_derivative(delta, pres[k], layer.activation)
         d2 = delta**2
         a2 = acts[k] ** 2
-        fisher_w.append(d2.T @ a2 / n)
-        fisher_b.append(d2.mean(axis=0))
+        np.divide(d2.T @ a2, n, out=fisher_w[k])
+        np.mean(d2, axis=0, out=fisher_b[k])
         if k > 0:
             delta = delta @ layer.weights
-    fisher_w.reverse()
-    fisher_b.reverse()
-    return FisherInfo(weights=fisher_w, biases=fisher_b, sample_count=n)
+    return FisherInfo(diagonal=diagonal, sample_count=n)
 
 
 def fisher_merge(
@@ -80,12 +79,15 @@ def fisher_merge(
     """Per-parameter Fisher-weighted average with both weights floored.
 
     Weighting is computed as wa = Fa/(Fa+Fb), theta = wa*a + (1-wa)*b, so
-    equal Fisher values reduce to uniform_average bit-for-bit.
+    equal Fisher values reduce to uniform_average bit-for-bit. Each Fisher
+    diagonal must be laid out like its network's ``theta``.
     """
     netmod.require_compatible(a, b)
     if floor <= 0:
         raise ValueError("floor must be > 0")
-    fa = np.maximum(a.flat(f_a.weights, f_a.biases), floor)
-    fb = np.maximum(b.flat(f_b.weights, f_b.biases), floor)
+    a.require_layout(f_a.diagonal, "Fisher estimate of A")
+    b.require_layout(f_b.diagonal, "Fisher estimate of B")
+    fa = np.maximum(f_a.diagonal, floor)
+    fb = np.maximum(f_b.diagonal, floor)
     wa = fa / (fa + fb)
     return a.with_theta(wa * a.theta + (1.0 - wa) * b.theta)

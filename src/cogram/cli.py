@@ -24,7 +24,7 @@ import numpy as np
 from . import baseline, merge, net as netmod, synthdata, training
 from .merge import MergeConfig, Thresholds
 from .synthdata import DataConfig, Dataset
-from .training import OptimizerConfig
+from .training import OptimizerConfig, check_number
 
 KNOWN_METHODS = ("average", "fisher", "fisher+cogram", "fisher+cogram+kickoff")
 
@@ -69,8 +69,12 @@ class ExperimentConfig:
     seeds: list[int] = field(default_factory=lambda: list(range(10)))
 
     def __post_init__(self):
-        if not self.seeds:
-            raise UsageError("seed list must be nonempty")
+        if not (isinstance(self.seeds, list) and self.seeds):
+            raise UsageError(f"seeds must be a nonempty list, got {self.seeds!r}")
+        for seed in self.seeds:
+            check_number("each seed", seed, 0, integer=True)
+        if len(set(self.seeds)) != len(self.seeds):
+            raise UsageError(f"seeds must be unique, got {self.seeds}")
         if not self.methods:
             raise UsageError("methods must be nonempty")
         for m in self.methods:
@@ -78,23 +82,24 @@ class ExperimentConfig:
                 raise UsageError(f"unknown method {m!r} (known: {', '.join(KNOWN_METHODS)})")
         if self.mode not in ("homogeneous", "heterogeneous"):
             raise UsageError(f"mode must be homogeneous or heterogeneous, got {self.mode!r}")
+        if not (isinstance(self.arch, list) and len(self.arch) >= 2):
+            raise UsageError(f"arch must be a list of at least two layer sizes, got {self.arch!r}")
+        for size in self.arch:
+            check_number("each arch size", size, 1, integer=True)
         if self.arch[0] != self.data.dim or self.arch[-1] != self.data.num_classes:
             raise UsageError(
                 f"arch {self.arch} does not match data (dim={self.data.dim}, "
                 f"classes={self.data.num_classes})"
             )
-        for name, low, high in (
+        for name, low, below in (
             ("epochs", 0, None),
             ("batch_size", 1, None),
             ("fisher_samples", 1, None),
-            ("kickoff_epochs", 0, merge.MAX_KICKOFF_EPOCHS),
+            ("kickoff_epochs", 0, merge.MAX_KICKOFF_EPOCHS + 1),
             ("finetune_epochs", 0, None),
         ):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, int) or value < low
-                    or (high is not None and value > high)):
-                bounds = f"in {low}..{high}" if high is not None else f"an integer >= {low}"
-                raise UsageError(f"{name} must be {bounds}, got {value!r}")
+            check_number(name, getattr(self, name), low, integer=True, below=below)
+        check_number("lr_multiplier", self.lr_multiplier, strict=True)
 
 
 def _dataconfig_from_dict(doc: dict) -> DataConfig:
@@ -109,19 +114,12 @@ def _dataconfig_from_dict(doc: dict) -> DataConfig:
 
 
 def _mergeconfig_from_dict(doc: dict) -> MergeConfig:
+    """The merge settings of a sweep config, or of ``cogram merge``'s flags."""
     doc = dict(doc)
     tau_min = doc.pop("tau_min", 0.0)
     tau_max = doc.pop("tau_max", None)
-    lam = doc.pop("lambda", 5.5)
-    granularity = doc.pop("granularity", "layer")
+    kwargs = dict(lam=doc.pop("lambda", 5.5), max_granularity=doc.pop("granularity", "layer"))
     prototype = doc.pop("prototype", None)
-    kwargs = dict(
-        lam=lam,
-        thresholds=Thresholds.uniform(
-            float(tau_min), math.inf if tau_max is None else float(tau_max)
-        ),
-        max_granularity=granularity,
-    )
     if prototype is not None:
         kwargs.update(_parse_prototype_spec(prototype))
     for key in ("epsilon", "eval_seed", "iterations", "loss"):
@@ -130,7 +128,8 @@ def _mergeconfig_from_dict(doc: dict) -> MergeConfig:
     if doc:
         raise UsageError(f"unknown merge config fields: {sorted(doc)}")
     try:
-        return MergeConfig(**kwargs)
+        thresholds = Thresholds.uniform(tau_min, math.inf if tau_max is None else tau_max)
+        return MergeConfig(thresholds=thresholds, **kwargs)
     except ValueError as exc:
         raise UsageError(f"bad merge config: {exc}") from exc
 
@@ -480,16 +479,11 @@ def cmd_merge(args) -> int:
         )
     merge_cfg = None
     if method == "cogram":
-        merge_cfg = MergeConfig(
-            lam=args.lam,
-            thresholds=Thresholds.uniform(
-                args.tau_min, math.inf if args.tau_max is None else args.tau_max
-            ),
-            max_granularity=args.granularity,
-            iterations=args.iterations,
-            eval_seed=args.seed,
-            **_parse_prototype_spec(args.prototype),
-        )
+        merge_cfg = _mergeconfig_from_dict({
+            "lambda": args.lam, "tau_min": args.tau_min, "tau_max": args.tau_max,
+            "granularity": args.granularity, "iterations": args.iterations,
+            "eval_seed": args.seed, "prototype": args.prototype,
+        })
     net_a = _load_model_checked(args.model_a)
     net_b = _load_model_checked(args.model_b)
     if not netmod.compatible(net_a, net_b):
@@ -648,10 +642,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (netmod.FormatError, netmod.ShapeError, ValueError) as exc:
+    except ValueError as exc:  # UsageError, FormatError and ShapeError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -35,7 +34,7 @@ from . import net as netmod
 from .net import EvalSet, Network, StructureAddress
 from .prototypes import build_prototypes_kmeans, build_prototypes_onehot, build_raw_batch
 from .synthdata import Dataset
-from .training import OptimizerConfig, TrainReport, train
+from .training import OptimizerConfig, TrainReport, check_number, train
 
 GRANULARITIES = ("layer", "neuron", "weight")
 MAX_KICKOFF_EPOCHS = 9  # the kickoff is a short phase
@@ -43,11 +42,18 @@ MAX_KICKOFF_EPOCHS = 9  # the kickoff is a short phase
 
 @dataclass(frozen=True)
 class LevelThresholds:
+    """One level's band: numbers >= 0 (infinity included), stored as floats."""
+
     tau_min: float = 0.0
     tau_max: float = math.inf
 
     def __post_init__(self):
-        if not 0.0 <= self.tau_min <= self.tau_max:
+        for name in ("tau_min", "tau_max"):
+            value = getattr(self, name)
+            if value != math.inf:
+                check_number(name, value)
+            object.__setattr__(self, name, float(value))
+        if not self.tau_min <= self.tau_max:
             raise ValueError("need 0 <= tau_min <= tau_max")
 
 
@@ -81,16 +87,11 @@ class MergeConfig:
 
     def __post_init__(self):
         for name in ("lam", "epsilon"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value > 0:
-                raise ValueError(f"{name} must be a number > 0, got {value!r}")
+            check_number(name, getattr(self, name), strict=True)
         for name, low in (("iterations", 1), ("k_per_class", 1), ("batch_size", 1),
                           ("eval_seed", 0)):
-            value = getattr(self, name)
-            if name == "batch_size" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            if name != "batch_size" or self.batch_size is not None:
+                check_number(name, getattr(self, name), low, integer=True)
         if self.max_granularity not in GRANULARITIES:
             raise ValueError(f"unknown granularity {self.max_granularity!r}")
         if self.eval_mode not in ("onehot", "kmeans", "batch"):

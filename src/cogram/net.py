@@ -7,7 +7,9 @@ pure or return a new network with its own copy of the parameters. Only
 the holder of a writable vector behind a network (``Network.with_theta``)
 changes it in place: training updates the network it trains, and the
 merge engine writes candidates into its private network for the layers it
-decides.
+decides. Parameter-shaped data, a gradient or a Fisher estimate, is one
+vector laid out like ``theta`` too; ``Network.layer_views`` gives its
+per-layer weight and bias views and ``Network.require_layout`` checks it.
 
 Parameter addressing convention: a neuron's block is its incoming
 weight row plus its bias, and at scalar granularity the bias is
@@ -140,15 +142,14 @@ class Network:
             at += rows
         return weights, biases
 
-    def flat(self, weights, biases) -> np.ndarray:
-        """Per-layer weight and bias arrays (a gradient, a Fisher estimate) as
-        one vector laid out like ``theta``; there must be one of each per
-        layer, shaped like the layer's."""
-        got = [np.shape(a) for a in weights] + [np.shape(a) for a in biases]
-        want = [l.weights.shape for l in self.layers] + [l.biases.shape for l in self.layers]
-        if got != want:
-            raise ShapeError(f"per-layer arrays of shapes {got} do not match the network's {want}")
-        return np.concatenate([np.ravel(a) for pair in zip(weights, biases) for a in pair])
+    def require_layout(self, vec, what: str) -> None:
+        """Raise ShapeError unless ``vec`` (a gradient, a Fisher estimate) has
+        ``theta``'s shape, the one layout of parameter-shaped data."""
+        if np.shape(vec) != self.theta.shape:
+            raise ShapeError(
+                f"{what} of shape {np.shape(vec)} is not laid out like the "
+                f"network's parameters {self.theta.shape}"
+            )
 
     def with_theta(self, theta: np.ndarray) -> "Network":
         """A network shaped like this one whose parameters are ``theta``
@@ -201,26 +202,6 @@ class StructureAddress:
         if self.weight is None:
             return (self.neuron,)
         return (self.neuron, self.weight)
-
-
-@dataclass
-class Gradients:
-    """Per-layer weight/bias gradients, shape-congruent with a Network."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def global_norm(self) -> float:
-        total = 0.0
-        for w, b in zip(self.weights, self.biases):
-            total += float(np.sum(w * w)) + float(np.sum(b * b))
-        return float(np.sqrt(total))
-
-    def scaled(self, factor: float) -> "Gradients":
-        return Gradients(
-            weights=[w * factor for w in self.weights],
-            biases=[b * factor for b in self.biases],
-        )
 
 
 def compatible(a: Network, b: Network) -> bool:
@@ -454,13 +435,13 @@ def cross_entropy_arrays(net: Network, inputs: np.ndarray, targets: np.ndarray) 
 
 def backward_arrays(
     net: Network, inputs: np.ndarray, targets: np.ndarray, loss: str = "cross_entropy",
-    out: Gradients | None = None,
-) -> tuple[float, Gradients]:
+    out: np.ndarray | None = None,
+) -> tuple[float, np.ndarray]:
     """Loss and its exact analytic gradient w.r.t. every weight and bias.
 
-    The gradient is written into ``out`` when given (arrays shaped like the
-    network's layers, returned as the second value) and into new arrays
-    otherwise.
+    The gradient is one vector laid out like ``theta``: written into ``out``
+    when given (which must have ``theta``'s shape, and is returned as the
+    second value), into a new vector otherwise.
     """
     x = _as_f64(inputs)
     y = _as_f64(targets)
@@ -473,6 +454,9 @@ def backward_arrays(
         raise ShapeError(
             f"targets of shape {y.shape} do not match logits of shape {(n, net.num_classes)}"
         )
+    if out is None:
+        out = np.empty_like(net.theta)
+    net.require_layout(out, "gradient buffer")
     pres, acts = forward_trace(net, x)
     logits = acts[-1]
 
@@ -491,16 +475,12 @@ def backward_arrays(
         delta *= 2.0
         delta /= n * logits.shape[1]
 
-    if out is None:
-        out = Gradients(
-            weights=[np.empty_like(layer.weights) for layer in net.layers],
-            biases=[np.empty_like(layer.biases) for layer in net.layers],
-        )
+    grad_w, grad_b = net.layer_views(out)
     for k in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[k]
         _times_activation_derivative(delta, pres[k], layer.activation)
-        np.matmul(delta.T, acts[k], out=out.weights[k])
-        np.sum(delta, axis=0, out=out.biases[k])
+        np.matmul(delta.T, acts[k], out=grad_w[k])
+        np.sum(delta, axis=0, out=grad_b[k])
         if k > 0:
             delta = delta @ layer.weights
     return value, out

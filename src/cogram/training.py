@@ -3,17 +3,38 @@
 Runs are deterministic: the seed drives init-free training (the caller
 seeds the initial network separately) and the per-epoch shuffle, so the
 same (net, data, config, seed) always produces bit-identical parameters.
+
+Training updates a network's whole parameter vector ``theta`` in place.
+Gradients, their clipping and the optimizer moments use the same layout,
+so an update is a few whole-vector operations.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import net as netmod
-from .net import Gradients, Network
+from .net import Network
 from .synthdata import Dataset
+
+
+def check_number(name: str, value, low=0, *, integer: bool = False, strict: bool = False,
+                 below=None) -> None:
+    """The check of numeric config fields: a finite real (an integer when
+    ``integer``), not a bool, >= low (> low if ``strict``) and < ``below``."""
+    ok = (not isinstance(value, bool)
+          and isinstance(value, numbers.Integral if integer else numbers.Real)
+          and math.isfinite(value)
+          and (value > low if strict else value >= low)
+          and (below is None or value < below))
+    if not ok:
+        bounds = f"{'>' if strict else '>='} {low}" + ("" if below is None else f" and < {below}")
+        kind = "an integer" if integer else "a number"
+        raise ValueError(f"{name} must be {kind} {bounds}, got {value!r}")
 
 
 @dataclass
@@ -28,12 +49,14 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.kind not in ("sgd_momentum", "adam"):
             raise ValueError(f"unknown optimizer {self.kind!r}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ValueError("clip_norm must be > 0")
+        check_number("learning_rate", self.learning_rate, strict=True)
+        check_number("eps", self.eps, strict=True)
+        if self.clip_norm is not None:
+            check_number("clip_norm", self.clip_norm, strict=True)
+        if not (isinstance(self.betas, (tuple, list)) and len(self.betas) == 2):
+            raise ValueError(f"betas must be two numbers, got {self.betas!r}")
+        for name, value in zip(("momentum", "betas[0]", "betas[1]"), (self.momentum, *self.betas)):
+            check_number(name, value, below=1)
 
 
 @dataclass
@@ -62,21 +85,18 @@ def init_optimizer_state(config: OptimizerConfig, net: Network) -> OptimizerStat
     return OptimizerState(config=config, velocity=np.zeros(size), second=second)
 
 
-def clip_gradients(g: Gradients, clip_norm: float) -> Gradients:
-    """Scale the gradient down so its global L2 norm is at most clip_norm."""
-    if clip_norm <= 0:
-        raise ValueError("clip_norm must be > 0")
-    norm = g.global_norm()
-    if norm <= clip_norm:
-        return g
-    return g.scaled(clip_norm / norm)
-
-
-# --- updates on the flat parameter vector -------------------------------------
-#
-# Training updates a network's whole parameter vector theta at once.
-# Gradients and optimizer moments use the same layout, so an update is a few
-# whole-vector operations.
+def clip_gradients(net: Network, grad: np.ndarray, clip_norm: float) -> None:
+    """Scale ``grad``, a gradient laid out like ``net.theta``, in place so
+    its global L2 norm is at most clip_norm. The squares are summed layer by
+    layer, weights then biases, as a per-layer clip sums them, to the bit."""
+    check_number("clip_norm", clip_norm, strict=True)
+    net.require_layout(grad, "gradient")
+    total = 0.0
+    for w, b in zip(*net.layer_views(grad)):
+        total += float(np.sum(w * w)) + float(np.sum(b * b))
+    norm = float(np.sqrt(total))
+    if norm > clip_norm:
+        grad *= clip_norm / norm
 
 
 def _update(state: OptimizerState, theta: np.ndarray, grad: np.ndarray) -> None:
@@ -109,10 +129,11 @@ def _update(state: OptimizerState, theta: np.ndarray, grad: np.ndarray) -> None:
 
 
 def optimizer_step(
-    state: OptimizerState, net: Network, g: Gradients
+    state: OptimizerState, net: Network, grad: np.ndarray
 ) -> tuple[Network, OptimizerState]:
-    """One update. SGD: v <- mu*v - lr*g, theta <- theta + v. Adam: bias-corrected."""
-    grad = net.flat(g.weights, g.biases)
+    """One update with ``grad``, a gradient laid out like ``net.theta``.
+    SGD: v <- mu*v - lr*g, theta <- theta + v. Adam: bias-corrected."""
+    net.require_layout(grad, "gradient")
     theta = net.theta.copy()
     _update(state, theta, grad)
     return net.with_theta(theta), state
@@ -150,12 +171,11 @@ def train(
     n = len(dataset)
     state = init_optimizer_state(optimizer_config, net)
     clip_norm = optimizer_config.clip_norm
-    # each step updates theta, the trained network's own parameters, in
-    # place; the gradient is written into per-layer views of one vector too
+    # each step writes the gradient into one buffer and updates theta, the
+    # trained network's own parameters, in place
     theta = net.theta.copy()
     trained = net.with_theta(theta)
     grad = np.empty_like(theta)
-    grads = Gradients(*net.layer_views(grad))
     epoch_losses: list[float] = []
     for _ in range(epochs):
         order = rng.permutation(n)
@@ -163,12 +183,10 @@ def train(
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             loss, _ = netmod.backward_arrays(
-                trained, dataset.features[idx], targets[idx], loss="cross_entropy", out=grads
+                trained, dataset.features[idx], targets[idx], loss="cross_entropy", out=grad
             )
             if clip_norm is not None:
-                norm = grads.global_norm()
-                if norm > clip_norm:
-                    grad *= clip_norm / norm
+                clip_gradients(trained, grad, clip_norm)
             _update(state, theta, grad)
             total += loss * len(idx)
         epoch_losses.append(total / n)

@@ -56,17 +56,18 @@ def central_difference_gradient(net, x, y, k, i, j, kind="cross_entropy", h=1e-5
 def assert_gradients_match_finite_differences(net, x, y, kind="cross_entropy",
                                               h=1e-5, tol=1e-5):
     """Every analytic entry within tol relative of the central difference."""
-    _, grads = netmod.backward_arrays(net, x, y, loss=kind)
+    _, grad = netmod.backward_arrays(net, x, y, loss=kind)
+    grad_w, grad_b = net.layer_views(grad)
     worst = 0.0
     for k, layer in enumerate(net.layers):
         for (i, j), _ in np.ndenumerate(layer.weights):
-            analytic = grads.weights[k][i, j]
+            analytic = grad_w[k][i, j]
             numeric = central_difference_gradient(net, x, y, k, i, j, kind, h)
             rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
             worst = max(worst, rel)
             assert rel < tol, (k, i, j, analytic, numeric)
         for i in range(layer.out_dim):
-            analytic = grads.biases[k][i]
+            analytic = grad_b[k][i]
             numeric = central_difference_gradient(net, x, y, k, i, None, kind, h)
             rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
             worst = max(worst, rel)

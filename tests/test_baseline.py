@@ -22,11 +22,7 @@ def _constant_net(sizes, value):
 
 
 def _fisher_like(net, value):
-    return FisherInfo(
-        weights=[np.full_like(l.weights, value) for l in net.layers],
-        biases=[np.full_like(l.biases, value) for l in net.layers],
-        sample_count=1,
-    )
+    return FisherInfo(diagonal=np.full_like(net.theta, value), sample_count=1)
 
 
 # --- uniform average -------------------------------------------------------------
@@ -65,9 +61,9 @@ def test_fisher_nonnegative_and_deterministic():
     data = _dataset(rng)
     f1 = fisher_information(net, data, sample_cap=40, seed=11)
     f2 = fisher_information(net, data, sample_cap=40, seed=11)
-    for w1, w2 in zip(f1.weights + f1.biases, f2.weights + f2.biases):
-        assert np.array_equal(w1, w2)
-        assert np.all(w1 >= 0)
+    assert f1.diagonal.shape == net.theta.shape
+    assert np.array_equal(f1.diagonal, f2.diagonal)
+    assert np.all(f1.diagonal >= 0)
     assert f1.sample_count == 40
 
 
@@ -79,12 +75,13 @@ def test_fisher_zero_net_closed_form():
     rng = np.random.default_rng(1)
     data = _dataset(rng, n=50, dim=4, num_classes=c)
     fisher = fisher_information(net, data, sample_cap=50, seed=2)
+    weights, biases = net.layer_views(fisher.diagonal)
 
-    assert np.all(fisher.weights[0] == 0.0)
-    assert np.all(fisher.biases[0] == 0.0)
-    assert np.all(fisher.weights[1] == 0.0)
+    assert np.all(weights[0] == 0.0)
+    assert np.all(biases[0] == 0.0)
+    assert np.all(weights[1] == 0.0)
 
-    f_bias = fisher.biases[1]
+    f_bias = biases[1]
     hit, miss = (1 - 1 / c) ** 2, (1 / c) ** 2
     # F_c = q_c*hit + (1-q_c)*miss for an empirical label frequency q_c
     q = (f_bias - miss) / (hit - miss)
@@ -137,16 +134,8 @@ def test_fisher_merge_convex_bounds_property():
     for seed in range(10):
         a = random_network([5, 4, 3], seed=seed)
         b = random_network([5, 4, 3], seed=seed + 100)
-        f_a = FisherInfo(
-            weights=[rng.uniform(0, 2, l.weights.shape) for l in a.layers],
-            biases=[rng.uniform(0, 2, l.biases.shape) for l in a.layers],
-            sample_count=1,
-        )
-        f_b = FisherInfo(
-            weights=[rng.uniform(0, 2, l.weights.shape) for l in b.layers],
-            biases=[rng.uniform(0, 2, l.biases.shape) for l in b.layers],
-            sample_count=1,
-        )
+        f_a = FisherInfo(diagonal=rng.uniform(0, 2, a.theta.size), sample_count=1)
+        f_b = FisherInfo(diagonal=rng.uniform(0, 2, b.theta.size), sample_count=1)
         merged = fisher_merge(a, b, f_a, f_b)
         for lm, la, lb in zip(merged.layers, a.layers, b.layers):
             lo = np.minimum(la.weights, lb.weights) - 1e-12
@@ -174,10 +163,12 @@ def test_fisher_merge_rejects_a_fisher_with_fewer_layers():
         fisher_merge(a, b, _fisher_like(a, 1.0), short)
 
 
-def test_fisher_merge_rejects_a_bias_fisher_that_would_broadcast():
+def test_fisher_merge_rejects_a_fisher_that_would_broadcast():
     a = random_network([4, 3], seed=0)
     b = random_network([4, 3], seed=1)
-    f_b = _fisher_like(b, 1.0)
-    f_b.biases = [np.ones(1)]
-    with pytest.raises(netmod.ShapeError):
-        fisher_merge(a, b, _fisher_like(a, 1.0), f_b)
+    for diagonal in (np.ones(1), np.ones((1, b.theta.size)), np.ones(b.theta.size + 1)):
+        f_b = FisherInfo(diagonal=diagonal, sample_count=1)
+        with pytest.raises(netmod.ShapeError, match="not laid out like"):
+            fisher_merge(a, b, _fisher_like(a, 1.0), f_b)
+        with pytest.raises(netmod.ShapeError, match="not laid out like"):
+            fisher_merge(a, b, f_b, _fisher_like(b, 1.0))

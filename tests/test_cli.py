@@ -114,6 +114,21 @@ def test_train_negative_epochs_exits_2(workspace, tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("flags, field", [
+    (["--lr", "nan"], "learning_rate"),
+    (["--lr", "inf"], "learning_rate"),
+    (["--lr", "0"], "learning_rate"),
+    (["--clip-norm", "0"], "clip_norm"),
+    (["--clip-norm", "nan"], "clip_norm"),
+])
+def test_train_bad_optimizer_settings_exit_2(workspace, tmp_path, capsys, flags, field):
+    rc = main(["train", "--data", str(workspace / "data" / "data_a.csv"),
+               "--arch", "6,12,4", "--epochs", "1", "--out", str(tmp_path / "m.json")] + flags)
+    assert rc == 2
+    assert f"{field} must be a number > 0" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_eval_rejects_non_integer_labels_with_exit_2(workspace, tmp_path, capsys):
     lines = (workspace / "data" / "test.csv").read_text().splitlines()
     lines[1] = lines[1].rsplit(",", 1)[0] + ",1.7"
@@ -326,6 +341,12 @@ def test_sweep_bad_config_exits_2(tmp_path, capsys):
     ("train", {"epochs": -1}),
     ("train", {"batch_size": 0}),
     ("train", {"epochs": 2.5}),
+    ("train", {"learning_rate": True}),
+    ("train", {"learning_rate": float("nan")}),
+    ("train", {"betas": [2, 3]}),
+    ("train", {"eps": -1}),
+    ("train", {"clip_norm": 0}),
+    ("kickoff", {"lr_multiplier": -1}),
 ])
 def test_sweep_bad_training_settings_exit_2(tmp_path, capsys, section, settings):
     path = _sweep_config(tmp_path, [0], ["fisher+cogram+kickoff"])
@@ -334,6 +355,45 @@ def test_sweep_bad_training_settings_exit_2(tmp_path, capsys, section, settings)
     path.write_text(json.dumps(doc))
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert next(iter(settings)) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"arch": [5, 0, 3]}, "each arch size must be an integer >= 1, got 0"),
+    ({"arch": [5, 2.5, 3]}, "each arch size must be an integer >= 1, got 2.5"),
+    ({"arch": 5}, "arch must be a list of at least two layer sizes, got 5"),
+    ({"seeds": [-1]}, "each seed must be an integer >= 0, got -1"),
+    ({"seeds": [0, True]}, "each seed must be an integer >= 0, got True"),
+    ({"seeds": [0, 0]}, "seeds must be unique, got [0, 0]"),
+    ({"seeds": 5}, "seeds must be a nonempty list, got 5"),
+    ({"seeds": []}, "seeds must be a nonempty list, got []"),
+    ({"kickoff": {"lr_multiplier": 0}}, "lr_multiplier must be a number > 0, got 0"),
+    ({"kickoff": {"lr_multiplier": "2"}}, "lr_multiplier must be a number > 0, got '2'"),
+])
+def test_sweep_bad_experiment_settings_exit_2(tmp_path, capsys, settings, message):
+    path = _sweep_config(tmp_path, [0], ["fisher+cogram+kickoff"])
+    doc = json.loads(path.read_text())
+    doc.update(settings)
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"tau_min": True}, "tau_min must be a number >= 0, got True"),
+    ({"tau_max": "1.5"}, "tau_max must be a number >= 0, got '1.5'"),
+    ({"tau_max": float("nan")}, "tau_max must be a number >= 0, got nan"),
+    ({"tau_min": -0.5}, "tau_min must be a number >= 0, got -0.5"),
+    ({"tau_min": 0.5, "tau_max": 0.1}, "need 0 <= tau_min <= tau_max"),
+])
+def test_sweep_bad_thresholds_exit_2(tmp_path, capsys, settings, message):
+    path = _sweep_config(tmp_path, [0], ["fisher+cogram"])
+    doc = json.loads(path.read_text())
+    doc["merge"] = settings
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"bad merge config: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -578,6 +578,21 @@ def test_merge_config_rejects_bad_field_types_and_ranges(field, value):
         MergeConfig(**{field: value})
 
 
+@pytest.mark.parametrize("tau_min, tau_max", [
+    (True, 1.0), (0.0, "1.5"), (math.nan, 1.0), (0.0, math.nan), (-1.0, 1.0), (0.0, -math.inf),
+])
+def test_level_thresholds_reject_bad_bounds(tau_min, tau_max):
+    with pytest.raises(ValueError, match="^tau_m(in|ax) must be"):
+        LevelThresholds(tau_min, tau_max)
+
+
+def test_level_thresholds_store_floats():
+    band = LevelThresholds(np.int64(0), 1)
+    assert type(band.tau_min) is float and type(band.tau_max) is float
+    assert band == LevelThresholds(0.0, 1.0)
+    assert LevelThresholds(math.inf, math.inf).tau_min == math.inf
+
+
 def test_merge_config_accepts_numpy_scalars_and_whole_dataset_batches():
     config = MergeConfig(lam=np.float64(2.0), iterations=np.int64(2), batch_size=None)
     assert config.iterations == 2 and config.batch_size is None

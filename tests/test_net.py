@@ -307,8 +307,9 @@ def test_backward_zero_gradient_at_exact_minimum():
     )
     x = np.random.default_rng(0).normal(size=(8, 6))
     y = np.full((8, c), 1.0 / c)
-    _, grads = backward_arrays(net, x, y)
-    assert grads.global_norm() < 1e-8
+    _, grad = backward_arrays(net, x, y)
+    assert grad.shape == net.theta.shape
+    assert np.linalg.norm(grad) < 1e-8
 
 
 @pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
@@ -328,8 +329,18 @@ def test_backward_duplication_invariance():
     loss1, g1 = backward_arrays(net, x, y)
     loss2, g2 = backward_arrays(net, np.vstack([x, x]), np.vstack([y, y]))
     assert abs(loss1 - loss2) < 1e-12
-    for a, b in zip(g1.weights + g1.biases, g2.weights + g2.biases):
-        assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
+    assert np.allclose(g1, g2, rtol=1e-12, atol=1e-15)
+
+
+def test_backward_rejects_a_gradient_buffer_not_laid_out_like_theta():
+    rng = np.random.default_rng(4)
+    net = random_network([5, 4, 3], seed=1)
+    x = rng.normal(size=(7, 5))
+    y = np.eye(3)[rng.integers(0, 3, size=7)]
+    n = net.theta.size
+    for bad in (np.empty(n - 1), np.empty(n + 1), np.empty((1, n)), np.empty(0)):
+        with pytest.raises(ShapeError, match="not laid out like"):
+            backward_arrays(net, x, y, out=bad)
 
 
 # --- get/set structure ---------------------------------------------------------

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from cogram import net as netmod
-from cogram.net import Gradients, random_network
+from cogram.net import random_network
 from cogram.synthdata import Dataset
 from cogram.training import (
     OptimizerConfig,
@@ -15,17 +17,21 @@ from cogram.training import (
 
 
 def _grads_like(net, value):
-    return Gradients(
-        weights=[np.full_like(l.weights, value) for l in net.layers],
-        biases=[np.full_like(l.biases, value) for l in net.layers],
-    )
+    return np.full_like(net.theta, value)
 
 
 def _random_grads(net, rng):
-    return Gradients(
-        weights=[rng.normal(size=l.weights.shape) for l in net.layers],
-        biases=[rng.normal(size=l.biases.shape) for l in net.layers],
-    )
+    return rng.normal(size=net.theta.size)
+
+
+def _norm(grad):
+    return float(np.linalg.norm(grad))
+
+
+def _clipped(net, grad, clip_norm):
+    out = grad.copy()
+    clip_gradients(net, out, clip_norm)
+    return out
 
 
 def _params_flat(net):
@@ -48,43 +54,46 @@ def _toy_separable(n=100, seed=0):
 def test_clip_noop_under_threshold():
     net = random_network([3, 2], seed=0)
     g = _grads_like(net, 0.05)  # norm ~ 0.16
-    assert g.global_norm() < 1.0
-    clipped = clip_gradients(g, 1.0)
-    for a, b in zip(clipped.weights + clipped.biases, g.weights + g.biases):
-        assert np.array_equal(a, b)
+    assert _norm(g) < 1.0
+    clipped = _clipped(net, g, 1.0)
+    assert np.array_equal(clipped, g)
 
 
 def test_clip_scales_homogeneously():
     net = random_network([4, 4], seed=1)
     g = _random_grads(net, np.random.default_rng(2))
-    norm = g.global_norm()
-    clipped = clip_gradients(g, norm / 10.0)
-    assert abs(clipped.global_norm() - norm / 10.0) < 1e-12
-    for a, b in zip(clipped.weights + clipped.biases, g.weights + g.biases):
-        assert np.allclose(a * 10.0, b, rtol=1e-12)
+    norm = _norm(g)
+    clipped = _clipped(net, g, norm / 10.0)
+    assert abs(_norm(clipped) - norm / 10.0) < 1e-12
+    assert np.allclose(clipped * 10.0, g, rtol=1e-12)
 
 
 def test_clip_zero_gradients_safe():
     net = random_network([3, 2], seed=0)
     g = _grads_like(net, 0.0)
-    clipped = clip_gradients(g, 1.0)
-    assert clipped.global_norm() == 0.0
+    clipped = _clipped(net, g, 1.0)
+    assert _norm(clipped) == 0.0
 
 
 def test_clip_preserves_direction():
     net = random_network([4, 3], seed=3)
     g = _random_grads(net, np.random.default_rng(4))
-    clipped = clip_gradients(g, g.global_norm() / 7.0)
-    a = np.concatenate([x.ravel() for x in g.weights + g.biases])
-    b = np.concatenate([x.ravel() for x in clipped.weights + clipped.biases])
-    cos = np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+    clipped = _clipped(net, g, _norm(g) / 7.0)
+    cos = np.dot(g, clipped) / (np.linalg.norm(g) * np.linalg.norm(clipped))
     assert abs(cos - 1.0) < 1e-12
 
 
 def test_clip_rejects_bad_norm():
     net = random_network([3, 2], seed=0)
     with pytest.raises(ValueError):
-        clip_gradients(_grads_like(net, 1.0), 0.0)
+        clip_gradients(net, _grads_like(net, 1.0), 0.0)
+
+
+def test_clip_rejects_a_gradient_not_laid_out_like_theta():
+    net = random_network([3, 2], seed=0)
+    for bad in (np.ones(net.theta.size - 1), np.ones((1, net.theta.size))):
+        with pytest.raises(netmod.ShapeError, match="not laid out like"):
+            clip_gradients(net, bad, 1.0)
 
 
 # --- optimizer_step --------------------------------------------------------------
@@ -137,6 +146,29 @@ def test_optimizer_config_validation():
         OptimizerConfig(kind="sgd_momentum", momentum=1.0)
     with pytest.raises(ValueError):
         OptimizerConfig(clip_norm=-1.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("learning_rate", True), ("learning_rate", math.nan), ("learning_rate", math.inf),
+    ("learning_rate", "0.1"), ("momentum", True), ("momentum", -0.1), ("eps", -1),
+    ("eps", 0.0), ("eps", math.nan), ("clip_norm", True), ("clip_norm", 0), ("clip_norm", math.nan),
+])
+def test_optimizer_config_rejects_bad_field_types_and_ranges(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        OptimizerConfig(**{field: value})
+
+
+@pytest.mark.parametrize("betas", [[2, 3], (0.9, 1.0), (0.9, -0.1), (True, 0.999), (0.9,),
+                                   (0.9, 0.99, 0.999), 0.9, (0.9, math.nan)])
+def test_optimizer_config_rejects_bad_betas(betas):
+    with pytest.raises(ValueError, match="^betas"):
+        OptimizerConfig(betas=betas)
+
+
+def test_optimizer_config_accepts_numpy_scalars_and_list_betas():
+    cfg = OptimizerConfig(learning_rate=np.float64(0.01), betas=[0.0, 0.5], eps=1e-12,
+                          clip_norm=np.float64(2.0), momentum=0.0)
+    assert cfg.learning_rate == 0.01 and cfg.clip_norm == 2.0
 
 
 # --- train -----------------------------------------------------------------------

@@ -3,8 +3,10 @@
 ``training.train`` keeps every parameter in one flat vector, updates it in
 place and writes gradients into reused buffers. The reference below is the
 per-layer backprop, optimizer step and training loop it replaced, kept
-verbatim: it rebuilds every layer and the network at each step. Trained
-models and reports must match it byte for byte.
+verbatim: it rebuilds every layer and the network at each step. It keeps its
+own per-layer gradient container and gradient clipping, copied from the
+code they replaced, because ``training.clip_gradients`` is under test.
+Trained models and reports must match it byte for byte.
 """
 
 import json
@@ -14,11 +16,41 @@ import numpy as np
 import pytest
 
 from cogram import net as netmod, synthdata, training
-from cogram.net import DenseLayer, Gradients, Network
+from cogram.net import DenseLayer, Network
 from cogram.synthdata import DataConfig
 from cogram.training import OptimizerConfig, TrainReport
 
 # --- reference: per-layer backprop and training ---------------------------------
+
+
+@dataclass
+class _RefGradients:
+    """Per-layer weight/bias gradients, shape-congruent with a Network."""
+
+    weights: list
+    biases: list
+
+    def global_norm(self) -> float:
+        total = 0.0
+        for w, b in zip(self.weights, self.biases):
+            total += float(np.sum(w * w)) + float(np.sum(b * b))
+        return float(np.sqrt(total))
+
+    def scaled(self, factor: float) -> "_RefGradients":
+        return _RefGradients(
+            weights=[w * factor for w in self.weights],
+            biases=[b * factor for b in self.biases],
+        )
+
+
+def _ref_clip_gradients(g, clip_norm):
+    """Scale the gradient down so its global L2 norm is at most clip_norm."""
+    if clip_norm <= 0:
+        raise ValueError("clip_norm must be > 0")
+    norm = g.global_norm()
+    if norm <= clip_norm:
+        return g
+    return g.scaled(clip_norm / norm)
 
 
 def _ref_activation_derivative(z, activation):
@@ -65,7 +97,7 @@ def _ref_backward(net, x, y, loss="cross_entropy"):
         grad_b[k] = delta.sum(axis=0)
         if k > 0:
             delta = delta @ layer.weights
-    return value, Gradients(weights=grad_w, biases=grad_b)
+    return value, _RefGradients(weights=grad_w, biases=grad_b)
 
 
 @dataclass
@@ -137,7 +169,7 @@ def _ref_train(net, dataset, optimizer_config, epochs, batch_size=64, seed=0, te
             idx = order[start : start + batch_size]
             loss, grads = _ref_backward(net, dataset.features[idx], targets[idx])
             if optimizer_config.clip_norm is not None:
-                grads = training.clip_gradients(grads, optimizer_config.clip_norm)
+                grads = _ref_clip_gradients(grads, optimizer_config.clip_norm)
             net, state = _ref_optimizer_step(state, net, grads)
             total += loss * len(idx)
         epoch_losses.append(total / n)
@@ -196,7 +228,7 @@ def test_clip_cases_do_clip(data):
     """The first batch's gradient is above both clip norms, so clipping runs."""
     train_set, _ = data
     net0 = netmod.random_network([8, 16, 12, 5], 7)
-    _, g = netmod.backward_arrays(net0, train_set.features[:64], train_set.one_hot()[:64])
+    _, g = _ref_backward(net0, train_set.features[:64], train_set.one_hot()[:64])
     assert g.global_norm() > 0.5
 
 
@@ -209,14 +241,12 @@ def test_backward_into_buffers_matches_allocating_and_reference(loss, activation
     y = np.eye(4)[rng.integers(0, 4, size=13)]
     value, alloc = netmod.backward_arrays(net, x, y, loss=loss)
     ref_value, ref = _ref_backward(net, x, y, loss)
-    buffers = Gradients(
-        weights=[np.full_like(l.weights, np.nan) for l in net.layers],
-        biases=[np.full_like(l.biases, np.nan) for l in net.layers],
-    )
+    buffers = np.full_like(net.theta, np.nan)
     out_value, returned = netmod.backward_arrays(net, x, y, loss=loss, out=buffers)
     assert returned is buffers
     assert value == out_value == ref_value
-    for got in (alloc, buffers):
+    for flat in (alloc, buffers):
+        got = _RefGradients(*net.layer_views(flat))
         for a, b in zip(got.weights + got.biases, ref.weights + ref.biases):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -229,11 +259,9 @@ def test_public_optimizer_step_matches_reference_step(kind):
     state, ref_state = training.init_optimizer_state(config, net), _ref_init_state(config, net)
     got, want = net, net
     for _ in range(3):
-        g = Gradients(
-            weights=[rng.normal(size=l.weights.shape) for l in net.layers],
-            biases=[rng.normal(size=l.biases.shape) for l in net.layers],
-        )
-        got, state = training.optimizer_step(state, got, g)
+        flat = rng.normal(size=net.theta.size)
+        g = _RefGradients(*net.layer_views(flat))
+        got, state = training.optimizer_step(state, got, flat)
         want, ref_state = _ref_optimizer_step(ref_state, want, g)
         assert netmod.serialize(got) == netmod.serialize(want)
     assert state.step == ref_state.step
@@ -242,11 +270,12 @@ def test_public_optimizer_step_matches_reference_step(kind):
 def test_non_finite_update_raises_the_reference_error():
     net = netmod.random_network([3, 2], 0)
     config = OptimizerConfig(kind="sgd_momentum", learning_rate=1.0)
-    g = Gradients(weights=[np.full((2, 3), np.inf)], biases=[np.zeros(2)])
+    flat = np.concatenate([np.full(6, np.inf), np.zeros(2)])
+    g = _RefGradients(*net.layer_views(flat))
     with pytest.raises(ValueError) as want:
         _ref_optimizer_step(_ref_init_state(config, net), net, g)
     with pytest.raises(ValueError) as got:
-        training.optimizer_step(training.init_optimizer_state(config, net), net, g)
+        training.optimizer_step(training.init_optimizer_state(config, net), net, flat)
     assert str(got.value) == str(want.value) == "layer parameters must be finite"
 
 
