@@ -23,8 +23,8 @@ import numpy as np
 
 from . import baseline, merge, net as netmod, synthdata, training
 from .merge import MergeConfig, Thresholds
-from .synthdata import DataConfig, Dataset
-from .training import OptimizerConfig, check_number
+from .synthdata import DataConfig, Dataset, check_number
+from .training import OptimizerConfig
 
 KNOWN_METHODS = ("average", "fisher", "fisher+cogram", "fisher+cogram+kickoff")
 
@@ -75,8 +75,8 @@ class ExperimentConfig:
             check_number("each seed", seed, 0, integer=True)
         if len(set(self.seeds)) != len(self.seeds):
             raise UsageError(f"seeds must be unique, got {self.seeds}")
-        if not self.methods:
-            raise UsageError("methods must be nonempty")
+        if not (isinstance(self.methods, list) and self.methods):
+            raise UsageError(f"methods must be a nonempty list, got {self.methods!r}")
         for m in self.methods:
             if m not in KNOWN_METHODS:
                 raise UsageError(f"unknown method {m!r} (known: {', '.join(KNOWN_METHODS)})")

@@ -13,11 +13,15 @@ applied iteratively, each pass operating on the latest fused network.
 One evaluator per layer (``_LayerEvaluator``) scores every candidate of
 that layer: it caches the activation entering the layer, writes each
 candidate in place into the parameter vector of its private network for
-this layer and the ones above, and keeps or restores it. A score uses
-exactly the operations of a full forward pass, so the merge is
-bit-identical to building each candidate network with ``set_structure``
-and evaluating it from the input, the reference engine of the tests. The
-finished layer leaves as a new, validated network.
+this layer and the ones above, and keeps or restores it. A layer or neuron
+candidate is one loss call. A weight decision scores A's and B's scalar in
+one stacked pass of a ``net.CandidateStack`` (the working layer twice, the
+layers above shared), then the blend in one loss call; the stack is made on
+a layer's first weight decision only. Every score uses exactly the
+operations of a full forward pass, so the merge is bit-identical to building
+each candidate network with ``set_structure`` and evaluating it from the
+input, the reference engine of the tests. The finished layer leaves as a
+new, validated network.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ import numpy as np
 from . import net as netmod
 from .net import EvalSet, Network, StructureAddress
 from .prototypes import build_prototypes_kmeans, build_prototypes_onehot, build_raw_batch
-from .synthdata import Dataset
-from .training import OptimizerConfig, TrainReport, check_number, train
+from .synthdata import Dataset, check_number
+from .training import OptimizerConfig, TrainReport, train
 
 GRANULARITIES = ("layer", "neuron", "weight")
 MAX_KICKOFF_EPOCHS = 9  # the kickoff is a short phase
@@ -153,6 +157,8 @@ def convex_combine(block_a, block_b, alpha: float):
     b = np.asarray(block_b, dtype=np.float64)
     if a.shape != b.shape:
         raise netmod.ShapeError(f"blocks differ in shape: {a.shape} vs {b.shape}")
+    if a.ndim == 0:  # numpy scalars run the same operations faster than 0-d arrays
+        a, b = a[()], b[()]
     out = alpha * a + (1.0 - alpha) * b
     return float(out) if out.ndim == 0 else out
 
@@ -175,17 +181,24 @@ class _LayerEvaluator:
 
     While layer k is decided every other layer of M is fixed, so the
     activation entering layer k is computed once. The evaluator keeps a
-    private network for layers k and up and the parameter vector behind it:
-    a candidate is written in place at its block's positions in that vector,
-    and ``layer``, the private network's first layer, shows every write. A
-    score is one call of the net loss function on the private network, fed
-    the cached input and run into one workspace: its operations are exactly
-    those of a full forward pass over M with the working layer, and it
-    allocates no array.
+    private network for layers k and up and the parameter vector behind it,
+    ``theta``: a candidate is written in place (``put``) at its block's
+    positions in that vector (``positions``, by neuron and weight index), and
+    ``layer``, the private network's first layer, shows every write. A score
+    is one call of the net loss function on the private network, fed the
+    cached input and run into one workspace: its operations are exactly those
+    of a full forward pass over M with the working layer, and it allocates no
+    array.
+
+    ``pair_losses`` scores A's and B's scalar of one weight decision in one
+    stacked pass. Its two candidates live in a ``net.CandidateStack``, made on
+    the first weight decision, whose rows mirror every write to the working
+    layer.
     """
 
     def __init__(self, m: Network, layer_idx: int, eval_set: EvalSet, loss: str):
         self.layer_idx = layer_idx
+        self._loss = loss
         self._lossf = netmod.loss_function(loss)
         self._below = m.layers[:layer_idx]
         in_dim = m.layers[layer_idx].in_dim
@@ -193,23 +206,41 @@ class _LayerEvaluator:
         if layer_idx > 0:
             x = netmod.forward(Network(self._below, m.input_dim, in_dim), x)
         upper = Network(m.layers[layer_idx:], in_dim, m.num_classes)
-        self._theta = upper.theta.copy()
-        self._upper = upper.with_theta(self._theta)
-        self._positions = upper.positions[0]
+        self.theta = upper.theta.copy()
+        self._upper = upper.with_theta(self.theta)
+        self.positions = upper.positions[0]
         self.layer = self._upper.layers[0]
         self._rows = EvalSet(x, eval_set.targets)
         self._work = netmod.Workspace(self._upper, x.shape[0])
+        self._pair: netmod.CandidateStack | None = None
         self._input_dim = m.input_dim
 
     def loss(self) -> float:
         return self._lossf(self._upper, self._rows, work=self._work)
 
+    def pair_losses(self, pos, value_a: float, value_b: float) -> list[float]:
+        """Losses with A's and with B's scalar at position ``pos`` of the
+        working layer, from one stacked pass; the working layer is untouched."""
+        if self._pair is None:
+            self._pair = netmod.CandidateStack(self._upper, self._rows, self._loss, 2)
+        params = self._pair.params
+        params[0, pos], params[1, pos] = value_a, value_b
+        losses = self._pair.losses()
+        params[:, pos] = self.theta[pos]
+        return losses
+
     def block(self, addr: StructureAddress):
-        return self._theta[self._positions[addr.key]]
+        return self.theta[self.positions[addr.key]]
 
     def write(self, addr: StructureAddress, block) -> None:
         """set_structure in place: the addressed block of the working layer."""
-        self._theta[self._positions[addr.key]] = block
+        self.put(self.positions[addr.key], block)
+
+    def put(self, pos, block) -> None:
+        """Write ``block`` at positions ``pos`` of the working layer."""
+        self.theta[pos] = block
+        if self._pair is not None:
+            self._pair.params[:, pos] = block
 
     def difference(self, addr: StructureAddress, block_a, block_b) -> tuple[float, float, float]:
         """Loss with A's block at addr, with B's block, and their gap. B's
@@ -243,22 +274,32 @@ def build_eval_set(dataset: Dataset, config: MergeConfig) -> EvalSet:
 # --- the sweep ----------------------------------------------------------------
 
 
+def _record(
+    config: MergeConfig, level: str, layer: int, neuron: int | None, weight: int | None,
+    l_a: float, l_b: float,
+) -> DecisionRecord:
+    """The record of a decision between A's candidate (loss ``l_a``) and B's:
+    their gap, classified against the level's band, and the mixing factor.
+    Its action is "merged" until the caller says otherwise."""
+    delta = l_a - l_b
+    band = config.thresholds.for_level(level)
+    alpha = mixing_factor(delta, config.lam)
+    return DecisionRecord(
+        level=level, layer=layer, neuron=neuron, weight=weight, loss_a=l_a, loss_b=l_b,
+        delta=delta, case=classify_case(delta, band.tau_min, band.tau_max), alpha=alpha,
+        action="merged",
+    )
+
+
 def _weigh(
     ev: _LayerEvaluator, addr: StructureAddress, a: Network, b: Network, config: MergeConfig
-) -> tuple[DecisionRecord, np.ndarray | float]:
-    """Score A's and B's block at addr and classify the gap. Returns the
-    decision's record (action "merged" until the caller says otherwise) and
-    the blend of the two blocks."""
+) -> tuple[DecisionRecord, np.ndarray]:
+    """Score A's and B's layer or neuron block at addr, one loss call each.
+    Returns the decision's record and the blend of the two blocks."""
     block_a, block_b = netmod.get_structure(a, addr), netmod.get_structure(b, addr)
-    l_a, l_b, delta = ev.difference(addr, block_a, block_b)
-    band = config.thresholds.for_level(addr.level)
-    alpha = mixing_factor(delta, config.lam)
-    rec = DecisionRecord(
-        level=addr.level, layer=addr.layer, neuron=addr.neuron, weight=addr.weight,
-        loss_a=l_a, loss_b=l_b, delta=delta,
-        case=classify_case(delta, band.tau_min, band.tau_max), alpha=alpha, action="merged",
-    )
-    return rec, convex_combine(block_a, block_b, alpha)
+    l_a, l_b, _ = ev.difference(addr, block_a, block_b)
+    rec = _record(config, addr.level, addr.layer, addr.neuron, addr.weight, l_a, l_b)
+    return rec, convex_combine(block_a, block_b, rec.alpha)
 
 
 def merge_weight_level(
@@ -273,21 +314,26 @@ def merge_weight_level(
 ) -> float:
     """Blend one scalar of the working layer (index in_dim is the bias); keep
     it only on strict improvement over ``loss_pre``, else the neuron-level
-    value stays. Terminal level: threshold cases are logged but trigger no
-    descent.
+    value stays. A's and B's scalar are scored in one stacked pass, the blend
+    in one loss call. Terminal level: threshold cases are logged but trigger
+    no descent.
 
     Returns the loss after the decision.
     """
-    addr = StructureAddress(ev.layer_idx, neuron_idx, weight_idx)
-    before = ev.block(addr)
-    rec, fused = _weigh(ev, addr, a, b, config)
-    ev.write(addr, fused)
+    k = ev.layer_idx
+    value_a = a.theta[a.positions[k][neuron_idx, weight_idx]]
+    value_b = b.theta[b.positions[k][neuron_idx, weight_idx]]
+    pos = ev.positions[neuron_idx, weight_idx]
+    rec = _record(config, "weight", k, neuron_idx, weight_idx,
+                  *ev.pair_losses(pos, value_a, value_b))
+    before = ev.theta[pos]
+    ev.put(pos, convex_combine(value_a, value_b, rec.alpha))
     rec.loss_pre, rec.loss_post = loss_pre, ev.loss()
     report.records.append(rec)
     if rec.loss_post < loss_pre:
         return rec.loss_post
     rec.action = "rolled_back"
-    ev.write(addr, before)
+    ev.put(pos, before)
     return loss_pre
 
 

@@ -20,6 +20,10 @@ positions of its block in ``theta``.
 Losses are measured on an ``EvalSet``, two arrays: the inputs and one target
 distribution per row. ``cross_entropy_loss`` and ``mse_loss`` each run
 ``forward`` and then the one loss kernel; ``loss_function`` picks one by name.
+The forward loop and the loss kernel also take a leading stack axis: a
+``CandidateStack`` scores several networks that differ only in their first
+layer in one pass, one loss per network, each bit-identical to its own
+single-network loss.
 """
 
 from __future__ import annotations
@@ -120,6 +124,8 @@ class Network:
             DenseLayer(w, b, act)
             for w, b, act in zip(*self.layer_views(self.theta), self._activations)
         )
+        # what the forward loop reads of each layer
+        self._plan = tuple((l.weights.T, l.biases, l.activation) for l in self.layers)
 
     @functools.cached_property
     def positions(self) -> tuple[np.ndarray, ...]:
@@ -275,16 +281,31 @@ class Workspace:
     inputs to networks shaped like ``net``: one activation buffer per layer,
     and the scratch arrays of the loss (the exp of the shifted logits, the
     finiteness mask, one value per row kept as a column, and the per-row
-    loss terms). One workspace serves any network of the same layer widths;
-    it holds no state between calls.
+    loss terms). One workspace serves any network of the same shape; it
+    holds no state between calls. With ``stack`` every buffer gets a leading
+    axis of that length, for a ``CandidateStack`` of as many networks.
     """
 
-    def __init__(self, net: Network, rows: int):
-        self.acts = [np.empty((rows, layer.out_dim)) for layer in net.layers]
-        self.exp = np.empty((rows, net.num_classes))
-        self.finite = np.empty((rows, net.num_classes), dtype=bool)
-        self.col = np.empty((rows, 1))
-        self.row = np.empty(rows)
+    def __init__(self, net: Network, rows: int, stack: int | None = None):
+        lead = () if stack is None else (stack,)
+        self.key = (stack, rows, net._shapes)
+        self.acts = [np.empty(lead + (rows, out_dim)) for out_dim, _ in net._shapes]
+        self.exp = np.empty(lead + (rows, net.num_classes))
+        self.finite = np.empty(lead + (rows, net.num_classes), dtype=bool)
+        self.col = np.empty(lead + (rows, 1))
+        self.row = np.empty(lead + (rows,))
+
+
+def _forward_into(plan, a: np.ndarray, acts) -> np.ndarray:
+    """The one forward loop: per layer of ``plan`` (``Network._plan``: the
+    weights transposed, the biases, the activation), ``a @ weights + biases``
+    into the next buffer of ``acts``, then the activation in place. A leading
+    stack axis on the weights and biases, or on ``a``, carries through."""
+    for (weights, biases, activation), out in zip(plan, acts):
+        np.matmul(a, weights, out=out)
+        out += biases
+        a = _apply_activation(out, activation, inplace=True)
+    return a
 
 
 def forward(net: Network, inputs, work: Workspace | None = None) -> np.ndarray:
@@ -300,20 +321,16 @@ def forward(net: Network, inputs, work: Workspace | None = None) -> np.ndarray:
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ShapeError(f"inputs must have {net.input_dim} features, got shape {x.shape}")
-    shapes = [(x.shape[0], layer.out_dim) for layer in net.layers]
     if work is None:
-        acts = [np.empty(shape) for shape in shapes]
-    elif [a.shape for a in work.acts] == shapes:
+        acts = [np.empty((x.shape[0], out_dim)) for out_dim, _ in net._shapes]
+    elif work.key == (None, x.shape[0], net._shapes):
         acts = work.acts
     else:
         raise ShapeError(
-            f"workspace buffers {[a.shape for a in work.acts]} do not fit {shapes}"
+            f"workspace buffers {[a.shape for a in work.acts]} do not fit "
+            f"{[(x.shape[0], out_dim) for out_dim, _ in net._shapes]}"
         )
-    a = x
-    for layer, out in zip(net.layers, acts):
-        np.matmul(a, layer.weights.T, out=out)
-        out += layer.biases
-        a = _apply_activation(out, layer.activation, inplace=True)
+    a = _forward_into(net._plan, x, acts)
     return a[0] if squeezed else a
 
 
@@ -325,11 +342,11 @@ def _shift_exp_sum(logits, caller: str, shifted=None, work: Workspace | None = N
     when given, else from new arrays."""
     z = _as_f64(logits)
     finite, e, sums = (None, None, None) if work is None else (work.finite, work.exp, work.col)
-    if not np.isfinite(z, out=finite).all():
+    if not np.logical_and.reduce(np.isfinite(z, out=finite), axis=None):
         raise ValueError(f"{caller} requires finite logits")
-    shifted = np.subtract(z, z.max(axis=-1, keepdims=True, out=sums), out=shifted)
+    shifted = np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True, out=sums), out=shifted)
     e = np.exp(shifted, out=e)
-    return shifted, e, e.sum(axis=-1, keepdims=True, out=sums)
+    return shifted, e, np.add.reduce(e, axis=-1, keepdims=True, out=sums)
 
 
 def softmax(logits) -> np.ndarray:
@@ -348,12 +365,15 @@ def log_softmax(logits) -> np.ndarray:
 
 def _loss_of_logits(
     loss: str, logits: np.ndarray, targets: np.ndarray, work: Workspace | None = None
-) -> float:
+):
     """The one loss kernel: mean cross-entropy of softmax(logits) against
     target distributions, or the mean over samples and output dimensions of
     squared residuals.
 
-    Every intermediate goes into ``work``'s scratch when given, else into new
+    ``logits`` (N, C) give one loss, a float. Logits with a leading stack
+    axis, (S, N, C) against the same (N, C) targets, give a list of S losses,
+    each reduced exactly as the loss of its (N, C) slice alone. Every
+    intermediate goes into ``work``'s scratch when given, else into new
     arrays. The cross-entropy builds the log-softmax in place in ``logits``,
     so its caller must not keep them; the squared error only reads them.
     """
@@ -361,11 +381,18 @@ def _loss_of_logits(
         shifted, e, sums = _shift_exp_sum(logits, "log_softmax", shifted=logits, work=work)
         shifted -= np.log(sums, out=sums)
         terms = np.multiply(targets, shifted, out=e)
-        return float(-np.mean(terms.sum(axis=-1, out=None if work is None else work.row)))
-    if loss == "mse":
-        diff = np.subtract(logits, targets, out=None if work is None else work.exp)
-        return float(np.mean(np.square(diff, out=diff)))
-    raise ValueError(f"unknown loss {loss!r}")
+        values = np.add.reduce(terms, axis=-1, out=None if work is None else work.row)
+        sign = -1.0
+    elif loss == "mse":
+        values = np.subtract(logits, targets, out=None if work is None else work.exp)
+        np.square(values, out=values)
+        sign = 1.0
+    else:
+        raise ValueError(f"unknown loss {loss!r}")
+    # the mean np.mean takes: one add.reduce over all values, over their count
+    if logits.ndim == targets.ndim:
+        return sign * float(np.add.reduce(values, axis=None) / values.size)
+    return [sign * float(np.add.reduce(v, axis=None) / v.size) for v in values]
 
 
 @dataclass(eq=False)
@@ -426,6 +453,40 @@ def loss_function(kind: str):
     if kind == "mse":
         return mse_loss
     raise ValueError(f"unknown loss {kind!r}")
+
+
+class CandidateStack:
+    """``size`` networks shaped like ``net`` that differ only in their first
+    layer, scored together on one evaluation set with the loss ``kind``.
+
+    ``params`` holds the candidates' first-layer parameters, one row per
+    candidate laid out like that layer's part of ``net.theta`` (weights
+    row-major, then biases), and starts as ``size`` copies of it; its holder
+    writes the candidates into it. The layers above are ``net``'s own, shared
+    by every candidate. ``losses`` runs the one forward loop and loss kernel
+    once with a leading stack axis, allocates no array, and gives each
+    candidate the loss, bit for bit, of ``net`` with its row written in.
+    """
+
+    def __init__(self, net: Network, eval_set: EvalSet, kind: str, size: int):
+        loss_function(kind)
+        logits = (len(eval_set), net.num_classes)
+        if eval_set.inputs.shape[1] != net.input_dim or eval_set.targets.shape != logits:
+            raise ShapeError(
+                f"evaluation inputs {eval_set.inputs.shape} and targets "
+                f"{eval_set.targets.shape} do not fit {net.input_dim} features and logits {logits}"
+            )
+        (out_dim, in_dim), activation = net._shapes[0], net._activations[0]
+        self.params = np.tile(net.theta[: out_dim * (in_dim + 1)], (size, 1))
+        weights = self.params[:, : out_dim * in_dim].reshape(size, out_dim, in_dim)
+        biases = self.params[:, out_dim * in_dim :].reshape(size, 1, out_dim)
+        self._plan = ((weights.transpose(0, 2, 1), biases, activation),) + net._plan[1:]
+        self._kind, self._eval_set = kind, eval_set
+        self._work = Workspace(net, len(eval_set), stack=size)
+
+    def losses(self) -> list[float]:
+        logits = _forward_into(self._plan, self._eval_set.inputs, self._work.acts)
+        return _loss_of_logits(self._kind, logits, self._eval_set.targets, self._work)
 
 
 def cross_entropy_arrays(net: Network, inputs: np.ndarray, targets: np.ndarray) -> float:

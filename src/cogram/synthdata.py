@@ -9,9 +9,26 @@ pure function of the config, so reruns are byte-identical.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+
+def check_number(name: str, value, low=0, *, integer: bool = False, strict: bool = False,
+                 below=None) -> None:
+    """The check of numeric config fields: a finite real (an integer when
+    ``integer``), not a bool, >= low (> low if ``strict``) and < ``below``."""
+    ok = (not isinstance(value, bool)
+          and isinstance(value, numbers.Integral if integer else numbers.Real)
+          and math.isfinite(value)
+          and (value > low if strict else value >= low)
+          and (below is None or value < below))
+    if not ok:
+        bounds = f"{'>' if strict else '>='} {low}" + ("" if below is None else f" and < {below}")
+        kind = "an integer" if integer else "a number"
+        raise ValueError(f"{name} must be {kind} {bounds}, got {value!r}")
 
 
 @dataclass
@@ -31,20 +48,14 @@ class DataConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if self.samples_per_class < 1 or self.test_samples_per_class < 1:
-            raise ValueError("sample counts must be positive")
-        if self.subclusters_per_class < 1:
-            raise ValueError("subclusters_per_class must be >= 1")
+        for name, low in (("num_classes", 2), ("dim", 1), ("samples_per_class", 1),
+                          ("test_samples_per_class", 1), ("subclusters_per_class", 1),
+                          ("seed", 0)):
+            check_number(name, getattr(self, name), low, integer=True)
         for name in ("center_scale", "subcluster_shift_scale", "base_noise_sigma",
                      "a_sin", "a_tan", "tan_clamp"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.test_noise_multiplier < 1.0:
-            raise ValueError("test_noise_multiplier must be >= 1")
+            check_number(name, getattr(self, name), strict=True)
+        check_number("test_noise_multiplier", self.test_noise_multiplier, 1)
 
 
 @dataclass

@@ -11,30 +11,13 @@ so an update is a few whole-vector operations.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import net as netmod
 from .net import Network
-from .synthdata import Dataset
-
-
-def check_number(name: str, value, low=0, *, integer: bool = False, strict: bool = False,
-                 below=None) -> None:
-    """The check of numeric config fields: a finite real (an integer when
-    ``integer``), not a bool, >= low (> low if ``strict``) and < ``below``."""
-    ok = (not isinstance(value, bool)
-          and isinstance(value, numbers.Integral if integer else numbers.Real)
-          and math.isfinite(value)
-          and (value > low if strict else value >= low)
-          and (below is None or value < below))
-    if not ok:
-        bounds = f"{'>' if strict else '>='} {low}" + ("" if below is None else f" and < {below}")
-        kind = "an integer" if integer else "a number"
-        raise ValueError(f"{name} must be {kind} {bounds}, got {value!r}")
+from .synthdata import Dataset, check_number
 
 
 @dataclass

@@ -380,6 +380,39 @@ def test_sweep_bad_experiment_settings_exit_2(tmp_path, capsys, settings, messag
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"num_classes": 3.0}, "num_classes must be an integer >= 2, got 3.0"),
+    ({"samples_per_class": True}, "samples_per_class must be an integer >= 1, got True"),
+])
+def test_bad_data_settings_exit_2_before_any_seed_runs(tmp_path, capsys, data, message):
+    # 3.0 classes used to fail every seed with a TypeError while the sweep exited 0,
+    # and True samples per class ran as 1
+    path = _sweep_config(tmp_path, [0, 1], ["average"])
+    doc = json.loads(path.read_text())
+    doc["data"].update(data)
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"bad data config: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+    gen = tmp_path / "gen.json"
+    gen.write_text(json.dumps({**doc["data"], "seed": 0}))
+    assert main(["gen-data", "--config", str(gen), "--out", str(tmp_path / "data")]) == 2
+    assert f"bad data config: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("methods", ["average", [], None])
+def test_sweep_methods_must_be_a_nonempty_list(tmp_path, capsys, methods):
+    # a string used to be read per character: "unknown method 'a'"
+    path = _sweep_config(tmp_path, [0], methods)
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"methods must be a nonempty list, got {methods!r}" in err
+    assert "unknown method" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("settings, message", [
     ({"tau_min": True}, "tau_min must be a number >= 0, got True"),
     ({"tau_max": "1.5"}, "tau_max must be a number >= 0, got '1.5'"),

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cogram import net as netmod
 from cogram.merge import (
@@ -261,6 +263,105 @@ def test_evaluator_score_allocates_less_than_one_logits_array(loss):
             if not tracing:
                 tracemalloc.stop()
         assert peak < 2048 * 20 * 8, (k, peak)
+
+
+# --- the stacked pair of a weight decision ------------------------------------------------
+
+
+FORCE_WEIGHT_PASS = MergeConfig(
+    thresholds=Thresholds(neuron=LevelThresholds(math.inf, math.inf)), max_granularity="weight"
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_pair_losses_equal_two_single_scores_after_any_history(data):
+    sizes = [data.draw(st.integers(2, 5)) for _ in range(data.draw(st.integers(2, 4)))]
+    activation = data.draw(st.sampled_from(["relu", "tanh", "identity"]))
+    loss = data.draw(st.sampled_from(["cross_entropy", "mse"]))
+    seed = data.draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    m, a, b = (random_network(sizes, seed + i, hidden_activation=activation) for i in range(3))
+    k = data.draw(st.integers(0, len(sizes) - 2))
+    out_dim, in_dim = m.layers[k].weights.shape
+    if data.draw(st.booleans()):  # M starts at the optimum, so neuron passes roll back
+        es = _self_consistent_eval(m, rng, data.draw(st.integers(1, 6)))
+    else:
+        es = _random_eval(rng, data.draw(st.integers(1, 6)), sizes[0], sizes[-1])
+    config = dataclasses.replace(FORCE_WEIGHT_PASS, loss=loss)
+    report = _report_for(config)
+    ev = _LayerEvaluator(m, k, es, loss)
+    for op in data.draw(st.lists(st.sampled_from(["write", "neuron", "weight"]), max_size=4)):
+        neuron = data.draw(st.integers(0, out_dim - 1))
+        if op == "write":
+            ev.write(StructureAddress(k, neuron), rng.normal(size=in_dim + 1))
+        elif op == "neuron":
+            merge_neuron_level(ev, neuron, a, b, config, report, check_restores=True)
+        else:
+            weight = data.draw(st.integers(0, in_dim))
+            merge_weight_level(ev, neuron, weight, a, b, config, report, ev.loss())
+
+    neuron = data.draw(st.integers(0, out_dim - 1))
+    pairs = []
+    for weight in (data.draw(st.integers(0, in_dim - 1)), in_dim):  # a weight, then the bias
+        pos = ev.positions[neuron, weight]
+        values = rng.normal(size=2)
+        before = ev.theta.tobytes()
+        pairs.append((pos, values, ev.pair_losses(pos, *values)))
+        assert ev.theta.tobytes() == before
+    for pos, values, pair in pairs:
+        kept = ev.theta[pos]
+        singles = []
+        for value in values:
+            ev.put(pos, value)
+            singles.append(ev.loss())
+        ev.put(pos, kept)
+        assert pair == singles
+
+
+@pytest.mark.parametrize("rows", [20, 2048])
+def test_weight_decision_allocates_nothing_after_the_first(rows):
+    rng = np.random.default_rng(0)
+    m, a, b = (random_network([32, 64, 64, 20], seed=i) for i in range(3))
+    es = _random_eval(rng, rows, 32, 20)
+    cfg = MergeConfig()
+    for k in range(len(m.layers)):
+        ev = _LayerEvaluator(m, k, es, cfg.loss)
+        report = _report_for(cfg)
+        running = merge_weight_level(ev, 0, 0, a, b, cfg, report, ev.loss())  # makes the pair
+        # A broadcasting ufunc takes an iterator buffer of up to bufsize elements
+        # (64 KiB by default) on every call; at the smallest bufsize that is 128 bytes.
+        bufsize = np.setbufsize(16)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            merge_weight_level(ev, 1, 2, a, b, cfg, report, running)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+            np.setbufsize(bufsize)
+        # the record and a few scalars; less than one 20-row logits array
+        assert peak < 20 * 20 * 8, (k, peak)
+
+
+def test_neuron_granularity_never_makes_the_stacked_buffers(monkeypatch):
+    made = []
+    stack = netmod.CandidateStack
+    monkeypatch.setattr(netmod, "CandidateStack", lambda *args: made.append(args) or stack(*args))
+    rng = np.random.default_rng(16)
+    m, a, b = (random_network([5, 4, 3], seed=i) for i in range(3))
+    es = _random_eval(rng, 8, 5, 3)
+    descend = Thresholds.uniform(0.0, 0.0)
+    _, report = cogram_merge(m, a, b, MergeConfig(thresholds=descend, max_granularity="neuron"),
+                             eval_set=es)
+    assert sum(rec.level == "neuron" for rec in report.records) == 4 + 3
+    assert made == []
+    _, report = cogram_merge(m, a, b, MergeConfig(thresholds=descend, max_granularity="weight"),
+                             eval_set=es)
+    assert len(made) == len({rec.layer for rec in report.records if rec.level == "weight"}) == 2
 
 
 # --- level operations -------------------------------------------------------------------

@@ -223,6 +223,21 @@ def test_engine_matches_reference_at_the_benchmark_shape():
     assert sum(rec.level == "neuron" for rec in reports[0].records) == 64 + 64 + 20
 
 
+def test_engine_matches_reference_at_the_benchmark_weight_shape():
+    # 20 one-hot rows through 64-wide layers down to single weights: every
+    # stacked (2, 20, 64) @ (64, 64) product must equal the reference's 2-d GEMMs
+    sizes = [32, 64, 64, 20]
+    config = MergeConfig(thresholds=BANDS["descend"], max_granularity="weight")
+    eval_set = merge.build_eval_set(_dataset(n=400, sizes=sizes), config)
+    assert eval_set.inputs.shape == (20, 32)
+    m, a, b = _trio("relu", sizes=sizes)
+    _, reports = _assert_engine_matches_reference(m, a, b, config, eval_set)
+    records = reports[0].records
+    descended = [rec for rec in records if rec.level == "neuron" and rec.case != 3]
+    weights = sum(rec.level == "weight" for rec in records)
+    assert weights == sum(sizes[rec.layer] + 1 for rec in descended) > 6000
+
+
 @pytest.mark.parametrize("granularity", merge.GRANULARITIES)
 def test_tie_a_equals_b_equals_m_rolls_everything_back(granularity):
     m, _, _ = _trio("relu")

@@ -294,6 +294,33 @@ def test_workspace_of_other_rows_or_widths_is_rejected():
             forward(net, es.inputs, work=work)
 
 
+@pytest.mark.parametrize("rows", [1, 37])
+@pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+def test_candidate_stack_scores_each_first_layer_like_its_own_network(activation, rows):
+    net, es = _workspace_case(activation, rows, True)
+    rng = np.random.default_rng(1)
+    for kind in ("cross_entropy", "mse"):
+        stack = netmod.CandidateStack(net, es, kind, 3)
+        size = stack.params.shape[1]
+        assert size == 8 * (6 + 1) and np.array_equal(stack.params[1], net.theta[:size])
+        stack.params += rng.normal(size=stack.params.shape)
+        expected = []
+        for row in stack.params:
+            theta = net.theta.copy()
+            theta[:size] = row
+            expected.append(netmod.loss_function(kind)(net.with_theta(theta), es))
+        assert stack.losses() == expected
+
+
+def test_candidate_stack_rejects_what_it_cannot_score():
+    net, es = _workspace_case("relu", 4, False)
+    with pytest.raises(ValueError, match="unknown loss"):
+        netmod.CandidateStack(net, es, "hinge", 2)
+    for inputs, targets in ((es.inputs[:, :5], es.targets), (es.inputs, es.targets[:, :4])):
+        with pytest.raises(ShapeError, match=r"do not fit 6 features and logits \(4, 5\)"):
+            netmod.CandidateStack(net, ArrayEvalSet(inputs, targets), "mse", 2)
+
+
 # --- backward ----------------------------------------------------------------
 
 

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -85,6 +88,34 @@ def test_config_validation():
         DataConfig(center_scale=0.0)
     with pytest.raises(ValueError):
         DataConfig(test_noise_multiplier=0.5)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("num_classes", 3.0, "num_classes must be an integer >= 2, got 3.0"),
+    ("num_classes", 1, "num_classes must be an integer >= 2, got 1"),
+    ("samples_per_class", True, "samples_per_class must be an integer >= 1, got True"),
+    ("dim", "4", "dim must be an integer >= 1, got '4'"),
+    ("test_samples_per_class", 0, "test_samples_per_class must be an integer >= 1, got 0"),
+    ("subclusters_per_class", 1.5, "subclusters_per_class must be an integer >= 1, got 1.5"),
+    ("seed", -1, "seed must be an integer >= 0, got -1"),
+    ("seed", None, "seed must be an integer >= 0, got None"),
+    ("center_scale", math.nan, "center_scale must be a number > 0, got nan"),
+    ("a_tan", math.inf, "a_tan must be a number > 0, got inf"),
+    ("base_noise_sigma", "0.4", "base_noise_sigma must be a number > 0, got '0.4'"),
+    ("tan_clamp", False, "tan_clamp must be a number > 0, got False"),
+    ("test_noise_multiplier", math.nan, "test_noise_multiplier must be a number >= 1, got nan"),
+])
+def test_config_rejects_bad_field_types_and_ranges(field, value, message):
+    # each of these used to pass the constructor and then fail, or run, every seed
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DataConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integers_and_integral_reals():
+    cfg = _small_cfg(num_classes=np.int64(3), dim=np.int32(5), center_scale=2,
+                     test_noise_multiplier=np.float64(1.0))
+    train, _ = generate_task(cfg)
+    assert train.features.shape == (3 * 30, 5)
 
 
 def test_generate_pair_deterministic():
