@@ -1,6 +1,12 @@
 """Command-line front end: data generation, training, merging, evaluation,
 and multi-seed sweeps.
 
+A merge method is a start point and the stages run on it, joined by "+":
+``{average|fisher}[+cogram][+kickoff]``. ``cogram sweep`` runs the methods
+its config lists; ``cogram merge`` turns its --method, --init and --kickoff
+flags into one such chain, and --init <model.json> puts a saved model in as
+the start point. Both run the chain through ``_Pipeline``.
+
 Exit codes: 0 success, 2 usage/config errors, 1 runtime failures. Every
 command is deterministic given its flags and seeds, so sweep outputs are
 byte-reproducible.
@@ -26,14 +32,9 @@ from .merge import MergeConfig, Thresholds
 from .synthdata import DataConfig, Dataset, check_number
 from .training import OptimizerConfig
 
-KNOWN_METHODS = ("average", "fisher", "fisher+cogram", "fisher+cogram+kickoff")
-
-_METHOD_COLUMN = {
-    "average": "average",
-    "fisher": "fisher",
-    "fisher+cogram": "fisher_cogram",
-    "fisher+cogram+kickoff": "fisher_cogram_kickoff",
-}
+# the stages of a merge method: a start point (average or fisher), then cogram
+# and kickoff, each optional and in this order; sweep.csv orders its columns so
+METHOD_STAGES = ("average", "fisher", "cogram", "kickoff")
 
 
 class UsageError(ValueError):
@@ -47,6 +48,15 @@ def _role_seed(seed: int, role: int) -> int:
 
 def _fmt(value: float) -> str:
     return repr(float(value))
+
+
+def _method_stages(method) -> tuple[str, ...]:
+    """A method name's stages: ``"fisher+cogram"`` -> ``("fisher", "cogram")``."""
+    stages = tuple(method.split("+")) if isinstance(method, str) else ()
+    steps = tuple(s for s in METHOD_STAGES[2:] if s in stages)  # each once, in order
+    if stages[:1] not in (("average",), ("fisher",)) or stages[1:] != steps:
+        raise UsageError(f"unknown method {method!r} (want {{average|fisher}}[+cogram][+kickoff])")
+    return stages
 
 
 # --- configs ------------------------------------------------------------------
@@ -77,9 +87,10 @@ class ExperimentConfig:
             raise UsageError(f"seeds must be unique, got {self.seeds}")
         if not (isinstance(self.methods, list) and self.methods):
             raise UsageError(f"methods must be a nonempty list, got {self.methods!r}")
-        for m in self.methods:
-            if m not in KNOWN_METHODS:
-                raise UsageError(f"unknown method {m!r} (known: {', '.join(KNOWN_METHODS)})")
+        for method in self.methods:
+            _method_stages(method)
+        if len(set(self.methods)) != len(self.methods):
+            raise UsageError(f"methods must be unique, got {self.methods}")
         if self.mode not in ("homogeneous", "heterogeneous"):
             raise UsageError(f"mode must be homogeneous or heterogeneous, got {self.mode!r}")
         if not (isinstance(self.arch, list) and len(self.arch) >= 2):
@@ -102,6 +113,13 @@ class ExperimentConfig:
         check_number("lr_multiplier", self.lr_multiplier, strict=True)
 
 
+def _json_object(name: str, value) -> dict:
+    """A copy of ``value``, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise UsageError(f"{name} must be a JSON object, got {value!r}")
+    return dict(value)
+
+
 def _dataconfig_from_dict(doc: dict) -> DataConfig:
     known = {f.name for f in fields(DataConfig)}
     unknown = set(doc) - known
@@ -115,7 +133,6 @@ def _dataconfig_from_dict(doc: dict) -> DataConfig:
 
 def _mergeconfig_from_dict(doc: dict) -> MergeConfig:
     """The merge settings of a sweep config, or of ``cogram merge``'s flags."""
-    doc = dict(doc)
     tau_min = doc.pop("tau_min", 0.0)
     tau_max = doc.pop("tau_max", None)
     kwargs = dict(lam=doc.pop("lambda", 5.5), max_granularity=doc.pop("granularity", "layer"))
@@ -150,17 +167,16 @@ def _parse_prototype_spec(spec: str) -> dict:
 
 
 def _experiment_from_dict(doc: dict) -> ExperimentConfig:
-    doc = dict(doc)
-    data = _dataconfig_from_dict(doc.pop("data", {}))
-    train_doc = dict(doc.pop("train", {}))
+    data = _dataconfig_from_dict(_json_object("data", doc.pop("data", {})))
+    train_doc = _json_object("train", doc.pop("train", {}))
     epochs = train_doc.pop("epochs", 30)
     batch_size = train_doc.pop("batch_size", 64)
     try:
         optimizer = OptimizerConfig(**train_doc) if train_doc else OptimizerConfig()
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad train config: {exc}") from exc
-    merge_cfg = _mergeconfig_from_dict(doc.pop("merge", {}))
-    kick_doc = dict(doc.pop("kickoff", {}))
+    merge_cfg = _mergeconfig_from_dict(_json_object("merge", doc.pop("merge", {})))
+    kick_doc = _json_object("kickoff", doc.pop("kickoff", {}))
     kwargs = dict(
         data=data,
         optimizer=optimizer,
@@ -184,11 +200,10 @@ def _experiment_from_dict(doc: dict) -> ExperimentConfig:
 def _load_json_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise UsageError(f"config file not found: {path}") from exc
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
+    return _json_object(f"config file {path}", doc)
 
 
 # --- per-seed experiment pipeline ----------------------------------------------
@@ -207,6 +222,9 @@ class SweepRow:
     error: str | None = None
 
 
+# sweep.json's row keys that differ from SweepRow's field names
+_ROW_KEYS = {"acc_a": "acc_A", "acc_b": "acc_B"}
+
 # the stages of one sweep seed, timed into SweepRow.stage_s
 STAGES = ("data", "train_a", "train_b", "fisher", "eval_set", "cogram", "kickoff", "evaluate")
 
@@ -217,6 +235,66 @@ def _timed(stage_s: dict, stage: str):
     start = time.perf_counter()
     yield
     stage_s[stage] += time.perf_counter() - start
+
+
+@dataclass
+class _Pipeline:
+    """Runs methods' stages on one A/B pair, each prefix of stages once.
+
+    ``done`` maps a prefix of stages to the network it built and the CoGraM
+    reports behind it. A start point no stage builds (``merge --init
+    <model.json>``) is put in by the caller under its own one-stage prefix.
+    """
+
+    net_a: netmod.Network
+    net_b: netmod.Network
+    data_a: Dataset | None
+    data_b: Dataset | None
+    combined: Dataset | None                # A's and B's rows, which kickoff trains on
+    seed: int
+    fisher_samples: int
+    merge_cfg: MergeConfig | None
+    optimizer: OptimizerConfig | None       # the fine-tuning rate and kind of kickoff
+    lr_multiplier: float
+    kickoff_epochs: int
+    finetune_epochs: int
+    batch_size: int
+    eval_set: netmod.EvalSet | None = None  # what cogram scores candidates on
+    stage_s: dict = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
+    done: dict = field(default_factory=dict)
+
+    def run(self, stages: tuple[str, ...]) -> tuple[netmod.Network, list]:
+        """The network and CoGraM reports of a chain of stages."""
+        for n in range(1, len(stages) + 1):
+            if stages[:n] not in self.done:
+                self.done[stages[:n]] = self._stage(stages[n - 1], self.done.get(stages[:n - 1]))
+        return self.done[stages]
+
+    def _stage(self, stage: str, before) -> tuple[netmod.Network, list]:
+        """What ``stage`` builds from ``before``, the result of the stages before it."""
+        a, b = self.net_a, self.net_b
+        if stage == "average":
+            return baseline.uniform_average(a, b), []
+        with _timed(self.stage_s, stage):
+            if stage == "fisher":
+                samples = self.fisher_samples
+                f_a = baseline.fisher_information(a, self.data_a, samples, _role_seed(self.seed, 5))
+                f_b = baseline.fisher_information(b, self.data_b, samples, _role_seed(self.seed, 6))
+                return baseline.fisher_merge(a, b, f_a, f_b), []
+            start, reports = before
+            if stage == "cogram":
+                return merge.cogram_iterate(start, a, b, self.merge_cfg, eval_set=self.eval_set)
+            opt = self.optimizer
+            kick_cfg, fine_cfg = merge.kickoff_optimizer_configs(
+                opt.learning_rate, self.lr_multiplier,
+                optimizer=opt.kind, momentum=opt.momentum, clip_norm=opt.clip_norm,
+            )
+            fused, _ = merge.gradient_kickoff(
+                start, self.combined, kick_cfg, fine_cfg,
+                self.kickoff_epochs, self.finetune_epochs, self.batch_size,
+                _role_seed(self.seed, 8),
+            )
+            return fused, reports
 
 
 def run_experiment_seed(cfg: ExperimentConfig, seed: int) -> SweepRow:
@@ -248,78 +326,43 @@ def run_experiment_seed(cfg: ExperimentConfig, seed: int) -> SweepRow:
         eval_set = merge.build_eval_set(combined, cfg.merge)
     lossf = netmod.loss_function(cfg.merge.loss)
 
-    needs_fisher = any(m != "average" for m in cfg.methods)
-    fused_fisher = None
-    if needs_fisher:
-        with _timed(stage_s, "fisher"):
-            f_a = baseline.fisher_information(net_a, data_a, cfg.fisher_samples, _role_seed(seed, 5))
-            f_b = baseline.fisher_information(net_b, data_b, cfg.fisher_samples, _role_seed(seed, 6))
-            fused_fisher = baseline.fisher_merge(net_a, net_b, f_a, f_b)
-
-    fused_cogram = None
-    if any(m.startswith("fisher+cogram") for m in cfg.methods):
-        with _timed(stage_s, "cogram"):
-            fused_cogram, _ = merge.cogram_iterate(
-                fused_fisher, net_a, net_b, cfg.merge, eval_set=eval_set
-            )
-
+    pipeline = _Pipeline(
+        net_a, net_b, data_a, data_b, combined, seed,
+        fisher_samples=cfg.fisher_samples, merge_cfg=cfg.merge, optimizer=cfg.optimizer,
+        lr_multiplier=cfg.lr_multiplier, kickoff_epochs=cfg.kickoff_epochs,
+        finetune_epochs=cfg.finetune_epochs, batch_size=cfg.batch_size,
+        eval_set=eval_set, stage_s=stage_s,
+    )
     for method in cfg.methods:
-        column = _METHOD_COLUMN[method]
-        if method == "average":
-            fused = baseline.uniform_average(net_a, net_b)
-        elif method == "fisher":
-            fused = fused_fisher
-        elif method == "fisher+cogram":
-            fused = fused_cogram
-        else:  # fisher+cogram+kickoff
-            kick_cfg, fine_cfg = merge.kickoff_optimizer_configs(
-                cfg.optimizer.learning_rate, cfg.lr_multiplier,
-                optimizer=cfg.optimizer.kind, momentum=cfg.optimizer.momentum,
-                clip_norm=cfg.optimizer.clip_norm,
-            )
-            with _timed(stage_s, "kickoff"):
-                fused, _ = merge.gradient_kickoff(
-                    fused_cogram, combined, kick_cfg, fine_cfg,
-                    cfg.kickoff_epochs, cfg.finetune_epochs, cfg.batch_size,
-                    _role_seed(seed, 8),
-                )
+        fused, _ = pipeline.run(_method_stages(method))
         with _timed(stage_s, "evaluate"):
-            row.accuracies[column] = training.accuracy(fused, test)
-            row.eval_losses[column] = lossf(fused, eval_set)
+            row.accuracies[_column(method)] = training.accuracy(fused, test)
+            row.eval_losses[_column(method)] = lossf(fused, eval_set)
     row.wall_time_s = time.perf_counter() - start
     return row
 
 
+def _column(method: str) -> str:
+    """A method's key in sweep.csv's column names and in sweep.json."""
+    return method.replace("+", "_")
+
+
 def _csv_columns(methods: list[str]) -> list[str]:
-    columns = ["seed", "acc_A", "acc_B"]
-    for method in KNOWN_METHODS:
-        if method in methods:
-            columns.append(f"acc_{_METHOD_COLUMN[method]}")
-    for method in ("fisher", "fisher+cogram"):
-        if method in methods:
-            columns.append(f"loss_{_METHOD_COLUMN[method]}")
-    columns.append("status")
-    return columns
+    """An accuracy column per method, ordered by METHOD_STAGES, then an eval-set
+    loss column per Fisher-started method without a kickoff."""
+    ordered = sorted(methods, key=lambda m: [METHOD_STAGES.index(s) for s in _method_stages(m)])
+    losses = [m for m in ordered if m.startswith("fisher") and "kickoff" not in m]
+    return ["seed", "acc_A", "acc_B", *(f"acc_{_column(m)}" for m in ordered),
+            *(f"loss_{_column(m)}" for m in losses), "status"]
 
 
 def _row_to_csv(row: SweepRow, columns: list[str]) -> str:
-    cells = []
-    for col in columns:
-        if col == "seed":
-            cells.append(str(row.seed))
-        elif col == "status":
-            cells.append(row.status)
-        elif col == "acc_A":
-            cells.append("" if row.acc_a is None else _fmt(row.acc_a))
-        elif col == "acc_B":
-            cells.append("" if row.acc_b is None else _fmt(row.acc_b))
-        elif col.startswith("acc_"):
-            value = row.accuracies.get(col[4:])
-            cells.append("" if value is None else _fmt(value))
-        else:  # loss_*
-            value = row.eval_losses.get(col[5:])
-            cells.append("" if value is None else _fmt(value))
-    return ",".join(cells)
+    values = {"acc_A": row.acc_a, "acc_B": row.acc_b,
+              **{f"acc_{column}": v for column, v in row.accuracies.items()},
+              **{f"loss_{column}": v for column, v in row.eval_losses.items()}}
+    cells = {column: "" if v is None else _fmt(v) for column, v in values.items()}
+    cells.update(seed=str(row.seed), status=row.status)
+    return ",".join(cells.get(column, "") for column in columns)
 
 
 def _seed_worker(args) -> SweepRow:
@@ -358,45 +401,24 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
         for row in rows:
             fh.write(_row_to_csv(row, columns) + "\n")
 
-    summary = {}
-    for method in cfg.methods:
-        column = _METHOD_COLUMN[method]
-        values = [r.accuracies[column] for r in rows if r.status == "ok"]
-        if values:
-            summary[column] = {
-                "mean_accuracy": float(np.mean(values)),
-                "std_accuracy": float(np.std(values)),
-                "n": len(values),
-            }
-    for label, values in (
-        ("subnet_A", [r.acc_a for r in rows if r.status == "ok"]),
-        ("subnet_B", [r.acc_b for r in rows if r.status == "ok"]),
-    ):
-        if values:
-            summary[label] = {
-                "mean_accuracy": float(np.mean(values)),
-                "std_accuracy": float(np.std(values)),
-                "n": len(values),
-            }
+    ok = [r for r in rows if r.status == "ok"]
+    accuracies = {_column(m): [r.accuracies[_column(m)] for r in ok] for m in cfg.methods}
+    accuracies.update(subnet_A=[r.acc_a for r in ok], subnet_B=[r.acc_b for r in ok])
+    summary = {
+        label: {
+            "mean_accuracy": float(np.mean(values)),
+            "std_accuracy": float(np.std(values)),
+            "n": len(values),
+        }
+        for label, values in accuracies.items()
+        if values
+    }
 
     doc = {
         "mode": cfg.mode,
         "methods": cfg.methods,
         "seeds": seeds,
-        "rows": [
-            {
-                "seed": r.seed,
-                "status": r.status,
-                "acc_A": r.acc_a,
-                "acc_B": r.acc_b,
-                "accuracies": r.accuracies,
-                "eval_losses": r.eval_losses,
-                "wall_time_s": r.wall_time_s,
-                "stage_s": r.stage_s,
-                "error": r.error,
-            }
-            for r in rows
-        ],
+        "rows": [{_ROW_KEYS.get(k, k): v for k, v in asdict(r).items()} for r in rows],
         "summary": summary,
     }
     with open(os.path.join(out_dir, "sweep.json"), "w", encoding="utf-8") as fh:
@@ -425,10 +447,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     arch = [int(v) for v in args.arch.split(",")]
-    try:
-        dataset = synthdata.load_csv(args.data, arch[-1])
-    except FileNotFoundError as exc:
-        raise UsageError(f"dataset not found: {args.data}") from exc
+    dataset = synthdata.load_csv(args.data, arch[-1])
     if arch[0] != dataset.dim:
         raise UsageError(f"arch input {arch[0]} != dataset dim {dataset.dim}")
     opt = OptimizerConfig(
@@ -442,16 +461,7 @@ def cmd_train(args) -> int:
     netmod.save_model(trained, args.out)
     report_path = args.report or (os.path.splitext(args.out)[0] + ".report.json")
     with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "epoch_losses": report.epoch_losses,
-                "final_train_accuracy": report.final_train_accuracy,
-                "final_test_accuracy": report.final_test_accuracy,
-                "epochs_run": report.epochs_run,
-                "seed": report.seed,
-            },
-            fh, indent=2,
-        )
+        json.dump(asdict(report), fh, indent=2)
     print(f"trained {args.arch} for {args.epochs} epochs: "
           f"train acc {report.final_train_accuracy:.4f}"
           + (f", test acc {report.final_test_accuracy:.4f}" if test_data is not None else "")
@@ -459,75 +469,60 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model_checked(path) -> netmod.Network:
-    try:
-        return netmod.load_model(path)
-    except FileNotFoundError as exc:
-        raise UsageError(f"model not found: {path}") from exc
+def _merge_stages(args) -> tuple[str, ...]:
+    """The stages that ``cogram merge``'s --method, --init and --kickoff ask for."""
+    if args.method == "cogram":
+        if args.init is None:
+            raise UsageError(
+                "merge method 'cogram' needs an initial fused network: pass "
+                "--init fisher, --init average, or --init <model.json>"
+            )
+        stages = (args.init, "cogram")
+    elif args.init is None or (args.method, args.init) == ("fisher+cogram", "fisher"):
+        stages = tuple(args.method.split("+"))
+    else:
+        raise UsageError(
+            f"--init {args.init} contradicts --method {args.method}: only --method cogram "
+            "takes a start point, and fisher+cogram starts from fisher"
+        )
+    return stages + ("kickoff",) * args.kickoff
 
 
 def cmd_merge(args) -> int:
-    method = args.method
-    if method == "fisher+cogram":
-        method = "cogram"
-        if args.init is None:
-            args.init = "fisher"
-    if method == "cogram" and args.init is None:
-        raise UsageError(
-            "merge method 'cogram' needs an initial fused network: pass "
-            "--init fisher, --init average, or --init <model.json>"
-        )
+    stages = _merge_stages(args)
     merge_cfg = None
-    if method == "cogram":
+    if "cogram" in stages:
         merge_cfg = _mergeconfig_from_dict({
             "lambda": args.lam, "tau_min": args.tau_min, "tau_max": args.tau_max,
             "granularity": args.granularity, "iterations": args.iterations,
             "eval_seed": args.seed, "prototype": args.prototype,
         })
-    net_a = _load_model_checked(args.model_a)
-    net_b = _load_model_checked(args.model_b)
+    net_a = netmod.load_model(args.model_a)
+    net_b = netmod.load_model(args.model_b)
     if not netmod.compatible(net_a, net_b):
         raise UsageError("models are not architecture-compatible")
 
     data_a = synthdata.load_csv(args.data_a, net_a.num_classes) if args.data_a else None
     data_b = synthdata.load_csv(args.data_b, net_b.num_classes) if args.data_b else None
-
-    def fisher_init() -> netmod.Network:
-        if data_a is None or data_b is None:
-            raise UsageError("fisher merging needs --data-a and --data-b")
-        f_a = baseline.fisher_information(net_a, data_a, args.fisher_samples, _role_seed(args.seed, 5))
-        f_b = baseline.fisher_information(net_b, data_b, args.fisher_samples, _role_seed(args.seed, 6))
-        return baseline.fisher_merge(net_a, net_b, f_a, f_b)
-
-    reports = []
-    if method == "average":
-        fused = baseline.uniform_average(net_a, net_b)
-    elif method == "fisher":
-        fused = fisher_init()
-    else:
-        if args.init == "fisher":
-            m0 = fisher_init()
-        elif args.init == "average":
-            m0 = baseline.uniform_average(net_a, net_b)
-        else:
-            m0 = _load_model_checked(args.init)
-            if not netmod.compatible(m0, net_a):
-                raise UsageError("--init model is not architecture-compatible")
-        if data_a is None or data_b is None:
-            raise UsageError("cogram merging needs --data-a and --data-b")
-        combined = synthdata.concat(data_a, data_b)
-        fused, reports = merge.cogram_iterate(m0, net_a, net_b, merge_cfg, data=combined)
-
-    if args.kickoff:
-        if data_a is None or data_b is None:
-            raise UsageError("--kickoff needs --data-a and --data-b")
-        combined = synthdata.concat(data_a, data_b)
-        kick_cfg, fine_cfg = merge.kickoff_optimizer_configs(args.lr, args.lr_mult)
-        fused, _ = merge.gradient_kickoff(
-            fused, combined, kick_cfg, fine_cfg,
-            args.kickoff_epochs, args.finetune_epochs, args.batch_size,
-            _role_seed(args.seed, 8),
-        )
+    needs_data = [s for s in stages if s in METHOD_STAGES[1:]]  # all but average read rows
+    if needs_data and (data_a is None or data_b is None):
+        raise UsageError(f"the {needs_data[0]} stage needs --data-a and --data-b")
+    pipeline = _Pipeline(
+        net_a, net_b, data_a, data_b,
+        synthdata.concat(data_a, data_b) if needs_data else None, args.seed,
+        fisher_samples=args.fisher_samples, merge_cfg=merge_cfg,
+        optimizer=OptimizerConfig(learning_rate=args.lr) if args.kickoff else None,
+        lr_multiplier=args.lr_mult, kickoff_epochs=args.kickoff_epochs,
+        finetune_epochs=args.finetune_epochs, batch_size=args.batch_size,
+    )
+    if merge_cfg is not None:
+        pipeline.eval_set = merge.build_eval_set(pipeline.combined, merge_cfg)
+    if stages[0] not in METHOD_STAGES[:2]:  # --init <model.json>
+        start = netmod.load_model(stages[0])
+        if not netmod.compatible(start, net_a):
+            raise UsageError("--init model is not architecture-compatible")
+        pipeline.done[stages[:1]] = (start, [])
+    fused, reports = pipeline.run(stages)
 
     netmod.save_model(fused, args.out)
     if args.report:
@@ -542,11 +537,8 @@ def cmd_merge(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = _load_model_checked(args.model)
-    try:
-        dataset = synthdata.load_csv(args.data, model.num_classes)
-    except FileNotFoundError as exc:
-        raise UsageError(f"dataset not found: {args.data}") from exc
+    model = netmod.load_model(args.model)
+    dataset = synthdata.load_csv(args.data, model.num_classes)
     acc = training.accuracy(model, dataset)
     loss = netmod.cross_entropy_arrays(model, dataset.features, dataset.one_hot())
     doc = {"accuracy": acc, "loss": loss, "n": len(dataset)}
@@ -644,6 +636,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:  # UsageError, FormatError and ShapeError included
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except FileNotFoundError as exc:  # a path given on the command line
+        print(f"error: file not found: {exc.filename}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure
         print(f"failure: {type(exc).__name__}: {exc}", file=sys.stderr)

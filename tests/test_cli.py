@@ -66,6 +66,16 @@ def test_gen_data_invalid_mode_exits_2(tmp_path, capsys):
     assert "mode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gen-data", "sweep"])
+def test_config_document_must_be_a_json_object(tmp_path, capsys, command):
+    # a list used to fail with a TypeError (exit 1): "pop expected at most 1 argument"
+    path = tmp_path / "config.json"
+    path.write_text("[1, 2]")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"config file {path} must be a JSON object, got [1, 2]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_gen_data_unknown_field_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "gen.json"
     cfg_path.write_text(json.dumps({"mode": "homogeneous", "sample_count": 10}))
@@ -279,6 +289,62 @@ def test_merge_incompatible_models_exits_2(workspace, tmp_path):
     assert rc == 2
 
 
+def _merge_args(workspace, tmp_path, *flags):
+    return ["merge", *flags,
+            "--model-a", str(workspace / "a.json"),
+            "--model-b", str(workspace / "b.json"),
+            "--data-a", str(workspace / "data" / "data_a.csv"),
+            "--data-b", str(workspace / "data" / "data_b.csv"),
+            "--out", str(tmp_path / "m.json")]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--method", "fisher+cogram", "--init", "average"],
+    ["--method", "fisher+cogram", "--init", "a.json"],
+    ["--method", "average", "--init", "fisher"],
+    ["--method", "fisher", "--init", "fisher"],
+    ["--method", "fisher", "--init", "average", "--kickoff"],
+])
+def test_merge_init_that_contradicts_the_method_exits_2(workspace, tmp_path, capsys, flags):
+    # fisher+cogram --init average used to run an average-started merge and
+    # print method=fisher+cogram; average and fisher ignored --init
+    assert main(_merge_args(workspace, tmp_path, *flags)) == 2
+    assert f"--init {flags[3]} contradicts --method {flags[1]}" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_merge_init_fisher_is_the_start_of_fisher_cogram(workspace, tmp_path):
+    models = []
+    for flags in (["--method", "fisher+cogram"],
+                  ["--method", "fisher+cogram", "--init", "fisher"],
+                  ["--method", "cogram", "--init", "fisher"]):
+        assert main(_merge_args(workspace, tmp_path, *flags)) == 0
+        models.append((tmp_path / "m.json").read_bytes())
+    assert models[0] == models[1] == models[2]
+
+
+def test_merge_init_model_is_the_start_point(workspace, tmp_path):
+    # a saved average merge as the start point gives --init average's merge
+    average = tmp_path / "average.json"
+    netmod.save_model(cli.baseline.uniform_average(netmod.load_model(workspace / "a.json"),
+                                                   netmod.load_model(workspace / "b.json")),
+                      average)
+    models = []
+    for init in ("average", str(average), str(workspace / "b.json")):
+        args = _merge_args(workspace, tmp_path, "--method", "cogram", "--init", init,
+                           "--granularity", "neuron")
+        assert main(args) == 0
+        models.append((tmp_path / "m.json").read_bytes())
+    assert models[0] == models[1] != models[2]
+
+
+def test_merge_missing_data_file_exits_2(workspace, tmp_path, capsys):
+    args = _merge_args(workspace, tmp_path, "--method", "fisher")
+    args[args.index("--data-a") + 1] = str(tmp_path / "missing.csv")
+    assert main(args) == 2
+    assert f"file not found: {tmp_path / 'missing.csv'}" in capsys.readouterr().err
+
+
 def _sweep_config(tmp_path, seeds, methods):
     doc = {
         "data": {"num_classes": 3, "dim": 5, "samples_per_class": 25,
@@ -367,6 +433,7 @@ def test_sweep_bad_training_settings_exit_2(tmp_path, capsys, section, settings)
     ({"seeds": [0, 0]}, "seeds must be unique, got [0, 0]"),
     ({"seeds": 5}, "seeds must be a nonempty list, got 5"),
     ({"seeds": []}, "seeds must be a nonempty list, got []"),
+    ({"methods": ["fisher", "fisher"]}, "methods must be unique, got ['fisher', 'fisher']"),
     ({"kickoff": {"lr_multiplier": 0}}, "lr_multiplier must be a number > 0, got 0"),
     ({"kickoff": {"lr_multiplier": "2"}}, "lr_multiplier must be a number > 0, got '2'"),
 ])
@@ -411,6 +478,112 @@ def test_sweep_methods_must_be_a_nonempty_list(tmp_path, capsys, methods):
     assert f"methods must be a nonempty list, got {methods!r}" in err
     assert "unknown method" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section, value", [
+    ("data", "x"), ("train", 5), ("merge", 5), ("kickoff", [8]), ("merge", None),
+])
+def test_sweep_config_sections_must_be_json_objects(tmp_path, capsys, section, value):
+    # "merge": 5 used to exit 1 with a TypeError, and "data": "x" to report
+    # "unknown data config fields: ['x']"
+    path = _sweep_config(tmp_path, [0], ["fisher+cogram+kickoff"])
+    doc = json.loads(path.read_text())
+    doc[section] = value
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{section} must be a JSON object, got {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# every method the stage grammar {average|fisher}[+cogram][+kickoff] allows,
+# in sweep.csv's column order
+ALL_METHODS = [
+    "average", "average+cogram", "average+cogram+kickoff", "average+kickoff",
+    "fisher", "fisher+cogram", "fisher+cogram+kickoff", "fisher+kickoff",
+]
+
+
+def _tiny_kickoff(path):
+    doc = json.loads(path.read_text())
+    doc["kickoff"] = {"kickoff_epochs": 1, "finetune_epochs": 1}
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_sweep_runs_each_method_of_the_grammar(tmp_path, method):
+    path = _tiny_kickoff(_sweep_config(tmp_path, [0], [method]))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    column = method.replace("+", "_")
+    loss = method.startswith("fisher") and "kickoff" not in method
+    assert lines[0] == f"seed,acc_A,acc_B,acc_{column}," + f"loss_{column}," * loss + "status"
+    assert lines[1].endswith(",ok")
+
+
+def test_sweep_orders_columns_by_stages_and_shares_prefixes(tmp_path, monkeypatch):
+    # one sweep of all eight methods, listed out of order, gives each the
+    # numbers a sweep of that method alone gives
+    monkeypatch.setenv("COGRAM_THREADS", "1")
+    path = _tiny_kickoff(_sweep_config(tmp_path, [0], ALL_METHODS[::-1]))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "all")]) == 0
+    header, row = (tmp_path / "all" / "sweep.csv").read_text().splitlines()
+    columns = [m.replace("+", "_") for m in ALL_METHODS]
+    assert header.split(",") == ["seed", "acc_A", "acc_B", *(f"acc_{c}" for c in columns),
+                                 "loss_fisher", "loss_fisher_cogram", "status"]
+    together = dict(zip(header.split(","), row.split(",")))
+    for method, column in zip(ALL_METHODS, columns):
+        alone = _tiny_kickoff(_sweep_config(tmp_path, [0], [method]))
+        assert main(["sweep", "--config", str(alone), "--out", str(tmp_path / column)]) == 0
+        header, row = (tmp_path / column / "sweep.csv").read_text().splitlines()
+        for name, cell in zip(header.split(","), row.split(",")):
+            assert together[name] == cell, (method, name)
+
+
+@pytest.mark.parametrize("method", [
+    "cogram", "kickoff", "Fisher", "fisher+", "fisher+fisher", "fisher+kickoff+cogram",
+    "average+cogram+cogram", "+fisher", "", 5, ["fisher"], "teleport",
+])
+def test_sweep_malformed_method_exits_2_before_any_seed(tmp_path, capsys, monkeypatch, method):
+    def no_seed(*args, **kwargs):
+        raise AssertionError("a seed ran before the methods were checked")
+
+    monkeypatch.setattr(cli, "run_experiment_seed", no_seed)
+    path = _sweep_config(tmp_path, [0], ["fisher", method])
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"unknown method {method!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_runs_each_shared_stage_prefix_once_per_seed(tmp_path, monkeypatch):
+    monkeypatch.setenv("COGRAM_THREADS", "1")
+    calls = {}
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(cli.baseline, "fisher_information")
+    count(cli.merge, "cogram_iterate")
+    count(cli.merge, "gradient_kickoff")
+    methods = ["fisher", "fisher+cogram", "fisher+cogram+kickoff"]
+    path = _tiny_kickoff(_sweep_config(tmp_path, [0, 1], methods))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert calls == {"fisher_information": 4, "cogram_iterate": 2, "gradient_kickoff": 2}
+
+
+def test_sweep_times_each_method_stage_under_its_key(tmp_path):
+    for methods, timed in ((["average"], set()), (["average+kickoff"], {"kickoff"}),
+                           (["fisher+cogram"], {"fisher", "cogram"})):
+        path = _tiny_kickoff(_sweep_config(tmp_path, [0], methods))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        stage_s = json.loads((tmp_path / "out" / "sweep.json").read_text())["rows"][0]["stage_s"]
+        assert {k for k in ("fisher", "cogram", "kickoff") if stage_s[k] > 0.0} == timed
 
 
 @pytest.mark.parametrize("settings, message", [
