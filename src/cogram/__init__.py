@@ -23,20 +23,17 @@ from .net import (
     FormatError,
     Network,
     ShapeError,
-    StructureAddress,
     Workspace,
     compatible,
     cross_entropy_loss,
     deserialize,
     forward,
-    get_structure,
     load_model,
     log_softmax,
     mse_loss,
     random_network,
     save_model,
     serialize,
-    set_structure,
     softmax,
 )
 from .prototypes import (

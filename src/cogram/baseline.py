@@ -47,7 +47,7 @@ def fisher_information(
     rows = rng.choice(len(dataset), size=n, replace=False) if n < len(dataset) else np.arange(n)
     x = dataset.features[rows]
 
-    pres, acts = netmod.forward_trace(net, x)
+    acts = netmod._layer_outputs(net, x)
     probs = netmod.softmax(acts[-1])
     # one label draw per sample from the model's own predictive distribution
     cum = np.cumsum(probs, axis=1)
@@ -61,15 +61,11 @@ def fisher_information(
 
     diagonal = np.empty_like(net.theta)
     fisher_w, fisher_b = net.layer_views(diagonal)
-    for k in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[k]
-        netmod._times_activation_derivative(delta, pres[k], layer.activation)
+    for k, delta in netmod._pre_activation_deltas(net, acts, delta):
         d2 = delta**2
         a2 = acts[k] ** 2
         np.divide(d2.T @ a2, n, out=fisher_w[k])
         np.mean(d2, axis=0, out=fisher_b[k])
-        if k > 0:
-            delta = delta @ layer.weights
     return FisherInfo(diagonal=diagonal, sample_count=n)
 
 

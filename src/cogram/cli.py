@@ -59,6 +59,15 @@ def _method_stages(method) -> tuple[str, ...]:
     return stages
 
 
+def _check_arch(name: str, arch) -> None:
+    """Layer sizes, a sweep's ``arch`` or ``cogram train --arch``: a list of
+    at least two integers >= 1."""
+    if not (isinstance(arch, list) and len(arch) >= 2):
+        raise UsageError(f"{name} must be a list of at least two layer sizes, got {arch!r}")
+    for size in arch:
+        check_number(f"each {name} size", size, 1, integer=True)
+
+
 # --- configs ------------------------------------------------------------------
 
 
@@ -93,10 +102,7 @@ class ExperimentConfig:
             raise UsageError(f"methods must be unique, got {self.methods}")
         if self.mode not in ("homogeneous", "heterogeneous"):
             raise UsageError(f"mode must be homogeneous or heterogeneous, got {self.mode!r}")
-        if not (isinstance(self.arch, list) and len(self.arch) >= 2):
-            raise UsageError(f"arch must be a list of at least two layer sizes, got {self.arch!r}")
-        for size in self.arch:
-            check_number("each arch size", size, 1, integer=True)
+        _check_arch("arch", self.arch)
         if self.arch[0] != self.data.dim or self.arch[-1] != self.data.num_classes:
             raise UsageError(
                 f"arch {self.arch} does not match data (dim={self.data.dim}, "
@@ -446,7 +452,12 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    arch = [int(v) for v in args.arch.split(",")]
+    try:
+        arch = [int(v) for v in args.arch.split(",")]
+    except ValueError:
+        raise UsageError(f"--arch must be comma-separated layer sizes, got {args.arch!r}") from None
+    _check_arch("--arch", arch)
+    check_number("--seed", args.seed, 0, integer=True)
     dataset = synthdata.load_csv(args.data, arch[-1])
     if arch[0] != dataset.dim:
         raise UsageError(f"arch input {arch[0]} != dataset dim {dataset.dim}")
@@ -488,7 +499,21 @@ def _merge_stages(args) -> tuple[str, ...]:
     return stages + ("kickoff",) * args.kickoff
 
 
+def _check_merge_flags(args) -> None:
+    """The numeric flags no merge config checks, before any stage runs."""
+    check_number("--seed", args.seed, 0, integer=True)
+    check_number("--fisher-samples", args.fisher_samples, 1, integer=True)
+    if args.kickoff:
+        check_number("--batch-size", args.batch_size, 1, integer=True)
+        check_number("--kickoff-epochs", args.kickoff_epochs, 0, integer=True,
+                     below=merge.MAX_KICKOFF_EPOCHS + 1)
+        check_number("--finetune-epochs", args.finetune_epochs, 0, integer=True)
+        check_number("--lr", args.lr, strict=True)
+        check_number("--lr-mult", args.lr_mult, strict=True)
+
+
 def cmd_merge(args) -> int:
+    _check_merge_flags(args)
     stages = _merge_stages(args)
     merge_cfg = None
     if "cogram" in stages:

@@ -10,6 +10,9 @@ are only kept when they strictly lower the loss; otherwise the structure
 rolls back to the coarser fusion, bit for bit. The whole merge can be
 applied iteratively, each pass operating on the latest fused network.
 
+A block of layer k is named by a key, ``()``, ``(i,)`` or ``(i, j)``, at
+the level ``GRANULARITIES[len(key)]``; A's is ``a.theta[a.positions[k][key]]``.
+
 One evaluator per layer (``_LayerEvaluator``) scores every candidate of
 that layer: it caches the activation entering the layer, writes each
 candidate in place into the parameter vector of its private network for
@@ -17,11 +20,11 @@ this layer and the ones above, and keeps or restores it. A layer or neuron
 candidate is one loss call. A weight decision scores A's and B's scalar in
 one stacked pass of a ``net.CandidateStack`` (the working layer twice, the
 layers above shared), then the blend in one loss call; the stack is made on
-a layer's first weight decision only. Every score uses exactly the
-operations of a full forward pass, so the merge is bit-identical to building
-each candidate network with ``set_structure`` and evaluating it from the
-input, the reference engine of the tests. The finished layer leaves as a
-new, validated network.
+a layer's first weight decision only. Every score runs the one forward loop
+and loss kernel with exactly the operations of a full forward pass, so the
+merge is bit-identical to building each candidate as a new network and
+evaluating it from the input, the reference engine of the tests. The
+finished layer leaves as a new, validated network.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import net as netmod
-from .net import EvalSet, Network, StructureAddress
+from .net import EvalSet, Network
 from .prototypes import build_prototypes_kmeans, build_prototypes_onehot, build_raw_batch
 from .synthdata import Dataset, check_number
 from .training import OptimizerConfig, TrainReport, train
@@ -183,7 +186,7 @@ class _LayerEvaluator:
     activation entering layer k is computed once. The evaluator keeps a
     private network for layers k and up and the parameter vector behind it,
     ``theta``: a candidate is written in place (``put``) at its block's
-    positions in that vector (``positions``, by neuron and weight index), and
+    positions in that vector (``positions``, indexed by the block's key), and
     ``layer``, the private network's first layer, shows every write. A score
     is one call of the net loss function on the private network, fed the
     cached input and run into one workspace: its operations are exactly those
@@ -229,25 +232,18 @@ class _LayerEvaluator:
         params[:, pos] = self.theta[pos]
         return losses
 
-    def block(self, addr: StructureAddress):
-        return self.theta[self.positions[addr.key]]
-
-    def write(self, addr: StructureAddress, block) -> None:
-        """set_structure in place: the addressed block of the working layer."""
-        self.put(self.positions[addr.key], block)
-
     def put(self, pos, block) -> None:
         """Write ``block`` at positions ``pos`` of the working layer."""
         self.theta[pos] = block
         if self._pair is not None:
             self._pair.params[:, pos] = block
 
-    def difference(self, addr: StructureAddress, block_a, block_b) -> tuple[float, float, float]:
-        """Loss with A's block at addr, with B's block, and their gap. B's
-        block stays written."""
-        self.write(addr, block_a)
+    def difference(self, pos, block_a, block_b) -> tuple[float, float, float]:
+        """Loss with A's block at positions ``pos`` of the working layer, with
+        B's block, and their gap. B's block stays written."""
+        self.put(pos, block_a)
         l_a = self.loss()
-        self.write(addr, block_b)
+        self.put(pos, block_b)
         l_b = self.loss()
         return l_a, l_b, l_a - l_b
 
@@ -274,13 +270,13 @@ def build_eval_set(dataset: Dataset, config: MergeConfig) -> EvalSet:
 # --- the sweep ----------------------------------------------------------------
 
 
-def _record(
-    config: MergeConfig, level: str, layer: int, neuron: int | None, weight: int | None,
-    l_a: float, l_b: float,
-) -> DecisionRecord:
-    """The record of a decision between A's candidate (loss ``l_a``) and B's:
-    their gap, classified against the level's band, and the mixing factor.
-    Its action is "merged" until the caller says otherwise."""
+def _record(config: MergeConfig, layer: int, key: tuple, l_a: float, l_b: float) -> DecisionRecord:
+    """The record of a decision on the block at ``key`` of ``layer`` between
+    A's candidate (loss ``l_a``) and B's: their gap, classified against the
+    level's band, and the mixing factor. Its action is "merged" until the
+    caller says otherwise."""
+    level = GRANULARITIES[len(key)]
+    neuron, weight = (*key, None, None)[:2]
     delta = l_a - l_b
     band = config.thresholds.for_level(level)
     alpha = mixing_factor(delta, config.lam)
@@ -292,13 +288,15 @@ def _record(
 
 
 def _weigh(
-    ev: _LayerEvaluator, addr: StructureAddress, a: Network, b: Network, config: MergeConfig
+    ev: _LayerEvaluator, key: tuple, a: Network, b: Network, config: MergeConfig
 ) -> tuple[DecisionRecord, np.ndarray]:
-    """Score A's and B's layer or neuron block at addr, one loss call each.
-    Returns the decision's record and the blend of the two blocks."""
-    block_a, block_b = netmod.get_structure(a, addr), netmod.get_structure(b, addr)
-    l_a, l_b, _ = ev.difference(addr, block_a, block_b)
-    rec = _record(config, addr.level, addr.layer, addr.neuron, addr.weight, l_a, l_b)
+    """Score A's and B's block at ``key`` of the working layer, the layer
+    ``()`` or a neuron ``(i,)``, one loss call each. Returns the decision's
+    record and the blend of the two blocks."""
+    k = ev.layer_idx
+    block_a, block_b = (x.theta[x.positions[k][key]] for x in (a, b))
+    l_a, l_b, _ = ev.difference(ev.positions[key], block_a, block_b)
+    rec = _record(config, k, key, l_a, l_b)
     return rec, convex_combine(block_a, block_b, rec.alpha)
 
 
@@ -324,8 +322,7 @@ def merge_weight_level(
     value_a = a.theta[a.positions[k][neuron_idx, weight_idx]]
     value_b = b.theta[b.positions[k][neuron_idx, weight_idx]]
     pos = ev.positions[neuron_idx, weight_idx]
-    rec = _record(config, "weight", k, neuron_idx, weight_idx,
-                  *ev.pair_losses(pos, value_a, value_b))
+    rec = _record(config, k, (neuron_idx, weight_idx), *ev.pair_losses(pos, value_a, value_b))
     before = ev.theta[pos]
     ev.put(pos, convex_combine(value_a, value_b, rec.alpha))
     rec.loss_pre, rec.loss_post = loss_pre, ev.loss()
@@ -354,16 +351,16 @@ def merge_neuron_level(
     blend becomes the provisional baseline for a weight-level pass, and the
     whole neuron rolls back to the layer-level parameters unless the pass
     beats the entry loss. ``check_restores`` asserts that a rollback leaves
-    the working layer, and its loss, bit-identical to the neuron's entry.
+    the evaluator's parameters, and its loss, bit-identical to the entry.
     """
-    addr = StructureAddress(ev.layer_idx, neuron_idx)
-    baseline = ev.block(addr)
+    pos = ev.positions[neuron_idx]
+    baseline = ev.theta[pos]
     if check_restores:
-        entry = ev.layer.weights.copy(), ev.layer.biases.copy()
+        entry = ev.theta.tobytes()
     loss_pre = ev.loss()
-    rec, fused = _weigh(ev, addr, a, b, config)
+    rec, fused = _weigh(ev, (neuron_idx,), a, b, config)
     rec.loss_pre = loss_pre
-    ev.write(addr, fused)
+    ev.put(pos, fused)
     report.records.append(rec)
     if rec.case == 3 or config.max_granularity == "neuron":
         rec.loss_post = ev.loss()
@@ -378,10 +375,9 @@ def merge_neuron_level(
     if rec.loss_post < loss_pre:
         return
     rec.action = "rolled_back"
-    ev.write(addr, baseline)
+    ev.put(pos, baseline)
     if check_restores:
-        assert np.array_equal(ev.layer.weights, entry[0])
-        assert np.array_equal(ev.layer.biases, entry[1])
+        assert ev.theta.tobytes() == entry
         assert ev.loss() == loss_pre
 
 
@@ -403,9 +399,8 @@ def merge_layer_level(
     evaluator for the layer.
     """
     ev = _LayerEvaluator(m, layer_idx, eval_set, config.loss)
-    addr = StructureAddress(layer_idx)
-    rec, fused = _weigh(ev, addr, a, b, config)
-    ev.write(addr, fused)
+    rec, fused = _weigh(ev, (), a, b, config)
+    ev.put(ev.positions, fused)
     report.records.append(rec)
     if rec.case != 3 and config.max_granularity != "layer":
         rec.action = "refined"
@@ -502,12 +497,8 @@ def gradient_kickoff(
     """
     if len(combined_train_data) == 0:
         raise ValueError("empty dataset")
-    if not 0 <= kickoff_epochs <= MAX_KICKOFF_EPOCHS:
-        raise ValueError(
-            f"kickoff_epochs must be in 0..{MAX_KICKOFF_EPOCHS} (kickoff is a short phase)"
-        )
-    if finetune_epochs < 0:
-        raise ValueError("finetune_epochs must be >= 0")
+    check_number("kickoff_epochs", kickoff_epochs, 0, integer=True, below=MAX_KICKOFF_EPOCHS + 1)
+    check_number("finetune_epochs", finetune_epochs, 0, integer=True)
     ratio = kickoff_config.learning_rate / finetune_config.learning_rate
     if not 2.0 <= ratio <= 3.0:
         warnings.warn(

@@ -11,11 +11,13 @@ decides. Parameter-shaped data, a gradient or a Fisher estimate, is one
 vector laid out like ``theta`` too; ``Network.layer_views`` gives its
 per-layer weight and bias views and ``Network.require_layout`` checks it.
 
-Parameter addressing convention: a neuron's block is its incoming
-weight row plus its bias, and at scalar granularity the bias is
-addressable as weight index ``in_dim``. Every parameter is reachable
-by exactly one address, and ``Network.index`` maps an address to the
-positions of its block in ``theta``.
+Parameters are addressed by position: ``Network.positions[k][key]`` gives
+the positions in ``theta`` of layer k (key ``()``), of neuron i's weight row
+and bias (``(i,)``) or of one weight (``(i, j)``, the bias at j = in_dim).
+
+There is one forward loop, ``_forward_into``: ``forward``, the losses,
+backprop and the Fisher pass all run it. Backprop keeps each layer's output
+and takes each activation's derivative from it.
 
 Losses are measured on an ``EvalSet``, two arrays: the inputs and one target
 distribution per row. ``cross_entropy_loss`` and ``mse_loss`` each run
@@ -41,7 +43,7 @@ MODEL_FORMAT = "cogram-net-v1"
 
 
 class ShapeError(ValueError):
-    """Dimension or address mismatch between arrays/networks."""
+    """Dimension or layout mismatch between arrays/networks."""
 
 
 class FormatError(ValueError):
@@ -170,45 +172,6 @@ class Network:
         net._bind(theta)
         return net
 
-    def index(self, addr: "StructureAddress"):
-        """The positions in ``theta`` of the addressed block, shaped like it."""
-        _validate_address(self, addr)
-        return self.positions[addr.layer][addr.key]
-
-
-@dataclass(frozen=True)
-class StructureAddress:
-    """Names a layer, a neuron within it, or a single scalar parameter.
-
-    ``weight == in_dim`` addresses the neuron's bias.
-    """
-
-    layer: int
-    neuron: int | None = None
-    weight: int | None = None
-
-    def __post_init__(self):
-        if self.weight is not None and self.neuron is None:
-            raise ValueError("weight address requires a neuron index")
-
-    @property
-    def level(self) -> str:
-        if self.neuron is None:
-            return "layer"
-        if self.weight is None:
-            return "neuron"
-        return "weight"
-
-    @functools.cached_property
-    def key(self) -> tuple:
-        """The index of the block within its layer's block: (), (neuron,) or
-        (neuron, weight)."""
-        if self.neuron is None:
-            return ()
-        if self.weight is None:
-            return (self.neuron,)
-        return (self.neuron, self.weight)
-
 
 def compatible(a: Network, b: Network) -> bool:
     """True iff the two networks have identical shapes and activations."""
@@ -247,33 +210,6 @@ def _apply_activation(z: np.ndarray, activation: str, inplace: bool = False) -> 
     if activation == "tanh":
         return np.tanh(z, out=out)
     return z
-
-
-def _times_activation_derivative(delta: np.ndarray, z: np.ndarray, activation: str) -> None:
-    """delta *= activation'(z), in place; the identity's derivative is 1."""
-    if activation == "relu":
-        np.multiply(delta, z > 0.0, out=delta)
-    elif activation == "tanh":
-        t = np.tanh(z)
-        delta *= 1.0 - t * t
-
-
-def forward_trace(net: Network, x: np.ndarray):
-    """Forward pass keeping pre-activations and activations for backprop.
-
-    Returns (pre_activations, activations) where activations[0] is the input
-    batch and activations[-1] the logits.
-    """
-    pres = []
-    acts = [x]
-    a = x
-    for layer in net.layers:
-        z = a @ layer.weights.T
-        z += layer.biases
-        pres.append(z)
-        a = _apply_activation(z, layer.activation)
-        acts.append(a)
-    return pres, acts
 
 
 class Workspace:
@@ -322,16 +258,40 @@ def forward(net: Network, inputs, work: Workspace | None = None) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ShapeError(f"inputs must have {net.input_dim} features, got shape {x.shape}")
     if work is None:
-        acts = [np.empty((x.shape[0], out_dim)) for out_dim, _ in net._shapes]
+        a = _layer_outputs(net, x)[-1]
     elif work.key == (None, x.shape[0], net._shapes):
-        acts = work.acts
+        a = _forward_into(net._plan, x, work.acts)
     else:
         raise ShapeError(
             f"workspace buffers {[a.shape for a in work.acts]} do not fit "
             f"{[(x.shape[0], out_dim) for out_dim, _ in net._shapes]}"
         )
-    a = _forward_into(net._plan, x, acts)
     return a[0] if squeezed else a
+
+
+def _layer_outputs(net: Network, x: np.ndarray) -> list[np.ndarray]:
+    """The input ``x`` (N, input_dim), then each layer's output, from the one
+    forward loop run into new arrays."""
+    acts = [np.empty((x.shape[0], out_dim)) for out_dim, _ in net._shapes]
+    _forward_into(net._plan, x, acts)
+    return [x, *acts]
+
+
+def _pre_activation_deltas(net: Network, acts, delta: np.ndarray):
+    """The one backward sweep: from ``delta``, a derivative with respect to
+    the logits (scaled in place), and ``acts`` from ``_layer_outputs``, yields
+    each layer's index and the derivative with respect to its pre-activations,
+    last layer first. Each activation's derivative comes from the layer's
+    output a: relu's is a > 0, the mask of z > 0; tanh's is 1 - a**2."""
+    for k in reversed(range(len(net.layers))):
+        a, activation = acts[k + 1], net._activations[k]
+        if activation == "relu":
+            np.multiply(delta, a > 0.0, out=delta)
+        elif activation == "tanh":
+            delta *= 1.0 - a * a
+        yield k, delta
+        if k > 0:
+            delta = delta @ net.layers[k].weights
 
 
 def _shift_exp_sum(logits, caller: str, shifted=None, work: Workspace | None = None):
@@ -518,7 +478,7 @@ def backward_arrays(
     if out is None:
         out = np.empty_like(net.theta)
     net.require_layout(out, "gradient buffer")
-    pres, acts = forward_trace(net, x)
+    acts = _layer_outputs(net, x)
     logits = acts[-1]
 
     if loss == "cross_entropy":
@@ -537,51 +497,10 @@ def backward_arrays(
         delta /= n * logits.shape[1]
 
     grad_w, grad_b = net.layer_views(out)
-    for k in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[k]
-        _times_activation_derivative(delta, pres[k], layer.activation)
+    for k, delta in _pre_activation_deltas(net, acts, delta):
         np.matmul(delta.T, acts[k], out=grad_w[k])
         np.sum(delta, axis=0, out=grad_b[k])
-        if k > 0:
-            delta = delta @ layer.weights
     return value, out
-
-
-# --- addressable extraction / insertion -------------------------------------
-
-
-def _validate_address(net: Network, addr: StructureAddress) -> None:
-    if not 0 <= addr.layer < len(net.layers):
-        raise ShapeError(f"layer index {addr.layer} out of range")
-    layer = net.layers[addr.layer]
-    if addr.neuron is not None and not 0 <= addr.neuron < layer.out_dim:
-        raise ShapeError(f"neuron index {addr.neuron} out of range for layer {addr.layer}")
-    if addr.weight is not None and not 0 <= addr.weight <= layer.in_dim:
-        raise ShapeError(
-            f"weight index {addr.weight} out of range for layer {addr.layer} "
-            f"(bias lives at {layer.in_dim})"
-        )
-
-
-def get_structure(net: Network, addr: StructureAddress):
-    """Copy out the addressed block, ``theta`` at ``net.index(addr)``.
-
-    Layer blocks are (out_dim, in_dim + 1) with the bias in the last column,
-    neuron blocks are length in_dim + 1 with the bias last, weight blocks are
-    scalars (index in_dim reads the bias).
-    """
-    return net.theta[net.index(addr)]
-
-
-def set_structure(net: Network, addr: StructureAddress, block) -> Network:
-    """Return a copy of ``net`` with the addressed block replaced."""
-    idx = net.index(addr)
-    blk = _as_f64(block)
-    if blk.shape != np.shape(idx):
-        raise ShapeError(f"{addr.level} block must have shape {np.shape(idx)}, got {blk.shape}")
-    theta = net.theta.copy()
-    theta[idx] = blk
-    return net.with_theta(theta)
 
 
 # --- serialization -----------------------------------------------------------

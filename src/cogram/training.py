@@ -145,10 +145,8 @@ def train(
         raise ValueError("empty dataset")
     if np.any(dataset.labels < 0) or np.any(dataset.labels >= dataset.num_classes):
         raise ValueError("labels out of range for num_classes")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    if epochs < 0:
-        raise ValueError("epochs must be >= 0")
+    check_number("batch_size", batch_size, 1, integer=True)
+    check_number("epochs", epochs, 0, integer=True)
     rng = np.random.default_rng(seed)
     targets = dataset.one_hot()
     n = len(dataset)

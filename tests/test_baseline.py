@@ -90,6 +90,29 @@ def test_fisher_zero_net_closed_form():
     assert abs(q.sum() - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+def test_fisher_is_the_mean_squared_gradient_of_each_rows_sampled_label(activation):
+    # with no more rows than the cap, the rows are arange(n) and the seed's
+    # only draw is one uniform per row, for the label sampled from the softmax
+    n, num_classes, seed = 30, 4, 13
+    rng = np.random.default_rng(5)
+    net = random_network([6, 7, 5, num_classes], seed=8, hidden_activation=activation)
+    data = _dataset(rng, n=n, num_classes=num_classes)
+    fisher = fisher_information(net, data, sample_cap=n, seed=seed)
+
+    cum = np.cumsum(netmod.softmax(netmod.forward(net, data.features)), axis=1)
+    cum[:, -1] = 1.0
+    sampled = (np.random.default_rng(seed).random(n)[:, None] < cum).argmax(axis=1)
+    expected = np.zeros_like(net.theta)
+    for i in range(n):
+        target = np.eye(num_classes)[sampled[i]][None, :]
+        _, grad = netmod.backward_arrays(net, data.features[i : i + 1], target)
+        expected += grad**2
+    expected /= n
+    assert fisher.sample_count == n
+    np.testing.assert_allclose(fisher.diagonal, expected, rtol=1e-12, atol=0)
+
+
 def test_fisher_sample_cap_and_empty():
     rng = np.random.default_rng(2)
     net = random_network([6, 4], seed=0)

@@ -139,6 +139,22 @@ def test_train_bad_optimizer_settings_exit_2(workspace, tmp_path, capsys, flags,
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--arch", "6,0,4"], "each --arch size must be an integer >= 1, got 0"),  # was exit 1
+    (["--arch", "6,-2,4"], "each --arch size must be an integer >= 1, got -2"),
+    (["--arch", "6,x,4"], "--arch must be comma-separated layer sizes, got '6,x,4'"),
+    (["--arch", "6"], "--arch must be a list of at least two layer sizes, got [6]"),
+    (["--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+])
+def test_train_bad_flags_exit_2_naming_the_flag(workspace, tmp_path, capsys, flags, message):
+    rc = main(["train", "--data", str(workspace / "data" / "data_a.csv"), "--arch", "6,12,4",
+               "--epochs", "1", "--out", str(tmp_path / "m.json")] + flags)
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+    assert not (tmp_path / "m.report.json").exists()
+
+
 def test_eval_rejects_non_integer_labels_with_exit_2(workspace, tmp_path, capsys):
     lines = (workspace / "data" / "test.csv").read_text().splitlines()
     lines[1] = lines[1].rsplit(",", 1)[0] + ",1.7"
@@ -275,7 +291,7 @@ def test_merge_fisher_samples_below_one_exits_2(workspace, tmp_path, capsys, sam
                "--data-b", str(workspace / "data" / "data_b.csv"),
                "--fisher-samples", samples, "--out", str(tmp_path / "m.json")])
     assert rc == 2
-    assert f"Fisher sample cap must be >= 1, got {samples}" in capsys.readouterr().err
+    assert f"--fisher-samples must be an integer >= 1, got {samples}" in capsys.readouterr().err
     assert not (tmp_path / "m.json").exists()
 
 
@@ -651,6 +667,39 @@ def test_sweep_merge_settings_have_one_key_each(tmp_path, capsys, settings):
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     unknown = sorted(k for k in settings if k != "prototype")
     assert f"unknown merge config fields: {unknown}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--method", "fisher", "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+    (["--method", "fisher", "--fisher-samples", "0"],
+     "--fisher-samples must be an integer >= 1, got 0"),
+    (["--method", "fisher+cogram", "--kickoff", "--batch-size", "0"],
+     "--batch-size must be an integer >= 1, got 0"),
+    (["--method", "average", "--kickoff", "--batch-size", "-4"],
+     "--batch-size must be an integer >= 1, got -4"),
+    (["--method", "fisher+cogram", "--kickoff", "--kickoff-epochs", "12"],
+     "--kickoff-epochs must be an integer >= 0 and < 10, got 12"),
+    (["--method", "fisher+cogram", "--kickoff", "--kickoff-epochs", "-1"],
+     "--kickoff-epochs must be an integer >= 0 and < 10, got -1"),
+    (["--method", "fisher+cogram", "--kickoff", "--finetune-epochs", "-2"],
+     "--finetune-epochs must be an integer >= 0, got -2"),
+    (["--method", "fisher+cogram", "--kickoff", "--lr", "0"], "--lr must be a number > 0, got 0.0"),
+    (["--method", "fisher+cogram", "--kickoff", "--lr", "nan"],
+     "--lr must be a number > 0, got nan"),
+    (["--method", "fisher+cogram", "--kickoff", "--lr-mult", "-1"],
+     "--lr-mult must be a number > 0, got -1.0"),
+])
+def test_merge_bad_numeric_flags_exit_2_before_any_stage(workspace, tmp_path, capsys,
+                                                         monkeypatch, flags, message):
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a merge stage ran before the flags were checked")
+
+    for name in ("uniform_average", "fisher_information"):
+        monkeypatch.setattr(cli.baseline, name, no_stage)
+    monkeypatch.setattr(cli.merge, "cogram_iterate", no_stage)
+    assert main(_merge_args(workspace, tmp_path, *flags)) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 @pytest.mark.parametrize("spec, message", [

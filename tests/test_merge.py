@@ -33,12 +33,9 @@ from cogram.merge import (
 from cogram.net import (
     DenseLayer,
     Network,
-    StructureAddress,
     cross_entropy_loss,
     forward,
-    get_structure,
     random_network,
-    set_structure,
     softmax,
 )
 from cogram.synthdata import Dataset
@@ -183,10 +180,12 @@ def test_classify_case_validation():
 # --- loss difference ------------------------------------------------------------------
 
 
-def _difference(m, addr, a, b, es):
-    """Loss of M with A's block at addr, with B's block, and their gap."""
-    ev = _LayerEvaluator(m, addr.layer, es, "cross_entropy")
-    return ev.difference(addr, get_structure(a, addr), get_structure(b, addr))
+def _difference(m, k, key, a, b, es):
+    """Loss of M with A's block at ``key`` of layer k, with B's block, and
+    their gap."""
+    ev = _LayerEvaluator(m, k, es, "cross_entropy")
+    block_a, block_b = (x.theta[x.positions[k][key]] for x in (a, b))
+    return ev.difference(ev.positions[key], block_a, block_b)
 
 
 def test_loss_difference_zero_for_identical_candidates():
@@ -194,8 +193,8 @@ def test_loss_difference_zero_for_identical_candidates():
     m = random_network([5, 4, 3], seed=0)
     a = random_network([5, 4, 3], seed=1)
     es = _random_eval(rng, 6, 5, 3)
-    for addr in (StructureAddress(1), StructureAddress(0, 2), StructureAddress(1, 1, 4)):
-        l_a, l_b, delta = _difference(m, addr, a, a, es)
+    for k, key in ((1, ()), (0, (2,)), (1, (1, 4))):
+        l_a, l_b, delta = _difference(m, k, key, a, a, es)
         assert delta == 0.0
         assert l_a == l_b
 
@@ -206,9 +205,8 @@ def test_loss_difference_antisymmetric():
     a = random_network([5, 4, 3], seed=1)
     b = random_network([5, 4, 3], seed=2)
     es = _random_eval(rng, 6, 5, 3)
-    addr = StructureAddress(0)
-    l_a, l_b, delta = _difference(m, addr, a, b, es)
-    l_b2, l_a2, delta2 = _difference(m, addr, b, a, es)
+    l_a, l_b, delta = _difference(m, 0, (), a, b, es)
+    l_b2, l_a2, delta2 = _difference(m, 0, (), b, a, es)
     assert (l_a, l_b) == (l_a2, l_b2)
     assert delta2 == -delta
 
@@ -219,8 +217,7 @@ def test_loss_difference_matches_construct_then_evaluate_oracle():
     a = random_network([5, 4, 3], seed=1)
     b = random_network([5, 4, 3], seed=2)
     es = _random_eval(rng, 8, 5, 3)
-    addr = StructureAddress(1, 2)
-    l_a, l_b, _ = _difference(m, addr, a, b, es)
+    l_a, l_b, _ = _difference(m, 1, (2,), a, b, es)
 
     # oracle: assemble each candidate net by hand from copied arrays
     def candidate(src):
@@ -238,7 +235,7 @@ def test_loss_difference_leaves_m_untouched():
     rng = np.random.default_rng(7)
     m = random_network([5, 4, 3], seed=0)
     before = _param_bytes(m)
-    _difference(m, StructureAddress(0), random_network([5, 4, 3], 1),
+    _difference(m, 0, (), random_network([5, 4, 3], 1),
                 random_network([5, 4, 3], 2), _random_eval(rng, 5, 5, 3))
     assert _param_bytes(m) == before
 
@@ -291,10 +288,10 @@ def test_pair_losses_equal_two_single_scores_after_any_history(data):
     config = dataclasses.replace(FORCE_WEIGHT_PASS, loss=loss)
     report = _report_for(config)
     ev = _LayerEvaluator(m, k, es, loss)
-    for op in data.draw(st.lists(st.sampled_from(["write", "neuron", "weight"]), max_size=4)):
+    for op in data.draw(st.lists(st.sampled_from(["put", "neuron", "weight"]), max_size=4)):
         neuron = data.draw(st.integers(0, out_dim - 1))
-        if op == "write":
-            ev.write(StructureAddress(k, neuron), rng.normal(size=in_dim + 1))
+        if op == "put":
+            ev.put(ev.positions[neuron], rng.normal(size=in_dim + 1))
         elif op == "neuron":
             merge_neuron_level(ev, neuron, a, b, config, report, check_restores=True)
         else:

@@ -1,10 +1,11 @@
 """The merge engine against a construct-then-evaluate reference.
 
 The reference below is the straightforward engine: every candidate is built
-as a new network with ``set_structure`` and scored with a full forward pass
-from the input, through its own copy of the allocating forward pass and loss
-kernel, kept verbatim, so a change to net's shared kernel cannot move the
-reference along with the engine. The engine scores candidates in one
+as a new network from copies of the layers' arrays, through its own block
+writer, and scored with a full forward pass from the input, through its own
+copy of the allocating forward pass and loss kernel, kept verbatim, so a
+change to net's shared kernel cannot move the reference along with the
+engine. The engine scores candidates in one
 per-layer evaluator instead (cached layer input, candidates written in
 place, one workspace); its records, reports and merged parameters must match
 the reference bit for bit.
@@ -27,7 +28,6 @@ from cogram.merge import (
     convex_combine,
     mixing_factor,
 )
-from cogram.net import StructureAddress, get_structure, set_structure
 from cogram.synthdata import Dataset
 from conftest import ArrayEvalSet
 
@@ -72,22 +72,41 @@ def _ref_loss(kind):
     return lossf
 
 
-def _ref_decide(m, addr, a, b, config, eval_set):
+def _block(net, k, key):
+    """Layer k's block at ``key``, ``()`` for the layer, ``(i,)`` for neuron i
+    or ``(i, j)`` for one weight: the layer's weights with its biases as the
+    last column, cut by the key."""
+    layer = net.layers[k]
+    return np.column_stack([layer.weights, layer.biases])[key]
+
+
+def _with_block(net, k, key, block):
+    """A new network built from copies of ``net``'s layers, with layer k's
+    block at ``key`` replaced by ``block``."""
+    layers = []
+    for i, layer in enumerate(net.layers):
+        wb = np.column_stack([layer.weights, layer.biases])
+        if i == k:
+            wb[key] = block
+        layers.append(netmod.DenseLayer(wb[:, :-1], wb[:, -1], layer.activation))
+    return netmod.Network(layers, net.input_dim, net.num_classes)
+
+
+def _ref_decide(m, k, key, a, b, config, eval_set):
     lossf = _ref_loss(config.loss)
-    l_a = lossf(set_structure(m, addr, get_structure(a, addr)), eval_set)
-    l_b = lossf(set_structure(m, addr, get_structure(b, addr)), eval_set)
+    l_a = lossf(_with_block(m, k, key, _block(a, k, key)), eval_set)
+    l_b = lossf(_with_block(m, k, key, _block(b, k, key)), eval_set)
     delta = l_a - l_b
-    band = config.thresholds.for_level(addr.level)
+    band = config.thresholds.for_level(("layer", "neuron", "weight")[len(key)])
     case = classify_case(delta, band.tau_min, band.tau_max)
     alpha = mixing_factor(delta, config.lam)
-    fused = convex_combine(get_structure(a, addr), get_structure(b, addr), alpha)
+    fused = convex_combine(_block(a, k, key), _block(b, k, key), alpha)
     return l_a, l_b, delta, case, alpha, fused
 
 
 def _ref_weight(m, k, n, w, a, b, config, eval_set, records, loss_pre):
-    addr = StructureAddress(k, n, w)
-    l_a, l_b, delta, case, alpha, fused = _ref_decide(m, addr, a, b, config, eval_set)
-    candidate = set_structure(m, addr, fused)
+    l_a, l_b, delta, case, alpha, fused = _ref_decide(m, k, (n, w), a, b, config, eval_set)
+    candidate = _with_block(m, k, (n, w), fused)
     loss_post = _ref_loss(config.loss)(candidate, eval_set)
     if loss_post < loss_pre:
         action, m, current = "merged", candidate, loss_post
@@ -100,11 +119,10 @@ def _ref_weight(m, k, n, w, a, b, config, eval_set, records, loss_pre):
 
 def _ref_neuron(m, k, n, a, b, config, eval_set, records):
     lossf = _ref_loss(config.loss)
-    addr = StructureAddress(k, n)
     loss_pre = lossf(m, eval_set)
-    l_a, l_b, delta, case, alpha, fused = _ref_decide(m, addr, a, b, config, eval_set)
+    l_a, l_b, delta, case, alpha, fused = _ref_decide(m, k, (n,), a, b, config, eval_set)
     if case == 3 or config.max_granularity == "neuron":
-        candidate = set_structure(m, addr, fused)
+        candidate = _with_block(m, k, (n,), fused)
         loss_post = lossf(candidate, eval_set)
         action = "merged" if loss_post < loss_pre else "rolled_back"
         records.append(DecisionRecord("neuron", k, n, None, l_a, l_b, delta, case, alpha,
@@ -113,7 +131,7 @@ def _ref_neuron(m, k, n, a, b, config, eval_set, records):
     rec = DecisionRecord("neuron", k, n, None, l_a, l_b, delta, case, alpha,
                          "refined", loss_pre, None)
     records.append(rec)
-    work = set_structure(m, addr, fused)
+    work = _with_block(m, k, (n,), fused)
     running = lossf(work, eval_set)
     for w in range(m.layers[k].in_dim + 1):
         work, running = _ref_weight(work, k, n, w, a, b, config, eval_set, records, running)
@@ -125,9 +143,8 @@ def _ref_neuron(m, k, n, a, b, config, eval_set, records):
 
 
 def _ref_layer(m, k, a, b, config, eval_set, records):
-    addr = StructureAddress(k)
-    l_a, l_b, delta, case, alpha, fused = _ref_decide(m, addr, a, b, config, eval_set)
-    m = set_structure(m, addr, fused)
+    l_a, l_b, delta, case, alpha, fused = _ref_decide(m, k, (), a, b, config, eval_set)
+    m = _with_block(m, k, (), fused)
     refine = case != 3 and config.max_granularity != "layer"
     records.append(DecisionRecord("layer", k, None, None, l_a, l_b, delta, case, alpha,
                                   "refined" if refine else "merged"))
@@ -279,13 +296,13 @@ def test_evaluator_loss_equals_full_forward_loss(case, data):
     out_dim, in_dim = m.layers[k].weights.shape
     neuron = data.draw(st.none() | st.integers(0, out_dim - 1))
     weight = None if neuron is None else data.draw(st.none() | st.integers(0, in_dim))
-    addr = StructureAddress(k, neuron, weight)
-    block = get_structure(m, addr) + rng.normal(size=np.shape(get_structure(m, addr)))
+    key = tuple(i for i in (neuron, weight) if i is not None)
+    block = _block(m, k, key) + rng.normal(size=np.shape(_block(m, k, key)))
 
     ev = merge._LayerEvaluator(m, k, eval_set, loss)
     assert ev.loss() == _ref_loss(loss)(m, eval_set)
-    ev.write(addr, block)
-    assert ev.loss() == _ref_loss(loss)(set_structure(m, addr, block), eval_set)
+    ev.put(ev.positions[key], block)
+    assert ev.loss() == _ref_loss(loss)(_with_block(m, k, key, block), eval_set)
 
 
 FORCE_WEIGHTS = MergeConfig(
@@ -322,8 +339,8 @@ def test_rolled_back_neuron_row_is_bit_identical_to_its_baseline(case, data):
     neuron = data.draw(st.integers(0, m.layers[k].out_dim - 1))
     report = MergeReport([], 0.0, 0.0, 0.0, config)
     ev = merge._LayerEvaluator(m, k, eval_set, config.loss)
-    baseline = ev.block(StructureAddress(k, neuron)).tobytes()
+    baseline = ev.theta[ev.positions[neuron]].tobytes()
     merge.merge_neuron_level(ev, neuron, a, b, config, report, check_restores=True)
     if report.records[0].action == "rolled_back":
-        assert ev.block(StructureAddress(k, neuron)).tobytes() == baseline
+        assert ev.theta[ev.positions[neuron]].tobytes() == baseline
         assert netmod.serialize(ev.network()) == netmod.serialize(m)

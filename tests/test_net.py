@@ -11,15 +11,12 @@ from cogram.net import (
     FormatError,
     Network,
     ShapeError,
-    StructureAddress,
     backward_arrays,
     cross_entropy_arrays,
     forward,
-    get_structure,
     log_softmax,
     mse_loss,
     random_network,
-    set_structure,
     softmax,
 )
 from conftest import ArrayEvalSet, assert_gradients_match_finite_differences
@@ -370,52 +367,7 @@ def test_backward_rejects_a_gradient_buffer_not_laid_out_like_theta():
             backward_arrays(net, x, y, out=bad)
 
 
-# --- get/set structure ---------------------------------------------------------
-
-
-def test_get_set_round_trip_all_levels():
-    rng = np.random.default_rng(33)
-    net = random_network([6, 5, 4], seed=8)
-    before = _param_bytes(net)
-    addresses = [StructureAddress(0), StructureAddress(1),
-                 StructureAddress(1, 2), StructureAddress(0, 4),
-                 StructureAddress(1, 3, 0), StructureAddress(0, 1, 6)]
-    for addr in addresses:
-        block = get_structure(net, addr)
-        restored = set_structure(net, addr, block)
-        assert _param_bytes(restored) == before
-
-
-def test_get_set_round_trip_random_addresses_property():
-    rng = np.random.default_rng(17)
-    for trial in range(30):
-        sizes = [int(rng.integers(2, 7)) for _ in range(int(rng.integers(2, 4)) + 1)]
-        net = random_network(sizes, seed=trial)
-        li = int(rng.integers(0, len(net.layers)))
-        layer = net.layers[li]
-        level = rng.integers(0, 3)
-        if level == 0:
-            addr = StructureAddress(li)
-        elif level == 1:
-            addr = StructureAddress(li, int(rng.integers(0, layer.out_dim)))
-        else:
-            addr = StructureAddress(
-                li, int(rng.integers(0, layer.out_dim)), int(rng.integers(0, layer.in_dim + 1))
-            )
-        restored = set_structure(net, addr, get_structure(net, addr))
-        assert _param_bytes(restored) == _param_bytes(net)
-
-
-def test_set_structure_locality():
-    m = random_network([6, 5, 4, 3], seed=1)
-    a = random_network([6, 5, 4, 3], seed=2)
-    addr = StructureAddress(0)
-    swapped = set_structure(m, addr, get_structure(a, addr))
-    assert np.array_equal(swapped.layers[0].weights, a.layers[0].weights)
-    assert np.array_equal(swapped.layers[0].biases, a.layers[0].biases)
-    for k in (1, 2):  # untouched layers are bitwise equal
-        assert swapped.layers[k].weights.tobytes() == m.layers[k].weights.tobytes()
-        assert swapped.layers[k].biases.tobytes() == m.layers[k].biases.tobytes()
+# --- parameter layout and positions ---------------------------------------------------
 
 
 def test_layers_are_read_only_views_of_theta():
@@ -442,7 +394,7 @@ def test_with_theta_views_the_vector_it_is_given():
     net = random_network([4, 3], seed=5)
     theta = net.theta.copy()
     view = net.with_theta(theta)
-    theta[net.index(StructureAddress(0, 1, 4))] = 2.5  # weight in_dim is the bias
+    theta[net.positions[0][1, 4]] = 2.5  # weight in_dim is the bias
     assert view.layers[0].biases[1] == 2.5 and net.layers[0].biases[1] == 0.0
     for bad in (theta[:-1], np.zeros(2 * theta.size)[::2], theta.astype(np.float32)):
         with pytest.raises(ShapeError):
@@ -458,47 +410,48 @@ def test_theta_is_in_the_order_of_the_model_file():
     assert netmod.deserialize(netmod.serialize(net)).theta.tobytes() == net.theta.tobytes()
 
 
-def test_theta_at_index_is_get_structure_for_every_address():
-    net = random_network([5, 4, 3], seed=3)
-    net = net.with_theta(np.random.default_rng(3).normal(size=net.theta.size))
+def _random_theta_network(sizes, seed):
+    net = random_network(sizes, seed=seed)
+    return net.with_theta(np.random.default_rng(seed).normal(size=net.theta.size))
+
+
+def test_positions_hold_every_theta_index_exactly_once():
+    for sizes in ([5, 4, 3], [2, 7], [6, 1, 5, 2]):
+        net = random_network(sizes, seed=3)
+        for k, layer in enumerate(net.layers):
+            assert net.positions[k].shape == (layer.out_dim, layer.in_dim + 1)
+        seen = np.concatenate([pos.ravel() for pos in net.positions])
+        assert np.array_equal(np.sort(seen), np.arange(net.theta.size))
+
+
+def test_positions_column_in_dim_holds_the_biases():
+    net = _random_theta_network([5, 4, 3], seed=4)
     for k, layer in enumerate(net.layers):
-        addresses = [StructureAddress(k)] + [
-            StructureAddress(k, n, *w) for n in range(layer.out_dim)
-            for w in [()] + [(j,) for j in range(layer.in_dim + 1)]
-        ]
-        # the layer block with the bias as the last column, cut by the address
-        layer_block = np.hstack([layer.weights, layer.biases[:, None]])
-        for addr in addresses:
-            block = get_structure(net, addr)
-            assert np.array_equal(net.theta[net.index(addr)], block)
-            assert np.array_equal(block, layer_block[addr.key])
-            assert np.shape(block) == np.shape(layer_block[addr.key])
-    seen = np.concatenate([net.positions[k].ravel() for k in range(len(net.layers))])
-    assert np.array_equal(np.sort(seen), np.arange(net.theta.size))  # one address each
+        bias_positions = net.positions[k][:, layer.in_dim]
+        assert net.theta[bias_positions].tobytes() == layer.biases.tobytes()
+        for i in range(layer.out_dim):  # a neuron's block: its weight row, then its bias
+            row = net.theta[net.positions[k][i]]
+            assert row.tobytes() == np.append(layer.weights[i], layer.biases[i]).tobytes()
 
 
-def test_weight_address_in_dim_is_the_bias():
-    net = random_network([5, 4, 3], seed=4)
-    in_dim = net.layers[1].in_dim
-    addr = StructureAddress(1, 2, in_dim)
-    assert get_structure(net, addr) == net.layers[1].biases[2]
-    updated = set_structure(net, addr, 0.125)
-    assert updated.layers[1].biases[2] == 0.125
-    assert np.array_equal(updated.layers[1].weights, net.layers[1].weights)
+def test_theta_at_positions_is_the_layer_weight():
+    net = _random_theta_network([5, 4, 3], seed=3)
+    for k, layer in enumerate(net.layers):
+        for i in range(layer.out_dim):
+            for j in range(layer.in_dim):
+                assert net.theta[net.positions[k][i, j]] == layer.weights[i, j]
+        # the whole layer's block is the weights with the biases as the last column
+        block = net.theta[net.positions[k]]
+        assert block.tobytes() == np.column_stack([layer.weights, layer.biases]).tobytes()
 
 
-def test_structure_address_validation():
-    net = random_network([5, 4, 3], seed=4)
-    with pytest.raises(ValueError):
-        StructureAddress(0, None, 2)  # weight without neuron
-    with pytest.raises(ShapeError):
-        get_structure(net, StructureAddress(5))
-    with pytest.raises(ShapeError):
-        get_structure(net, StructureAddress(0, 9))
-    with pytest.raises(ShapeError):
-        get_structure(net, StructureAddress(0, 0, 6))  # in_dim is 5 -> max index 5
-    with pytest.raises(ShapeError):
-        set_structure(net, StructureAddress(0), np.zeros((2, 2)))
+def test_positions_are_shared_by_with_theta_networks_and_read_only():
+    net = random_network([5, 4, 3], seed=2)
+    positions = net.positions  # built on first use
+    other = net.with_theta(np.zeros_like(net.theta))
+    assert all(p is q for p, q in zip(positions, other.positions))
+    with pytest.raises(ValueError, match="read-only"):
+        net.positions[0][0, 0] = 1
 
 
 # --- serialization --------------------------------------------------------------

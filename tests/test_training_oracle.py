@@ -2,8 +2,9 @@
 
 ``training.train`` keeps every parameter in one flat vector, updates it in
 place and writes gradients into reused buffers. The reference below is the
-per-layer backprop, optimizer step and training loop it replaced, kept
-verbatim: it rebuilds every layer and the network at each step. It keeps its
+per-layer backprop, with its own forward pass that keeps pre-activations,
+optimizer step and training loop it replaced, kept verbatim: it rebuilds
+every layer and the network at each step. It keeps its
 own per-layer gradient container and gradient clipping, copied from the
 code they replaced, because ``training.clip_gradients`` is under test.
 Trained models and reports must match it byte for byte.
@@ -78,9 +79,35 @@ def _ref_log_softmax(z):
     return shifted
 
 
+def _ref_apply_activation(z, activation):
+    if activation == "relu":
+        return np.maximum(z, 0.0)
+    if activation == "tanh":
+        return np.tanh(z)
+    return z
+
+
+def _ref_forward_trace(net, x):
+    """Forward pass keeping pre-activations and activations for backprop.
+
+    Returns (pre_activations, activations) where activations[0] is the input
+    batch and activations[-1] the logits.
+    """
+    pres = []
+    acts = [x]
+    a = x
+    for layer in net.layers:
+        z = a @ layer.weights.T
+        z += layer.biases
+        pres.append(z)
+        a = _ref_apply_activation(z, layer.activation)
+        acts.append(a)
+    return pres, acts
+
+
 def _ref_backward(net, x, y, loss="cross_entropy"):
     n = x.shape[0]
-    pres, acts = netmod.forward_trace(net, x)
+    pres, acts = _ref_forward_trace(net, x)
     logits = acts[-1]
     if loss == "cross_entropy":
         value = float(-np.mean(np.sum(y * _ref_log_softmax(logits), axis=-1)))
