@@ -22,6 +22,7 @@ from .net import (
     EvalSet,
     FormatError,
     Network,
+    NetworkStack,
     ShapeError,
     Workspace,
     compatible,
@@ -50,6 +51,7 @@ from .training import (
     clip_gradients,
     optimizer_step,
     train,
+    train_stack,
 )
 
 __version__ = "0.1.0"

@@ -47,8 +47,8 @@ def fisher_information(
     rows = rng.choice(len(dataset), size=n, replace=False) if n < len(dataset) else np.arange(n)
     x = dataset.features[rows]
 
-    acts = netmod._layer_outputs(net, x)
-    probs = netmod.softmax(acts[-1])
+    work = netmod.Workspace(net, n, backprop=True)
+    probs = netmod.softmax(netmod._forward_into(net._plan, x, work.acts))
     # one label draw per sample from the model's own predictive distribution
     cum = np.cumsum(probs, axis=1)
     cum[:, -1] = 1.0  # guard cumulative rounding below 1
@@ -61,9 +61,9 @@ def fisher_information(
 
     diagonal = np.empty_like(net.theta)
     fisher_w, fisher_b = net.layer_views(diagonal)
-    for k, delta in netmod._pre_activation_deltas(net, acts, delta):
+    for k, delta in netmod._pre_activation_deltas(net._plan, work, delta):
         d2 = delta**2
-        a2 = acts[k] ** 2
+        a2 = (x if k == 0 else work.acts[k - 1]) ** 2
         np.divide(d2.T @ a2, n, out=fisher_w[k])
         np.mean(d2, axis=0, out=fisher_b[k])
     return FisherInfo(diagonal=diagonal, sample_count=n)

@@ -232,7 +232,7 @@ class SweepRow:
 _ROW_KEYS = {"acc_a": "acc_A", "acc_b": "acc_B"}
 
 # the stages of one sweep seed, timed into SweepRow.stage_s
-STAGES = ("data", "train_a", "train_b", "fisher", "eval_set", "cogram", "kickoff", "evaluate")
+STAGES = ("data", "train", "fisher", "eval_set", "cogram", "kickoff", "evaluate")
 
 
 @contextlib.contextmanager
@@ -312,15 +312,11 @@ def run_experiment_seed(cfg: ExperimentConfig, seed: int) -> SweepRow:
         data_cfg = synthdata.DataConfig(**{**asdict(cfg.data), "seed": seed})
         data_a, data_b, test = synthdata.generate_pair(data_cfg, cfg.mode)
 
-    with _timed(stage_s, "train_a"):
-        net_a = netmod.random_network(cfg.arch, _role_seed(seed, 1))
-        net_a, _ = training.train(
-            net_a, data_a, cfg.optimizer, cfg.epochs, cfg.batch_size, _role_seed(seed, 2)
-        )
-    with _timed(stage_s, "train_b"):
-        net_b = netmod.random_network(cfg.arch, _role_seed(seed, 3))
-        net_b, _ = training.train(
-            net_b, data_b, cfg.optimizer, cfg.epochs, cfg.batch_size, _role_seed(seed, 4)
+    with _timed(stage_s, "train"):  # A and B in lock-step
+        (net_a, _), (net_b, _) = training.train_stack(
+            [netmod.random_network(cfg.arch, _role_seed(seed, role)) for role in (1, 3)],
+            [data_a, data_b], cfg.optimizer, cfg.epochs, cfg.batch_size,
+            [_role_seed(seed, 2), _role_seed(seed, 4)],
         )
 
     with _timed(stage_s, "evaluate"):
@@ -458,6 +454,11 @@ def cmd_train(args) -> int:
         raise UsageError(f"--arch must be comma-separated layer sizes, got {args.arch!r}") from None
     _check_arch("--arch", arch)
     check_number("--seed", args.seed, 0, integer=True)
+    check_number("--epochs", args.epochs, 0, integer=True)
+    check_number("--batch-size", args.batch_size, 1, integer=True)
+    check_number("--lr", args.lr, strict=True)
+    if args.clip_norm is not None:
+        check_number("--clip-norm", args.clip_norm, strict=True)
     dataset = synthdata.load_csv(args.data, arch[-1])
     if arch[0] != dataset.dim:
         raise UsageError(f"arch input {arch[0]} != dataset dim {dataset.dim}")
@@ -499,10 +500,17 @@ def _merge_stages(args) -> tuple[str, ...]:
     return stages + ("kickoff",) * args.kickoff
 
 
-def _check_merge_flags(args) -> None:
-    """The numeric flags no merge config checks, before any stage runs."""
+def _check_merge_flags(args, stages: tuple[str, ...]) -> None:
+    """The numeric flags of the stages that run, before any data is read or
+    any stage runs, each error naming its flag."""
     check_number("--seed", args.seed, 0, integer=True)
     check_number("--fisher-samples", args.fisher_samples, 1, integer=True)
+    if "cogram" in stages:
+        check_number("--lambda", args.lam, strict=True)
+        check_number("--iterations", args.iterations, 1, integer=True)
+        for flag, value in (("--tau-min", args.tau_min), ("--tau-max", args.tau_max)):
+            if value is not None and value != math.inf:
+                check_number(flag, value)
     if args.kickoff:
         check_number("--batch-size", args.batch_size, 1, integer=True)
         check_number("--kickoff-epochs", args.kickoff_epochs, 0, integer=True,
@@ -513,8 +521,8 @@ def _check_merge_flags(args) -> None:
 
 
 def cmd_merge(args) -> int:
-    _check_merge_flags(args)
     stages = _merge_stages(args)
+    _check_merge_flags(args, stages)
     merge_cfg = None
     if "cogram" in stages:
         merge_cfg = _mergeconfig_from_dict({

@@ -15,17 +15,22 @@ Parameters are addressed by position: ``Network.positions[k][key]`` gives
 the positions in ``theta`` of layer k (key ``()``), of neuron i's weight row
 and bias (``(i,)``) or of one weight (``(i, j)``, the bias at j = in_dim).
 
-There is one forward loop, ``_forward_into``: ``forward``, the losses,
-backprop and the Fisher pass all run it. Backprop keeps each layer's output
-and takes each activation's derivative from it.
+There is one forward loop, ``_forward_into``, one loss kernel,
+``_loss_of_logits``, and one backward sweep, ``_pre_activation_deltas``.
+``forward``, the losses, backprop and the Fisher pass all run the forward
+loop. Backprop (``backward_arrays``) runs the three in turn into the buffers
+of a ``Workspace``, made once by the caller (training makes one per batch
+size) or else for the call; it keeps each layer's output and takes each
+activation's derivative from it.
 
 Losses are measured on an ``EvalSet``, two arrays: the inputs and one target
 distribution per row. ``cross_entropy_loss`` and ``mse_loss`` each run
-``forward`` and then the one loss kernel; ``loss_function`` picks one by name.
-The forward loop and the loss kernel also take a leading stack axis: a
-``CandidateStack`` scores several networks that differ only in their first
-layer in one pass, one loss per network, each bit-identical to its own
-single-network loss.
+``forward`` and then the loss kernel; ``loss_function`` picks one by name.
+All three parts take a leading stack axis. A ``CandidateStack`` scores
+several networks that differ only in their first layer in one pass, and a
+``NetworkStack`` backpropagates through several networks of one shape, each
+with its own inputs, in one pass; every loss and gradient is bit-identical
+to its own single-network one.
 """
 
 from __future__ import annotations
@@ -126,8 +131,18 @@ class Network:
             DenseLayer(w, b, act)
             for w, b, act in zip(*self.layer_views(self.theta), self._activations)
         )
-        # what the forward loop reads of each layer
-        self._plan = tuple((l.weights.T, l.biases, l.activation) for l in self.layers)
+        self._plan = self._plan_of(self.theta)
+
+    def _plan_of(self, theta: np.ndarray) -> tuple:
+        """What the forward loop reads of each layer of the network whose
+        parameters are ``theta``, or of the stack of networks whose parameters
+        are its rows: the weights transposed, the biases as a row, the
+        activation."""
+        weights, biases = self.layer_views(theta)
+        return tuple(
+            (w.swapaxes(-1, -2), b[..., None, :], act)
+            for w, b, act in zip(weights, biases, self._activations)
+        )
 
     @functools.cached_property
     def positions(self) -> tuple[np.ndarray, ...]:
@@ -141,22 +156,26 @@ class Network:
         return positions
 
     def layer_views(self, vec: np.ndarray) -> tuple[list, list]:
-        """Per-layer weight and bias views of a vector laid out like ``theta``."""
+        """Per-layer weight and bias views of a vector laid out like ``theta``.
+        Leading axes carry through: the rows of an (S, P) matrix give (S, out,
+        in) weights and (S, out) biases."""
+        lead = vec.shape[:-1]
         weights, biases, at = [], [], 0
         for rows, cols in self._shapes:
-            weights.append(vec[at : at + rows * cols].reshape(rows, cols))
+            weights.append(vec[..., at : at + rows * cols].reshape(lead + (rows, cols)))
             at += rows * cols
-            biases.append(vec[at : at + rows])
+            biases.append(vec[..., at : at + rows])
             at += rows
         return weights, biases
 
-    def require_layout(self, vec, what: str) -> None:
+    def require_layout(self, vec, what: str, lead: tuple = ()) -> None:
         """Raise ShapeError unless ``vec`` (a gradient, a Fisher estimate) has
-        ``theta``'s shape, the one layout of parameter-shaped data."""
-        if np.shape(vec) != self.theta.shape:
+        ``theta``'s shape, the one layout of parameter-shaped data, after the
+        leading axes ``lead`` of a stack."""
+        if np.shape(vec) != lead + self.theta.shape:
             raise ShapeError(
                 f"{what} of shape {np.shape(vec)} is not laid out like the "
-                f"network's parameters {self.theta.shape}"
+                f"network's parameters {lead + self.theta.shape}"
             )
 
     def with_theta(self, theta: np.ndarray) -> "Network":
@@ -171,6 +190,22 @@ class Network:
         net = copy.copy(self)
         net._bind(theta)
         return net
+
+
+class NetworkStack:
+    """S networks shaped like ``net`` whose parameters are the rows of one
+    (S, P) float64 matrix ``theta``, not copies: ``networks[s]`` is
+    ``net.with_theta(theta[s])``, and whoever holds ``theta`` updates them
+    all in place. ``backward_arrays`` runs a stack as one network whose
+    inputs, targets, losses and gradient carry a leading axis of S.
+    """
+
+    def __init__(self, net: Network, theta: np.ndarray):
+        if theta.ndim != 2 or len(theta) == 0:
+            raise ShapeError(f"a stack's parameters are one row per network, got {theta.shape}")
+        self.networks = tuple(net.with_theta(row) for row in theta)
+        self.net, self.theta = net, theta
+        self._plan = net._plan_of(theta)
 
 
 def compatible(a: Network, b: Network) -> bool:
@@ -213,16 +248,24 @@ def _apply_activation(z: np.ndarray, activation: str, inplace: bool = False) -> 
 
 
 class Workspace:
-    """Caller-owned buffers for ``forward`` and the losses over ``rows``
-    inputs to networks shaped like ``net``: one activation buffer per layer,
-    and the scratch arrays of the loss (the exp of the shifted logits, the
-    finiteness mask, one value per row kept as a column, and the per-row
-    loss terms). One workspace serves any network of the same shape; it
-    holds no state between calls. With ``stack`` every buffer gets a leading
-    axis of that length, for a ``CandidateStack`` of as many networks.
+    """Caller-owned buffers for ``forward``, the losses and backprop over
+    ``rows`` inputs to networks shaped like ``net``: one activation buffer per
+    layer, and the scratch arrays of the loss (the exp of the shifted logits,
+    the finiteness mask, one value per row kept as a column, and the per-row
+    loss terms). One workspace serves any network of the same shape; it holds
+    no state between calls. With ``stack`` every buffer gets a leading axis
+    of that length, for a ``CandidateStack`` or a ``NetworkStack``.
+
+    With ``backprop`` it also holds what ``backward_arrays`` needs: the
+    gathered batch ``x`` and ``y``; a log-softmax buffer and a second column,
+    so that the loss leaves the logits, the exp and the row sums for the
+    backward pass; the derivative of the loss with respect to each hidden
+    layer's output (``deltas[k]``, layer k + 1's delta times its weights);
+    and each layer's activation derivative (``slopes``).
     """
 
-    def __init__(self, net: Network, rows: int, stack: int | None = None):
+    def __init__(self, net: Network, rows: int, stack: int | None = None,
+                 backprop: bool = False):
         lead = () if stack is None else (stack,)
         self.key = (stack, rows, net._shapes)
         self.acts = [np.empty(lead + (rows, out_dim)) for out_dim, _ in net._shapes]
@@ -230,6 +273,14 @@ class Workspace:
         self.finite = np.empty(lead + (rows, net.num_classes), dtype=bool)
         self.col = np.empty(lead + (rows, 1))
         self.row = np.empty(lead + (rows,))
+        self.backprop = backprop
+        if backprop:
+            self.x = np.empty(lead + (rows, net.input_dim))
+            self.y = np.empty(lead + (rows, net.num_classes))
+            self.logp = np.empty(lead + (rows, net.num_classes))
+            self.log_col = np.empty(lead + (rows, 1))
+            self.deltas = [np.empty(lead + (rows, out_dim)) for out_dim, _ in net._shapes[:-1]]
+            self.slopes = [np.empty(lead + (rows, out_dim)) for out_dim, _ in net._shapes]
 
 
 def _forward_into(plan, a: np.ndarray, acts) -> np.ndarray:
@@ -258,40 +309,37 @@ def forward(net: Network, inputs, work: Workspace | None = None) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ShapeError(f"inputs must have {net.input_dim} features, got shape {x.shape}")
     if work is None:
-        a = _layer_outputs(net, x)[-1]
+        acts = [np.empty((x.shape[0], out_dim)) for out_dim, _ in net._shapes]
     elif work.key == (None, x.shape[0], net._shapes):
-        a = _forward_into(net._plan, x, work.acts)
+        acts = work.acts
     else:
         raise ShapeError(
             f"workspace buffers {[a.shape for a in work.acts]} do not fit "
             f"{[(x.shape[0], out_dim) for out_dim, _ in net._shapes]}"
         )
+    a = _forward_into(net._plan, x, acts)
     return a[0] if squeezed else a
 
 
-def _layer_outputs(net: Network, x: np.ndarray) -> list[np.ndarray]:
-    """The input ``x`` (N, input_dim), then each layer's output, from the one
-    forward loop run into new arrays."""
-    acts = [np.empty((x.shape[0], out_dim)) for out_dim, _ in net._shapes]
-    _forward_into(net._plan, x, acts)
-    return [x, *acts]
-
-
-def _pre_activation_deltas(net: Network, acts, delta: np.ndarray):
+def _pre_activation_deltas(plan, work: Workspace, delta: np.ndarray):
     """The one backward sweep: from ``delta``, a derivative with respect to
-    the logits (scaled in place), and ``acts`` from ``_layer_outputs``, yields
-    each layer's index and the derivative with respect to its pre-activations,
-    last layer first. Each activation's derivative comes from the layer's
-    output a: relu's is a > 0, the mask of z > 0; tanh's is 1 - a**2."""
-    for k in reversed(range(len(net.layers))):
-        a, activation = acts[k + 1], net._activations[k]
+    the logits (scaled in place), and the layer outputs in ``work.acts`` left
+    by ``_forward_into`` with ``plan``, yields each layer's index and the
+    derivative with respect to its pre-activations, last layer first, into
+    ``work``'s buffers. Each activation's derivative comes from the layer's
+    output a: relu's is a > 0, the mask of z > 0; tanh's is 1 - a**2. A
+    leading stack axis carries through."""
+    for k in reversed(range(len(plan))):
+        weights_t, _, activation = plan[k]
+        a, slope = work.acts[k], work.slopes[k]
         if activation == "relu":
-            np.multiply(delta, a > 0.0, out=delta)
+            delta *= np.greater(a, 0.0, out=slope)
         elif activation == "tanh":
-            delta *= 1.0 - a * a
+            np.multiply(a, a, out=slope)
+            delta *= np.subtract(1.0, slope, out=slope)
         yield k, delta
         if k > 0:
-            delta = delta @ net.layers[k].weights
+            delta = np.matmul(delta, weights_t.swapaxes(-1, -2), out=work.deltas[k - 1])
 
 
 def _shift_exp_sum(logits, caller: str, shifted=None, work: Workspace | None = None):
@@ -331,16 +379,22 @@ def _loss_of_logits(
     squared residuals.
 
     ``logits`` (N, C) give one loss, a float. Logits with a leading stack
-    axis, (S, N, C) against the same (N, C) targets, give a list of S losses,
-    each reduced exactly as the loss of its (N, C) slice alone. Every
+    axis, (S, N, C) against (N, C) targets or (S, N, C) ones, give a list of S
+    losses, each reduced exactly as the loss of its (N, C) slice alone. Every
     intermediate goes into ``work``'s scratch when given, else into new
     arrays. The cross-entropy builds the log-softmax in place in ``logits``,
-    so its caller must not keep them; the squared error only reads them.
+    so its caller must not keep them, unless ``work`` is made for backprop:
+    then the logits are only read, and the exp of the shifted logits and
+    their sums stay in ``work.exp`` and ``work.col`` for the backward pass.
+    The squared error only reads the logits.
     """
     if loss == "cross_entropy":
-        shifted, e, sums = _shift_exp_sum(logits, "log_softmax", shifted=logits, work=work)
-        shifted -= np.log(sums, out=sums)
-        terms = np.multiply(targets, shifted, out=e)
+        keep = work is not None and work.backprop
+        shifted, e, sums = _shift_exp_sum(
+            logits, "log_softmax", shifted=work.logp if keep else logits, work=work
+        )
+        shifted -= np.log(sums, out=work.log_col if keep else sums)
+        terms = np.multiply(targets, shifted, out=shifted)
         values = np.add.reduce(terms, axis=-1, out=None if work is None else work.row)
         sign = -1.0
     elif loss == "mse":
@@ -350,7 +404,7 @@ def _loss_of_logits(
     else:
         raise ValueError(f"unknown loss {loss!r}")
     # the mean np.mean takes: one add.reduce over all values, over their count
-    if logits.ndim == targets.ndim:
+    if logits.ndim == 2:
         return sign * float(np.add.reduce(values, axis=None) / values.size)
     return [sign * float(np.add.reduce(v, axis=None) / v.size) for v in values]
 
@@ -455,51 +509,65 @@ def cross_entropy_arrays(net: Network, inputs: np.ndarray, targets: np.ndarray) 
 
 
 def backward_arrays(
-    net: Network, inputs: np.ndarray, targets: np.ndarray, loss: str = "cross_entropy",
-    out: np.ndarray | None = None,
-) -> tuple[float, np.ndarray]:
+    net: Network | NetworkStack, inputs: np.ndarray, targets: np.ndarray,
+    loss: str = "cross_entropy", out: np.ndarray | None = None, work: Workspace | None = None,
+) -> tuple[float | list[float], np.ndarray]:
     """Loss and its exact analytic gradient w.r.t. every weight and bias.
 
     The gradient is one vector laid out like ``theta``: written into ``out``
     when given (which must have ``theta``'s shape, and is returned as the
-    second value), into a new vector otherwise.
+    second value), into a new vector otherwise. Every other array goes into
+    ``work``, a ``Workspace`` with ``backprop`` for these rows, or into one
+    made for the call.
+
+    A ``NetworkStack`` of S networks takes (S, N, d) inputs and (S, N, C)
+    targets and gives a list of S losses and an (S, P) gradient; each
+    network's loss and gradient are bit-identical to its own call.
     """
+    if isinstance(net, NetworkStack):
+        net, theta, plan = net.net, net.theta, net._plan
+    else:
+        theta, plan = net.theta, net._plan
+    lead = theta.shape[:-1]
     x = _as_f64(inputs)
     y = _as_f64(targets)
-    if x.ndim != 2 or x.shape[1] != net.input_dim:
+    if x.shape[:-2] != lead or x.ndim != len(lead) + 2 or x.shape[-1] != net.input_dim:
         raise ShapeError(f"inputs must have {net.input_dim} features, got shape {x.shape}")
-    if x.shape[0] == 0:
+    n = x.shape[-2]
+    if n == 0:
         raise ValueError("empty evaluation set")
-    n = x.shape[0]
-    if y.shape != (n, net.num_classes):
+    if y.shape != lead + (n, net.num_classes):
         raise ShapeError(
-            f"targets of shape {y.shape} do not match logits of shape {(n, net.num_classes)}"
+            f"targets of shape {y.shape} do not match logits of shape "
+            f"{lead + (n, net.num_classes)}"
         )
     if out is None:
-        out = np.empty_like(net.theta)
-    net.require_layout(out, "gradient buffer")
-    acts = _layer_outputs(net, x)
-    logits = acts[-1]
+        out = np.empty(theta.shape)
+    net.require_layout(out, "gradient buffer", lead)
+    stack = lead[0] if lead else None
+    if work is None:
+        work = Workspace(net, n, stack, backprop=True)
+    elif work.key != (stack, n, net._shapes) or not work.backprop:
+        raise ShapeError(f"workspace does not fit backprop over {lead + (n,)} rows")
+    logits = _forward_into(plan, x, work.acts)
+    value = _loss_of_logits(loss, logits, y, work)
 
+    delta = work.exp
     if loss == "cross_entropy":
-        # one shift/exp/sum gives the loss and d(mean CE)/dlogits = (softmax - y) / n,
+        # the shift/exp/sum of the loss gives d(mean CE)/dlogits = (softmax - y) / n,
         # which holds for any target distribution summing to 1
-        log_probs, delta, sums = _shift_exp_sum(logits, "log_softmax")
-        log_probs -= np.log(sums)
-        value = float(-np.mean(np.sum(y * log_probs, axis=-1)))
-        delta /= sums
+        delta /= work.col
         delta -= y
         delta /= n
     else:
-        value = _loss_of_logits(loss, logits, y)
-        delta = logits - y
+        np.subtract(logits, y, out=delta)
         delta *= 2.0
-        delta /= n * logits.shape[1]
+        delta /= n * net.num_classes
 
     grad_w, grad_b = net.layer_views(out)
-    for k, delta in _pre_activation_deltas(net, acts, delta):
-        np.matmul(delta.T, acts[k], out=grad_w[k])
-        np.sum(delta, axis=0, out=grad_b[k])
+    for k, delta in _pre_activation_deltas(plan, work, delta):
+        np.matmul(delta.swapaxes(-1, -2), x if k == 0 else work.acts[k - 1], out=grad_w[k])
+        np.add.reduce(delta, axis=-2, out=grad_b[k])
     return value, out
 
 

@@ -65,7 +65,8 @@ class Dataset:
     num_classes: int
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        # C-contiguous rows: training gathers its batches from them
+        self.features = np.ascontiguousarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("feature rows must match label count")

@@ -6,7 +6,15 @@ same (net, data, config, seed) always produces bit-identical parameters.
 
 Training updates a network's whole parameter vector ``theta`` in place.
 Gradients, their clipping and the optimizer moments use the same layout,
-so an update is a few whole-vector operations.
+so an update is a few whole-vector operations, written into scratch
+vectors made once per run. Each step gathers its batch into a workspace
+made once per batch size and runs ``net.backward_arrays`` into it.
+
+There is one training loop, ``train_stack``: it trains several networks of
+one shape in lock-step, each with its own data and seed, as one stack whose
+parameters, gradients and moments are matrices with a row per network.
+``train`` is a stack of one. Every network ends bit-identical to training it
+alone.
 """
 
 from __future__ import annotations
@@ -53,8 +61,9 @@ class TrainReport:
 
 @dataclass
 class OptimizerState:
-    """Moments laid out like the network's ``theta``: the SGD velocity or
-    Adam's first moment, and Adam's second moment."""
+    """Moments laid out like the network's ``theta`` (a row per network for
+    a stack): the SGD velocity or Adam's first moment, and Adam's second
+    moment."""
 
     config: OptimizerConfig
     step: int = 0
@@ -63,9 +72,12 @@ class OptimizerState:
 
 
 def init_optimizer_state(config: OptimizerConfig, net: Network) -> OptimizerState:
-    size = net.theta.size
-    second = np.zeros(size) if config.kind == "adam" else None
-    return OptimizerState(config=config, velocity=np.zeros(size), second=second)
+    return _zero_state(config, net.theta.shape)
+
+
+def _zero_state(config: OptimizerConfig, shape: tuple) -> OptimizerState:
+    second = np.zeros(shape) if config.kind == "adam" else None
+    return OptimizerState(config=config, velocity=np.zeros(shape), second=second)
 
 
 def clip_gradients(net: Network, grad: np.ndarray, clip_norm: float) -> None:
@@ -82,14 +94,23 @@ def clip_gradients(net: Network, grad: np.ndarray, clip_norm: float) -> None:
         grad *= clip_norm / norm
 
 
-def _update(state: OptimizerState, theta: np.ndarray, grad: np.ndarray) -> None:
-    """One optimizer update of ``theta`` in place. The elementwise operations
-    and their order are those of the per-layer rule, so every bit is kept."""
+def _scratch(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What ``_update`` writes into: two arrays shaped like ``theta`` and one
+    finiteness mask."""
+    return np.empty(theta.shape), np.empty(theta.shape), np.empty(theta.shape, dtype=bool)
+
+
+def _update(state: OptimizerState, theta: np.ndarray, grad: np.ndarray, scratch) -> None:
+    """One optimizer update of ``theta`` in place, through the arrays of
+    ``_scratch(theta)``. The elementwise operations and their order are those
+    of the per-layer rule, so every bit is kept; each row of a stacked
+    ``theta`` updates as it would alone."""
     cfg = state.config
     v, s = state.velocity, state.second
+    step, denom, finite = scratch
     if cfg.kind == "sgd_momentum":
         v *= cfg.momentum
-        v -= cfg.learning_rate * grad
+        v -= np.multiply(cfg.learning_rate, grad, out=step)
         theta += v
     else:
         state.step += 1
@@ -97,17 +118,18 @@ def _update(state: OptimizerState, theta: np.ndarray, grad: np.ndarray) -> None:
         corr1 = 1.0 - b1 ** state.step
         corr2 = 1.0 - b2 ** state.step
         v *= b1
-        v += (1 - b1) * grad
+        v += np.multiply(1 - b1, grad, out=step)
         s *= b2
-        s += (1 - b2) * grad ** 2
-        step = v / corr1
+        np.multiply(grad, grad, out=step)
+        s += np.multiply(1 - b2, step, out=step)
+        np.divide(v, corr1, out=step)
         step *= cfg.learning_rate
-        denom = s / corr2
+        np.divide(s, corr2, out=denom)
         np.sqrt(denom, out=denom)
         denom += cfg.eps
         step /= denom
         theta -= step
-    if not np.isfinite(theta).all():
+    if not np.logical_and.reduce(np.isfinite(theta, out=finite), axis=None):
         raise ValueError("layer parameters must be finite")
 
 
@@ -118,7 +140,7 @@ def optimizer_step(
     SGD: v <- mu*v - lr*g, theta <- theta + v. Adam: bias-corrected."""
     net.require_layout(grad, "gradient")
     theta = net.theta.copy()
-    _update(state, theta, grad)
+    _update(state, theta, grad, _scratch(theta))
     return net.with_theta(theta), state
 
 
@@ -140,42 +162,104 @@ def train(
     seed: int = 0,
     test_data: Dataset | None = None,
 ) -> tuple[Network, TrainReport]:
-    """Seeded minibatch training; per-epoch reshuffles come from the seed."""
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    if np.any(dataset.labels < 0) or np.any(dataset.labels >= dataset.num_classes):
-        raise ValueError("labels out of range for num_classes")
-    check_number("batch_size", batch_size, 1, integer=True)
-    check_number("epochs", epochs, 0, integer=True)
-    rng = np.random.default_rng(seed)
-    targets = dataset.one_hot()
-    n = len(dataset)
-    state = init_optimizer_state(optimizer_config, net)
-    clip_norm = optimizer_config.clip_norm
-    # each step writes the gradient into one buffer and updates theta, the
-    # trained network's own parameters, in place
-    theta = net.theta.copy()
-    trained = net.with_theta(theta)
-    grad = np.empty_like(theta)
-    epoch_losses: list[float] = []
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            loss, _ = netmod.backward_arrays(
-                trained, dataset.features[idx], targets[idx], loss="cross_entropy", out=grad
-            )
-            if clip_norm is not None:
-                clip_gradients(trained, grad, clip_norm)
-            _update(state, theta, grad)
-            total += loss * len(idx)
-        epoch_losses.append(total / n)
-    report = TrainReport(
-        epoch_losses=epoch_losses,
-        final_train_accuracy=accuracy(trained, dataset),
-        final_test_accuracy=accuracy(trained, test_data) if test_data is not None else None,
-        epochs_run=epochs,
-        seed=int(seed),
+    """Seeded minibatch training; per-epoch reshuffles come from the seed.
+    It runs ``train_stack`` on a stack of this one network."""
+    [(trained, report)] = train_stack(
+        [net], [dataset], optimizer_config, epochs, batch_size, [seed],
+        None if test_data is None else [test_data],
     )
     return trained, report
+
+
+def train_stack(
+    nets,
+    datasets,
+    optimizer_config: OptimizerConfig,
+    epochs: int,
+    batch_size: int,
+    seeds,
+    test_data=None,
+) -> list[tuple[Network, TrainReport]]:
+    """Trains S networks of one shape in lock-step, network s on
+    ``datasets[s]`` with its own shuffles from ``seeds[s]`` (and evaluated on
+    ``test_data[s]`` when given). Each network and report is bit-identical
+    to what ``train`` gives it alone.
+
+    The datasets must have equal row counts, so that every step is one
+    stacked ``backward_arrays`` call over the same number of rows per
+    network. The parameters, the gradient and the optimizer moments are
+    (S, P) matrices updated in place; each trained network is a row of the
+    parameter matrix, and the gradient is clipped one row at a time.
+    """
+    nets, datasets, seeds = list(nets), list(datasets), list(seeds)
+    test_data = [None] * len(nets) if test_data is None else list(test_data)
+    if not nets or len({len(nets), len(datasets), len(seeds), len(test_data)}) != 1:
+        raise ValueError("need one dataset, seed and test set (or None) per network")
+    net = nets[0]
+    for other in nets[1:]:
+        netmod.require_compatible(net, other)
+    for dataset in datasets:
+        if len(dataset) == 0:
+            raise ValueError("empty dataset")
+        if np.any(dataset.labels < 0) or np.any(dataset.labels >= dataset.num_classes):
+            raise ValueError("labels out of range for num_classes")
+        if (dataset.dim, dataset.num_classes) != (net.input_dim, net.num_classes):
+            raise netmod.ShapeError(
+                f"a dataset of {dataset.dim} features and {dataset.num_classes} classes does "
+                f"not fit a network of {net.input_dim} inputs and {net.num_classes} logits"
+            )
+    n = len(datasets[0])
+    if any(len(dataset) != n for dataset in datasets):
+        raise netmod.ShapeError(
+            f"networks trained together need equal row counts, got {[len(d) for d in datasets]}"
+        )
+    check_number("batch_size", batch_size, 1, integer=True)
+    check_number("epochs", epochs, 0, integer=True)
+    features = [dataset.features for dataset in datasets]
+    targets = [dataset.one_hot() for dataset in datasets]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    state = _zero_state(optimizer_config, (len(nets), net.theta.size))
+    clip_norm = optimizer_config.clip_norm
+    # each step writes the gradients into one buffer and updates theta, whose
+    # rows are the trained networks' own parameters, in place; every other
+    # array of a step lives in the workspace of its batch's row count
+    stack = netmod.NetworkStack(net, np.stack([other.theta for other in nets]))
+    theta, trained = stack.theta, stack.networks
+    grad = np.empty_like(theta)
+    scratch = _scratch(theta)
+    works: dict[int, netmod.Workspace] = {}
+    epoch_losses: list[list[float]] = [[] for _ in nets]
+    for _ in range(epochs):
+        orders = [rng.permutation(n) for rng in rngs]
+        totals = [0.0] * len(nets)
+        for start in range(0, n, batch_size):
+            rows = min(batch_size, n - start)
+            work = works.get(rows)
+            if work is None:
+                work = works[rows] = netmod.Workspace(net, rows, len(nets), backprop=True)
+            for s, order in enumerate(orders):
+                idx = order[start : start + rows]
+                # the indices are in range; mode "raise" would copy ``out`` on every call
+                np.take(features[s], idx, axis=0, out=work.x[s], mode="clip")
+                np.take(targets[s], idx, axis=0, out=work.y[s], mode="clip")
+            losses, _ = netmod.backward_arrays(
+                stack, work.x, work.y, loss="cross_entropy", out=grad, work=work
+            )
+            if clip_norm is not None:
+                for s, row in enumerate(trained):
+                    clip_gradients(row, grad[s], clip_norm)
+            _update(state, theta, grad, scratch)
+            for s, loss in enumerate(losses):
+                totals[s] += loss * rows
+        for s, total in enumerate(totals):
+            epoch_losses[s].append(total / n)
+    return [
+        (row, TrainReport(
+            epoch_losses=losses,
+            final_train_accuracy=accuracy(row, dataset),
+            final_test_accuracy=accuracy(row, test) if test is not None else None,
+            epochs_run=epochs,
+            seed=int(seed),
+        ))
+        for row, losses, dataset, test, seed in zip(trained, epoch_losses, datasets, test_data, seeds)
+    ]

@@ -124,18 +124,18 @@ def test_train_negative_epochs_exits_2(workspace, tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
-@pytest.mark.parametrize("flags, field", [
-    (["--lr", "nan"], "learning_rate"),
-    (["--lr", "inf"], "learning_rate"),
-    (["--lr", "0"], "learning_rate"),
-    (["--clip-norm", "0"], "clip_norm"),
-    (["--clip-norm", "nan"], "clip_norm"),
+@pytest.mark.parametrize("flags, flag", [
+    (["--lr", "nan"], "--lr"),
+    (["--lr", "inf"], "--lr"),
+    (["--lr", "0"], "--lr"),
+    (["--clip-norm", "0"], "--clip-norm"),
+    (["--clip-norm", "nan"], "--clip-norm"),
 ])
-def test_train_bad_optimizer_settings_exit_2(workspace, tmp_path, capsys, flags, field):
+def test_train_bad_optimizer_settings_exit_2(workspace, tmp_path, capsys, flags, flag):
     rc = main(["train", "--data", str(workspace / "data" / "data_a.csv"),
                "--arch", "6,12,4", "--epochs", "1", "--out", str(tmp_path / "m.json")] + flags)
     assert rc == 2
-    assert f"{field} must be a number > 0" in capsys.readouterr().err
+    assert f"{flag} must be a number > 0" in capsys.readouterr().err
     assert not (tmp_path / "m.json").exists()
 
 
@@ -145,8 +145,17 @@ def test_train_bad_optimizer_settings_exit_2(workspace, tmp_path, capsys, flags,
     (["--arch", "6,x,4"], "--arch must be comma-separated layer sizes, got '6,x,4'"),
     (["--arch", "6"], "--arch must be a list of at least two layer sizes, got [6]"),
     (["--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+    (["--epochs", "-1"], "--epochs must be an integer >= 0, got -1"),
+    (["--batch-size", "0"], "--batch-size must be an integer >= 1, got 0"),
+    (["--lr", "0"], "--lr must be a number > 0, got 0.0"),
+    (["--clip-norm", "0"], "--clip-norm must be a number > 0, got 0.0"),
 ])
-def test_train_bad_flags_exit_2_naming_the_flag(workspace, tmp_path, capsys, flags, message):
+def test_train_bad_flags_exit_2_naming_the_flag(workspace, tmp_path, capsys, monkeypatch,
+                                               flags, message):
+    def no_read(*args, **kwargs):
+        raise AssertionError("data was read before the flags were checked")
+
+    monkeypatch.setattr(cli.synthdata, "load_csv", no_read)
     rc = main(["train", "--data", str(workspace / "data" / "data_a.csv"), "--arch", "6,12,4",
                "--epochs", "1", "--out", str(tmp_path / "m.json")] + flags)
     assert rc == 2
@@ -688,15 +697,23 @@ def test_sweep_merge_settings_have_one_key_each(tmp_path, capsys, settings):
      "--lr must be a number > 0, got nan"),
     (["--method", "fisher+cogram", "--kickoff", "--lr-mult", "-1"],
      "--lr-mult must be a number > 0, got -1.0"),
+    (["--method", "fisher+cogram", "--lambda", "0"], "--lambda must be a number > 0, got 0.0"),
+    (["--method", "cogram", "--init", "average", "--iterations", "0"],
+     "--iterations must be an integer >= 1, got 0"),
+    (["--method", "fisher+cogram", "--tau-min", "-1"],
+     "--tau-min must be a number >= 0, got -1.0"),
+    (["--method", "fisher+cogram", "--tau-max", "nan"],
+     "--tau-max must be a number >= 0, got nan"),
 ])
 def test_merge_bad_numeric_flags_exit_2_before_any_stage(workspace, tmp_path, capsys,
                                                          monkeypatch, flags, message):
     def no_stage(*args, **kwargs):
-        raise AssertionError("a merge stage ran before the flags were checked")
+        raise AssertionError("data was read or a merge stage ran before the flags were checked")
 
     for name in ("uniform_average", "fisher_information"):
         monkeypatch.setattr(cli.baseline, name, no_stage)
     monkeypatch.setattr(cli.merge, "cogram_iterate", no_stage)
+    monkeypatch.setattr(cli.synthdata, "load_csv", no_stage)
     assert main(_merge_args(workspace, tmp_path, *flags)) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "m.json").exists()
@@ -734,6 +751,29 @@ def test_sweep_rows_carry_stage_timings(tmp_path):
         assert list(row["stage_s"]) == list(cli.STAGES)
         assert all(v >= 0.0 for v in row["stage_s"].values())
         assert sum(row["stage_s"].values()) <= row["wall_time_s"]
+
+
+def test_experiment_seed_row_is_unchanged_by_lock_step_training():
+    """A and B train as one stack; the row, timings aside, is the one the
+    separately trained A and B gave (captured before they trained together)."""
+    cfg = cli._experiment_from_dict({
+        "data": {"num_classes": 4, "dim": 6, "samples_per_class": 25,
+                 "test_samples_per_class": 10},
+        "mode": "heterogeneous",
+        "arch": [6, 10, 8, 4],
+        "train": {"epochs": 3, "batch_size": 32, "clip_norm": 1.0},
+        "kickoff": {"kickoff_epochs": 1, "finetune_epochs": 2},
+        "methods": ["average", "fisher", "fisher+cogram", "fisher+cogram+kickoff"],
+        "seeds": [6],
+    })
+    row = cli.run_experiment_seed(cfg, 6)
+    assert list(row.stage_s) == list(cli.STAGES)
+    assert (row.seed, row.status, row.acc_a, row.acc_b, row.error) == (6, "ok", 0.3, 0.375, None)
+    assert row.accuracies == {"average": 0.25, "fisher": 0.575, "fisher_cogram": 0.4,
+                              "fisher_cogram_kickoff": 0.65}
+    assert row.eval_losses == {"average": 1.976557263524887, "fisher": 0.8748400942267882,
+                               "fisher_cogram": 1.1094064593142028,
+                               "fisher_cogram_kickoff": 0.84158522666998}
 
 
 def test_sweep_csv_same_bytes_for_one_and_two_workers(tmp_path, monkeypatch):

@@ -289,6 +289,10 @@ def test_workspace_of_other_rows_or_widths_is_rejected():
             netmod.cross_entropy_loss(net, es, work=work)
         with pytest.raises(ShapeError):
             forward(net, es.inputs, work=work)
+    for work in (netmod.Workspace(net, 4), netmod.Workspace(net, 3, backprop=True),
+                 netmod.Workspace(net, 4, 1, backprop=True)):
+        with pytest.raises(ShapeError, match="workspace"):
+            backward_arrays(net, es.inputs, es.targets, work=work)
 
 
 @pytest.mark.parametrize("rows", [1, 37])

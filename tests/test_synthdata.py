@@ -159,6 +159,13 @@ def test_generate_pair_test_is_balanced_both_modes():
         assert np.all(counts == 10), mode
 
 
+def test_generate_pair_gives_a_and_b_equal_row_counts_both_modes():
+    # A and B train in lock-step, which needs as many rows on each side
+    for mode in ("homogeneous", "heterogeneous"):
+        a, b, _ = generate_pair(_small_cfg(samples_per_class=7, subclusters_per_class=2), mode)
+        assert len(a) == len(b) == 7 * 4, mode
+
+
 def test_concat_stacks_and_validates():
     a, _ = generate_task(_small_cfg(seed=1))
     b, _ = generate_task(_small_cfg(seed=2))
@@ -175,6 +182,9 @@ def test_csv_round_trip_exact(tmp_path):
     loaded = load_csv(path, num_classes=train.num_classes)
     assert np.array_equal(loaded.features, train.features)
     assert np.array_equal(loaded.labels, train.labels)
+    # training gathers batches from C-contiguous rows; a column slice of the
+    # parsed table would make every gather copy the whole table
+    assert loaded.features.flags.c_contiguous
 
 
 def test_csv_rewrite_is_byte_identical(tmp_path):

@@ -213,42 +213,123 @@ def _ref_train(net, dataset, optimizer_config, epochs, batch_size=64, seed=0, te
 # --- fixtures ------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def data():
-    """150 training rows: batches of 64, 37 and 41 all leave a ragged last batch."""
-    train_set, _, test = synthdata.generate_pair(
+def _pair():
+    return synthdata.generate_pair(
         DataConfig(num_classes=5, dim=8, samples_per_class=30, test_samples_per_class=10,
                    seed=3),
         "heterogeneous",
     )
+
+
+@pytest.fixture(scope="module")
+def data():
+    """150 training rows: batches of 64, 37 and 41 all leave a ragged last batch."""
+    train_set, _, test = _pair()
     return train_set, test
+
+
+@pytest.fixture(scope="module")
+def data_b():
+    """The pair's other 150 training rows."""
+    return _pair()[1]
 
 
 def _bytes(net, report):
     return netmod.serialize(net), json.dumps(asdict(report))
 
 
+def _network(hidden: str, output: str = "identity") -> Network:
+    """An 8-16-12-5 network; ``random_network`` always ends in identity, so a
+    relu or tanh output layer is put in with ``DenseLayer``."""
+    net = netmod.random_network([8, 16, 12, 5], 7, hidden_activation=hidden)
+    *body, last = net.layers
+    return Network([*body, DenseLayer(last.weights, last.biases, output)], 8, 5)
+
+
+# name -> (optimizer, hidden activation, output activation, batch size, epochs)
 CASES = {
-    "adam": (OptimizerConfig(), "relu", 64, 3),
-    "sgd_momentum": (OptimizerConfig(kind="sgd_momentum", learning_rate=5e-3), "relu", 64, 3),
-    "adam_clip": (OptimizerConfig(learning_rate=1e-2, clip_norm=0.5), "relu", 64, 3),
+    "adam": (OptimizerConfig(), "relu", "identity", 64, 3),
+    "sgd_momentum": (OptimizerConfig(kind="sgd_momentum", learning_rate=5e-3), "relu",
+                     "identity", 64, 3),
+    "adam_clip": (OptimizerConfig(learning_rate=1e-2, clip_norm=0.5), "relu", "identity", 64, 3),
     "sgd_clip": (OptimizerConfig(kind="sgd_momentum", learning_rate=5e-2, clip_norm=0.3),
-                 "tanh", 64, 3),
-    "tanh_ragged": (OptimizerConfig(), "tanh", 37, 2),
+                 "tanh", "identity", 64, 3),
+    "tanh_ragged": (OptimizerConfig(), "tanh", "identity", 37, 2),
     "identity_ragged": (OptimizerConfig(kind="sgd_momentum", learning_rate=1e-2),
-                        "identity", 41, 2),
-    "zero_epochs": (OptimizerConfig(), "relu", 64, 0),
+                        "identity", "identity", 41, 2),
+    "zero_epochs": (OptimizerConfig(), "relu", "identity", 64, 0),
+    # the backward sweep reads the logits for these outputs' derivatives
+    "relu_output": (OptimizerConfig(learning_rate=1e-2), "tanh", "relu", 64, 3),
+    "tanh_output_ragged": (OptimizerConfig(kind="sgd_momentum", learning_rate=5e-2,
+                                           clip_norm=0.3), "relu", "tanh", 37, 2),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_train_matches_per_layer_reference_bytes(case, data):
-    config, activation, batch_size, epochs = CASES[case]
+    config, hidden, output, batch_size, epochs = CASES[case]
     train_set, test = data
-    net0 = netmod.random_network([8, 16, 12, 5], 7, hidden_activation=activation)
+    net0 = _network(hidden, output)
     got = training.train(net0, train_set, config, epochs, batch_size, 11, test)
     want = _ref_train(net0, train_set, config, epochs, batch_size, 11, test)
     assert _bytes(*got) == _bytes(*want)
+
+
+STACK_CASES = ("adam", "sgd_clip", "tanh_ragged", "relu_output", "tanh_output_ragged")
+
+
+@pytest.mark.parametrize("case", STACK_CASES)
+def test_stack_of_two_trains_each_network_to_its_reference_bytes(case, data, data_b):
+    """Lock-step training: each network of the stack, with its own data, seed
+    and start, ends where the per-layer reference takes it alone."""
+    config, hidden, output, batch_size, epochs = CASES[case]
+    (train_a, test), train_b = data, data_b
+    net_a, net_b = _network(hidden, output), _network(hidden, output)
+    net_b = net_b.with_theta(net_b.theta[::-1].copy())
+    got = training.train_stack([net_a, net_b], [train_a, train_b], config, epochs,
+                               batch_size, [11, 4], [test, None])
+    want = [_ref_train(net_a, train_a, config, epochs, batch_size, 11, test),
+            _ref_train(net_b, train_b, config, epochs, batch_size, 4)]
+    assert [_bytes(*pair) for pair in got] == [_bytes(*pair) for pair in want]
+    assert _bytes(*got[0]) != _bytes(*got[1]) or epochs == 0
+
+
+def test_stack_networks_are_rows_of_one_parameter_matrix(data, data_b):
+    (train_a, _), train_b = data, data_b
+    nets = [_network("relu"), _network("tanh", "tanh")]
+    with pytest.raises(netmod.ShapeError):
+        training.train_stack(nets, [train_a, train_b], OptimizerConfig(), 1, 64, [0, 1])
+    net = _network("relu")
+    (a, _), (b, _) = training.train_stack([net, net], [train_a, train_b], OptimizerConfig(),
+                                          1, 64, [0, 1])
+    assert a.theta.base is b.theta.base is not None and a.theta.base.shape == (2, net.theta.size)
+
+
+def test_stack_with_unequal_row_counts_raises_shape_error(data, data_b):
+    (train_a, _), train_b = data, data_b
+    shorter = synthdata.Dataset(train_b.features[:-1], train_b.labels[:-1], train_b.num_classes)
+    net = _network("relu")
+    with pytest.raises(netmod.ShapeError, match="equal row counts"):
+        training.train_stack([net, net], [train_a, shorter], OptimizerConfig(), 1, 64, [0, 1])
+
+
+@pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
+@pytest.mark.parametrize("hidden, output", [("relu", "identity"), ("tanh", "relu"),
+                                            ("identity", "tanh")])
+def test_stacked_backward_matches_each_network_alone(loss, hidden, output):
+    rng = np.random.default_rng(9)
+    net = _network(hidden, output)
+    thetas = np.stack([net.theta, rng.normal(scale=0.5, size=net.theta.size)])
+    stack = netmod.NetworkStack(net, thetas)
+    x = rng.normal(size=(2, 13, 8))
+    y = np.eye(5)[rng.integers(0, 5, size=(2, 13))]
+    work = netmod.Workspace(net, 13, 2, backprop=True)
+    for _ in range(2):  # a workspace keeps no state between calls
+        values, grad = netmod.backward_arrays(stack, x, y, loss=loss, work=work)
+        for s, row in enumerate(stack.networks):
+            value, alone = netmod.backward_arrays(row, x[s], y[s], loss=loss)
+            assert values[s] == value
+            assert grad[s].tobytes() == alone.tobytes()
 
 
 def test_clip_cases_do_clip(data):
@@ -260,10 +341,13 @@ def test_clip_cases_do_clip(data):
 
 
 @pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
+@pytest.mark.parametrize("output", ["identity", "relu", "tanh"])
 @pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
-def test_backward_into_buffers_matches_allocating_and_reference(loss, activation):
+def test_backward_into_buffers_matches_allocating_and_reference(loss, activation, output):
     rng = np.random.default_rng(5)
     net = netmod.random_network([6, 9, 7, 4], 2, hidden_activation=activation)
+    *body, last = net.layers
+    net = Network([*body, DenseLayer(last.weights, last.biases, output)], 6, 4)
     x = rng.normal(size=(13, 6))
     y = np.eye(4)[rng.integers(0, 4, size=13)]
     value, alloc = netmod.backward_arrays(net, x, y, loss=loss)
@@ -271,8 +355,10 @@ def test_backward_into_buffers_matches_allocating_and_reference(loss, activation
     buffers = np.full_like(net.theta, np.nan)
     out_value, returned = netmod.backward_arrays(net, x, y, loss=loss, out=buffers)
     assert returned is buffers
-    assert value == out_value == ref_value
-    for flat in (alloc, buffers):
+    work = netmod.Workspace(net, 13, backprop=True)
+    worked = [netmod.backward_arrays(net, x, y, loss=loss, work=work) for _ in range(2)]
+    assert value == out_value == ref_value == worked[0][0] == worked[1][0]
+    for flat in (alloc, buffers, worked[0][1], worked[1][1]):
         got = _RefGradients(*net.layer_views(flat))
         for a, b in zip(got.weights + got.biases, ref.weights + ref.biases):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
