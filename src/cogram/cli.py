@@ -383,12 +383,26 @@ def _pool_row(future, seed: int) -> SweepRow:
         return SweepRow(seed=seed, status="failed", error=f"{type(exc).__name__}: {exc}")
 
 
+def _worker_count() -> int:
+    """The sweep's worker processes: ``COGRAM_THREADS``, an integer >= 1, or
+    else one per CPU."""
+    value = os.environ.get("COGRAM_THREADS")
+    if value is None:
+        return os.cpu_count() or 1
+    try:
+        workers = int(value)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise UsageError(f"COGRAM_THREADS must be an integer >= 1, got {value!r}")
+    return workers
+
+
 def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
     """All seeds, optionally in parallel; writes sweep.csv and sweep.json."""
+    max_workers = min(_worker_count(), len(cfg.seeds))
     os.makedirs(out_dir, exist_ok=True)
     seeds = sorted(cfg.seeds)
-    max_workers = int(os.environ.get("COGRAM_THREADS", os.cpu_count() or 1))
-    max_workers = max(1, min(max_workers, len(seeds)))
     if max_workers == 1:
         rows = [_seed_worker((cfg, s)) for s in seeds]
     else:
@@ -561,7 +575,7 @@ def cmd_merge(args) -> int:
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             if reports:
-                fh.write(merge.reports_to_json(reports, merge_cfg))
+                merge.write_report(fh, reports, merge_cfg)
             else:
                 json.dump({"method": args.method, "records": []}, fh)
     print(f"merged with method={args.method}; model -> {args.out}"

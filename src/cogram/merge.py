@@ -29,6 +29,7 @@ finished layer leaves as a new, validated network.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import time
@@ -619,20 +620,28 @@ def _record_from_json_dict(doc: dict) -> DecisionRecord:
     )
 
 
+def write_report(fh, reports: list[MergeReport], config: MergeConfig) -> None:
+    """Writes the report JSON of ``reports`` to the text file ``fh``: the
+    config, then per iteration its records, one at a time, and losses, then
+    the total wall time. The text is never whole in memory; it is the text
+    ``json.dumps(..., allow_nan=False)`` gives for the document as one tree,
+    byte for byte."""
+    encode = json.JSONEncoder(allow_nan=False).encode
+    fh.write(f'{{"config": {encode(config_to_json_dict(config))}, "iterations": [')
+    for i, rep in enumerate(reports):
+        fh.write(', {"records": [' if i else '{"records": [')
+        for j, record in enumerate(rep.records):
+            fh.write((", " if j else "") + encode(_record_to_json_dict(record)))
+        fh.write(f'], "loss_before": {encode(rep.loss_before)}, '
+                 f'"loss_after": {encode(rep.loss_after)}}}')
+    fh.write(f'], "wall_time_s": {encode(sum(rep.wall_time_s for rep in reports))}}}')
+
+
 def reports_to_json(reports: list[MergeReport], config: MergeConfig) -> str:
-    doc = {
-        "config": config_to_json_dict(config),
-        "iterations": [
-            {
-                "records": [_record_to_json_dict(r) for r in rep.records],
-                "loss_before": rep.loss_before,
-                "loss_after": rep.loss_after,
-            }
-            for rep in reports
-        ],
-        "wall_time_s": sum(rep.wall_time_s for rep in reports),
-    }
-    return json.dumps(doc, allow_nan=False)
+    """The text write_report writes."""
+    buf = io.StringIO()
+    write_report(buf, reports, config)
+    return buf.getvalue()
 
 
 def reports_from_json(text: str) -> tuple[list[MergeReport], MergeConfig, float]:

@@ -18,10 +18,15 @@ and bias (``(i,)``) or of one weight (``(i, j)``, the bias at j = in_dim).
 There is one forward loop, ``_forward_into``, one loss kernel,
 ``_loss_of_logits``, and one backward sweep, ``_pre_activation_deltas``.
 ``forward``, the losses, backprop and the Fisher pass all run the forward
-loop. Backprop (``backward_arrays``) runs the three in turn into the buffers
-of a ``Workspace``, made once by the caller (training makes one per batch
-size) or else for the call; it keeps each layer's output and takes each
-activation's derivative from it.
+loop. ``forward`` without a workspace runs it over blocks of at most
+``BLOCK_ROWS`` rows that share one buffer per hidden layer, so a pass over a
+whole dataset holds one block's activations and the logits of all rows, not
+every layer's activations of all rows; a network with a layer of fewer than
+``MIN_BLOCKED_WIDTH`` outputs runs in one block, as the blocks would not
+give the logits of one pass bit for bit. Backprop (``backward_arrays``) runs
+the three in turn into the buffers of a ``Workspace``, made once by the
+caller (training makes one per batch size) or else for the call; it keeps
+each layer's output and takes each activation's derivative from it.
 
 Losses are measured on an ``EvalSet``, two arrays: the inputs and one target
 distribution per row. ``cross_entropy_loss`` and ``mse_loss`` each run
@@ -45,6 +50,9 @@ import numpy as np
 ACTIVATIONS = ("relu", "tanh", "identity")
 
 MODEL_FORMAT = "cogram-net-v1"
+
+BLOCK_ROWS = 512  # the most rows a forward pass without a workspace runs at once
+MIN_BLOCKED_WIDTH = 5  # a network with a narrower layer runs such a pass in one block
 
 
 class ShapeError(ValueError):
@@ -295,12 +303,33 @@ def _forward_into(plan, a: np.ndarray, acts) -> np.ndarray:
     return a
 
 
+def _row_blocks(n: int, width: int) -> list[tuple[int, int]]:
+    """(start, stop) of the fewest blocks of at most ``BLOCK_ROWS`` rows that
+    cover ``n`` rows, their sizes differing by at most one, for a network
+    whose narrowest layer has ``width`` outputs; one block if that is under
+    ``MIN_BLOCKED_WIDTH``. Each block's matmul must take the kernel a whole
+    pass takes: BLAS computes a single row (gemv) or a small product
+    (OpenBLAS: outputs x rows <= 1,200, 32 or more inputs) in another order
+    of additions. Even blocks of a pass over 512 rows hold 257 rows or more,
+    so every layer of 5 or more outputs stays above that limit; a narrower
+    layer would not."""
+    blocks = -(-n // BLOCK_ROWS) if width >= MIN_BLOCKED_WIDTH else min(n, 1)
+    return [(n * i // blocks, n * (i + 1) // blocks) for i in range(blocks)]
+
+
 def forward(net: Network, inputs, work: Workspace | None = None) -> np.ndarray:
     """Logits for a batch of inputs (or a single vector). Pure.
 
     With ``work`` every layer runs into the workspace's buffers and the
-    logits returned are its last one, overwritten by the next call;
-    otherwise the same loop runs into new arrays.
+    logits returned are its last one, overwritten by the next call.
+    Otherwise the rows run through the same loop in blocks of at most
+    ``BLOCK_ROWS`` (see ``_row_blocks``), which share one buffer per hidden
+    layer made for the call, and each block's logits go into their rows of
+    one new (N, C) array. A pass of ``BLOCK_ROWS`` rows or fewer, or of a
+    network with a layer of fewer than ``MIN_BLOCKED_WIDTH`` outputs, is one
+    block. The logits are those of a one-shot pass over all rows, bit for
+    bit, as long as BLAS computes a row the same way in a block as in the
+    whole matrix, which OpenBLAS's gemm does for such blocks.
     """
     x = _as_f64(inputs)
     squeezed = x.ndim == 1
@@ -308,17 +337,22 @@ def forward(net: Network, inputs, work: Workspace | None = None) -> np.ndarray:
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ShapeError(f"inputs must have {net.input_dim} features, got shape {x.shape}")
-    if work is None:
-        acts = [np.empty((x.shape[0], out_dim)) for out_dim, _ in net._shapes]
-    elif work.key == (None, x.shape[0], net._shapes):
-        acts = work.acts
-    else:
-        raise ShapeError(
-            f"workspace buffers {[a.shape for a in work.acts]} do not fit "
-            f"{[(x.shape[0], out_dim) for out_dim, _ in net._shapes]}"
-        )
-    a = _forward_into(net._plan, x, acts)
-    return a[0] if squeezed else a
+    if work is not None:
+        if work.key != (None, x.shape[0], net._shapes):
+            raise ShapeError(
+                f"workspace buffers {[a.shape for a in work.acts]} do not fit "
+                f"{[(x.shape[0], out_dim) for out_dim, _ in net._shapes]}"
+            )
+        a = _forward_into(net._plan, x, work.acts)
+        return a[0] if squeezed else a
+    blocks = _row_blocks(x.shape[0], min(out_dim for out_dim, _ in net._shapes))
+    rows = max((stop - start for start, stop in blocks), default=0)
+    hidden = [np.empty((rows, out_dim)) for out_dim, _ in net._shapes[:-1]]
+    logits = np.empty((x.shape[0], net.num_classes))
+    for start, stop in blocks:
+        acts = [h[: stop - start] for h in hidden] + [logits[start:stop]]
+        _forward_into(net._plan, x[start:stop], acts)
+    return logits[0] if squeezed else logits
 
 
 def _pre_activation_deltas(plan, work: Workspace, delta: np.ndarray):

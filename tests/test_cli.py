@@ -419,6 +419,16 @@ def test_sweep_respects_thread_cap(tmp_path, monkeypatch):
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3", ""])
+def test_sweep_bad_thread_count_exits_2_before_any_output(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("COGRAM_THREADS", value)
+    monkeypatch.setattr(cli, "run_experiment_seed", None)  # a seed that ran would fail
+    cfg = _sweep_config(tmp_path, [0], ["average"])
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"COGRAM_THREADS must be an integer >= 1, got {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_bad_config_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"methods": ["teleport"], "seeds": [0]}))

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 import warnings
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cogram import net as netmod
+from cogram import merge, net as netmod
 from cogram.merge import (
     _LayerEvaluator,
     LevelThresholds,
@@ -771,6 +772,48 @@ def test_report_json_round_trip_bit_exact():
     reports2, cfg2, total = reports_from_json(text)
     assert reports_to_json(reports2, cfg2) == text
     assert [r.records for r in reports2] == [r.records for r in reports]
+
+
+def _tree_reports_to_json(reports, config):
+    """reports_to_json as it was before it streamed: the whole document as one
+    tree of dicts, dumped at once."""
+    doc = {
+        "config": config_to_json_dict(config),
+        "iterations": [
+            {
+                "records": [merge._record_to_json_dict(r) for r in rep.records],
+                "loss_before": rep.loss_before,
+                "loss_after": rep.loss_after,
+            }
+            for rep in reports
+        ],
+        "wall_time_s": sum(rep.wall_time_s for rep in reports),
+    }
+    return json.dumps(doc, allow_nan=False)
+
+
+@pytest.mark.parametrize("iterations", [1, 3])
+@pytest.mark.parametrize("granularity", ["layer", "weight"])
+def test_report_text_equals_one_tree_dumped_at_once(iterations, granularity):
+    rng = np.random.default_rng(29)
+    m, a, b = (random_network([6, 12, 5], seed=s) for s in range(3))
+    cfg = MergeConfig(thresholds=Thresholds(
+        layer=LevelThresholds(0.0, 0.0), neuron=LevelThresholds(0.0, 0.0),
+        weight=LevelThresholds(0.0, math.inf),
+    ), max_granularity=granularity, iterations=iterations)
+    _, reports = cogram_iterate(m, a, b, cfg, eval_set=_random_eval(rng, 7, 6, 5))
+    if granularity == "weight":  # many records, joined as json.dumps joins list items
+        assert len(reports[0].records) > 100
+    assert reports_to_json(reports, cfg) == _tree_reports_to_json(reports, cfg)
+
+
+@pytest.mark.parametrize("iterations", [0, 1, 2])
+def test_report_text_of_iterations_without_records(iterations):
+    cfg = MergeConfig(thresholds=Thresholds.uniform(0.5, math.inf))
+    reports = [MergeReport([], 0.25, 0.125, 1.5, cfg) for _ in range(iterations)]
+    assert reports_to_json(reports, cfg) == _tree_reports_to_json(reports, cfg)
+    with pytest.raises(ValueError):  # NaN losses are refused, as json.dumps refuses them
+        reports_to_json([MergeReport([], math.nan, 0.0, 0.0, cfg)], cfg)
 
 
 def test_config_json_round_trip_with_infinities():
