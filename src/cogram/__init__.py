@@ -43,13 +43,12 @@ from .prototypes import (
     build_raw_batch,
     geometric_mean_prototype,
 )
-from .synthdata import DataConfig, Dataset, generate_pair, generate_task
+from .synthdata import DataConfig, Dataset, generate_pair
 from .training import (
     OptimizerConfig,
     TrainReport,
     accuracy,
     clip_gradients,
-    optimizer_step,
     train,
     train_stack,
 )

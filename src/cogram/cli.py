@@ -476,21 +476,27 @@ def cmd_train(args) -> int:
     dataset = synthdata.load_csv(args.data, arch[-1])
     if arch[0] != dataset.dim:
         raise UsageError(f"arch input {arch[0]} != dataset dim {dataset.dim}")
+    test_data = synthdata.load_csv(args.test_data, arch[-1]) if args.test_data else None
+    if test_data is not None and test_data.dim != arch[0]:
+        raise UsageError(f"--test-data has {test_data.dim} features, but arch input is {arch[0]}")
     opt = OptimizerConfig(
         kind=args.optimizer, learning_rate=args.lr, clip_norm=args.clip_norm
     )
-    test_data = synthdata.load_csv(args.test_data, arch[-1]) if args.test_data else None
     net0 = netmod.random_network(arch, args.seed)
     trained, report = training.train(
-        net0, dataset, opt, args.epochs, args.batch_size, args.seed, test_data
+        net0, dataset, opt, args.epochs, args.batch_size, args.seed
     )
+    train_acc = training.accuracy(trained, dataset)
+    test_acc = training.accuracy(trained, test_data) if test_data is not None else None
     netmod.save_model(trained, args.out)
     report_path = args.report or (os.path.splitext(args.out)[0] + ".report.json")
     with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(report), fh, indent=2)
+        json.dump({"epoch_losses": report.epoch_losses, "final_train_accuracy": train_acc,
+                   "final_test_accuracy": test_acc, "epochs_run": report.epochs_run,
+                   "seed": report.seed}, fh, indent=2)
     print(f"trained {args.arch} for {args.epochs} epochs: "
-          f"train acc {report.final_train_accuracy:.4f}"
-          + (f", test acc {report.final_test_accuracy:.4f}" if test_data is not None else "")
+          f"train acc {train_acc:.4f}"
+          + (f", test acc {test_acc:.4f}" if test_data is not None else "")
           + f"; model -> {args.out}")
     return 0
 

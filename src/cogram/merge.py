@@ -342,7 +342,6 @@ def merge_neuron_level(
     b: Network,
     config: MergeConfig,
     report: MergeReport,
-    check_restores: bool = False,
 ) -> None:
     """Blend one neuron (weight row + bias) of the working layer against the
     layer-level baseline.
@@ -351,13 +350,11 @@ def merge_neuron_level(
     the blend is kept only on strict loss improvement. Outside the band the
     blend becomes the provisional baseline for a weight-level pass, and the
     whole neuron rolls back to the layer-level parameters unless the pass
-    beats the entry loss. ``check_restores`` asserts that a rollback leaves
-    the evaluator's parameters, and its loss, bit-identical to the entry.
+    beats the entry loss. A rollback leaves the evaluator's parameters
+    bit-identical to the entry.
     """
     pos = ev.positions[neuron_idx]
     baseline = ev.theta[pos]
-    if check_restores:
-        entry = ev.theta.tobytes()
     loss_pre = ev.loss()
     rec, fused = _weigh(ev, (neuron_idx,), a, b, config)
     rec.loss_pre = loss_pre
@@ -377,9 +374,6 @@ def merge_neuron_level(
         return
     rec.action = "rolled_back"
     ev.put(pos, baseline)
-    if check_restores:
-        assert ev.theta.tobytes() == entry
-        assert ev.loss() == loss_pre
 
 
 def merge_layer_level(
@@ -390,7 +384,6 @@ def merge_layer_level(
     config: MergeConfig,
     eval_set: EvalSet,
     report: MergeReport,
-    check_restores: bool = False,
 ) -> Network:
     """Blend one whole layer; no rollback exists at this level.
 
@@ -406,9 +399,7 @@ def merge_layer_level(
     if rec.case != 3 and config.max_granularity != "layer":
         rec.action = "refined"
         for neuron_idx in range(ev.layer.out_dim):
-            merge_neuron_level(
-                ev, neuron_idx, a, b, config, report, check_restores=check_restores
-            )
+            merge_neuron_level(ev, neuron_idx, a, b, config, report)
     return ev.network()
 
 
@@ -417,22 +408,12 @@ def cogram_merge(
     a: Network,
     b: Network,
     config: MergeConfig,
-    data: Dataset | None = None,
-    eval_set: EvalSet | None = None,
-    check_restores: bool = False,
+    eval_set: EvalSet,
 ) -> tuple[Network, MergeReport]:
-    """One full back-to-front sweep over all layers of M.
-
-    The evaluation set is built once (from ``data``, normally the combined
-    A/B training set) and stays fixed for every decision in the run. Pass
-    ``eval_set`` directly to reuse a prebuilt one.
-    """
+    """One full back-to-front sweep over all layers of M, every decision
+    measured on the fixed ``eval_set``."""
     netmod.require_compatible(m, a)
     netmod.require_compatible(m, b)
-    if eval_set is None:
-        if data is None:
-            raise ValueError("cogram_merge needs either data or a prebuilt eval_set")
-        eval_set = build_eval_set(data, config)
     lossf = netmod.loss_function(config.loss)
     start = time.perf_counter()
     report = MergeReport(
@@ -440,9 +421,7 @@ def cogram_merge(
         wall_time_s=0.0, config=config,
     )
     for layer_idx in reversed(range(len(m.layers))):
-        m = merge_layer_level(
-            m, layer_idx, a, b, config, eval_set, report, check_restores=check_restores
-        )
+        m = merge_layer_level(m, layer_idx, a, b, config, eval_set, report)
     report.loss_after = lossf(m, eval_set)
     report.wall_time_s = time.perf_counter() - start
     return m, report
@@ -455,13 +434,13 @@ def cogram_iterate(
     config: MergeConfig,
     data: Dataset | None = None,
     eval_set: EvalSet | None = None,
-    check_restores: bool = False,
 ) -> tuple[Network, list[MergeReport]]:
     """Apply the merge config.iterations times, always on the latest M.
 
-    The evaluation set is built once up front; rebuilding it would use the
-    same seeds and produce the identical set, so it is shared across
-    iterations.
+    The evaluation set is built once up front from ``data``, normally the
+    combined A/B training set, unless a prebuilt ``eval_set`` is passed;
+    rebuilding it would use the same seeds and produce the identical set, so
+    it is shared across iterations.
     """
     if eval_set is None:
         if data is None:
@@ -470,9 +449,7 @@ def cogram_iterate(
     m = m0
     reports = []
     for _ in range(config.iterations):
-        m, report = cogram_merge(
-            m, a, b, config, eval_set=eval_set, check_restores=check_restores
-        )
+        m, report = cogram_merge(m, a, b, config, eval_set)
         reports.append(report)
     return m, reports
 
@@ -489,7 +466,6 @@ def gradient_kickoff(
     finetune_epochs: int = 20,
     batch_size: int = 64,
     seed: int = 0,
-    test_data: Dataset | None = None,
 ) -> tuple[Network, tuple[TrainReport, TrainReport]]:
     """Short elevated-rate training phase, then regular fine-tuning.
 
@@ -512,11 +488,11 @@ def gradient_kickoff(
     fine_seed = int(fine_ss.generate_state(1, dtype=np.uint64)[0])
     m, kick_report = train(
         m, combined_train_data, kickoff_config, kickoff_epochs, batch_size,
-        kick_seed, test_data,
+        kick_seed,
     )
     m, fine_report = train(
         m, combined_train_data, finetune_config, finetune_epochs, batch_size,
-        fine_seed, test_data,
+        fine_seed,
     )
     return m, (kick_report, fine_report)
 

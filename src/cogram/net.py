@@ -679,8 +679,3 @@ def load_model(path) -> Network:
 def parameters_equal(a: Network, b: Network) -> bool:
     """Bitwise parameter equality (shapes included)."""
     return compatible(a, b) and np.array_equal(a.theta, b.theta)
-
-
-def max_parameter_difference(a: Network, b: Network) -> float:
-    require_compatible(a, b)
-    return float(np.max(np.abs(a.theta - b.theta), initial=0.0))

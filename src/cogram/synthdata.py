@@ -151,18 +151,6 @@ def _sample(geom: _Geometry, per_class: int, noise_sigma: float, seed) -> Datase
     return Dataset(np.vstack(blocks), np.concatenate(labels), cfg.num_classes)
 
 
-def generate_task(cfg: DataConfig) -> tuple[Dataset, Dataset]:
-    """One train/test pair sharing class geometry; test gets noisier fresh draws."""
-    center_ss, shift_ss, train_ss, test_ss = np.random.SeedSequence(cfg.seed).spawn(4)
-    geom = _Geometry(_draw_centers(cfg, center_ss), _draw_shifts(cfg, shift_ss), cfg)
-    train_sigma = cfg.base_noise_sigma * 0.25
-    train = _sample(geom, cfg.samples_per_class, train_sigma, train_ss)
-    test = _sample(
-        geom, cfg.test_samples_per_class, train_sigma * cfg.test_noise_multiplier, test_ss
-    )
-    return train, test
-
-
 def heterogeneous_variant(cfg: DataConfig) -> DataConfig:
     """The perturbed generator for the second subnetwork in heterogeneous mode."""
     return replace(
@@ -230,17 +218,26 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
     """Read a CSV written by save_csv. Without ``num_classes`` the label
     range is 0..max label.
 
-    Raises ValueError for non-finite features, labels that are not whole
-    numbers and labels outside 0..num_classes-1, instead of coercing them.
+    Raises ValueError for rows whose width differs from the header's,
+    non-finite features, labels that are not whole numbers and labels outside
+    0..num_classes-1, instead of coercing them.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         columns = header.split(",")
         if not columns or columns[-1] != "label":
             raise ValueError(f"{path}: expected a trailing 'label' column")
-        raw = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            raw = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:  # a ragged row, or a value that is not a number
+            fh.seek(0)
+            fh.readline()
+            for row, line in enumerate((line for line in fh if line.strip()), 1):
+                _check_width(path, row, line.count(",") + 1, len(columns))
+            raise ValueError(f"{path}: {exc}") from None
     if raw.size == 0:
         raise ValueError(f"{path}: no data rows")
+    _check_width(path, 1, raw.shape[1], len(columns))
     features, column = raw[:, :-1], raw[:, -1]
     finite = np.isfinite(features).all(axis=1)
     if not finite.all():
@@ -261,3 +258,10 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
             f"0..{num_classes - 1}"
         )
     return Dataset(features, labels, num_classes)
+
+
+def _check_width(path, row: int, width: int, header_width: int) -> None:
+    if width != header_width:
+        raise ValueError(
+            f"{path}: data row {row} has {width} values, but the header has {header_width} columns"
+        )

@@ -53,8 +53,6 @@ class OptimizerConfig:
 @dataclass
 class TrainReport:
     epoch_losses: list[float]
-    final_train_accuracy: float
-    final_test_accuracy: float | None
     epochs_run: int
     seed: int
 
@@ -69,10 +67,6 @@ class OptimizerState:
     step: int = 0
     velocity: np.ndarray | None = None
     second: np.ndarray | None = None
-
-
-def init_optimizer_state(config: OptimizerConfig, net: Network) -> OptimizerState:
-    return _zero_state(config, net.theta.shape)
 
 
 def _zero_state(config: OptimizerConfig, shape: tuple) -> OptimizerState:
@@ -133,17 +127,6 @@ def _update(state: OptimizerState, theta: np.ndarray, grad: np.ndarray, scratch)
         raise ValueError("layer parameters must be finite")
 
 
-def optimizer_step(
-    state: OptimizerState, net: Network, grad: np.ndarray
-) -> tuple[Network, OptimizerState]:
-    """One update with ``grad``, a gradient laid out like ``net.theta``.
-    SGD: v <- mu*v - lr*g, theta <- theta + v. Adam: bias-corrected."""
-    net.require_layout(grad, "gradient")
-    theta = net.theta.copy()
-    _update(state, theta, grad, _scratch(theta))
-    return net.with_theta(theta), state
-
-
 def accuracy(net: Network, dataset: Dataset) -> float:
     """Fraction of samples whose argmax logit hits the label; ties go to the
     lowest class index."""
@@ -160,13 +143,11 @@ def train(
     epochs: int,
     batch_size: int = 64,
     seed: int = 0,
-    test_data: Dataset | None = None,
 ) -> tuple[Network, TrainReport]:
     """Seeded minibatch training; per-epoch reshuffles come from the seed.
     It runs ``train_stack`` on a stack of this one network."""
     [(trained, report)] = train_stack(
         [net], [dataset], optimizer_config, epochs, batch_size, [seed],
-        None if test_data is None else [test_data],
     )
     return trained, report
 
@@ -178,12 +159,10 @@ def train_stack(
     epochs: int,
     batch_size: int,
     seeds,
-    test_data=None,
 ) -> list[tuple[Network, TrainReport]]:
     """Trains S networks of one shape in lock-step, network s on
-    ``datasets[s]`` with its own shuffles from ``seeds[s]`` (and evaluated on
-    ``test_data[s]`` when given). Each network and report is bit-identical
-    to what ``train`` gives it alone.
+    ``datasets[s]`` with its own shuffles from ``seeds[s]``. Each network and
+    report is bit-identical to what ``train`` gives it alone.
 
     The datasets must have equal row counts, so that every step is one
     stacked ``backward_arrays`` call over the same number of rows per
@@ -192,9 +171,8 @@ def train_stack(
     parameter matrix, and the gradient is clipped one row at a time.
     """
     nets, datasets, seeds = list(nets), list(datasets), list(seeds)
-    test_data = [None] * len(nets) if test_data is None else list(test_data)
-    if not nets or len({len(nets), len(datasets), len(seeds), len(test_data)}) != 1:
-        raise ValueError("need one dataset, seed and test set (or None) per network")
+    if not nets or len({len(nets), len(datasets), len(seeds)}) != 1:
+        raise ValueError("need one dataset and seed per network")
     net = nets[0]
     for other in nets[1:]:
         netmod.require_compatible(net, other)
@@ -256,10 +234,8 @@ def train_stack(
     return [
         (row, TrainReport(
             epoch_losses=losses,
-            final_train_accuracy=accuracy(row, dataset),
-            final_test_accuracy=accuracy(row, test) if test is not None else None,
             epochs_run=epochs,
             seed=int(seed),
         ))
-        for row, losses, dataset, test, seed in zip(trained, epoch_losses, datasets, test_data, seeds)
+        for row, losses, seed in zip(trained, epoch_losses, seeds)
     ]

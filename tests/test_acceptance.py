@@ -35,6 +35,7 @@ from cogram.net import (
 from cogram.prototypes import geometric_mean_prototype
 from cogram.synthdata import DataConfig
 from conftest import ArrayEvalSet, assert_gradients_match_finite_differences
+from merge_reference import assert_matches_reference
 
 
 def _announce(number, name, detail=""):
@@ -114,7 +115,7 @@ def test_criterion_02_equation_unit_suite():
 
 
 def test_criterion_03_identity_fusion():
-    start = time.perf_counter()
+    elapsed = 0.0  # of the merges alone, not of their reference
     rng = np.random.default_rng(1)
     force = Thresholds(
         layer=LevelThresholds(math.inf, math.inf),
@@ -132,10 +133,12 @@ def test_criterion_03_identity_fusion():
         for granularity in ("layer", "neuron", "weight"):
             thresholds = Thresholds() if granularity == "layer" else force
             cfg = MergeConfig(thresholds=thresholds, max_granularity=granularity)
-            merged, _ = cogram_merge(m, a, a, cfg, eval_set=es, check_restores=True)
-            worst = max(worst, netmod.max_parameter_difference(merged, a))
+            start = time.perf_counter()
+            merged, report = cogram_merge(m, a, a, cfg, es)
+            elapsed += time.perf_counter() - start
+            assert_matches_reference(m, a, a, cfg, es, merged, [report])
+            worst = max(worst, float(np.max(np.abs(merged.theta - a.theta))))
             assert worst <= 1e-15, (sizes, granularity, worst)
-    elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"identity fusion took {elapsed:.1f}s"
     _announce(3, "identity fusion",
               f"(150 merges, max deviation {worst:.1e}, {elapsed:.2f}s)")
@@ -250,9 +253,10 @@ def test_criterion_05_rollback_monotonicity():
             ),
             max_granularity="weight",
         )
-        # check_restores makes the engine assert bit-identical restoration
-        # on every rollback while these randomized merges run
-        _, report = cogram_merge(m, a, b, cfg, eval_set=es, check_restores=True)
+        # the reference builds every candidate anew, so a rollback that does
+        # not restore its bits shows up as a difference from it
+        merged, report = cogram_merge(m, a, b, cfg, es)
+        assert_matches_reference(m, a, b, cfg, es, merged, [report])
         _check_committed_trajectory(report.records)
         merges += 1
         rollbacks += sum(1 for r in report.records if r.action == "rolled_back")
@@ -268,10 +272,9 @@ def test_criterion_05_rollback_monotonicity():
         neuron=LevelThresholds(math.inf, math.inf),
         weight=LevelThresholds(0.0, math.inf),
     )
-    merged, report = cogram_merge(
-        m, a, a, MergeConfig(thresholds=force, max_granularity="weight"),
-        eval_set=es, check_restores=True,
-    )
+    cfg = MergeConfig(thresholds=force, max_granularity="weight")
+    merged, report = cogram_merge(m, a, a, cfg, es)
+    assert_matches_reference(m, a, a, cfg, es, merged, [report])
     assert netmod.parameters_equal(merged, a)
     assert all(r.action == "rolled_back" for r in report.records
                if r.level in ("neuron", "weight"))

@@ -8,9 +8,11 @@ import time
 import numpy as np
 import pytest
 
-from cogram import cli, net as netmod
+from cogram import cli, net as netmod, training
 from cogram.cli import SweepRow, main
-from cogram.synthdata import load_csv
+from cogram.synthdata import Dataset, load_csv, save_csv
+
+REPORT_KEYS = ["epoch_losses", "final_train_accuracy", "final_test_accuracy", "epochs_run", "seed"]
 
 
 @pytest.fixture(scope="module")
@@ -87,8 +89,58 @@ def test_train_writes_model_and_report(workspace):
     model = netmod.load_model(workspace / "a.json")
     assert model.input_dim == 6 and model.num_classes == 4
     report = json.loads((workspace / "a.report.json").read_text())
+    assert list(report) == REPORT_KEYS and report["final_test_accuracy"] is None
     assert report["epochs_run"] == 15
     assert len(report["epoch_losses"]) == 15
+
+
+def test_train_test_accuracy_is_the_eval_accuracy(workspace, tmp_path, capsys):
+    test_csv = str(workspace / "data" / "test.csv")
+    rc = main(["train", "--data", str(workspace / "data" / "data_a.csv"), "--arch", "6,12,4",
+               "--epochs", "3", "--test-data", test_csv, "--out", str(tmp_path / "m.json")])
+    assert rc == 0
+    out = capsys.readouterr().out
+    report = json.loads((tmp_path / "m.report.json").read_text())
+    assert list(report) == REPORT_KEYS
+    assert main(["eval", "--model", str(tmp_path / "m.json"), "--data", test_csv]) == 0
+    accuracy = json.loads(capsys.readouterr().out)["accuracy"]
+    assert report["final_test_accuracy"] == accuracy
+    assert f", test acc {accuracy:.4f}; model -> " in out
+
+
+def test_train_test_data_of_another_width_exits_2_before_training(workspace, tmp_path, capsys,
+                                                                  monkeypatch):
+    narrow = tmp_path / "narrow.csv"
+    save_csv(Dataset(np.zeros((2, 2)), [0, 1], 4), narrow)
+
+    def no_train(*args, **kwargs):
+        raise AssertionError("trained before --test-data was checked")
+
+    monkeypatch.setattr(cli.training, "train", no_train)
+    rc = main(["train", "--data", str(workspace / "data" / "data_a.csv"), "--arch", "6,12,4",
+               "--test-data", str(narrow), "--out", str(tmp_path / "m.json")])
+    assert rc == 2
+    assert "--test-data has 2 features, but arch input is 6" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "merge", "eval"])
+def test_csv_rows_wider_than_the_header_exit_2(workspace, tmp_path, capsys, command):
+    lines = (workspace / "data" / "data_a.csv").read_text().splitlines()
+    bad = tmp_path / "wide.csv"  # the header loses f0, the rows keep it
+    bad.write_text("\n".join([lines[0].split(",", 1)[1], *lines[1:]]) + "\n")
+    out = str(tmp_path / "m.json")
+    argv = {
+        "train": ["train", "--data", str(bad), "--arch", "6,12,4", "--out", out],
+        "merge": ["merge", "--method", "fisher", "--model-a", str(workspace / "a.json"),
+                  "--model-b", str(workspace / "b.json"), "--data-a", str(bad),
+                  "--data-b", str(workspace / "data" / "data_b.csv"), "--out", out],
+        "eval": ["eval", "--model", str(workspace / "a.json"), "--data", str(bad)],
+    }[command]
+    assert main(argv) == 2
+    assert f"{bad}: data row 1 has 7 values, but the header has 6 columns" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_train_zero_epochs_saves_seeded_init(workspace, tmp_path):
@@ -763,10 +815,8 @@ def test_sweep_rows_carry_stage_timings(tmp_path):
         assert sum(row["stage_s"].values()) <= row["wall_time_s"]
 
 
-def test_experiment_seed_row_is_unchanged_by_lock_step_training():
-    """A and B train as one stack; the row, timings aside, is the one the
-    separately trained A and B gave (captured before they trained together)."""
-    cfg = cli._experiment_from_dict({
+def _four_method_experiment():
+    return cli._experiment_from_dict({
         "data": {"num_classes": 4, "dim": 6, "samples_per_class": 25,
                  "test_samples_per_class": 10},
         "mode": "heterogeneous",
@@ -776,7 +826,12 @@ def test_experiment_seed_row_is_unchanged_by_lock_step_training():
         "methods": ["average", "fisher", "fisher+cogram", "fisher+cogram+kickoff"],
         "seeds": [6],
     })
-    row = cli.run_experiment_seed(cfg, 6)
+
+
+def test_experiment_seed_row_is_unchanged_by_lock_step_training():
+    """A and B train as one stack; the row, timings aside, is the one the
+    separately trained A and B gave (captured before they trained together)."""
+    row = cli.run_experiment_seed(_four_method_experiment(), 6)
     assert list(row.stage_s) == list(cli.STAGES)
     assert (row.seed, row.status, row.acc_a, row.acc_b, row.error) == (6, "ok", 0.3, 0.375, None)
     assert row.accuracies == {"average": 0.25, "fisher": 0.575, "fisher_cogram": 0.4,
@@ -784,6 +839,22 @@ def test_experiment_seed_row_is_unchanged_by_lock_step_training():
     assert row.eval_losses == {"average": 1.976557263524887, "fisher": 0.8748400942267882,
                                "fisher_cogram": 1.1094064593142028,
                                "fisher_cogram_kickoff": 0.84158522666998}
+
+
+def test_experiment_seed_measures_accuracy_only_on_the_test_set(monkeypatch):
+    """A and B, then each method: no accuracy pass whose result is thrown away."""
+    cfg = _four_method_experiment()
+    seen = []
+    accuracy = training.accuracy
+
+    def spy(net, dataset):
+        seen.append(dataset)
+        return accuracy(net, dataset)
+
+    monkeypatch.setattr(training, "accuracy", spy)
+    cli.run_experiment_seed(cfg, 6)
+    assert len(seen) == 2 + len(cfg.methods)
+    assert all(dataset is seen[0] for dataset in seen) and len(seen[0]) == 4 * 10
 
 
 def test_sweep_csv_same_bytes_for_one_and_two_workers(tmp_path, monkeypatch):

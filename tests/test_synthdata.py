@@ -9,7 +9,6 @@ from cogram.synthdata import (
     Dataset,
     concat,
     generate_pair,
-    generate_task,
     load_csv,
     save_csv,
 )
@@ -22,29 +21,19 @@ def _small_cfg(**overrides):
     return DataConfig(**base)
 
 
-def test_generate_task_deterministic():
-    cfg = _small_cfg(seed=7)
-    t1, e1 = generate_task(cfg)
-    t2, e2 = generate_task(cfg)
-    assert np.array_equal(t1.features, t2.features)
-    assert np.array_equal(t1.labels, t2.labels)
-    assert np.array_equal(e1.features, e2.features)
-
-
-def test_generate_task_default_counts_and_balance():
-    train, test = generate_task(DataConfig())
-    assert train.features.shape == (20 * 200, 32)
+def test_generate_pair_default_counts_and_balance():
+    train, other, test = generate_pair(DataConfig(), "heterogeneous")
+    for data in (train, other):
+        assert data.features.shape == (20 * 200, 32)
+        assert np.all(np.bincount(data.labels, minlength=20) == 200)
     assert test.features.shape == (20 * 50, 32)
-    counts = np.bincount(train.labels, minlength=20)
-    assert np.all(counts == 200)
-    counts_test = np.bincount(test.labels, minlength=20)
-    assert np.all(counts_test == 50)
+    assert np.all(np.bincount(test.labels, minlength=20) == 50)
 
 
-def test_generate_task_collapse_limit_nearest_centroid_oracle():
+def test_generate_pair_collapse_limit_nearest_centroid_oracle():
     cfg = _small_cfg(subcluster_shift_scale=1e-9, base_noise_sigma=1e-9,
                      num_classes=6, dim=8)
-    train, test = generate_task(cfg)
+    train, _, test = generate_pair(cfg, "homogeneous")
     centroids = np.vstack([
         train.features[train.labels == c].mean(axis=0) for c in range(6)
     ])
@@ -53,15 +42,16 @@ def test_generate_task_collapse_limit_nearest_centroid_oracle():
     assert np.mean(predicted == test.labels) == 1.0
 
 
-def test_generate_task_train_test_disjoint():
-    train, test = generate_task(_small_cfg())
-    train_rows = {row.tobytes() for row in train.features}
-    assert not any(row.tobytes() in train_rows for row in test.features)
+def test_generate_pair_rows_are_disjoint_both_modes():
+    for mode in ("homogeneous", "heterogeneous"):
+        data_a, data_b, test = generate_pair(_small_cfg(), mode)
+        rows = [{row.tobytes() for row in d.features} for d in (data_a, data_b, test)]
+        assert sum(map(len, rows)) == len(set().union(*rows)), mode
 
 
 def test_all_values_finite_over_random_configs():
     rng = np.random.default_rng(0)
-    for _ in range(100):
+    for i in range(100):
         cfg = DataConfig(
             num_classes=int(rng.integers(2, 5)),
             dim=int(rng.integers(1, 8)),
@@ -76,9 +66,8 @@ def test_all_values_finite_over_random_configs():
             tan_clamp=float(rng.uniform(0.5, 10)),
             seed=int(rng.integers(0, 1 << 31)),
         )
-        train, test = generate_task(cfg)
-        assert np.isfinite(train.features).all()
-        assert np.isfinite(test.features).all()
+        for data in generate_pair(cfg, ("homogeneous", "heterogeneous")[i % 2]):
+            assert np.isfinite(data.features).all()
 
 
 def test_config_validation():
@@ -114,7 +103,7 @@ def test_config_rejects_bad_field_types_and_ranges(field, value, message):
 def test_config_accepts_numpy_integers_and_integral_reals():
     cfg = _small_cfg(num_classes=np.int64(3), dim=np.int32(5), center_scale=2,
                      test_noise_multiplier=np.float64(1.0))
-    train, _ = generate_task(cfg)
+    train, _, _ = generate_pair(cfg, "homogeneous")
     assert train.features.shape == (3 * 30, 5)
 
 
@@ -167,8 +156,7 @@ def test_generate_pair_gives_a_and_b_equal_row_counts_both_modes():
 
 
 def test_concat_stacks_and_validates():
-    a, _ = generate_task(_small_cfg(seed=1))
-    b, _ = generate_task(_small_cfg(seed=2))
+    a, b, _ = generate_pair(_small_cfg(seed=1), "homogeneous")
     both = concat(a, b)
     assert len(both) == len(a) + len(b)
     with pytest.raises(ValueError):
@@ -176,7 +164,7 @@ def test_concat_stacks_and_validates():
 
 
 def test_csv_round_trip_exact(tmp_path):
-    train, _ = generate_task(_small_cfg(seed=3))
+    train, _, _ = generate_pair(_small_cfg(seed=3), "homogeneous")
     path = tmp_path / "train.csv"
     save_csv(train, path)
     loaded = load_csv(path, num_classes=train.num_classes)
@@ -188,7 +176,7 @@ def test_csv_round_trip_exact(tmp_path):
 
 
 def test_csv_rewrite_is_byte_identical(tmp_path):
-    train, _ = generate_task(_small_cfg(seed=4))
+    train, _, _ = generate_pair(_small_cfg(seed=4), "homogeneous")
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     save_csv(train, p1)
     save_csv(load_csv(p1, train.num_classes), p2)
@@ -196,7 +184,7 @@ def test_csv_rewrite_is_byte_identical(tmp_path):
 
 
 def test_csv_header_format(tmp_path):
-    train, _ = generate_task(_small_cfg())
+    train, _, _ = generate_pair(_small_cfg(), "homogeneous")
     path = tmp_path / "t.csv"
     save_csv(train, path)
     header = path.read_text().splitlines()[0]
@@ -225,3 +213,23 @@ def test_csv_rejects_bad_values(tmp_path, row, num_classes, message):
         load_csv(path, num_classes)
     path.write_text("f0,f1,label\n0.0,0.0,0\n0.5,1.0,2\n")
     assert load_csv(path, num_classes).labels.tolist() == [0, 2]
+
+
+@pytest.mark.parametrize("rows, row, width", [
+    ("1,2,3,4,5,0\n1,2,3,4,5,1\n", 1, 6),  # every row wider than the header
+    ("1,2,3,0\n1,2,3,4,5,1\n", 2, 6),      # a ragged row
+    ("1,2,3,0\n\n1,2,1\n", 2, 3),          # a short row after a blank line
+])
+def test_csv_rejects_rows_whose_width_differs_from_the_header(tmp_path, rows, row, width):
+    path = tmp_path / "bad.csv"
+    path.write_text("f0,f1,f2,label\n" + rows)
+    message = f"{path}: data row {row} has {width} values, but the header has 4 columns"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_csv(path)
+
+
+def test_csv_unparsable_value_names_the_file(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("f0,f1,label\n0.0,x,0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: could not convert"):
+        load_csv(path)

@@ -10,8 +10,6 @@ from cogram.training import (
     OptimizerConfig,
     accuracy,
     clip_gradients,
-    init_optimizer_state,
-    optimizer_step,
     train,
 )
 
@@ -34,9 +32,14 @@ def _clipped(net, grad, clip_norm):
     return out
 
 
-def _params_flat(net):
-    return np.concatenate([l.weights.ravel() for l in net.layers]
-                          + [l.biases.ravel() for l in net.layers])
+def _full_batch(net, data, cfg, epochs=1):
+    """``net`` trained with full batches: one optimizer step per epoch."""
+    trained, _ = train(net, data, cfg, epochs=epochs, batch_size=len(data))
+    return trained
+
+
+def _gradient(net, data):
+    return netmod.backward_arrays(net, data.features, data.one_hot())[1]
 
 
 def _toy_separable(n=100, seed=0):
@@ -96,45 +99,48 @@ def test_clip_rejects_a_gradient_not_laid_out_like_theta():
             clip_gradients(net, bad, 1.0)
 
 
-# --- optimizer_step --------------------------------------------------------------
+# --- the optimizer update, one full-batch step at a time ---------------------------
 
 
 def test_sgd_without_momentum_is_vanilla():
-    net = random_network([3, 2], seed=0)
+    data = _toy_separable()
+    net = random_network([2, 3, 2], seed=0)
     cfg = OptimizerConfig(kind="sgd_momentum", learning_rate=0.1, momentum=0.0)
-    state = init_optimizer_state(cfg, net)
-    stepped, _ = optimizer_step(state, net, _grads_like(net, 1.0))
-    assert np.allclose(_params_flat(stepped), _params_flat(net) - 0.1, atol=1e-15)
+    stepped = _full_batch(net, data, cfg)
+    assert np.allclose(stepped.theta, net.theta - 0.1 * _gradient(net, data),
+                       rtol=1e-12, atol=1e-15)
 
 
 def test_sgd_momentum_second_step_displacement():
-    net = random_network([3, 2], seed=0)
+    data = _toy_separable()
+    net = random_network([2, 3, 2], seed=0)
     cfg = OptimizerConfig(kind="sgd_momentum", learning_rate=0.1, momentum=0.9)
-    state = init_optimizer_state(cfg, net)
-    g = _grads_like(net, 1.0)
-    step1, state = optimizer_step(state, net, g)
-    step2, state = optimizer_step(state, step1, g)
-    d1 = _params_flat(step1) - _params_flat(net)
-    d2 = _params_flat(step2) - _params_flat(step1)
-    assert np.allclose(d2, 1.9 * d1, rtol=1e-12)
+    step1 = _full_batch(net, data, cfg)
+    step2 = _full_batch(net, data, cfg, epochs=2)
+    d1 = step1.theta - net.theta
+    d2 = step2.theta - step1.theta
+    # v2 = mu * v1 - lr * g(theta1), with v1 = d1
+    want = 0.9 * d1 - 0.1 * _gradient(step1, data)
+    assert np.allclose(d2, want, rtol=1e-9, atol=1e-15)
+    assert not np.allclose(d2, want - 0.9 * d1, rtol=1e-3)  # momentum shows
 
 
 def test_adam_first_step_magnitude_is_lr():
-    net = random_network([4, 3], seed=1)
+    data = _toy_separable()
+    net = random_network([2, 2], seed=1)
     cfg = OptimizerConfig(kind="adam", learning_rate=1e-3)
-    state = init_optimizer_state(cfg, net)
-    stepped, _ = optimizer_step(state, net, _grads_like(net, 0.5))
-    deltas = np.abs(_params_flat(stepped) - _params_flat(net))
-    assert np.allclose(deltas, cfg.learning_rate, rtol=1e-6)
+    deltas = np.abs(_full_batch(net, data, cfg).theta - net.theta)
+    g = np.abs(_gradient(net, data))
+    assert g.min() > 1e-3  # eps = 1e-8 is negligible against every gradient
+    assert np.allclose(deltas, cfg.learning_rate, rtol=1e-5)
 
 
-def test_optimizer_step_shape_mismatch():
+def test_train_rejects_a_dataset_that_does_not_fit_the_network():
     net = random_network([4, 3], seed=1)
-    other = random_network([5, 3], seed=1)
-    cfg = OptimizerConfig(kind="adam", learning_rate=1e-3)
-    state = init_optimizer_state(cfg, net)
-    with pytest.raises(netmod.ShapeError):
-        optimizer_step(state, net, _grads_like(other, 1.0))
+    rng = np.random.default_rng(0)
+    wide = Dataset(rng.normal(size=(6, 5)), np.arange(6) % 3, 3)
+    with pytest.raises(netmod.ShapeError, match="does not fit a network of 4 inputs"):
+        train(net, wide, OptimizerConfig(), epochs=1, batch_size=6)
 
 
 def test_optimizer_config_validation():
@@ -187,7 +193,7 @@ def test_train_learns_separable_toy_task():
     net = random_network([2, 16, 2], seed=6)
     cfg = OptimizerConfig(kind="adam", learning_rate=1e-2)
     trained, report = train(net, data, cfg, epochs=50, batch_size=32, seed=7)
-    assert report.final_train_accuracy >= 0.95
+    assert accuracy(trained, data) >= 0.95
     assert report.epoch_losses[-1] < report.epoch_losses[0]
 
 
@@ -208,9 +214,8 @@ def test_train_with_clipping_and_test_split():
     test = _toy_separable(seed=3)
     cfg = OptimizerConfig(kind="adam", learning_rate=1e-2, clip_norm=0.5)
     net = random_network([2, 8, 2], seed=10)
-    _, report = train(net, data, cfg, epochs=20, batch_size=25, seed=12, test_data=test)
-    assert report.final_test_accuracy is not None
-    assert 0.0 <= report.final_test_accuracy <= 1.0
+    trained, _ = train(net, data, cfg, epochs=20, batch_size=25, seed=12)
+    assert 0.0 <= accuracy(trained, test) <= 1.0
 
 
 def test_train_rejects_empty_and_bad_labels():

@@ -183,7 +183,7 @@ def _ref_optimizer_step(state, net, g):
     return Network(new_layers, net.input_dim, net.num_classes), state
 
 
-def _ref_train(net, dataset, optimizer_config, epochs, batch_size=64, seed=0, test_data=None):
+def _ref_train(net, dataset, optimizer_config, epochs, batch_size=64, seed=0):
     rng = np.random.default_rng(seed)
     targets = dataset.one_hot()
     n = len(dataset)
@@ -200,14 +200,7 @@ def _ref_train(net, dataset, optimizer_config, epochs, batch_size=64, seed=0, te
             net, state = _ref_optimizer_step(state, net, grads)
             total += loss * len(idx)
         epoch_losses.append(total / n)
-    report = TrainReport(
-        epoch_losses=epoch_losses,
-        final_train_accuracy=training.accuracy(net, dataset),
-        final_test_accuracy=training.accuracy(net, test_data) if test_data is not None else None,
-        epochs_run=epochs,
-        seed=int(seed),
-    )
-    return net, report
+    return net, TrainReport(epoch_losses=epoch_losses, epochs_run=epochs, seed=int(seed))
 
 
 # --- fixtures ------------------------------------------------------------------
@@ -268,10 +261,10 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_train_matches_per_layer_reference_bytes(case, data):
     config, hidden, output, batch_size, epochs = CASES[case]
-    train_set, test = data
+    train_set, _ = data
     net0 = _network(hidden, output)
-    got = training.train(net0, train_set, config, epochs, batch_size, 11, test)
-    want = _ref_train(net0, train_set, config, epochs, batch_size, 11, test)
+    got = training.train(net0, train_set, config, epochs, batch_size, 11)
+    want = _ref_train(net0, train_set, config, epochs, batch_size, 11)
     assert _bytes(*got) == _bytes(*want)
 
 
@@ -283,12 +276,12 @@ def test_stack_of_two_trains_each_network_to_its_reference_bytes(case, data, dat
     """Lock-step training: each network of the stack, with its own data, seed
     and start, ends where the per-layer reference takes it alone."""
     config, hidden, output, batch_size, epochs = CASES[case]
-    (train_a, test), train_b = data, data_b
+    (train_a, _), train_b = data, data_b
     net_a, net_b = _network(hidden, output), _network(hidden, output)
     net_b = net_b.with_theta(net_b.theta[::-1].copy())
     got = training.train_stack([net_a, net_b], [train_a, train_b], config, epochs,
-                               batch_size, [11, 4], [test, None])
-    want = [_ref_train(net_a, train_a, config, epochs, batch_size, 11, test),
+                               batch_size, [11, 4])
+    want = [_ref_train(net_a, train_a, config, epochs, batch_size, 11),
             _ref_train(net_b, train_b, config, epochs, batch_size, 4)]
     assert [_bytes(*pair) for pair in got] == [_bytes(*pair) for pair in want]
     assert _bytes(*got[0]) != _bytes(*got[1]) or epochs == 0
@@ -364,31 +357,19 @@ def test_backward_into_buffers_matches_allocating_and_reference(loss, activation
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("kind", ["adam", "sgd_momentum"])
-def test_public_optimizer_step_matches_reference_step(kind):
-    rng = np.random.default_rng(8)
-    net = netmod.random_network([5, 7, 3], 4)
-    config = OptimizerConfig(kind=kind, learning_rate=1e-2)
-    state, ref_state = training.init_optimizer_state(config, net), _ref_init_state(config, net)
-    got, want = net, net
-    for _ in range(3):
-        flat = rng.normal(size=net.theta.size)
-        g = _RefGradients(*net.layer_views(flat))
-        got, state = training.optimizer_step(state, got, flat)
-        want, ref_state = _ref_optimizer_step(ref_state, want, g)
-        assert netmod.serialize(got) == netmod.serialize(want)
-    assert state.step == ref_state.step
-
-
 def test_non_finite_update_raises_the_reference_error():
+    """Huge inputs, all misclassified, give a finite gradient whose step
+    overflows the weights."""
     net = netmod.random_network([3, 2], 0)
-    config = OptimizerConfig(kind="sgd_momentum", learning_rate=1.0)
-    flat = np.concatenate([np.full(6, np.inf), np.zeros(2)])
-    g = _RefGradients(*net.layer_views(flat))
-    with pytest.raises(ValueError) as want:
-        _ref_optimizer_step(_ref_init_state(config, net), net, g)
-    with pytest.raises(ValueError) as got:
-        training.optimizer_step(training.init_optimizer_state(config, net), net, flat)
+    config = OptimizerConfig(kind="sgd_momentum", learning_rate=1e200)
+    rng = np.random.default_rng(0)
+    huge = synthdata.Dataset(rng.normal(scale=1e200, size=(4, 3)), [1, 0, 1, 0], 2)
+    _, grad = netmod.backward_arrays(net, huge.features, huge.one_hot())
+    assert np.isfinite(grad).all()
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as want:
+        _ref_train(net, huge, config, 1, 4)
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as got:
+        training.train(net, huge, config, 1, 4)
     assert str(got.value) == str(want.value) == "layer parameters must be finite"
 
 
