@@ -23,12 +23,12 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import baseline, merge, net as netmod, synthdata, training
-from .merge import MergeConfig, Thresholds
+from .merge import LevelThresholds, MergeConfig, Thresholds
 from .synthdata import DataConfig, Dataset, check_number
 from .training import OptimizerConfig
 
@@ -137,22 +137,26 @@ def _dataconfig_from_dict(doc: dict) -> DataConfig:
         raise UsageError(f"bad data config: {exc}") from exc
 
 
+# a merge setting's key in a sweep config -> its MergeConfig field
+_MERGE_KEYS = {"lambda": "lam", "granularity": "max_granularity", "epsilon": "epsilon",
+               "eval_seed": "eval_seed", "iterations": "iterations", "loss": "loss"}
+
+
 def _mergeconfig_from_dict(doc: dict) -> MergeConfig:
-    """The merge settings of a sweep config, or of ``cogram merge``'s flags."""
-    tau_min = doc.pop("tau_min", 0.0)
-    tau_max = doc.pop("tau_max", None)
-    kwargs = dict(lam=doc.pop("lambda", 5.5), max_granularity=doc.pop("granularity", "layer"))
+    """The merge settings of a sweep config, or of ``cogram merge``'s flags;
+    a ``tau_max`` of None is unbounded."""
+    if "tau_max" in doc and doc["tau_max"] is None:
+        del doc["tau_max"]
+    band = {key: doc.pop(key) for key in ("tau_min", "tau_max") if key in doc}
+    kwargs = {name: doc.pop(key) for key, name in _MERGE_KEYS.items() if key in doc}
     prototype = doc.pop("prototype", None)
     if prototype is not None:
         kwargs.update(_parse_prototype_spec(prototype))
-    for key in ("epsilon", "eval_seed", "iterations", "loss"):
-        if key in doc:
-            kwargs[key] = doc.pop(key)
     if doc:
         raise UsageError(f"unknown merge config fields: {sorted(doc)}")
     try:
-        thresholds = Thresholds.uniform(tau_min, math.inf if tau_max is None else tau_max)
-        return MergeConfig(thresholds=thresholds, **kwargs)
+        level = LevelThresholds(**band)
+        return MergeConfig(thresholds=Thresholds(level, level, level), **kwargs)
     except ValueError as exc:
         raise UsageError(f"bad merge config: {exc}") from exc
 
@@ -175,24 +179,16 @@ def _parse_prototype_spec(spec: str) -> dict:
 def _experiment_from_dict(doc: dict) -> ExperimentConfig:
     data = _dataconfig_from_dict(_json_object("data", doc.pop("data", {})))
     train_doc = _json_object("train", doc.pop("train", {}))
-    epochs = train_doc.pop("epochs", 30)
-    batch_size = train_doc.pop("batch_size", 64)
+    kwargs = {key: train_doc.pop(key) for key in ("epochs", "batch_size") if key in train_doc}
     try:
-        optimizer = OptimizerConfig(**train_doc) if train_doc else OptimizerConfig()
+        kwargs["optimizer"] = OptimizerConfig(**train_doc)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad train config: {exc}") from exc
-    merge_cfg = _mergeconfig_from_dict(_json_object("merge", doc.pop("merge", {})))
+    kwargs["merge"] = _mergeconfig_from_dict(_json_object("merge", doc.pop("merge", {})))
     kick_doc = _json_object("kickoff", doc.pop("kickoff", {}))
-    kwargs = dict(
-        data=data,
-        optimizer=optimizer,
-        epochs=epochs,
-        batch_size=batch_size,
-        merge=merge_cfg,
-        kickoff_epochs=kick_doc.pop("kickoff_epochs", 8),
-        finetune_epochs=kick_doc.pop("finetune_epochs", 20),
-        lr_multiplier=kick_doc.pop("lr_multiplier", 2.5),
-    )
+    for key in ("kickoff_epochs", "finetune_epochs", "lr_multiplier"):
+        if key in kick_doc:
+            kwargs[key] = kick_doc.pop(key)
     if kick_doc:
         raise UsageError(f"unknown kickoff config fields: {sorted(kick_doc)}")
     for key in ("mode", "arch", "fisher_samples", "methods", "seeds"):
@@ -200,7 +196,18 @@ def _experiment_from_dict(doc: dict) -> ExperimentConfig:
             kwargs[key] = doc.pop(key)
     if doc:
         raise UsageError(f"unknown experiment config fields: {sorted(doc)}")
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(data, **kwargs)
+
+
+def _load_data(flag: str, path, input_dim: int, num_classes: int) -> Dataset:
+    """The dataset in the CSV file ``path``, given as ``flag``, for a model of
+    ``input_dim`` inputs and ``num_classes`` classes."""
+    dataset = synthdata.load_csv(path, num_classes)
+    if dataset.dim != input_dim:
+        raise UsageError(
+            f"{flag} has {dataset.dim} features, but arch input is {input_dim} (in {path})"
+        )
+    return dataset
 
 
 def _load_json_config(path) -> dict:
@@ -291,12 +298,9 @@ class _Pipeline:
             if stage == "cogram":
                 return merge.cogram_iterate(start, a, b, self.merge_cfg, eval_set=self.eval_set)
             opt = self.optimizer
-            kick_cfg, fine_cfg = merge.kickoff_optimizer_configs(
-                opt.learning_rate, self.lr_multiplier,
-                optimizer=opt.kind, momentum=opt.momentum, clip_norm=opt.clip_norm,
-            )
+            kick_cfg = replace(opt, learning_rate=opt.learning_rate * self.lr_multiplier)
             fused, _ = merge.gradient_kickoff(
-                start, self.combined, kick_cfg, fine_cfg,
+                start, self.combined, kick_cfg, opt,
                 self.kickoff_epochs, self.finetune_epochs, self.batch_size,
                 _role_seed(self.seed, 8),
             )
@@ -473,12 +477,10 @@ def cmd_train(args) -> int:
     check_number("--lr", args.lr, strict=True)
     if args.clip_norm is not None:
         check_number("--clip-norm", args.clip_norm, strict=True)
-    dataset = synthdata.load_csv(args.data, arch[-1])
-    if arch[0] != dataset.dim:
-        raise UsageError(f"arch input {arch[0]} != dataset dim {dataset.dim}")
-    test_data = synthdata.load_csv(args.test_data, arch[-1]) if args.test_data else None
-    if test_data is not None and test_data.dim != arch[0]:
-        raise UsageError(f"--test-data has {test_data.dim} features, but arch input is {arch[0]}")
+    dataset = _load_data("--data", args.data, arch[0], arch[-1])
+    test_data = None
+    if args.test_data:
+        test_data = _load_data("--test-data", args.test_data, arch[0], arch[-1])
     opt = OptimizerConfig(
         kind=args.optimizer, learning_rate=args.lr, clip_norm=args.clip_norm
     )
@@ -555,8 +557,10 @@ def cmd_merge(args) -> int:
     if not netmod.compatible(net_a, net_b):
         raise UsageError("models are not architecture-compatible")
 
-    data_a = synthdata.load_csv(args.data_a, net_a.num_classes) if args.data_a else None
-    data_b = synthdata.load_csv(args.data_b, net_b.num_classes) if args.data_b else None
+    data_a, data_b = (
+        _load_data(flag, path, net_a.input_dim, net_a.num_classes) if path else None
+        for flag, path in (("--data-a", args.data_a), ("--data-b", args.data_b))
+    )
     needs_data = [s for s in stages if s in METHOD_STAGES[1:]]  # all but average read rows
     if needs_data and (data_a is None or data_b is None):
         raise UsageError(f"the {needs_data[0]} stage needs --data-a and --data-b")
@@ -591,7 +595,7 @@ def cmd_merge(args) -> int:
 
 def cmd_eval(args) -> int:
     model = netmod.load_model(args.model)
-    dataset = synthdata.load_csv(args.data, model.num_classes)
+    dataset = _load_data("--data", args.data, model.input_dim, model.num_classes)
     acc = training.accuracy(model, dataset)
     loss = netmod.cross_entropy_arrays(model, dataset.features, dataset.one_hot())
     doc = {"accuracy": acc, "loss": loss, "n": len(dataset)}

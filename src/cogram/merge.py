@@ -15,13 +15,12 @@ the level ``GRANULARITIES[len(key)]``; A's is ``a.theta[a.positions[k][key]]``.
 
 One evaluator per layer (``_LayerEvaluator``) scores every candidate of
 that layer: it caches the activation entering the layer, writes each
-candidate in place into the parameter vector of its private network for
-this layer and the ones above, and keeps or restores it. A layer or neuron
+candidate in place into the parameters of its private network for this
+layer and the ones above, and keeps or restores it. A layer or neuron
 candidate is one loss call. A weight decision scores A's and B's scalar in
-one stacked pass of a ``net.CandidateStack`` (the working layer twice, the
-layers above shared), then the blend in one loss call; the stack is made on
-a layer's first weight decision only. Every score runs the one forward loop
-and loss kernel with exactly the operations of a full forward pass, so the
+one stacked pass of a ``net.NetworkStack`` of two copies of that network,
+then the blend in one loss call. Every score runs the one forward loop and
+loss kernel with exactly the operations of a full forward pass, so the
 merge is bit-identical to building each candidate as a new network and
 evaluating it from the input, the reference engine of the tests. The
 finished layer leaves as a new, validated network.
@@ -184,20 +183,20 @@ class _LayerEvaluator:
     """Loss of M with candidate parameters written into layer k.
 
     While layer k is decided every other layer of M is fixed, so the
-    activation entering layer k is computed once. The evaluator keeps a
-    private network for layers k and up and the parameter vector behind it,
-    ``theta``: a candidate is written in place (``put``) at its block's
-    positions in that vector (``positions``, indexed by the block's key), and
-    ``layer``, the private network's first layer, shows every write. A score
-    is one call of the net loss function on the private network, fed the
-    cached input and run into one workspace: its operations are exactly those
-    of a full forward pass over M with the working layer, and it allocates no
-    array.
+    activation entering layer k is computed once. The evaluator keeps the
+    parameters of layers k and up as the three rows of one matrix: row 0,
+    ``theta``, is its private network, and rows 1 and 2 are a
+    ``net.NetworkStack`` for A's and B's candidate of a weight decision. A
+    candidate is written in place (``put``) at its block's positions in every
+    row (``positions``, indexed by the block's key), and ``layer``, the
+    private network's first layer, shows every write. A score is one call of
+    the net loss function on the private network, fed the cached input and
+    run into one workspace: its operations are exactly those of a full
+    forward pass over M with the working layer, and it allocates no array.
 
     ``pair_losses`` scores A's and B's scalar of one weight decision in one
-    stacked pass. Its two candidates live in a ``net.CandidateStack``, made on
-    the first weight decision, whose rows mirror every write to the working
-    layer.
+    stacked pass of rows 1 and 2; their workspace is made on the first weight
+    decision.
     """
 
     def __init__(self, m: Network, layer_idx: int, eval_set: EvalSet, loss: str):
@@ -210,13 +209,15 @@ class _LayerEvaluator:
         if layer_idx > 0:
             x = netmod.forward(Network(self._below, m.input_dim, in_dim), x)
         upper = Network(m.layers[layer_idx:], in_dim, m.num_classes)
-        self.theta = upper.theta.copy()
+        self._params = np.tile(upper.theta, (3, 1))
+        self.theta = self._params[0]
         self._upper = upper.with_theta(self.theta)
+        self._pair = netmod.NetworkStack(upper, self._params[1:])
         self.positions = upper.positions[0]
         self.layer = self._upper.layers[0]
         self._rows = EvalSet(x, eval_set.targets)
         self._work = netmod.Workspace(self._upper, x.shape[0])
-        self._pair: netmod.CandidateStack | None = None
+        self._pair_work: netmod.Workspace | None = None
         self._input_dim = m.input_dim
 
     def loss(self) -> float:
@@ -225,19 +226,17 @@ class _LayerEvaluator:
     def pair_losses(self, pos, value_a: float, value_b: float) -> list[float]:
         """Losses with A's and with B's scalar at position ``pos`` of the
         working layer, from one stacked pass; the working layer is untouched."""
-        if self._pair is None:
-            self._pair = netmod.CandidateStack(self._upper, self._rows, self._loss, 2)
-        params = self._pair.params
-        params[0, pos], params[1, pos] = value_a, value_b
-        losses = self._pair.losses()
-        params[:, pos] = self.theta[pos]
+        if self._pair_work is None:
+            self._pair_work = netmod.Workspace(self._upper, len(self._rows), stack=2)
+        params = self._params
+        params[1, pos], params[2, pos] = value_a, value_b
+        losses = self._pair.losses(self._rows, self._loss, self._pair_work)
+        params[1:, pos] = params[0, pos]
         return losses
 
     def put(self, pos, block) -> None:
         """Write ``block`` at positions ``pos`` of the working layer."""
-        self.theta[pos] = block
-        if self._pair is not None:
-            self._pair.params[:, pos] = block
+        self._params[:, pos] = block
 
     def difference(self, pos, block_a, block_b) -> tuple[float, float, float]:
         """Loss with A's block at positions ``pos`` of the working layer, with
@@ -495,25 +494,6 @@ def gradient_kickoff(
         fine_seed,
     )
     return m, (kick_report, fine_report)
-
-
-def kickoff_optimizer_configs(
-    finetune_lr: float,
-    lr_multiplier: float = 2.5,
-    optimizer: str = "adam",
-    momentum: float = 0.9,
-    clip_norm: float | None = None,
-) -> tuple[OptimizerConfig, OptimizerConfig]:
-    """Matched (kickoff, finetune) optimizer configs from one base rate."""
-    kick = OptimizerConfig(
-        kind=optimizer, learning_rate=finetune_lr * lr_multiplier,
-        momentum=momentum, clip_norm=clip_norm,
-    )
-    fine = OptimizerConfig(
-        kind=optimizer, learning_rate=finetune_lr, momentum=momentum,
-        clip_norm=clip_norm,
-    )
-    return kick, fine
 
 
 # --- report serialization -----------------------------------------------------

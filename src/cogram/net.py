@@ -31,11 +31,11 @@ each layer's output and takes each activation's derivative from it.
 Losses are measured on an ``EvalSet``, two arrays: the inputs and one target
 distribution per row. ``cross_entropy_loss`` and ``mse_loss`` each run
 ``forward`` and then the loss kernel; ``loss_function`` picks one by name.
-All three parts take a leading stack axis. A ``CandidateStack`` scores
-several networks that differ only in their first layer in one pass, and a
-``NetworkStack`` backpropagates through several networks of one shape, each
-with its own inputs, in one pass; every loss and gradient is bit-identical
-to its own single-network one.
+All three parts take a leading stack axis. A ``NetworkStack`` holds several
+networks of one shape as the rows of one parameter matrix: its ``losses``
+scores them all on one evaluation set in one pass, and ``backward_arrays``
+backpropagates through them, each with its own inputs, in one pass; every
+loss and gradient is bit-identical to its own single-network one.
 """
 
 from __future__ import annotations
@@ -204,8 +204,8 @@ class NetworkStack:
     """S networks shaped like ``net`` whose parameters are the rows of one
     (S, P) float64 matrix ``theta``, not copies: ``networks[s]`` is
     ``net.with_theta(theta[s])``, and whoever holds ``theta`` updates them
-    all in place. ``backward_arrays`` runs a stack as one network whose
-    inputs, targets, losses and gradient carry a leading axis of S.
+    all in place. ``losses`` and ``backward_arrays`` run a stack as one
+    network whose activations, losses and gradient carry a leading axis of S.
     """
 
     def __init__(self, net: Network, theta: np.ndarray):
@@ -214,6 +214,22 @@ class NetworkStack:
         self.networks = tuple(net.with_theta(row) for row in theta)
         self.net, self.theta = net, theta
         self._plan = net._plan_of(theta)
+
+    def losses(self, eval_set: EvalSet, kind: str, work: Workspace) -> list[float]:
+        """The loss ``kind`` of each network on ``eval_set``, bit for bit its
+        own ``loss_function(kind)``, from one pass of the forward loop and the
+        loss kernel into ``work``, a ``Workspace`` with ``stack`` S for the
+        set's rows; it allocates no array."""
+        net, (rows, features) = self.net, eval_set.inputs.shape
+        if features != net.input_dim or eval_set.targets.shape != (rows, net.num_classes):
+            raise ShapeError(
+                f"evaluation inputs {eval_set.inputs.shape} and targets {eval_set.targets.shape} "
+                f"do not fit {net.input_dim} features and logits {(rows, net.num_classes)}"
+            )
+        if work.key != (len(self.theta), rows, net._shapes):
+            raise ShapeError(f"workspace does not fit {len(self.theta)} networks over {rows} rows")
+        logits = _forward_into(self._plan, eval_set.inputs, work.acts)
+        return _loss_of_logits(kind, logits, eval_set.targets, work)
 
 
 def compatible(a: Network, b: Network) -> bool:
@@ -262,7 +278,7 @@ class Workspace:
     the finiteness mask, one value per row kept as a column, and the per-row
     loss terms). One workspace serves any network of the same shape; it holds
     no state between calls. With ``stack`` every buffer gets a leading axis
-    of that length, for a ``CandidateStack`` or a ``NetworkStack``.
+    of that length, for a ``NetworkStack`` of that many networks.
 
     With ``backprop`` it also holds what ``backward_arrays`` needs: the
     gathered batch ``x`` and ``y``; a log-softmax buffer and a second column,
@@ -501,40 +517,6 @@ def loss_function(kind: str):
     if kind == "mse":
         return mse_loss
     raise ValueError(f"unknown loss {kind!r}")
-
-
-class CandidateStack:
-    """``size`` networks shaped like ``net`` that differ only in their first
-    layer, scored together on one evaluation set with the loss ``kind``.
-
-    ``params`` holds the candidates' first-layer parameters, one row per
-    candidate laid out like that layer's part of ``net.theta`` (weights
-    row-major, then biases), and starts as ``size`` copies of it; its holder
-    writes the candidates into it. The layers above are ``net``'s own, shared
-    by every candidate. ``losses`` runs the one forward loop and loss kernel
-    once with a leading stack axis, allocates no array, and gives each
-    candidate the loss, bit for bit, of ``net`` with its row written in.
-    """
-
-    def __init__(self, net: Network, eval_set: EvalSet, kind: str, size: int):
-        loss_function(kind)
-        logits = (len(eval_set), net.num_classes)
-        if eval_set.inputs.shape[1] != net.input_dim or eval_set.targets.shape != logits:
-            raise ShapeError(
-                f"evaluation inputs {eval_set.inputs.shape} and targets "
-                f"{eval_set.targets.shape} do not fit {net.input_dim} features and logits {logits}"
-            )
-        (out_dim, in_dim), activation = net._shapes[0], net._activations[0]
-        self.params = np.tile(net.theta[: out_dim * (in_dim + 1)], (size, 1))
-        weights = self.params[:, : out_dim * in_dim].reshape(size, out_dim, in_dim)
-        biases = self.params[:, out_dim * in_dim :].reshape(size, 1, out_dim)
-        self._plan = ((weights.transpose(0, 2, 1), biases, activation),) + net._plan[1:]
-        self._kind, self._eval_set = kind, eval_set
-        self._work = Workspace(net, len(eval_set), stack=size)
-
-    def losses(self) -> list[float]:
-        logits = _forward_into(self._plan, self._eval_set.inputs, self._work.acts)
-        return _loss_of_logits(self._kind, logits, self._eval_set.targets, self._work)
 
 
 def cross_entropy_arrays(net: Network, inputs: np.ndarray, targets: np.ndarray) -> float:

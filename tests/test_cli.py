@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 from cogram import cli, net as netmod, training
 from cogram.cli import SweepRow, main
+from cogram.merge import MergeConfig, Thresholds
 from cogram.synthdata import Dataset, load_csv, save_csv
 
 REPORT_KEYS = ["epoch_losses", "final_train_accuracy", "final_test_accuracy", "epochs_run", "seed"]
@@ -121,6 +123,31 @@ def test_train_test_data_of_another_width_exits_2_before_training(workspace, tmp
                "--test-data", str(narrow), "--out", str(tmp_path / "m.json")])
     assert rc == 2
     assert "--test-data has 2 features, but arch input is 6" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("narrow_flags", [("--data-a", "--data-b"), ("--data-a",), ("--data-b",)])
+def test_merge_data_of_another_width_exits_2_naming_the_flag(workspace, tmp_path, capsys,
+                                                              narrow_flags):
+    narrow = tmp_path / "narrow.csv"
+    save_csv(Dataset(np.zeros((2, 2)), [0, 1], 4), narrow)
+    args = _merge_args(workspace, tmp_path, "--method", "fisher")
+    for flag in narrow_flags:
+        args[args.index(flag) + 1] = str(narrow)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"{narrow_flags[0]} has 2 features, but arch input is 6 (in {narrow})" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_data_of_another_width_exits_2_naming_the_flag(workspace, tmp_path, capsys, command):
+    narrow = tmp_path / "narrow.csv"
+    save_csv(Dataset(np.zeros((2, 2)), [0, 1], 4), narrow)
+    args = {"train": ["train", "--arch", "6,12,4", "--out", str(tmp_path / "m.json")],
+            "eval": ["eval", "--model", str(workspace / "a.json")]}[command]
+    assert main([*args, "--data", str(narrow)]) == 2
+    assert f"--data has 2 features, but arch input is 6 (in {narrow})" in capsys.readouterr().err
     assert not (tmp_path / "m.json").exists()
 
 
@@ -664,6 +691,32 @@ def test_sweep_runs_each_shared_stage_prefix_once_per_seed(tmp_path, monkeypatch
     assert calls == {"fisher_information": 4, "cogram_iterate": 2, "gradient_kickoff": 2}
 
 
+@pytest.mark.parametrize("kind", ["adam", "sgd_momentum"])
+def test_kickoff_keeps_every_setting_of_the_training_optimizer(monkeypatch, kind):
+    seen = []
+
+    def spy(m, data, kick_cfg, fine_cfg, *args):
+        seen.append((kick_cfg, fine_cfg))
+        return m, None
+
+    monkeypatch.setattr(cli.merge, "gradient_kickoff", spy)
+    train = {"kind": kind, "learning_rate": 2e-3, "momentum": 0.5, "betas": [0.8, 0.99],
+             "eps": 1e-6, "clip_norm": 1.5, "epochs": 1}
+    cfg = cli._experiment_from_dict({
+        "data": {"num_classes": 3, "dim": 5, "samples_per_class": 10,
+                 "test_samples_per_class": 5},
+        "arch": [5, 4, 3], "train": train, "kickoff": {"lr_multiplier": 3.0},
+        "methods": ["average+kickoff"], "seeds": [0],
+    })
+    assert cli.run_experiment_seed(cfg, 0).status == "ok"
+    [(kick, fine)] = seen
+    assert fine == cfg.optimizer
+    assert kick.learning_rate == 6e-3 and fine.learning_rate == 2e-3
+    for config in (kick, fine):
+        assert (config.kind, config.momentum, config.clip_norm) == (kind, 0.5, 1.5)
+        assert (tuple(config.betas), config.eps) == ((0.8, 0.99), 1e-6)
+
+
 def test_sweep_times_each_method_stage_under_its_key(tmp_path):
     for methods, timed in ((["average"], set()), (["average+kickoff"], {"kickoff"}),
                            (["fisher+cogram"], {"fisher", "cogram"})):
@@ -738,6 +791,13 @@ def test_sweep_merge_settings_have_one_key_each(tmp_path, capsys, settings):
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     unknown = sorted(k for k in settings if k != "prototype")
     assert f"unknown merge config fields: {unknown}" in capsys.readouterr().err
+
+
+def test_config_settings_left_out_take_the_dataclass_defaults():
+    assert cli._experiment_from_dict({}) == cli.ExperimentConfig(cli.DataConfig())
+    assert cli._mergeconfig_from_dict({}) == MergeConfig()
+    assert cli._mergeconfig_from_dict({"tau_min": 0.5, "tau_max": None}) == \
+        MergeConfig(thresholds=Thresholds.uniform(0.5, math.inf))
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -919,6 +979,66 @@ def test_console_entrypoint_via_subprocess(workspace):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert 0.0 <= doc["accuracy"] <= 1.0
+
+
+# runs each argument list through cli.main in one process, stopping at the first failure
+_RUN_COMMANDS = ("import json, sys\nfrom cogram.cli import main\n"
+                 "sys.exit(not all(main(argv) == 0 for argv in json.loads(sys.argv[1])))")
+
+
+def _without_timings(doc: dict) -> dict:
+    """A merge report or sweep.json without its wall times and stage timings."""
+    doc.pop("wall_time_s", None)
+    for row in doc.get("rows", []):
+        row.pop("wall_time_s")
+        row["stage_s"] = list(row["stage_s"])
+    return doc
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """Data, trained models, a weight-level merge and a 2-seed sweep get the
+    same bytes under 1 and 2 BLAS threads, timings aside. OpenBLAS reads its
+    thread count when numpy loads, so each count runs in a new process. The
+    merge scores on 512 rows, enough for OpenBLAS to run the first layer's
+    product (512 x 32 x 64) on both threads."""
+    data = {"num_classes": 20, "dim": 32, "samples_per_class": 30, "test_samples_per_class": 10}
+    (tmp_path / "gen.json").write_text(json.dumps({"mode": "heterogeneous", "seed": 3, **data}))
+    (tmp_path / "sweep.json").write_text(json.dumps({
+        "data": data, "mode": "heterogeneous", "arch": [32, 64, 20], "train": {"epochs": 3},
+        "merge": {"granularity": "neuron", "tau_max": 0, "prototype": "batch:300"},
+        "kickoff": {"kickoff_epochs": 1, "finetune_epochs": 1},
+        "methods": ["average", "fisher", "fisher+cogram", "fisher+cogram+kickoff"],
+        "seeds": [0, 1],
+    }))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        commands = [
+            ["gen-data", "--config", f"{tmp_path}/gen.json", "--out", f"{out}/data"],
+            *(["train", "--data", f"{out}/data/data_{n}.csv", "--arch", "32,64,20", "--epochs",
+               "3", "--seed", str(seed), "--test-data", f"{out}/data/test.csv",
+               "--out", f"{out}/{n}.json"] for n, seed in (("a", 1), ("b", 2))),
+            ["merge", "--method", "fisher+cogram", "--granularity", "weight", "--tau-max", "0",
+             "--prototype", "batch:512", "--model-a", f"{out}/a.json",
+             "--model-b", f"{out}/b.json", "--data-a", f"{out}/data/data_a.csv",
+             "--data-b", f"{out}/data/data_b.csv", "--out", f"{out}/m.json",
+             "--report", f"{out}/m.report.json"],
+            ["sweep", "--config", f"{tmp_path}/sweep.json", "--out", f"{out}/sweep"],
+        ]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", _RUN_COMMANDS, json.dumps(commands)], env=env,
+                       check=True, capture_output=True, timeout=300)
+        files = sorted(f for f in out.rglob("*") if f.is_file())
+        outputs.append({str(f.relative_to(out)): f.read_bytes() for f in files})
+    assert len(outputs[0]) == 11 and list(outputs[0]) == list(outputs[1])
+    for name, text in outputs[0].items():
+        if name in ("m.report.json", "sweep/sweep.json"):
+            assert _without_timings(json.loads(text)) == \
+                _without_timings(json.loads(outputs[1][name])), name
+        else:
+            assert text == outputs[1][name], name
 
 
 def test_cli_missing_subcommand_exits_2():

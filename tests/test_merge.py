@@ -22,7 +22,6 @@ from cogram.merge import (
     config_to_json_dict,
     convex_combine,
     gradient_kickoff,
-    kickoff_optimizer_configs,
     merge_layer_level,
     merge_neuron_level,
     merge_weight_level,
@@ -359,8 +358,14 @@ def test_weight_decision_allocates_nothing_after_the_first(rows):
 
 def test_neuron_granularity_never_makes_the_stacked_buffers(monkeypatch):
     made = []
-    stack = netmod.CandidateStack
-    monkeypatch.setattr(netmod, "CandidateStack", lambda *args: made.append(args) or stack(*args))
+    workspace = netmod.Workspace
+
+    def spy(net, rows, stack=None, backprop=False):
+        if stack is not None:
+            made.append(stack)
+        return workspace(net, rows, stack, backprop)
+
+    monkeypatch.setattr(netmod, "Workspace", spy)
     rng = np.random.default_rng(16)
     m, a, b = (random_network([5, 4, 3], seed=i) for i in range(3))
     es = _random_eval(rng, 8, 5, 3)
@@ -722,7 +727,7 @@ def _toy_data(seed=0, n=60):
 
 def test_gradient_kickoff_zero_epochs_is_identity():
     m = random_network([4, 3, 2], seed=0)
-    kick, fine = kickoff_optimizer_configs(1e-3, 2.5)
+    kick, fine = OptimizerConfig(learning_rate=2.5e-3), OptimizerConfig(learning_rate=1e-3)
     out, (rep_k, rep_f) = gradient_kickoff(m, _toy_data(), kick, fine,
                                            kickoff_epochs=0, finetune_epochs=0)
     assert netmod.parameters_equal(out, m)
@@ -731,7 +736,7 @@ def test_gradient_kickoff_zero_epochs_is_identity():
 
 def test_gradient_kickoff_deterministic():
     m = random_network([4, 3, 2], seed=1)
-    kick, fine = kickoff_optimizer_configs(1e-3, 2.5)
+    kick, fine = OptimizerConfig(learning_rate=2.5e-3), OptimizerConfig(learning_rate=1e-3)
     out1, _ = gradient_kickoff(m, _toy_data(), kick, fine, 3, 4, 16, seed=9)
     out2, _ = gradient_kickoff(m, _toy_data(), kick, fine, 3, 4, 16, seed=9)
     assert netmod.parameters_equal(out1, out2)
@@ -739,7 +744,7 @@ def test_gradient_kickoff_deterministic():
 
 def test_gradient_kickoff_paper_defaults_run():
     m = random_network([4, 3, 2], seed=2)
-    kick, fine = kickoff_optimizer_configs(1e-2, 2.5)
+    kick, fine = OptimizerConfig(learning_rate=2.5e-2), OptimizerConfig(learning_rate=1e-2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # ratio 2.5 must not warn
         out, (rep_k, rep_f) = gradient_kickoff(m, _toy_data(), kick, fine,
@@ -750,23 +755,15 @@ def test_gradient_kickoff_paper_defaults_run():
 
 def test_gradient_kickoff_ratio_warning_and_epoch_limit():
     m = random_network([4, 3, 2], seed=3)
-    kick, fine = kickoff_optimizer_configs(1e-3, 5.0)
+    kick, fine = OptimizerConfig(learning_rate=5e-3), OptimizerConfig(learning_rate=1e-3)
     with pytest.warns(UserWarning, match="ratio"):
         gradient_kickoff(m, _toy_data(), kick, fine, 1, 0)
-    kick, fine = kickoff_optimizer_configs(1e-3, 2.5)
+    kick, fine = OptimizerConfig(learning_rate=2.5e-3), OptimizerConfig(learning_rate=1e-3)
     with pytest.raises(ValueError):
         gradient_kickoff(m, _toy_data(), kick, fine, kickoff_epochs=10)
     with pytest.raises(ValueError):
         gradient_kickoff(m, Dataset(np.zeros((0, 4)), np.zeros(0, dtype=int), 2),
                          kick, fine)
-
-
-def test_kickoff_optimizer_configs():
-    kick, fine = kickoff_optimizer_configs(2e-3, 3.0, optimizer="sgd_momentum")
-    assert kick.learning_rate == 6e-3
-    assert fine.learning_rate == 2e-3
-    assert kick.kind == fine.kind == "sgd_momentum"
-    assert kick.momentum == 0.9
 
 
 # --- report serialization ----------------------------------------------------------------------

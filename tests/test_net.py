@@ -297,29 +297,33 @@ def test_workspace_of_other_rows_or_widths_is_rejected():
 
 @pytest.mark.parametrize("rows", [1, 37])
 @pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
-def test_candidate_stack_scores_each_first_layer_like_its_own_network(activation, rows):
+def test_network_stack_scores_each_network_like_its_own(activation, rows):
     net, es = _workspace_case(activation, rows, True)
     rng = np.random.default_rng(1)
+    thetas = net.theta + rng.normal(size=(3, net.theta.size))  # every layer differs
+    stack = netmod.NetworkStack(net, thetas)
+    work = netmod.Workspace(net, rows, stack=3)
     for kind in ("cross_entropy", "mse"):
-        stack = netmod.CandidateStack(net, es, kind, 3)
-        size = stack.params.shape[1]
-        assert size == 8 * (6 + 1) and np.array_equal(stack.params[1], net.theta[:size])
-        stack.params += rng.normal(size=stack.params.shape)
-        expected = []
-        for row in stack.params:
-            theta = net.theta.copy()
-            theta[:size] = row
-            expected.append(netmod.loss_function(kind)(net.with_theta(theta), es))
-        assert stack.losses() == expected
+        lossf = netmod.loss_function(kind)
+        expected = [lossf(net.with_theta(theta.copy()), es) for theta in thetas]
+        for _ in range(2):  # a workspace keeps no state between calls
+            assert stack.losses(es, kind, work) == expected
 
 
-def test_candidate_stack_rejects_what_it_cannot_score():
+def test_network_stack_losses_reject_what_they_cannot_score():
     net, es = _workspace_case("relu", 4, False)
+    stack = netmod.NetworkStack(net, np.tile(net.theta, (2, 1)))
+    work = netmod.Workspace(net, 4, stack=2)
     with pytest.raises(ValueError, match="unknown loss"):
-        netmod.CandidateStack(net, es, "hinge", 2)
+        stack.losses(es, "hinge", work)
     for inputs, targets in ((es.inputs[:, :5], es.targets), (es.inputs, es.targets[:, :4])):
         with pytest.raises(ShapeError, match=r"do not fit 6 features and logits \(4, 5\)"):
-            netmod.CandidateStack(net, ArrayEvalSet(inputs, targets), "mse", 2)
+            stack.losses(ArrayEvalSet(inputs, targets), "mse", work)
+    wider = random_network([6, 9, 7, 5], 0)
+    for wrong in (netmod.Workspace(net, 4), netmod.Workspace(net, 4, stack=3),
+                  netmod.Workspace(net, 3, stack=2), netmod.Workspace(wider, 4, stack=2)):
+        with pytest.raises(ShapeError, match="workspace does not fit"):
+            stack.losses(es, "mse", wrong)
 
 
 # --- backward ----------------------------------------------------------------
