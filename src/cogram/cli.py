@@ -3,9 +3,9 @@ and multi-seed sweeps.
 
 A merge method is a start point and the stages run on it, joined by "+":
 ``{average|fisher}[+cogram][+kickoff]``. ``cogram sweep`` runs the methods
-its config lists; ``cogram merge`` turns its --method, --init and --kickoff
-flags into one such chain, and --init <model.json> puts a saved model in as
-the start point. Both run the chain through ``_Pipeline``.
+its config lists and ``cogram merge`` the one its --method names; --init
+<model.json> puts a saved model in as the start point, and --method then names
+only the stages after it. Both run the chain through ``_Pipeline``.
 
 Exit codes: 0 success, 2 usage/config errors, 1 runtime failures. Every
 command is deterministic given its flags and seeds, so sweep outputs are
@@ -50,12 +50,17 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _method_stages(method) -> tuple[str, ...]:
-    """A method name's stages: ``"fisher+cogram"`` -> ``("fisher", "cogram")``."""
-    stages = tuple(method.split("+")) if isinstance(method, str) else ()
-    steps = tuple(s for s in METHOD_STAGES[2:] if s in stages)  # each once, in order
-    if stages[:1] not in (("average",), ("fisher",)) or stages[1:] != steps:
-        raise UsageError(f"unknown method {method!r} (want {{average|fisher}}[+cogram][+kickoff])")
+def _method_stages(method, init: str | None = None) -> tuple[str, ...]:
+    """A method name's stages: ``"fisher+cogram"`` -> ``("fisher", "cogram")``.
+    After a saved start point ``init`` the name holds only the stages run on
+    it: ``"cogram"`` -> ``(init, "cogram")``."""
+    named = tuple(method.split("+")) if isinstance(method, str) else (method,)
+    stages = named if init is None else (init, *named)
+    steps = tuple(s for s in METHOD_STAGES[2:] if s in stages[1:])  # each once, in order
+    starts = (("average",), ("fisher",)) if init is None else ((init,),)
+    if stages[:1] not in starts or stages[1:] != steps:
+        raise UsageError(f"unknown method {method!r} (want {{average|fisher}}[+cogram][+kickoff]"
+                         ", or cogram, kickoff or cogram+kickoff after --init <model.json>)")
     return stages
 
 
@@ -139,7 +144,8 @@ def _dataconfig_from_dict(doc: dict) -> DataConfig:
 
 # a merge setting's key in a sweep config -> its MergeConfig field
 _MERGE_KEYS = {"lambda": "lam", "granularity": "max_granularity", "epsilon": "epsilon",
-               "eval_seed": "eval_seed", "iterations": "iterations", "loss": "loss"}
+               "prototype": "prototype", "eval_seed": "eval_seed", "iterations": "iterations",
+               "loss": "loss"}
 
 
 def _mergeconfig_from_dict(doc: dict) -> MergeConfig:
@@ -149,9 +155,6 @@ def _mergeconfig_from_dict(doc: dict) -> MergeConfig:
         del doc["tau_max"]
     band = {key: doc.pop(key) for key in ("tau_min", "tau_max") if key in doc}
     kwargs = {name: doc.pop(key) for key, name in _MERGE_KEYS.items() if key in doc}
-    prototype = doc.pop("prototype", None)
-    if prototype is not None:
-        kwargs.update(_parse_prototype_spec(prototype))
     if doc:
         raise UsageError(f"unknown merge config fields: {sorted(doc)}")
     try:
@@ -159,21 +162,6 @@ def _mergeconfig_from_dict(doc: dict) -> MergeConfig:
         return MergeConfig(thresholds=Thresholds(level, level, level), **kwargs)
     except ValueError as exc:
         raise UsageError(f"bad merge config: {exc}") from exc
-
-
-def _parse_prototype_spec(spec: str) -> dict:
-    """onehot | kmeans:K | batch:N (batch: omitted N = whole dataset)."""
-    parts = str(spec).split(":")
-    with contextlib.suppress(ValueError):
-        if parts == ["onehot"]:
-            return {"eval_mode": "onehot"}
-        if parts[0] == "kmeans" and len(parts) == 2:
-            return {"eval_mode": "kmeans", "k_per_class": int(parts[1])}
-        if parts == ["batch"]:
-            return {"eval_mode": "batch", "batch_size": None}
-        if parts[0] == "batch" and len(parts) == 2:
-            return {"eval_mode": "batch", "batch_size": int(parts[1])}
-    raise UsageError(f"bad prototype spec {spec!r} (want onehot, kmeans:K or batch:N)")
 
 
 def _experiment_from_dict(doc: dict) -> ExperimentConfig:
@@ -503,25 +491,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _merge_stages(args) -> tuple[str, ...]:
-    """The stages that ``cogram merge``'s --method, --init and --kickoff ask for."""
-    if args.method == "cogram":
-        if args.init is None:
-            raise UsageError(
-                "merge method 'cogram' needs an initial fused network: pass "
-                "--init fisher, --init average, or --init <model.json>"
-            )
-        stages = (args.init, "cogram")
-    elif args.init is None or (args.method, args.init) == ("fisher+cogram", "fisher"):
-        stages = tuple(args.method.split("+"))
-    else:
-        raise UsageError(
-            f"--init {args.init} contradicts --method {args.method}: only --method cogram "
-            "takes a start point, and fisher+cogram starts from fisher"
-        )
-    return stages + ("kickoff",) * args.kickoff
-
-
 def _check_merge_flags(args, stages: tuple[str, ...]) -> None:
     """The numeric flags of the stages that run, before any data is read or
     any stage runs, each error naming its flag."""
@@ -533,7 +502,7 @@ def _check_merge_flags(args, stages: tuple[str, ...]) -> None:
         for flag, value in (("--tau-min", args.tau_min), ("--tau-max", args.tau_max)):
             if value is not None and value != math.inf:
                 check_number(flag, value)
-    if args.kickoff:
+    if "kickoff" in stages:
         check_number("--batch-size", args.batch_size, 1, integer=True)
         check_number("--kickoff-epochs", args.kickoff_epochs, 0, integer=True,
                      below=merge.MAX_KICKOFF_EPOCHS + 1)
@@ -543,7 +512,7 @@ def _check_merge_flags(args, stages: tuple[str, ...]) -> None:
 
 
 def cmd_merge(args) -> int:
-    stages = _merge_stages(args)
+    stages = _method_stages(args.method, args.init)
     _check_merge_flags(args, stages)
     merge_cfg = None
     if "cogram" in stages:
@@ -568,14 +537,14 @@ def cmd_merge(args) -> int:
         net_a, net_b, data_a, data_b,
         synthdata.concat(data_a, data_b) if needs_data else None, args.seed,
         fisher_samples=args.fisher_samples, merge_cfg=merge_cfg,
-        optimizer=OptimizerConfig(learning_rate=args.lr) if args.kickoff else None,
+        optimizer=OptimizerConfig(learning_rate=args.lr) if "kickoff" in stages else None,
         lr_multiplier=args.lr_mult, kickoff_epochs=args.kickoff_epochs,
         finetune_epochs=args.finetune_epochs, batch_size=args.batch_size,
     )
     if merge_cfg is not None:
         pipeline.eval_set = merge.build_eval_set(pipeline.combined, merge_cfg)
-    if stages[0] not in METHOD_STAGES[:2]:  # --init <model.json>
-        start = netmod.load_model(stages[0])
+    if args.init is not None:
+        start = netmod.load_model(args.init)
         if not netmod.compatible(start, net_a):
             raise UsageError("--init model is not architecture-compatible")
         pipeline.done[stages[:1]] = (start, [])
@@ -623,15 +592,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cogram",
         description="Train, merge, and benchmark small dense classifiers.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="generate an A/B/test dataset triple")
+    p = sub.add_parser("gen-data", help="generate an A/B/test dataset triple", allow_abbrev=False)
     p.add_argument("--config", required=True, help="JSON file with DataConfig fields + mode")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen_data)
 
-    p = sub.add_parser("train", help="train a subnetwork on a CSV dataset")
+    p = sub.add_parser("train", help="train a subnetwork on a CSV dataset", allow_abbrev=False)
     p.add_argument("--data", required=True)
     p.add_argument("--arch", default="32,64,64,20", help="comma-separated layer sizes")
     p.add_argument("--epochs", type=int, default=30)
@@ -645,11 +615,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None, help="report JSON path (default: <out>.report.json)")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("merge", help="merge two trained models")
+    p = sub.add_parser("merge", help="merge two trained models", allow_abbrev=False)
     p.add_argument("--method", required=True,
-                   choices=["average", "fisher", "cogram", "fisher+cogram"])
-    p.add_argument("--init", default=None,
-                   help="cogram initializer: fisher | average | <model.json>")
+                   help="{average|fisher}[+cogram][+kickoff]; after --init: cogram, kickoff "
+                        "or cogram+kickoff")
+    p.add_argument("--init", default=None, help="a saved model.json as the start point")
     p.add_argument("--model-a", required=True)
     p.add_argument("--model-b", required=True)
     p.add_argument("--data-a", default=None)
@@ -659,10 +629,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-min", type=float, default=0.0)
     p.add_argument("--tau-max", type=float, default=None, help="default: unbounded")
     p.add_argument("--iterations", type=int, default=1)
-    p.add_argument("--prototype", default="onehot", help="onehot | kmeans:K | batch:N")
+    p.add_argument("--prototype", default="onehot", help="onehot | kmeans:K | batch | batch:N")
     p.add_argument("--fisher-samples", type=int, default=512)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kickoff", action="store_true")
     p.add_argument("--kickoff-epochs", type=int, default=8)
     p.add_argument("--finetune-epochs", type=int, default=20)
     p.add_argument("--lr", type=float, default=1e-3, help="fine-tuning learning rate")
@@ -672,13 +641,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_merge)
 
-    p = sub.add_parser("eval", help="accuracy and loss of a model on a CSV dataset")
+    p = sub.add_parser("eval", help="accuracy and loss of a model on a CSV dataset",
+                       allow_abbrev=False)
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", help="multi-seed method comparison")
+    p = sub.add_parser("sweep", help="multi-seed method comparison", allow_abbrev=False)
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_sweep)

@@ -85,9 +85,7 @@ class MergeConfig:
     thresholds: Thresholds = field(default_factory=Thresholds)
     max_granularity: str = "layer"        # deepest level the sweep may enter
     epsilon: float = 1e-6                 # prototype stabilizer
-    eval_mode: str = "onehot"             # "onehot" | "kmeans" | "batch"
-    k_per_class: int = 2
-    batch_size: int | None = None         # batch mode; None = whole dataset
+    prototype: str = "onehot"             # the evaluation set, see _parse_prototype
     eval_seed: int = 0
     iterations: int = 1
     loss: str = "cross_entropy"           # "cross_entropy" | "mse"
@@ -95,16 +93,27 @@ class MergeConfig:
     def __post_init__(self):
         for name in ("lam", "epsilon"):
             check_number(name, getattr(self, name), strict=True)
-        for name, low in (("iterations", 1), ("k_per_class", 1), ("batch_size", 1),
-                          ("eval_seed", 0)):
-            if name != "batch_size" or self.batch_size is not None:
-                check_number(name, getattr(self, name), low, integer=True)
+        for name, low in (("iterations", 1), ("eval_seed", 0)):
+            check_number(name, getattr(self, name), low, integer=True)
         if self.max_granularity not in GRANULARITIES:
             raise ValueError(f"unknown granularity {self.max_granularity!r}")
-        if self.eval_mode not in ("onehot", "kmeans", "batch"):
-            raise ValueError(f"unknown eval_mode {self.eval_mode!r}")
+        mode, size = _parse_prototype(self.prototype)
+        self.prototype = mode if size is None else f"{mode}:{size}"
         if self.loss not in ("cross_entropy", "mse"):
             raise ValueError(f"unknown loss {self.loss!r}")
+
+
+def _parse_prototype(spec) -> tuple[str, int | None]:
+    """A prototype spec's mode and size: ``onehot``, ``kmeans:K`` (K prototypes
+    per class), ``batch:N`` (N raw rows) or ``batch`` (every row, size None)."""
+    mode, colon, size = spec.partition(":") if isinstance(spec, str) else ("", "", "")
+    if mode in ("onehot", "batch") and not colon:
+        return mode, None
+    if mode in ("kmeans", "batch") and size.removeprefix("-").isdecimal():
+        number = int(size)
+        check_number("k_per_class" if mode == "kmeans" else "batch_size", number, 1, integer=True)
+        return mode, number
+    raise ValueError(f"bad prototype spec {spec!r} (want onehot, kmeans:K, batch or batch:N)")
 
 
 @dataclass
@@ -257,14 +266,15 @@ class _LayerEvaluator:
 
 def build_eval_set(dataset: Dataset, config: MergeConfig) -> EvalSet:
     """The fixed evaluation set every decision in a merge run is measured on."""
-    if config.eval_mode == "onehot":
+    mode, size = _parse_prototype(config.prototype)
+    if mode == "onehot":
         return build_prototypes_onehot(dataset, epsilon=config.epsilon)
-    if config.eval_mode == "kmeans":
+    if mode == "kmeans":
         return build_prototypes_kmeans(
-            dataset, config.k_per_class, kmeans_seed=config.eval_seed, epsilon=config.epsilon
+            dataset, size, kmeans_seed=config.eval_seed, epsilon=config.epsilon
         )
-    size = config.batch_size if config.batch_size is not None else len(dataset)
-    return build_raw_batch(dataset, size, seed=config.eval_seed)
+    return build_raw_batch(dataset, size if size is not None else len(dataset),
+                           seed=config.eval_seed)
 
 
 # --- the sweep ----------------------------------------------------------------
@@ -519,9 +529,7 @@ def config_to_json_dict(config: MergeConfig) -> dict:
         },
         "max_granularity": config.max_granularity,
         "epsilon": config.epsilon,
-        "eval_mode": config.eval_mode,
-        "k_per_class": config.k_per_class,
-        "batch_size": config.batch_size,
+        "prototype": config.prototype,
         "eval_seed": config.eval_seed,
         "iterations": config.iterations,
         "loss": config.loss,
@@ -541,9 +549,7 @@ def config_from_json_dict(doc: dict) -> MergeConfig:
         thresholds=thresholds,
         max_granularity=doc["max_granularity"],
         epsilon=doc["epsilon"],
-        eval_mode=doc["eval_mode"],
-        k_per_class=doc["k_per_class"],
-        batch_size=doc["batch_size"],
+        prototype=doc["prototype"],
         eval_seed=doc["eval_seed"],
         iterations=doc["iterations"],
         loss=doc["loss"],

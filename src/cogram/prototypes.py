@@ -90,11 +90,8 @@ def build_prototypes_kmeans(
             raise ValueError(
                 f"class {int(c)} has {members.shape[0]} samples, fewer than k={k_per_class}"
             )
-        if k_per_class == 1:
-            clusters = [members]
-        else:
-            assignment = _lloyd(members, k_per_class, rng, max_iters)
-            clusters = [members[assignment == j] for j in range(k_per_class)]
+        assignment = _lloyd(members, k_per_class, rng, max_iters)
+        clusters = [members[assignment == j] for j in range(k_per_class)]
         rows += [geometric_mean_prototype(cluster, epsilon) for cluster in clusters]
         classes += [c] * len(clusters)
     return EvalSet(np.stack(rows), one_hot(classes, dataset.num_classes))

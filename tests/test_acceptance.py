@@ -292,7 +292,7 @@ def _sweep_config(mode, methods, seeds):
         arch=[32, 64, 64, 20],
         epochs=30,
         batch_size=64,
-        merge=MergeConfig(lam=5.5, eval_mode="onehot", max_granularity="layer"),
+        merge=MergeConfig(lam=5.5, prototype="onehot", max_granularity="layer"),
         kickoff_epochs=8,
         finetune_epochs=20,
         lr_multiplier=2.5,

@@ -327,17 +327,6 @@ def test_merge_average_of_identical_models(workspace, tmp_path):
     assert netmod.parameters_equal(merged, netmod.load_model(workspace / "a.json"))
 
 
-def test_merge_cogram_without_init_exits_2(workspace, tmp_path, capsys):
-    rc = main(["merge", "--method", "cogram",
-               "--model-a", str(workspace / "a.json"),
-               "--model-b", str(workspace / "b.json"),
-               "--data-a", str(workspace / "data" / "data_a.csv"),
-               "--data-b", str(workspace / "data" / "data_b.csv"),
-               "--out", str(tmp_path / "m.json")])
-    assert rc == 2
-    assert "--init" in capsys.readouterr().err
-
-
 def test_merge_fisher_cogram_pipeline(workspace, tmp_path):
     rc = main(["merge", "--method", "fisher+cogram",
                "--model-a", str(workspace / "a.json"),
@@ -351,19 +340,21 @@ def test_merge_fisher_cogram_pipeline(workspace, tmp_path):
     merged = netmod.load_model(tmp_path / "m.json")
     assert merged.num_classes == 4
     report = json.loads((tmp_path / "r.json").read_text())
-    assert report["config"]["lambda"] == 5.5
+    assert list(report["config"]) == ["lambda", "thresholds", "max_granularity", "epsilon",
+                                      "prototype", "eval_seed", "iterations", "loss"]
+    assert report["config"]["lambda"] == 5.5 and report["config"]["prototype"] == "onehot"
     layer_records = [r for r in report["iterations"][0]["records"]
                      if r["level"] == "layer"]
     assert [r["layer"] for r in layer_records] == [1, 0]
 
 
 def test_merge_with_kickoff_runs(workspace, tmp_path):
-    rc = main(["merge", "--method", "fisher+cogram",
+    rc = main(["merge", "--method", "fisher+cogram+kickoff",
                "--model-a", str(workspace / "a.json"),
                "--model-b", str(workspace / "b.json"),
                "--data-a", str(workspace / "data" / "data_a.csv"),
                "--data-b", str(workspace / "data" / "data_b.csv"),
-               "--kickoff", "--kickoff-epochs", "2", "--finetune-epochs", "3",
+               "--kickoff-epochs", "2", "--finetune-epochs", "3",
                "--lr", "0.001", "--lr-mult", "2.5",
                "--out", str(tmp_path / "mk.json")])
     assert rc == 0
@@ -403,43 +394,85 @@ def _merge_args(workspace, tmp_path, *flags):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--method", "fisher+cogram", "--init", "average"],
-    ["--method", "fisher+cogram", "--init", "a.json"],
-    ["--method", "average", "--init", "fisher"],
-    ["--method", "fisher", "--init", "fisher"],
-    ["--method", "fisher", "--init", "average", "--kickoff"],
+    ["--method", "cogram"],
+    ["--method", "kickoff"],
+    ["--method", "cogram+kickoff"],
+    ["--method", "fisher+kickoff+cogram"],
+    ["--method", "average+cogram+cogram"],
+    ["--method", "fisher+fisher"],
+    ["--init", "m0.json", "--method", "fisher+cogram"],
+    ["--init", "m0.json", "--method", "average"],
+    ["--init", "m0.json", "--method", "fisher"],
+    ["--init", "m0.json", "--method", "fisher+kickoff"],
+    ["--init", "m0.json", "--method", "kickoff+cogram"],
+    ["--init", "m0.json", "--method", "cogram+cogram"],
 ])
-def test_merge_init_that_contradicts_the_method_exits_2(workspace, tmp_path, capsys, flags):
-    # fisher+cogram --init average used to run an average-started merge and
-    # print method=fisher+cogram; average and fisher ignored --init
+def test_merge_method_outside_the_grammar_exits_2(workspace, tmp_path, capsys, flags):
+    # a method without a start point, a repeated or misordered stage, or a
+    # start point named after --init, which gives one already
     assert main(_merge_args(workspace, tmp_path, *flags)) == 2
-    assert f"--init {flags[3]} contradicts --method {flags[1]}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"unknown method {flags[flags.index('--method') + 1]!r}" in err and "--init" in err
     assert not (tmp_path / "m.json").exists()
 
 
-def test_merge_init_fisher_is_the_start_of_fisher_cogram(workspace, tmp_path):
-    models = []
-    for flags in (["--method", "fisher+cogram"],
-                  ["--method", "fisher+cogram", "--init", "fisher"],
-                  ["--method", "cogram", "--init", "fisher"]):
-        assert main(_merge_args(workspace, tmp_path, *flags)) == 0
-        models.append((tmp_path / "m.json").read_bytes())
-    assert models[0] == models[1] == models[2]
+# every method the stage grammar {average|fisher}[+cogram][+kickoff] allows,
+# in sweep.csv's column order
+ALL_METHODS = [
+    "average", "average+cogram", "average+cogram+kickoff", "average+kickoff",
+    "fisher", "fisher+cogram", "fisher+cogram+kickoff", "fisher+kickoff",
+]
+TINY_KICKOFF = ["--kickoff-epochs", "1", "--finetune-epochs", "1"]
+
+
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_merge_runs_each_method_of_the_grammar(workspace, tmp_path, method):
+    """Each chain runs. One with stages after its start point gives the bytes
+    of those stages run with --init on the saved start point."""
+    def merged(*flags):
+        args = _merge_args(workspace, tmp_path, *flags, *TINY_KICKOFF, "--granularity", "neuron",
+                           "--tau-max", "0", "--report", str(tmp_path / "r.json"))
+        assert main(args) == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        report.pop("wall_time_s", None)
+        return (tmp_path / "m.json").read_bytes(), report
+
+    model, report = merged("--method", method)
+    start, *after = method.split("+")
+    if not after:
+        assert report == {"method": method, "records": []}
+        return
+    (tmp_path / "start.json").write_bytes(merged("--method", start)[0])
+    after = "+".join(after)
+    assert merged("--init", str(tmp_path / "start.json"), "--method", after) == (
+        model, report if "cogram" in after else {"method": after, "records": []})
+    if "cogram" in after:
+        assert len(report["iterations"][0]["records"]) == 2 + 12 + 4
 
 
 def test_merge_init_model_is_the_start_point(workspace, tmp_path):
-    # a saved average merge as the start point gives --init average's merge
+    # a saved average merge as the start point gives average+cogram's merge
     average = tmp_path / "average.json"
     netmod.save_model(cli.baseline.uniform_average(netmod.load_model(workspace / "a.json"),
                                                    netmod.load_model(workspace / "b.json")),
                       average)
     models = []
-    for init in ("average", str(average), str(workspace / "b.json")):
-        args = _merge_args(workspace, tmp_path, "--method", "cogram", "--init", init,
-                           "--granularity", "neuron")
-        assert main(args) == 0
+    for flags in (["--method", "average+cogram"],
+                  ["--init", str(average), "--method", "cogram"],
+                  ["--init", str(workspace / "b.json"), "--method", "cogram"]):
+        assert main(_merge_args(workspace, tmp_path, *flags, "--granularity", "neuron")) == 0
         models.append((tmp_path / "m.json").read_bytes())
     assert models[0] == models[1] != models[2]
+
+
+@pytest.mark.parametrize("flags", [["--lam", "3"], ["--kickoff"], ["--granul", "neuron"]])
+def test_merge_flag_prefixes_are_unrecognized(workspace, tmp_path, capsys, flags):
+    # --lam used to set --lambda, and --kickoff would read as --kickoff-epochs
+    with pytest.raises(SystemExit) as exc:
+        main(_merge_args(workspace, tmp_path, "--method", "fisher+cogram", *flags))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_merge_missing_data_file_exits_2(workspace, tmp_path, capsys):
@@ -607,14 +640,6 @@ def test_sweep_config_sections_must_be_json_objects(tmp_path, capsys, section, v
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"{section} must be a JSON object, got {value!r}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-
-
-# every method the stage grammar {average|fisher}[+cogram][+kickoff] allows,
-# in sweep.csv's column order
-ALL_METHODS = [
-    "average", "average+cogram", "average+cogram+kickoff", "average+kickoff",
-    "fisher", "fisher+cogram", "fisher+cogram+kickoff", "fisher+kickoff",
-]
 
 
 def _tiny_kickoff(path):
@@ -804,23 +829,25 @@ def test_config_settings_left_out_take_the_dataclass_defaults():
     (["--method", "fisher", "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
     (["--method", "fisher", "--fisher-samples", "0"],
      "--fisher-samples must be an integer >= 1, got 0"),
-    (["--method", "fisher+cogram", "--kickoff", "--batch-size", "0"],
+    (["--method", "fisher+cogram+kickoff", "--batch-size", "0"],
      "--batch-size must be an integer >= 1, got 0"),
-    (["--method", "average", "--kickoff", "--batch-size", "-4"],
+    (["--method", "average+kickoff", "--batch-size", "-4"],
      "--batch-size must be an integer >= 1, got -4"),
-    (["--method", "fisher+cogram", "--kickoff", "--kickoff-epochs", "12"],
+    (["--method", "fisher+cogram+kickoff", "--kickoff-epochs", "12"],
      "--kickoff-epochs must be an integer >= 0 and < 10, got 12"),
-    (["--method", "fisher+cogram", "--kickoff", "--kickoff-epochs", "-1"],
+    (["--method", "fisher+cogram+kickoff", "--kickoff-epochs", "-1"],
      "--kickoff-epochs must be an integer >= 0 and < 10, got -1"),
-    (["--method", "fisher+cogram", "--kickoff", "--finetune-epochs", "-2"],
+    (["--method", "fisher+cogram+kickoff", "--finetune-epochs", "-2"],
      "--finetune-epochs must be an integer >= 0, got -2"),
-    (["--method", "fisher+cogram", "--kickoff", "--lr", "0"], "--lr must be a number > 0, got 0.0"),
-    (["--method", "fisher+cogram", "--kickoff", "--lr", "nan"],
+    (["--method", "fisher+cogram+kickoff", "--lr", "0"], "--lr must be a number > 0, got 0.0"),
+    (["--method", "fisher+cogram+kickoff", "--lr", "nan"],
      "--lr must be a number > 0, got nan"),
-    (["--method", "fisher+cogram", "--kickoff", "--lr-mult", "-1"],
+    (["--method", "fisher+cogram+kickoff", "--lr-mult", "-1"],
      "--lr-mult must be a number > 0, got -1.0"),
+    (["--init", "m0.json", "--method", "kickoff", "--lr", "0"],
+     "--lr must be a number > 0, got 0.0"),
     (["--method", "fisher+cogram", "--lambda", "0"], "--lambda must be a number > 0, got 0.0"),
-    (["--method", "cogram", "--init", "average", "--iterations", "0"],
+    (["--init", "m0.json", "--method", "cogram", "--iterations", "0"],
      "--iterations must be an integer >= 1, got 0"),
     (["--method", "fisher+cogram", "--tau-min", "-1"],
      "--tau-min must be a number >= 0, got -1.0"),

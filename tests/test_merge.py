@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -664,13 +665,13 @@ def test_build_eval_set_modes():
     feats = np.abs(rng.normal(size=(40, 5))) + 0.05
     labels = np.repeat(np.arange(4), 10)
     data = Dataset(feats, labels, 4)
-    onehot = build_eval_set(data, MergeConfig(eval_mode="onehot"))
+    onehot = build_eval_set(data, MergeConfig(prototype="onehot"))
     assert len(onehot) == 4 and np.array_equal(onehot.targets, np.eye(4))
-    kmeans = build_eval_set(data, MergeConfig(eval_mode="kmeans", k_per_class=2))
+    kmeans = build_eval_set(data, MergeConfig(prototype="kmeans:2"))
     assert len(kmeans) == 8
-    batch = build_eval_set(data, MergeConfig(eval_mode="batch", batch_size=7))
+    batch = build_eval_set(data, MergeConfig(prototype="batch:7"))
     assert len(batch) == 7 and all((feats == row).all(axis=1).any() for row in batch.inputs)
-    whole = build_eval_set(data, MergeConfig(eval_mode="batch"))
+    whole = build_eval_set(data, MergeConfig(prototype="batch"))
     assert len(whole) == 40
 
 
@@ -685,13 +686,20 @@ def test_merge_config_validation():
         LevelThresholds(0.5, 0.1)
 
 
-@pytest.mark.parametrize("field, value", [
-    ("lam", True), ("lam", "5"), ("lam", math.nan), ("epsilon", "x"), ("epsilon", 0.0),
-    ("iterations", 2.5), ("iterations", True), ("k_per_class", 0), ("batch_size", 0),
-    ("batch_size", 2.0), ("eval_seed", -1), ("eval_seed", 1.5),
+@pytest.mark.parametrize("field, value, message", [
+    ("lam", True, "lam must be"), ("lam", "5", "lam must be"), ("lam", math.nan, "lam must be"),
+    ("epsilon", "x", "epsilon must be"), ("epsilon", 0.0, "epsilon must be"),
+    ("iterations", 2.5, "iterations must be"), ("iterations", True, "iterations must be"),
+    ("prototype", "kmeans:0", "k_per_class must be an integer >= 1, got 0"),
+    ("prototype", "batch:0", "batch_size must be an integer >= 1, got 0"),
+    ("prototype", "batch:2.0", "bad prototype spec 'batch:2.0'"),
+    ("prototype", 5, "bad prototype spec 5"), ("prototype", None, "bad prototype spec None"),
+    ("prototype", "kmeans", "bad prototype spec 'kmeans'"),
+    ("prototype", "onehot:1", "bad prototype spec 'onehot:1'"),
+    ("eval_seed", -1, "eval_seed must be"), ("eval_seed", 1.5, "eval_seed must be"),
 ])
-def test_merge_config_rejects_bad_field_types_and_ranges(field, value):
-    with pytest.raises(ValueError, match=f"^{field} must be"):
+def test_merge_config_rejects_bad_field_types_and_ranges(field, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         MergeConfig(**{field: value})
 
 
@@ -711,8 +719,9 @@ def test_level_thresholds_store_floats():
 
 
 def test_merge_config_accepts_numpy_scalars_and_whole_dataset_batches():
-    config = MergeConfig(lam=np.float64(2.0), iterations=np.int64(2), batch_size=None)
-    assert config.iterations == 2 and config.batch_size is None
+    config = MergeConfig(lam=np.float64(2.0), iterations=np.int64(2), prototype="batch")
+    assert config.iterations == 2 and config.prototype == "batch"
+    assert MergeConfig(prototype="kmeans:03").prototype == "kmeans:3"  # the canonical spelling
 
 
 # --- gradient kickoff ------------------------------------------------------------------------
@@ -831,7 +840,7 @@ def test_config_json_round_trip_with_infinities():
         layer=LevelThresholds(0.0, math.inf),
         neuron=LevelThresholds(0.1, 0.2),
         weight=LevelThresholds(math.inf, math.inf),
-    ))
+    ), prototype="batch:7")
     doc = config_to_json_dict(cfg)
     back = config_from_json_dict(doc)
     assert back == cfg

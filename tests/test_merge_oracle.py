@@ -49,9 +49,9 @@ def _assert_engine_matches_reference(m, a, b, config, eval_set):
 
 
 EVAL_MODES = {
-    "onehot": {"eval_mode": "onehot"},
-    "kmeans": {"eval_mode": "kmeans", "k_per_class": 2},
-    "batch": {"eval_mode": "batch", "batch_size": 24, "eval_seed": 3},
+    "onehot": {"prototype": "onehot"},
+    "kmeans": {"prototype": "kmeans:2"},
+    "batch": {"prototype": "batch:24", "eval_seed": 3},
 }
 BANDS = {"descend": Thresholds.uniform(0.0, 0.0), "band": Thresholds.uniform(0.002, 0.05)}
 
@@ -75,7 +75,7 @@ def test_engine_matches_reference_at_the_benchmark_shape():
     # 2,048 rows through 64-wide layers: BLAS takes its full-tile paths
     sizes = [32, 64, 64, 20]
     config = MergeConfig(thresholds=BANDS["descend"], max_granularity="neuron",
-                         eval_mode="batch", batch_size=2048, eval_seed=1)
+                         prototype="batch:2048", eval_seed=1)
     eval_set = merge.build_eval_set(_dataset(n=2048, sizes=sizes), config)
     assert eval_set.inputs.shape == (2048, 32)
     m, a, b = _trio("relu", sizes=sizes)
