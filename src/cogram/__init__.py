@@ -2,9 +2,10 @@
 and merges them without retraining, guided by loss comparisons on prototype
 evaluation sets, with uniform-averaging and Fisher-weighted baselines."""
 
-from .baseline import FisherInfo, fisher_information, fisher_merge, uniform_average
+from .baseline import fisher_information, fisher_merge, uniform_average
 from .merge import (
     DecisionRecord,
+    KickoffConfig,
     LevelThresholds,
     MergeConfig,
     MergeReport,
@@ -30,7 +31,6 @@ from .net import (
     deserialize,
     forward,
     load_model,
-    log_softmax,
     mse_loss,
     random_network,
     save_model,
@@ -39,7 +39,6 @@ from .net import (
 )
 from .prototypes import (
     build_prototypes_kmeans,
-    build_prototypes_onehot,
     build_raw_batch,
     geometric_mean_prototype,
 )

@@ -13,19 +13,11 @@ the Fisher merge is one expression on the two parameter vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import net as netmod
 from .net import Network
 from .synthdata import Dataset
-
-
-@dataclass
-class FisherInfo:
-    diagonal: np.ndarray  # laid out like the network's theta
-    sample_count: int
 
 
 def uniform_average(a: Network, b: Network) -> Network:
@@ -36,8 +28,9 @@ def uniform_average(a: Network, b: Network) -> Network:
 
 def fisher_information(
     net: Network, dataset: Dataset, sample_cap: int = 512, seed: int = 0
-) -> FisherInfo:
-    """Diagonal empirical Fisher over up to sample_cap seeded samples."""
+) -> np.ndarray:
+    """Diagonal empirical Fisher over up to sample_cap seeded samples, laid
+    out like the network's ``theta``."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     if sample_cap < 1:
@@ -66,11 +59,11 @@ def fisher_information(
         a2 = (x if k == 0 else work.acts[k - 1]) ** 2
         np.divide(d2.T @ a2, n, out=fisher_w[k])
         np.mean(d2, axis=0, out=fisher_b[k])
-    return FisherInfo(diagonal=diagonal, sample_count=n)
+    return diagonal
 
 
 def fisher_merge(
-    a: Network, b: Network, f_a: FisherInfo, f_b: FisherInfo, floor: float = 1e-8
+    a: Network, b: Network, f_a: np.ndarray, f_b: np.ndarray, floor: float = 1e-8
 ) -> Network:
     """Per-parameter Fisher-weighted average with both weights floored.
 
@@ -81,9 +74,9 @@ def fisher_merge(
     netmod.require_compatible(a, b)
     if floor <= 0:
         raise ValueError("floor must be > 0")
-    a.require_layout(f_a.diagonal, "Fisher estimate of A")
-    b.require_layout(f_b.diagonal, "Fisher estimate of B")
-    fa = np.maximum(f_a.diagonal, floor)
-    fb = np.maximum(f_b.diagonal, floor)
+    a.require_layout(f_a, "Fisher estimate of A")
+    b.require_layout(f_b, "Fisher estimate of B")
+    fa = np.maximum(f_a, floor)
+    fb = np.maximum(f_b, floor)
     wa = fa / (fa + fb)
     return a.with_theta(wa * a.theta + (1.0 - wa) * b.theta)

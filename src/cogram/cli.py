@@ -23,12 +23,12 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import baseline, merge, net as netmod, synthdata, training
-from .merge import LevelThresholds, MergeConfig, Thresholds
+from .merge import KickoffConfig, LevelThresholds, MergeConfig, Thresholds
 from .synthdata import DataConfig, Dataset, check_number
 from .training import OptimizerConfig
 
@@ -86,9 +86,7 @@ class ExperimentConfig:
     batch_size: int = 64
     merge: MergeConfig = field(default_factory=MergeConfig)
     fisher_samples: int = 512
-    kickoff_epochs: int = 8
-    finetune_epochs: int = 20
-    lr_multiplier: float = 2.5
+    kickoff: KickoffConfig = field(default_factory=KickoffConfig)
     methods: list[str] = field(default_factory=lambda: ["fisher", "fisher+cogram"])
     seeds: list[int] = field(default_factory=lambda: list(range(10)))
 
@@ -113,15 +111,8 @@ class ExperimentConfig:
                 f"arch {self.arch} does not match data (dim={self.data.dim}, "
                 f"classes={self.data.num_classes})"
             )
-        for name, low, below in (
-            ("epochs", 0, None),
-            ("batch_size", 1, None),
-            ("fisher_samples", 1, None),
-            ("kickoff_epochs", 0, merge.MAX_KICKOFF_EPOCHS + 1),
-            ("finetune_epochs", 0, None),
-        ):
-            check_number(name, getattr(self, name), low, integer=True, below=below)
-        check_number("lr_multiplier", self.lr_multiplier, strict=True)
+        for name, low in (("epochs", 0), ("batch_size", 1), ("fisher_samples", 1)):
+            check_number(name, getattr(self, name), low, integer=True)
 
 
 def _json_object(name: str, value) -> dict:
@@ -131,15 +122,16 @@ def _json_object(name: str, value) -> dict:
     return dict(value)
 
 
-def _dataconfig_from_dict(doc: dict) -> DataConfig:
-    known = {f.name for f in fields(DataConfig)}
-    unknown = set(doc) - known
+def _section(name: str, cls, doc: dict):
+    """The ``cls`` whose fields are the keys of ``doc``, the config section
+    ``name``; an unknown key, or a value ``cls`` refuses, is a usage error."""
+    unknown = set(doc) - {f.name for f in fields(cls)}
     if unknown:
-        raise UsageError(f"unknown data config fields: {sorted(unknown)}")
+        raise UsageError(f"unknown {name} config fields: {sorted(unknown)}")
     try:
-        return DataConfig(**doc)
+        return cls(**doc)
     except ValueError as exc:
-        raise UsageError(f"bad data config: {exc}") from exc
+        raise UsageError(f"bad {name} config: {exc}") from exc
 
 
 # a merge setting's key in a sweep config -> its MergeConfig field
@@ -165,20 +157,13 @@ def _mergeconfig_from_dict(doc: dict) -> MergeConfig:
 
 
 def _experiment_from_dict(doc: dict) -> ExperimentConfig:
-    data = _dataconfig_from_dict(_json_object("data", doc.pop("data", {})))
+    data = _section("data", DataConfig, _json_object("data", doc.pop("data", {})))
     train_doc = _json_object("train", doc.pop("train", {}))
     kwargs = {key: train_doc.pop(key) for key in ("epochs", "batch_size") if key in train_doc}
-    try:
-        kwargs["optimizer"] = OptimizerConfig(**train_doc)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad train config: {exc}") from exc
+    kwargs["optimizer"] = _section("train", OptimizerConfig, train_doc)
     kwargs["merge"] = _mergeconfig_from_dict(_json_object("merge", doc.pop("merge", {})))
-    kick_doc = _json_object("kickoff", doc.pop("kickoff", {}))
-    for key in ("kickoff_epochs", "finetune_epochs", "lr_multiplier"):
-        if key in kick_doc:
-            kwargs[key] = kick_doc.pop(key)
-    if kick_doc:
-        raise UsageError(f"unknown kickoff config fields: {sorted(kick_doc)}")
+    kwargs["kickoff"] = _section("kickoff", KickoffConfig,
+                                 _json_object("kickoff", doc.pop("kickoff", {})))
     for key in ("mode", "arch", "fisher_samples", "methods", "seeds"):
         if key in doc:
             kwargs[key] = doc.pop(key)
@@ -256,9 +241,7 @@ class _Pipeline:
     fisher_samples: int
     merge_cfg: MergeConfig | None
     optimizer: OptimizerConfig | None       # the fine-tuning rate and kind of kickoff
-    lr_multiplier: float
-    kickoff_epochs: int
-    finetune_epochs: int
+    kickoff: KickoffConfig | None
     batch_size: int
     eval_set: netmod.EvalSet | None = None  # what cogram scores candidates on
     stage_s: dict = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
@@ -285,11 +268,8 @@ class _Pipeline:
             start, reports = before
             if stage == "cogram":
                 return merge.cogram_iterate(start, a, b, self.merge_cfg, eval_set=self.eval_set)
-            opt = self.optimizer
-            kick_cfg = replace(opt, learning_rate=opt.learning_rate * self.lr_multiplier)
             fused, _ = merge.gradient_kickoff(
-                start, self.combined, kick_cfg, opt,
-                self.kickoff_epochs, self.finetune_epochs, self.batch_size,
+                start, self.combined, self.optimizer, self.kickoff, self.batch_size,
                 _role_seed(self.seed, 8),
             )
             return fused, reports
@@ -323,9 +303,7 @@ def run_experiment_seed(cfg: ExperimentConfig, seed: int) -> SweepRow:
     pipeline = _Pipeline(
         net_a, net_b, data_a, data_b, combined, seed,
         fisher_samples=cfg.fisher_samples, merge_cfg=cfg.merge, optimizer=cfg.optimizer,
-        lr_multiplier=cfg.lr_multiplier, kickoff_epochs=cfg.kickoff_epochs,
-        finetune_epochs=cfg.finetune_epochs, batch_size=cfg.batch_size,
-        eval_set=eval_set, stage_s=stage_s,
+        kickoff=cfg.kickoff, batch_size=cfg.batch_size, eval_set=eval_set, stage_s=stage_s,
     )
     for method in cfg.methods:
         fused, _ = pipeline.run(_method_stages(method))
@@ -442,7 +420,7 @@ def cmd_gen_data(args) -> int:
     mode = doc.pop("mode", "homogeneous")
     if mode not in ("homogeneous", "heterogeneous"):
         raise UsageError(f"mode must be homogeneous or heterogeneous, got {mode!r}")
-    cfg = _dataconfig_from_dict(doc)
+    cfg = _section("data", DataConfig, doc)
     data_a, data_b, test = synthdata.generate_pair(cfg, mode)
     os.makedirs(args.out, exist_ok=True)
     for name, ds in (("data_a.csv", data_a), ("data_b.csv", data_b), ("test.csv", test)):
@@ -514,7 +492,9 @@ def _check_merge_flags(args, stages: tuple[str, ...]) -> None:
 def cmd_merge(args) -> int:
     stages = _method_stages(args.method, args.init)
     _check_merge_flags(args, stages)
-    merge_cfg = None
+    merge_cfg = kickoff = None
+    if "kickoff" in stages:
+        kickoff = KickoffConfig(args.kickoff_epochs, args.finetune_epochs, args.lr_mult)
     if "cogram" in stages:
         merge_cfg = _mergeconfig_from_dict({
             "lambda": args.lam, "tau_min": args.tau_min, "tau_max": args.tau_max,
@@ -525,6 +505,12 @@ def cmd_merge(args) -> int:
     net_b = netmod.load_model(args.model_b)
     if not netmod.compatible(net_a, net_b):
         raise UsageError("models are not architecture-compatible")
+    done = {}
+    if args.init is not None:
+        start = netmod.load_model(args.init)
+        if not netmod.compatible(start, net_a):
+            raise UsageError("--init model is not architecture-compatible")
+        done[stages[:1]] = (start, [])
 
     data_a, data_b = (
         _load_data(flag, path, net_a.input_dim, net_a.num_classes) if path else None
@@ -538,16 +524,10 @@ def cmd_merge(args) -> int:
         synthdata.concat(data_a, data_b) if needs_data else None, args.seed,
         fisher_samples=args.fisher_samples, merge_cfg=merge_cfg,
         optimizer=OptimizerConfig(learning_rate=args.lr) if "kickoff" in stages else None,
-        lr_multiplier=args.lr_mult, kickoff_epochs=args.kickoff_epochs,
-        finetune_epochs=args.finetune_epochs, batch_size=args.batch_size,
+        kickoff=kickoff, batch_size=args.batch_size, done=done,
     )
     if merge_cfg is not None:
         pipeline.eval_set = merge.build_eval_set(pipeline.combined, merge_cfg)
-    if args.init is not None:
-        start = netmod.load_model(args.init)
-        if not netmod.compatible(start, net_a):
-            raise UsageError("--init model is not architecture-compatible")
-        pipeline.done[stages[:1]] = (start, [])
     fused, reports = pipeline.run(stages)
 
     netmod.save_model(fused, args.out)

@@ -33,13 +33,13 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import net as netmod
 from .net import EvalSet, Network
-from .prototypes import build_prototypes_kmeans, build_prototypes_onehot, build_raw_batch
+from .prototypes import build_prototypes_kmeans, build_raw_batch
 from .synthdata import Dataset, check_number
 from .training import OptimizerConfig, TrainReport, train
 
@@ -116,6 +116,24 @@ def _parse_prototype(spec) -> tuple[str, int | None]:
     raise ValueError(f"bad prototype spec {spec!r} (want onehot, kmeans:K, batch or batch:N)")
 
 
+@dataclass(frozen=True)
+class KickoffConfig:
+    """The gradient kickoff: ``kickoff_epochs`` at the fine-tuning rate times
+    ``lr_multiplier`` (best 2-3; others only warn), then ``finetune_epochs``
+    at the fine-tuning rate. The kickoff is short: at most
+    ``MAX_KICKOFF_EPOCHS`` epochs."""
+
+    kickoff_epochs: int = 8
+    finetune_epochs: int = 20
+    lr_multiplier: float = 2.5
+
+    def __post_init__(self):
+        check_number("kickoff_epochs", self.kickoff_epochs, 0, integer=True,
+                     below=MAX_KICKOFF_EPOCHS + 1)
+        check_number("finetune_epochs", self.finetune_epochs, 0, integer=True)
+        check_number("lr_multiplier", self.lr_multiplier, strict=True)
+
+
 @dataclass
 class DecisionRecord:
     level: str
@@ -138,7 +156,6 @@ class MergeReport:
     loss_before: float
     loss_after: float
     wall_time_s: float
-    config: MergeConfig
 
 
 # --- the scalar pieces --------------------------------------------------------
@@ -265,13 +282,12 @@ class _LayerEvaluator:
 
 
 def build_eval_set(dataset: Dataset, config: MergeConfig) -> EvalSet:
-    """The fixed evaluation set every decision in a merge run is measured on."""
+    """The fixed evaluation set every decision in a merge run is measured on.
+    ``onehot`` is ``kmeans:1``: one cluster per class, all of its rows."""
     mode, size = _parse_prototype(config.prototype)
-    if mode == "onehot":
-        return build_prototypes_onehot(dataset, epsilon=config.epsilon)
-    if mode == "kmeans":
+    if mode in ("onehot", "kmeans"):
         return build_prototypes_kmeans(
-            dataset, size, kmeans_seed=config.eval_seed, epsilon=config.epsilon
+            dataset, size or 1, kmeans_seed=config.eval_seed, epsilon=config.epsilon
         )
     return build_raw_batch(dataset, size if size is not None else len(dataset),
                            seed=config.eval_seed)
@@ -369,16 +385,13 @@ def merge_neuron_level(
     rec.loss_pre = loss_pre
     ev.put(pos, fused)
     report.records.append(rec)
-    if rec.case == 3 or config.max_granularity == "neuron":
-        rec.loss_post = ev.loss()
-    else:  # refine to single weights from the fused-neuron baseline
-        rec.action = "refined"
-        running = ev.loss()
+    rec.loss_post = ev.loss()
+    if rec.case != 3 and config.max_granularity != "neuron":
+        rec.action = "refined"  # to single weights, from the fused-neuron baseline
         for weight_idx in range(ev.layer.in_dim + 1):  # incoming weights, then the bias
-            running = merge_weight_level(
-                ev, neuron_idx, weight_idx, a, b, config, report, running
+            rec.loss_post = merge_weight_level(
+                ev, neuron_idx, weight_idx, a, b, config, report, rec.loss_post
             )
-        rec.loss_post = running
     if rec.loss_post < loss_pre:
         return
     rec.action = "rolled_back"
@@ -426,8 +439,7 @@ def cogram_merge(
     lossf = netmod.loss_function(config.loss)
     start = time.perf_counter()
     report = MergeReport(
-        records=[], loss_before=lossf(m, eval_set), loss_after=math.nan,
-        wall_time_s=0.0, config=config,
+        records=[], loss_before=lossf(m, eval_set), loss_after=math.nan, wall_time_s=0.0
     )
     for layer_idx in reversed(range(len(m.layers))):
         m = merge_layer_level(m, layer_idx, a, b, config, eval_set, report)
@@ -469,39 +481,31 @@ def cogram_iterate(
 def gradient_kickoff(
     m: Network,
     combined_train_data: Dataset,
-    kickoff_config: OptimizerConfig,
-    finetune_config: OptimizerConfig,
-    kickoff_epochs: int = 8,
-    finetune_epochs: int = 20,
+    optimizer: OptimizerConfig,
+    kickoff: KickoffConfig = KickoffConfig(),
     batch_size: int = 64,
     seed: int = 0,
 ) -> tuple[Network, tuple[TrainReport, TrainReport]]:
-    """Short elevated-rate training phase, then regular fine-tuning.
-
-    The kickoff rate should sit 2-3x above the fine-tuning rate; ratios
-    outside that band only warn. Kickoff stays under 10 epochs by contract.
-    """
+    """Short elevated-rate training phase, then regular fine-tuning with
+    ``optimizer``. The kickoff trains with every setting of ``optimizer`` but
+    its learning rate, which ``kickoff.lr_multiplier`` scales."""
     if len(combined_train_data) == 0:
         raise ValueError("empty dataset")
-    check_number("kickoff_epochs", kickoff_epochs, 0, integer=True, below=MAX_KICKOFF_EPOCHS + 1)
-    check_number("finetune_epochs", finetune_epochs, 0, integer=True)
-    ratio = kickoff_config.learning_rate / finetune_config.learning_rate
-    if not 2.0 <= ratio <= 3.0:
+    if not 2.0 <= kickoff.lr_multiplier <= 3.0:
         warnings.warn(
-            f"kickoff/finetune learning-rate ratio {ratio:.3g} is outside the "
+            f"kickoff/finetune learning-rate ratio {kickoff.lr_multiplier:.3g} is outside the "
             "recommended [2, 3] band",
             stacklevel=2,
         )
     kick_ss, fine_ss = np.random.SeedSequence(seed).spawn(2)
     kick_seed = int(kick_ss.generate_state(1, dtype=np.uint64)[0])
     fine_seed = int(fine_ss.generate_state(1, dtype=np.uint64)[0])
+    kick_cfg = replace(optimizer, learning_rate=optimizer.learning_rate * kickoff.lr_multiplier)
     m, kick_report = train(
-        m, combined_train_data, kickoff_config, kickoff_epochs, batch_size,
-        kick_seed,
+        m, combined_train_data, kick_cfg, kickoff.kickoff_epochs, batch_size, kick_seed,
     )
     m, fine_report = train(
-        m, combined_train_data, finetune_config, finetune_epochs, batch_size,
-        fine_seed,
+        m, combined_train_data, optimizer, kickoff.finetune_epochs, batch_size, fine_seed,
     )
     return m, (kick_report, fine_report)
 
@@ -619,7 +623,6 @@ def reports_from_json(text: str) -> tuple[list[MergeReport], MergeConfig, float]
             loss_before=it["loss_before"],
             loss_after=it["loss_after"],
             wall_time_s=total if i == 0 else 0.0,
-            config=config,
         )
         for i, it in enumerate(doc["iterations"])
     ]

@@ -334,7 +334,7 @@ def _row_blocks(n: int, width: int) -> list[tuple[int, int]]:
 
 
 def forward(net: Network, inputs, work: Workspace | None = None) -> np.ndarray:
-    """Logits for a batch of inputs (or a single vector). Pure.
+    """Logits (N, C) for a batch of inputs (N, d). Pure.
 
     With ``work`` every layer runs into the workspace's buffers and the
     logits returned are its last one, overwritten by the next call.
@@ -348,9 +348,6 @@ def forward(net: Network, inputs, work: Workspace | None = None) -> np.ndarray:
     whole matrix, which OpenBLAS's gemm does for such blocks.
     """
     x = _as_f64(inputs)
-    squeezed = x.ndim == 1
-    if squeezed:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ShapeError(f"inputs must have {net.input_dim} features, got shape {x.shape}")
     if work is not None:
@@ -359,8 +356,7 @@ def forward(net: Network, inputs, work: Workspace | None = None) -> np.ndarray:
                 f"workspace buffers {[a.shape for a in work.acts]} do not fit "
                 f"{[(x.shape[0], out_dim) for out_dim, _ in net._shapes]}"
             )
-        a = _forward_into(net._plan, x, work.acts)
-        return a[0] if squeezed else a
+        return _forward_into(net._plan, x, work.acts)
     blocks = _row_blocks(x.shape[0], min(out_dim for out_dim, _ in net._shapes))
     rows = max((stop - start for start, stop in blocks), default=0)
     hidden = [np.empty((rows, out_dim)) for out_dim, _ in net._shapes[:-1]]
@@ -368,7 +364,7 @@ def forward(net: Network, inputs, work: Workspace | None = None) -> np.ndarray:
     for start, stop in blocks:
         acts = [h[: stop - start] for h in hidden] + [logits[start:stop]]
         _forward_into(net._plan, x[start:stop], acts)
-    return logits[0] if squeezed else logits
+    return logits
 
 
 def _pre_activation_deltas(plan, work: Workspace, delta: np.ndarray):
@@ -393,11 +389,11 @@ def _pre_activation_deltas(plan, work: Workspace, delta: np.ndarray):
 
 
 def _shift_exp_sum(logits, caller: str, shifted=None, work: Workspace | None = None):
-    """The pass softmax, log_softmax and the losses share: the logits minus
-    their maximum over the last axis (into ``shifted`` when given, which may
-    be the logits themselves), the exp of that, and the sums of the exp over
-    the last axis. Rejects non-finite logits. Scratch comes from ``work``
-    when given, else from new arrays."""
+    """The pass softmax and the losses share: the logits minus their maximum
+    over the last axis (into ``shifted`` when given, which may be the logits
+    themselves), the exp of that, and the sums of the exp over the last axis.
+    Rejects non-finite logits. Scratch comes from ``work`` when given, else
+    from new arrays."""
     z = _as_f64(logits)
     finite, e, sums = (None, None, None) if work is None else (work.finite, work.exp, work.col)
     if not np.logical_and.reduce(np.isfinite(z, out=finite), axis=None):
@@ -412,13 +408,6 @@ def softmax(logits) -> np.ndarray:
     _, e, sums = _shift_exp_sum(logits, "softmax")
     e /= sums
     return e
-
-
-def log_softmax(logits) -> np.ndarray:
-    """log(softmax) in fused log-sum-exp form; safe for confident logits."""
-    shifted, _, sums = _shift_exp_sum(logits, "log_softmax")
-    shifted -= np.log(sums)
-    return shifted
 
 
 def _loss_of_logits(

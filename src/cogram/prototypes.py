@@ -3,7 +3,7 @@
 A prototype compresses one cluster of training samples into a single
 representative input: the elementwise geometric mean of the magnitude
 vectors |x|, epsilon-stabilized and computed in log space. Clusters come
-either straight from the labels (one per class) or from per-class k-means.
+from per-class k-means; with one cluster per class, every row of the class.
 Raw-batch mode skips the compression and evaluates on sampled rows. Every
 builder returns a ``net.EvalSet``: the rows stacked into one input array, and
 the one-hot targets of their classes.
@@ -29,17 +29,6 @@ def geometric_mean_prototype(samples, epsilon: float = DEFAULT_EPSILON) -> np.nd
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
     return np.exp(np.mean(np.log(np.abs(x) + epsilon), axis=0))
-
-
-def build_prototypes_onehot(dataset: Dataset, epsilon: float = DEFAULT_EPSILON) -> EvalSet:
-    """One geometric-mean prototype per class present in the dataset."""
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    classes = np.unique(dataset.labels)
-    rows = [
-        geometric_mean_prototype(dataset.features[dataset.labels == c], epsilon) for c in classes
-    ]
-    return EvalSet(np.stack(rows), one_hot(classes, dataset.num_classes))
 
 
 def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator, max_iters: int):

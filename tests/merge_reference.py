@@ -141,7 +141,7 @@ def reference_iterate(m, a, b, config, eval_set):
     lossf = ref_loss(config.loss)
     reports = []
     for _ in range(config.iterations):
-        report = MergeReport([], lossf(m, eval_set), math.nan, 0.0, config)
+        report = MergeReport([], lossf(m, eval_set), math.nan, 0.0)
         for k in reversed(range(len(m.layers))):
             m = _ref_layer(m, k, a, b, config, eval_set, report.records)
         report.loss_after = lossf(m, eval_set)

@@ -15,6 +15,7 @@ import pytest
 from cogram import net as netmod
 from cogram.cli import ExperimentConfig, run_sweep
 from cogram.merge import (
+    KickoffConfig,
     LevelThresholds,
     MergeConfig,
     Thresholds,
@@ -293,9 +294,7 @@ def _sweep_config(mode, methods, seeds):
         epochs=30,
         batch_size=64,
         merge=MergeConfig(lam=5.5, prototype="onehot", max_granularity="layer"),
-        kickoff_epochs=8,
-        finetune_epochs=20,
-        lr_multiplier=2.5,
+        kickoff=KickoffConfig(kickoff_epochs=8, finetune_epochs=20, lr_multiplier=2.5),
         methods=methods,
         seeds=seeds,
     )

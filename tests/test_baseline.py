@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cogram import net as netmod
-from cogram.baseline import FisherInfo, fisher_information, fisher_merge, uniform_average
+from cogram.baseline import fisher_information, fisher_merge, uniform_average
 from cogram.net import DenseLayer, Network, random_network
 from cogram.synthdata import Dataset
 
@@ -22,7 +22,7 @@ def _constant_net(sizes, value):
 
 
 def _fisher_like(net, value):
-    return FisherInfo(diagonal=np.full_like(net.theta, value), sample_count=1)
+    return np.full_like(net.theta, value)
 
 
 # --- uniform average -------------------------------------------------------------
@@ -61,10 +61,9 @@ def test_fisher_nonnegative_and_deterministic():
     data = _dataset(rng)
     f1 = fisher_information(net, data, sample_cap=40, seed=11)
     f2 = fisher_information(net, data, sample_cap=40, seed=11)
-    assert f1.diagonal.shape == net.theta.shape
-    assert np.array_equal(f1.diagonal, f2.diagonal)
-    assert np.all(f1.diagonal >= 0)
-    assert f1.sample_count == 40
+    assert f1.shape == net.theta.shape
+    assert np.array_equal(f1, f2)
+    assert np.all(f1 >= 0)
 
 
 def test_fisher_zero_net_closed_form():
@@ -75,7 +74,7 @@ def test_fisher_zero_net_closed_form():
     rng = np.random.default_rng(1)
     data = _dataset(rng, n=50, dim=4, num_classes=c)
     fisher = fisher_information(net, data, sample_cap=50, seed=2)
-    weights, biases = net.layer_views(fisher.diagonal)
+    weights, biases = net.layer_views(fisher)
 
     assert np.all(weights[0] == 0.0)
     assert np.all(biases[0] == 0.0)
@@ -90,34 +89,39 @@ def test_fisher_zero_net_closed_form():
     assert abs(q.sum() - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("cap", [30, 17])
 @pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
-def test_fisher_is_the_mean_squared_gradient_of_each_rows_sampled_label(activation):
-    # with no more rows than the cap, the rows are arange(n) and the seed's
-    # only draw is one uniform per row, for the label sampled from the softmax
+def test_fisher_is_the_mean_squared_gradient_of_each_rows_sampled_label(activation, cap):
+    # the seed draws the cap's rows without replacement (with no more rows than
+    # the cap, the rows are arange(n) and nothing is drawn), then one uniform
+    # per row, for the label sampled from the softmax
     n, num_classes, seed = 30, 4, 13
     rng = np.random.default_rng(5)
     net = random_network([6, 7, 5, num_classes], seed=8, hidden_activation=activation)
     data = _dataset(rng, n=n, num_classes=num_classes)
-    fisher = fisher_information(net, data, sample_cap=n, seed=seed)
+    fisher = fisher_information(net, data, sample_cap=cap, seed=seed)
 
-    cum = np.cumsum(netmod.softmax(netmod.forward(net, data.features)), axis=1)
+    draws = np.random.default_rng(seed)
+    x = data.features[draws.choice(n, size=cap, replace=False) if cap < n else np.arange(n)]
+    cum = np.cumsum(netmod.softmax(netmod.forward(net, x)), axis=1)
     cum[:, -1] = 1.0
-    sampled = (np.random.default_rng(seed).random(n)[:, None] < cum).argmax(axis=1)
+    sampled = (draws.random(cap)[:, None] < cum).argmax(axis=1)
     expected = np.zeros_like(net.theta)
-    for i in range(n):
+    for i in range(cap):
         target = np.eye(num_classes)[sampled[i]][None, :]
-        _, grad = netmod.backward_arrays(net, data.features[i : i + 1], target)
+        _, grad = netmod.backward_arrays(net, x[i : i + 1], target)
         expected += grad**2
-    expected /= n
-    assert fisher.sample_count == n
-    np.testing.assert_allclose(fisher.diagonal, expected, rtol=1e-12, atol=0)
+    expected /= cap
+    np.testing.assert_allclose(fisher, expected, rtol=1e-12, atol=0)
 
 
 def test_fisher_sample_cap_and_empty():
     rng = np.random.default_rng(2)
     net = random_network([6, 4], seed=0)
     data = _dataset(rng, n=30)
-    assert fisher_information(net, data, sample_cap=500, seed=0).sample_count == 30
+    # a cap at or above the row count takes every row
+    assert np.array_equal(fisher_information(net, data, sample_cap=500, seed=0),
+                          fisher_information(net, data, sample_cap=30, seed=0))
     with pytest.raises(ValueError):
         fisher_information(net, Dataset(np.zeros((0, 6)), np.zeros(0, dtype=int), 4), 10, 0)
     for cap in (0, -3):
@@ -157,8 +161,8 @@ def test_fisher_merge_convex_bounds_property():
     for seed in range(10):
         a = random_network([5, 4, 3], seed=seed)
         b = random_network([5, 4, 3], seed=seed + 100)
-        f_a = FisherInfo(diagonal=rng.uniform(0, 2, a.theta.size), sample_count=1)
-        f_b = FisherInfo(diagonal=rng.uniform(0, 2, b.theta.size), sample_count=1)
+        f_a = rng.uniform(0, 2, a.theta.size)
+        f_b = rng.uniform(0, 2, b.theta.size)
         merged = fisher_merge(a, b, f_a, f_b)
         for lm, la, lb in zip(merged.layers, a.layers, b.layers):
             lo = np.minimum(la.weights, lb.weights) - 1e-12
@@ -189,8 +193,7 @@ def test_fisher_merge_rejects_a_fisher_with_fewer_layers():
 def test_fisher_merge_rejects_a_fisher_that_would_broadcast():
     a = random_network([4, 3], seed=0)
     b = random_network([4, 3], seed=1)
-    for diagonal in (np.ones(1), np.ones((1, b.theta.size)), np.ones(b.theta.size + 1)):
-        f_b = FisherInfo(diagonal=diagonal, sample_count=1)
+    for f_b in (np.ones(1), np.ones((1, b.theta.size)), np.ones(b.theta.size + 1)):
         with pytest.raises(netmod.ShapeError, match="not laid out like"):
             fisher_merge(a, b, _fisher_like(a, 1.0), f_b)
         with pytest.raises(netmod.ShapeError, match="not laid out like"):

@@ -475,6 +475,26 @@ def test_merge_flag_prefixes_are_unrecognized(workspace, tmp_path, capsys, flags
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("init, message", [
+    ("missing.json", "file not found: {}"),
+    ("other.json", "--init model is not architecture-compatible"),
+])
+def test_merge_bad_init_exits_2_before_data_is_read(workspace, tmp_path, capsys, monkeypatch,
+                                                     init, message):
+    def no_data(*args, **kwargs):
+        raise AssertionError("data was read or the evaluation set built before --init was loaded")
+
+    monkeypatch.setattr(cli.synthdata, "load_csv", no_data)
+    monkeypatch.setattr(cli.merge, "build_eval_set", no_data)
+    netmod.save_model(netmod.random_network([6, 9, 4], seed=0), tmp_path / "other.json")
+    path = tmp_path / init
+    args = _merge_args(workspace, tmp_path, "--init", str(path), "--method", "cogram",
+                       "--prototype", "kmeans:2")
+    assert main(args) == 2
+    assert message.format(path) in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_merge_missing_data_file_exits_2(workspace, tmp_path, capsys):
     args = _merge_args(workspace, tmp_path, "--method", "fisher")
     args[args.index("--data-a") + 1] = str(tmp_path / "missing.csv")
@@ -583,6 +603,8 @@ def test_sweep_bad_training_settings_exit_2(tmp_path, capsys, section, settings)
     ({"methods": ["fisher", "fisher"]}, "methods must be unique, got ['fisher', 'fisher']"),
     ({"kickoff": {"lr_multiplier": 0}}, "lr_multiplier must be a number > 0, got 0"),
     ({"kickoff": {"lr_multiplier": "2"}}, "lr_multiplier must be a number > 0, got '2'"),
+    ({"train": {"epochs": 8, "x": 1}}, "unknown train config fields: ['x']"),
+    ({"kickoff": {"epochs": 1}}, "unknown kickoff config fields: ['epochs']"),
 ])
 def test_sweep_bad_experiment_settings_exit_2(tmp_path, capsys, settings, message):
     path = _sweep_config(tmp_path, [0], ["fisher+cogram+kickoff"])
@@ -720,11 +742,11 @@ def test_sweep_runs_each_shared_stage_prefix_once_per_seed(tmp_path, monkeypatch
 def test_kickoff_keeps_every_setting_of_the_training_optimizer(monkeypatch, kind):
     seen = []
 
-    def spy(m, data, kick_cfg, fine_cfg, *args):
-        seen.append((kick_cfg, fine_cfg))
+    def spy(m, data, config, epochs, *args):
+        seen.append((config, epochs))
         return m, None
 
-    monkeypatch.setattr(cli.merge, "gradient_kickoff", spy)
+    monkeypatch.setattr(cli.merge, "train", spy)
     train = {"kind": kind, "learning_rate": 2e-3, "momentum": 0.5, "betas": [0.8, 0.99],
              "eps": 1e-6, "clip_norm": 1.5, "epochs": 1}
     cfg = cli._experiment_from_dict({
@@ -734,7 +756,8 @@ def test_kickoff_keeps_every_setting_of_the_training_optimizer(monkeypatch, kind
         "methods": ["average+kickoff"], "seeds": [0],
     })
     assert cli.run_experiment_seed(cfg, 0).status == "ok"
-    [(kick, fine)] = seen
+    [(kick, kick_epochs), (fine, fine_epochs)] = seen
+    assert (kick_epochs, fine_epochs) == (8, 20)
     assert fine == cfg.optimizer
     assert kick.learning_rate == 6e-3 and fine.learning_rate == 2e-3
     for config in (kick, fine):
@@ -997,11 +1020,14 @@ def test_sweep_survives_a_dead_worker(tmp_path, monkeypatch):
 
 
 def test_console_entrypoint_via_subprocess(workspace):
+    src = os.path.dirname(os.path.dirname(cli.__file__))  # the package under test
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "cogram.cli", "eval",
          "--model", str(workspace / "a.json"),
          "--data", str(workspace / "data" / "test.csv")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)

@@ -23,6 +23,7 @@ from cogram.merge import (
     config_to_json_dict,
     convex_combine,
     gradient_kickoff,
+    KickoffConfig,
     merge_layer_level,
     merge_neuron_level,
     merge_weight_level,
@@ -299,7 +300,7 @@ def test_pair_losses_equal_two_single_scores_after_any_history(data):
     else:
         es = _random_eval(rng, data.draw(st.integers(1, 6)), sizes[0], sizes[-1])
     config = dataclasses.replace(FORCE_WEIGHT_PASS, loss=loss)
-    report = _report_for(config)
+    report = _empty_report()
     ev = _LayerEvaluator(m, k, es, loss)
     for op in data.draw(st.lists(st.sampled_from(["put", "neuron", "weight"]), max_size=4)):
         neuron = data.draw(st.integers(0, out_dim - 1))
@@ -337,7 +338,7 @@ def test_weight_decision_allocates_nothing_after_the_first(rows):
     cfg = MergeConfig()
     for k in range(len(m.layers)):
         ev = _LayerEvaluator(m, k, es, cfg.loss)
-        report = _report_for(cfg)
+        report = _empty_report()
         running = merge_weight_level(ev, 0, 0, a, b, cfg, report, ev.loss())  # makes the pair
         # A broadcasting ufunc takes an iterator buffer of up to bufsize elements
         # (64 KiB by default) on every call; at the smallest bufsize that is 128 bytes.
@@ -383,9 +384,8 @@ def test_neuron_granularity_never_makes_the_stacked_buffers(monkeypatch):
 # --- level operations -------------------------------------------------------------------
 
 
-def _report_for(config):
-    return MergeReport(records=[], loss_before=0.0, loss_after=0.0,
-                       wall_time_s=0.0, config=config)
+def _empty_report():
+    return MergeReport(records=[], loss_before=0.0, loss_after=0.0, wall_time_s=0.0)
 
 
 def test_merge_layer_level_identical_candidates_give_exact_copy():
@@ -394,7 +394,7 @@ def test_merge_layer_level_identical_candidates_give_exact_copy():
     a = random_network([5, 4, 3], seed=1)
     es = _random_eval(rng, 6, 5, 3)
     cfg = MergeConfig()
-    rep = _report_for(cfg)
+    rep = _empty_report()
     merged = merge_layer_level(m, 1, a, a, cfg, es, rep)
     assert np.array_equal(merged.layers[1].weights, a.layers[1].weights)
     assert np.array_equal(merged.layers[1].biases, a.layers[1].biases)
@@ -410,7 +410,7 @@ def test_merge_layer_level_forced_case3_blend():
     b = random_network([5, 4, 3], seed=2)
     es = _random_eval(rng, 6, 5, 3)
     cfg = MergeConfig()  # tau_min=0, tau_max=inf -> always case 3
-    rep = _report_for(cfg)
+    rep = _empty_report()
     merged = merge_layer_level(m, 0, a, b, cfg, es, rep)
     rec = rep.records[-1]
     assert rec.case == 3 and rec.action == "merged"
@@ -423,7 +423,7 @@ def test_merge_neuron_level_tie_rolls_back_bit_identical():
     m = random_network([5, 4, 3], seed=0)
     es = _random_eval(rng, 6, 5, 3)
     cfg = MergeConfig()
-    rep = _report_for(cfg)
+    rep = _empty_report()
     ev = _LayerEvaluator(m, 1, es, cfg.loss)
     _neuron_decision(ev, 2, m, m, cfg, rep)
     merged = ev.network()
@@ -440,7 +440,7 @@ def test_merge_neuron_level_adversarial_eval_always_rolls_back():
     a = random_network([6, 5, 4], seed=1)
     b = random_network([6, 5, 4], seed=2)
     cfg = MergeConfig()
-    rep = _report_for(cfg)
+    rep = _empty_report()
     ev = _LayerEvaluator(m, 0, es, cfg.loss)
     for neuron in range(5):
         _neuron_decision(ev, neuron, a, b, cfg, rep)
@@ -458,7 +458,7 @@ def test_merge_neuron_level_loss_never_increases():
         a = random_network([5, 4, 3], seed=trial + 50)
         b = random_network([5, 4, 3], seed=trial + 100)
         es = _random_eval(rng, 8, 5, 3)
-        rep = _report_for(cfg)
+        rep = _empty_report()
         before = cross_entropy_loss(m, es)
         ev = _LayerEvaluator(m, 1, es, cfg.loss)
         merge_neuron_level(ev, trial % 3, a, b, cfg, rep)
@@ -471,7 +471,7 @@ def test_merge_weight_level_tie_and_locality():
     m = random_network([5, 4, 3], seed=0)
     es = _random_eval(rng, 6, 5, 3)
     cfg = MergeConfig()
-    rep = _report_for(cfg)
+    rep = _empty_report()
     ev = _LayerEvaluator(m, 1, es, cfg.loss)
     merge_weight_level(ev, 1, 2, m, m, cfg, rep, ev.loss())
     out = ev.network()
@@ -480,7 +480,7 @@ def test_merge_weight_level_tie_and_locality():
 
     a = random_network([5, 4, 3], seed=1)
     b = random_network([5, 4, 3], seed=2)
-    rep = _report_for(cfg)
+    rep = _empty_report()
     ev = _LayerEvaluator(m, 1, es, cfg.loss)
     merge_weight_level(ev, 1, 2, a, b, cfg, rep, ev.loss())
     out = ev.network()
@@ -497,7 +497,7 @@ def test_merge_weight_level_bias_index():
     b = random_network([4, 3], seed=2)
     es = _self_consistent_eval(a, rng, 8)  # favors A's parameters
     cfg = MergeConfig()
-    rep = _report_for(cfg)
+    rep = _empty_report()
     in_dim = m.layers[0].in_dim
     ev = _LayerEvaluator(m, 0, es, cfg.loss)
     merge_weight_level(ev, 1, in_dim, a, b, cfg, rep, ev.loss())
@@ -736,43 +736,55 @@ def _toy_data(seed=0, n=60):
 
 def test_gradient_kickoff_zero_epochs_is_identity():
     m = random_network([4, 3, 2], seed=0)
-    kick, fine = OptimizerConfig(learning_rate=2.5e-3), OptimizerConfig(learning_rate=1e-3)
-    out, (rep_k, rep_f) = gradient_kickoff(m, _toy_data(), kick, fine,
-                                           kickoff_epochs=0, finetune_epochs=0)
+    out, (rep_k, rep_f) = gradient_kickoff(m, _toy_data(), OptimizerConfig(learning_rate=1e-3),
+                                           KickoffConfig(kickoff_epochs=0, finetune_epochs=0))
     assert netmod.parameters_equal(out, m)
     assert rep_k.epochs_run == 0 and rep_f.epochs_run == 0
 
 
 def test_gradient_kickoff_deterministic():
     m = random_network([4, 3, 2], seed=1)
-    kick, fine = OptimizerConfig(learning_rate=2.5e-3), OptimizerConfig(learning_rate=1e-3)
-    out1, _ = gradient_kickoff(m, _toy_data(), kick, fine, 3, 4, 16, seed=9)
-    out2, _ = gradient_kickoff(m, _toy_data(), kick, fine, 3, 4, 16, seed=9)
+    fine, kickoff = OptimizerConfig(learning_rate=1e-3), KickoffConfig(3, 4)
+    out1, _ = gradient_kickoff(m, _toy_data(), fine, kickoff, 16, seed=9)
+    out2, _ = gradient_kickoff(m, _toy_data(), fine, kickoff, 16, seed=9)
     assert netmod.parameters_equal(out1, out2)
 
 
 def test_gradient_kickoff_paper_defaults_run():
     m = random_network([4, 3, 2], seed=2)
-    kick, fine = OptimizerConfig(learning_rate=2.5e-2), OptimizerConfig(learning_rate=1e-2)
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # ratio 2.5 must not warn
-        out, (rep_k, rep_f) = gradient_kickoff(m, _toy_data(), kick, fine,
-                                               kickoff_epochs=8, finetune_epochs=20)
+        warnings.simplefilter("error")  # multiplier 2.5 must not warn
+        out, (rep_k, rep_f) = gradient_kickoff(m, _toy_data(), OptimizerConfig(learning_rate=1e-2),
+                                               KickoffConfig())
     assert rep_k.epochs_run == 8 and rep_f.epochs_run == 20
     assert accuracy(out, _toy_data()) >= 0.9  # separable toy task
 
 
-def test_gradient_kickoff_ratio_warning_and_epoch_limit():
+def test_gradient_kickoff_multiplier_warning_and_empty_data():
     m = random_network([4, 3, 2], seed=3)
-    kick, fine = OptimizerConfig(learning_rate=5e-3), OptimizerConfig(learning_rate=1e-3)
-    with pytest.warns(UserWarning, match="ratio"):
-        gradient_kickoff(m, _toy_data(), kick, fine, 1, 0)
-    kick, fine = OptimizerConfig(learning_rate=2.5e-3), OptimizerConfig(learning_rate=1e-3)
-    with pytest.raises(ValueError):
-        gradient_kickoff(m, _toy_data(), kick, fine, kickoff_epochs=10)
-    with pytest.raises(ValueError):
-        gradient_kickoff(m, Dataset(np.zeros((0, 4)), np.zeros(0, dtype=int), 2),
-                         kick, fine)
+    fine = OptimizerConfig(learning_rate=1e-3)
+    for multiplier in (1.5, 5.0):
+        with pytest.warns(UserWarning, match=f"ratio {multiplier:g} is outside"):
+            gradient_kickoff(m, _toy_data(), fine, KickoffConfig(1, 0, multiplier))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the band's ends do not warn
+        for multiplier in (2, 3.0):
+            gradient_kickoff(m, _toy_data(), fine, KickoffConfig(1, 0, multiplier))
+    with pytest.raises(ValueError, match="empty dataset"):
+        gradient_kickoff(m, Dataset(np.zeros((0, 4)), np.zeros(0, dtype=int), 2), fine)
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"kickoff_epochs": 10}, "kickoff_epochs must be an integer >= 0 and < 10, got 10"),
+    ({"kickoff_epochs": -1}, "kickoff_epochs must be an integer >= 0 and < 10, got -1"),
+    ({"finetune_epochs": -2}, "finetune_epochs must be an integer >= 0, got -2"),
+    ({"lr_multiplier": 0}, "lr_multiplier must be a number > 0, got 0"),
+    ({"lr_multiplier": "2"}, "lr_multiplier must be a number > 0, got '2'"),
+    ({"lr_multiplier": True}, "lr_multiplier must be a number > 0, got True"),
+])
+def test_kickoff_config_rejects_bad_settings(settings, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        KickoffConfig(**settings)
 
 
 # --- report serialization ----------------------------------------------------------------------
@@ -829,10 +841,10 @@ def test_report_text_equals_one_tree_dumped_at_once(iterations, granularity):
 @pytest.mark.parametrize("iterations", [0, 1, 2])
 def test_report_text_of_iterations_without_records(iterations):
     cfg = MergeConfig(thresholds=Thresholds.uniform(0.5, math.inf))
-    reports = [MergeReport([], 0.25, 0.125, 1.5, cfg) for _ in range(iterations)]
+    reports = [MergeReport([], 0.25, 0.125, 1.5) for _ in range(iterations)]
     assert reports_to_json(reports, cfg) == _tree_reports_to_json(reports, cfg)
     with pytest.raises(ValueError):  # NaN losses are refused, as json.dumps refuses them
-        reports_to_json([MergeReport([], math.nan, 0.0, 0.0, cfg)], cfg)
+        reports_to_json([MergeReport([], math.nan, 0.0, 0.0)], cfg)
 
 
 def test_config_json_round_trip_with_infinities():

@@ -159,7 +159,7 @@ FORCE_WEIGHTS = MergeConfig(
 def test_running_loss_never_increases_across_a_weight_pass(case, data):
     m, a, b, eval_set, k, _ = case
     neuron = data.draw(st.integers(0, m.layers[k].out_dim - 1))
-    report = MergeReport([], 0.0, 0.0, 0.0, FORCE_WEIGHTS)
+    report = MergeReport([], 0.0, 0.0, 0.0)
     ev = merge._LayerEvaluator(m, k, eval_set, FORCE_WEIGHTS.loss)
     merge.merge_neuron_level(ev, neuron, a, b, FORCE_WEIGHTS, report)
     head, *weights = report.records
@@ -180,7 +180,7 @@ def test_rolled_back_neuron_row_is_bit_identical_to_its_baseline(case, data):
     eval_set.targets = netmod.softmax(netmod.forward(m, eval_set.inputs))
     config = data.draw(st.sampled_from([MergeConfig(max_granularity="neuron"), FORCE_WEIGHTS]))
     neuron = data.draw(st.integers(0, m.layers[k].out_dim - 1))
-    report = MergeReport([], 0.0, 0.0, 0.0, config)
+    report = MergeReport([], 0.0, 0.0, 0.0)
     ev = merge._LayerEvaluator(m, k, eval_set, config.loss)
     baseline = ev.theta[ev.positions[neuron]].tobytes()
     merge.merge_neuron_level(ev, neuron, a, b, config, report)

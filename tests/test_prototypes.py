@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from cogram import prototypes
+from cogram.merge import MergeConfig, build_eval_set
 from cogram.net import EvalSet, ShapeError
 from cogram.prototypes import (
     build_prototypes_kmeans,
-    build_prototypes_onehot,
     build_raw_batch,
     geometric_mean_prototype,
 )
@@ -23,6 +23,11 @@ def _balanced_dataset(rng, n_per_class=20, num_classes=4, dim=5):
     feats = rng.normal(size=(n_per_class * num_classes, dim))
     labels = np.repeat(np.arange(num_classes), n_per_class)
     return _dataset(feats, labels, num_classes)
+
+
+def _onehot(dataset, epsilon=prototypes.DEFAULT_EPSILON):
+    """The ``onehot`` evaluation set: one geometric-mean prototype per class."""
+    return build_eval_set(dataset, MergeConfig(prototype="onehot", epsilon=epsilon))
 
 
 # --- geometric mean ---------------------------------------------------------
@@ -80,7 +85,7 @@ def test_geometric_mean_strictly_positive_and_validated():
 
 
 def test_onehot_counts_balanced():
-    pset = build_prototypes_onehot(_balanced_dataset(np.random.default_rng(0)))
+    pset = _onehot(_balanced_dataset(np.random.default_rng(0)))
     assert len(pset) == 4
     assert pset.targets.argmax(1).tolist() == [0, 1, 2, 3]
 
@@ -90,7 +95,7 @@ def test_onehot_skips_absent_class():
     ds = _balanced_dataset(rng)
     keep = ds.labels != 3
     pruned = _dataset(ds.features[keep], ds.labels[keep], 4)
-    pset = build_prototypes_onehot(pruned)
+    pset = _onehot(pruned)
     assert len(pset) == 3
     assert 3 not in pset.targets.argmax(1)
 
@@ -98,12 +103,12 @@ def test_onehot_skips_absent_class():
 def test_onehot_degenerate_cluster():
     v = np.array([2.0, -3.0, 0.5])
     ds = _dataset(np.tile(v, (5, 1)), np.zeros(5, dtype=int), 2)
-    pset = build_prototypes_onehot(ds, epsilon=1e-6)
+    pset = _onehot(ds, epsilon=1e-6)
     assert np.allclose(pset.inputs[0], np.abs(v) + 1e-6, rtol=1e-12)
 
 
 def test_onehot_targets_are_valid_distributions():
-    pset = build_prototypes_onehot(_balanced_dataset(np.random.default_rng(2)))
+    pset = _onehot(_balanced_dataset(np.random.default_rng(2)))
     for y in pset.targets:
         assert np.all(y >= 0)
         assert abs(y.sum() - 1.0) < 1e-12
@@ -111,19 +116,18 @@ def test_onehot_targets_are_valid_distributions():
 
 def test_onehot_rejects_empty():
     with pytest.raises(ValueError):
-        build_prototypes_onehot(_dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2))
+        _onehot(_dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2))
 
 
 # --- k-means prototypes ---------------------------------------------------------
 
 
-def test_kmeans_k1_equals_onehot():
+def test_onehot_eval_set_equals_kmeans_1():
     ds = _balanced_dataset(np.random.default_rng(3))
-    via_kmeans = build_prototypes_kmeans(ds, k_per_class=1, kmeans_seed=0)
-    via_onehot = build_prototypes_onehot(ds)
-    assert len(via_kmeans) == len(via_onehot)
-    assert np.array_equal(via_kmeans.inputs, via_onehot.inputs)
-    assert np.array_equal(via_kmeans.targets.argmax(1), via_onehot.targets.argmax(1))
+    via_onehot = build_eval_set(ds, MergeConfig(prototype="onehot"))
+    via_kmeans = build_eval_set(ds, MergeConfig(prototype="kmeans:1"))
+    for a, b in ((via_onehot.inputs, via_kmeans.inputs), (via_onehot.targets, via_kmeans.targets)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_kmeans_recovers_planted_blobs():
@@ -199,7 +203,7 @@ def test_raw_batch_deterministic_and_validated():
 
 def test_builders_return_eval_sets_of_one_hot_rows():
     ds = _balanced_dataset(np.random.default_rng(10))
-    for es in (build_prototypes_onehot(ds), build_prototypes_kmeans(ds, 2),
+    for es in (_onehot(ds), build_prototypes_kmeans(ds, 2),
                build_raw_batch(ds, 7, seed=1)):
         assert isinstance(es, EvalSet)
         assert es.inputs.shape == (len(es), ds.dim) and es.targets.shape == (len(es), 4)
@@ -362,7 +366,7 @@ def _uneven_dataset(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("build, reference", [
-    (lambda ds, s: build_prototypes_onehot(ds),
+    (lambda ds, s: _onehot(ds),
      lambda ds, s: ref_build_prototypes_onehot(ds)),
     (lambda ds, s: build_prototypes_kmeans(ds, 1, kmeans_seed=s),
      lambda ds, s: ref_build_prototypes_kmeans(ds, 1, kmeans_seed=s)),

@@ -85,10 +85,10 @@ def test_blocked_passes_equal_one_shot_reference(n, sizes, hidden, output):
     assert training.accuracy(net, Dataset(x, labels, sizes[-1])) == expected
 
 
-def test_single_vector_and_zero_rows():
+def test_one_row_and_zero_rows():
     net = _network("relu", "identity")
     x, _, _ = _rows(3)
-    assert netmod.forward(net, x[1]).tobytes() == _ref_forward(net, x[1:2])[0].tobytes()
+    assert netmod.forward(net, x[1:2]).tobytes() == _ref_forward(net, x[1:2]).tobytes()
     empty = netmod.forward(net, np.zeros((0, SIZES[0])))
     assert empty.shape == (0, SIZES[-1])
 
@@ -158,7 +158,7 @@ def _weight_report(records=2000, seed=0):
             action="rolled_back" if post >= pre else "merged", loss_pre=pre, loss_post=post,
         ))
     config = MergeConfig(max_granularity="weight")
-    return [MergeReport(recs, 1.25, 0.75, 3.5, config)], config
+    return [MergeReport(recs, 1.25, 0.75, 3.5)], config
 
 
 def test_write_report_peaks_below_the_length_of_its_text(tmp_path):
