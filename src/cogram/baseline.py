@@ -2,9 +2,10 @@
 Fisher-weighted merging. The Fisher merge doubles as the initializer for
 the loss-guided merge.
 
-The Fisher estimate is the empirical diagonal with model-sampled labels:
+The Fisher estimate is a Monte Carlo estimate of the true Fisher diagonal:
 for each input, one label is drawn from the model's own softmax and the
-squared gradient of that label's log-probability is accumulated. For a
+squared gradient of that label's log-probability is accumulated. (The
+empirical Fisher would use the data's labels instead.) For a
 dense stack the per-sample squared gradients reduce to (delta^2)^T @ (a^2)
 per layer, so the whole thing runs as one batched pass. The estimate is one
 vector laid out like the network's ``theta``, one weight per parameter, and
@@ -29,8 +30,8 @@ def uniform_average(a: Network, b: Network) -> Network:
 def fisher_information(
     net: Network, dataset: Dataset, sample_cap: int = 512, seed: int = 0
 ) -> np.ndarray:
-    """Diagonal empirical Fisher over up to sample_cap seeded samples, laid
-    out like the network's ``theta``."""
+    """Monte Carlo estimate of the diagonal Fisher over up to sample_cap
+    seeded samples, laid out like the network's ``theta``."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     if sample_cap < 1:

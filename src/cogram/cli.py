@@ -141,8 +141,7 @@ _MERGE_KEYS = {"lambda": "lam", "granularity": "max_granularity", "epsilon": "ep
 
 
 def _mergeconfig_from_dict(doc: dict) -> MergeConfig:
-    """The merge settings of a sweep config, or of ``cogram merge``'s flags;
-    a ``tau_max`` of None is unbounded."""
+    """The merge settings of a sweep config; a ``tau_max`` of None is unbounded."""
     if "tau_max" in doc and doc["tau_max"] is None:
         del doc["tau_max"]
     band = {key: doc.pop(key) for key in ("tau_min", "tau_max") if key in doc}
@@ -431,6 +430,26 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+# a settings field -> the flag of ``cogram merge`` or ``cogram train`` that fills it
+_FLAGS = {"lam": "--lambda", "tau_min": "--tau-min", "tau_max": "--tau-max",
+          "iterations": "--iterations", "kickoff_epochs": "--kickoff-epochs",
+          "finetune_epochs": "--finetune-epochs", "lr_multiplier": "--lr-mult",
+          "learning_rate": "--lr", "clip_norm": "--clip-norm"}
+
+
+@contextlib.contextmanager
+def _flag_errors():
+    """For settings built from flags in the ``with`` body: an error that names
+    a settings field names the field's flag instead."""
+    try:
+        yield
+    except ValueError as exc:
+        name, _, rest = str(exc).partition(" ")
+        if name not in _FLAGS:
+            raise
+        raise UsageError(f"{_FLAGS[name]} {rest}") from None
+
+
 def cmd_train(args) -> int:
     try:
         arch = [int(v) for v in args.arch.split(",")]
@@ -440,16 +459,12 @@ def cmd_train(args) -> int:
     check_number("--seed", args.seed, 0, integer=True)
     check_number("--epochs", args.epochs, 0, integer=True)
     check_number("--batch-size", args.batch_size, 1, integer=True)
-    check_number("--lr", args.lr, strict=True)
-    if args.clip_norm is not None:
-        check_number("--clip-norm", args.clip_norm, strict=True)
+    with _flag_errors():
+        opt = OptimizerConfig(kind=args.optimizer, learning_rate=args.lr, clip_norm=args.clip_norm)
     dataset = _load_data("--data", args.data, arch[0], arch[-1])
     test_data = None
     if args.test_data:
         test_data = _load_data("--test-data", args.test_data, arch[0], arch[-1])
-    opt = OptimizerConfig(
-        kind=args.optimizer, learning_rate=args.lr, clip_norm=args.clip_norm
-    )
     net0 = netmod.random_network(arch, args.seed)
     trained, report = training.train(
         net0, dataset, opt, args.epochs, args.batch_size, args.seed
@@ -469,38 +484,24 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _check_merge_flags(args, stages: tuple[str, ...]) -> None:
-    """The numeric flags of the stages that run, before any data is read or
-    any stage runs, each error naming its flag."""
-    check_number("--seed", args.seed, 0, integer=True)
-    check_number("--fisher-samples", args.fisher_samples, 1, integer=True)
-    if "cogram" in stages:
-        check_number("--lambda", args.lam, strict=True)
-        check_number("--iterations", args.iterations, 1, integer=True)
-        for flag, value in (("--tau-min", args.tau_min), ("--tau-max", args.tau_max)):
-            if value is not None and value != math.inf:
-                check_number(flag, value)
-    if "kickoff" in stages:
-        check_number("--batch-size", args.batch_size, 1, integer=True)
-        check_number("--kickoff-epochs", args.kickoff_epochs, 0, integer=True,
-                     below=merge.MAX_KICKOFF_EPOCHS + 1)
-        check_number("--finetune-epochs", args.finetune_epochs, 0, integer=True)
-        check_number("--lr", args.lr, strict=True)
-        check_number("--lr-mult", args.lr_mult, strict=True)
-
-
 def cmd_merge(args) -> int:
     stages = _method_stages(args.method, args.init)
-    _check_merge_flags(args, stages)
-    merge_cfg = kickoff = None
+    # the flags of the stages that run, before any file is read
+    check_number("--seed", args.seed, 0, integer=True)
+    check_number("--fisher-samples", args.fisher_samples, 1, integer=True)
     if "kickoff" in stages:
-        kickoff = KickoffConfig(args.kickoff_epochs, args.finetune_epochs, args.lr_mult)
-    if "cogram" in stages:
-        merge_cfg = _mergeconfig_from_dict({
-            "lambda": args.lam, "tau_min": args.tau_min, "tau_max": args.tau_max,
-            "granularity": args.granularity, "iterations": args.iterations,
-            "eval_seed": args.seed, "prototype": args.prototype,
-        })
+        check_number("--batch-size", args.batch_size, 1, integer=True)
+    merge_cfg = kickoff = optimizer = None
+    with _flag_errors():
+        if "cogram" in stages:
+            merge_cfg = MergeConfig(
+                lam=args.lam, thresholds=Thresholds.uniform(args.tau_min, args.tau_max),
+                max_granularity=args.granularity, prototype=args.prototype,
+                eval_seed=args.seed, iterations=args.iterations,
+            )
+        if "kickoff" in stages:
+            kickoff = KickoffConfig(args.kickoff_epochs, args.finetune_epochs, args.lr_mult)
+            optimizer = OptimizerConfig(learning_rate=args.lr)
     net_a = netmod.load_model(args.model_a)
     net_b = netmod.load_model(args.model_b)
     if not netmod.compatible(net_a, net_b):
@@ -522,8 +523,7 @@ def cmd_merge(args) -> int:
     pipeline = _Pipeline(
         net_a, net_b, data_a, data_b,
         synthdata.concat(data_a, data_b) if needs_data else None, args.seed,
-        fisher_samples=args.fisher_samples, merge_cfg=merge_cfg,
-        optimizer=OptimizerConfig(learning_rate=args.lr) if "kickoff" in stages else None,
+        fisher_samples=args.fisher_samples, merge_cfg=merge_cfg, optimizer=optimizer,
         kickoff=kickoff, batch_size=args.batch_size, done=done,
     )
     if merge_cfg is not None:
@@ -605,9 +605,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-a", default=None)
     p.add_argument("--data-b", default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=5.5)
-    p.add_argument("--granularity", choices=["layer", "neuron", "weight"], default="layer")
+    p.add_argument("--granularity", choices=merge.GRANULARITIES,
+                   default=MergeConfig.max_granularity)
     p.add_argument("--tau-min", type=float, default=0.0)
-    p.add_argument("--tau-max", type=float, default=None, help="default: unbounded")
+    p.add_argument("--tau-max", type=float, default=math.inf, help="default: unbounded")
     p.add_argument("--iterations", type=int, default=1)
     p.add_argument("--prototype", default="onehot", help="onehot | kmeans:K | batch | batch:N")
     p.add_argument("--fisher-samples", type=int, default=512)

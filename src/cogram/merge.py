@@ -88,7 +88,7 @@ class MergeConfig:
     prototype: str = "onehot"             # the evaluation set, see _parse_prototype
     eval_seed: int = 0
     iterations: int = 1
-    loss: str = "cross_entropy"           # "cross_entropy" | "mse"
+    loss: str = "cross_entropy"           # a name net.loss_function knows
 
     def __post_init__(self):
         for name in ("lam", "epsilon"):
@@ -99,8 +99,7 @@ class MergeConfig:
             raise ValueError(f"unknown granularity {self.max_granularity!r}")
         mode, size = _parse_prototype(self.prototype)
         self.prototype = mode if size is None else f"{mode}:{size}"
-        if self.loss not in ("cross_entropy", "mse"):
-            raise ValueError(f"unknown loss {self.loss!r}")
+        netmod.loss_function(self.loss)  # refuses a loss it does not know
 
 
 def _parse_prototype(spec) -> tuple[str, int | None]:
@@ -111,7 +110,8 @@ def _parse_prototype(spec) -> tuple[str, int | None]:
         return mode, None
     if mode in ("kmeans", "batch") and size.removeprefix("-").isdecimal():
         number = int(size)
-        check_number("k_per_class" if mode == "kmeans" else "batch_size", number, 1, integer=True)
+        check_number(f"{'K' if mode == 'kmeans' else 'N'} in prototype {spec!r}", number, 1,
+                     integer=True)
         return mode, number
     raise ValueError(f"bad prototype spec {spec!r} (want onehot, kmeans:K, batch or batch:N)")
 
@@ -289,8 +289,10 @@ def build_eval_set(dataset: Dataset, config: MergeConfig) -> EvalSet:
         return build_prototypes_kmeans(
             dataset, size or 1, kmeans_seed=config.eval_seed, epsilon=config.epsilon
         )
-    return build_raw_batch(dataset, size if size is not None else len(dataset),
-                           seed=config.eval_seed)
+    if size is not None and size > len(dataset):
+        raise ValueError(f"N in prototype {config.prototype!r} must be at most the "
+                         f"{len(dataset)} rows of the data, got {size}")
+    return build_raw_batch(dataset, size or len(dataset), seed=config.eval_seed)
 
 
 # --- the sweep ----------------------------------------------------------------
@@ -560,30 +562,18 @@ def config_from_json_dict(doc: dict) -> MergeConfig:
     )
 
 
+# DecisionRecord's fields, in report order, and each one's key in the report
+_RECORD_KEYS = {"level": "level", "layer": "layer", "neuron": "neuron", "weight": "weight",
+                "loss_a": "L_A", "loss_b": "L_B", "delta": "delta_L", "case": "case",
+                "alpha": "alpha", "action": "action", "loss_pre": "L_pre", "loss_post": "L_post"}
+
+
 def _record_to_json_dict(rec: DecisionRecord) -> dict:
-    return {
-        "level": rec.level,
-        "layer": rec.layer,
-        "neuron": rec.neuron,
-        "weight": rec.weight,
-        "L_A": rec.loss_a,
-        "L_B": rec.loss_b,
-        "delta_L": rec.delta,
-        "case": rec.case,
-        "alpha": rec.alpha,
-        "action": rec.action,
-        "L_pre": rec.loss_pre,
-        "L_post": rec.loss_post,
-    }
+    return {key: getattr(rec, name) for name, key in _RECORD_KEYS.items()}
 
 
 def _record_from_json_dict(doc: dict) -> DecisionRecord:
-    return DecisionRecord(
-        level=doc["level"], layer=doc["layer"], neuron=doc["neuron"],
-        weight=doc["weight"], loss_a=doc["L_A"], loss_b=doc["L_B"],
-        delta=doc["delta_L"], case=doc["case"], alpha=doc["alpha"],
-        action=doc["action"], loss_pre=doc["L_pre"], loss_post=doc["L_post"],
-    )
+    return DecisionRecord(**{name: doc[key] for name, key in _RECORD_KEYS.items()})
 
 
 def write_report(fh, reports: list[MergeReport], config: MergeConfig) -> None:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -11,8 +12,9 @@ import pytest
 
 from cogram import cli, net as netmod, training
 from cogram.cli import SweepRow, main
-from cogram.merge import MergeConfig, Thresholds
+from cogram.merge import KickoffConfig, LevelThresholds, MergeConfig, Thresholds
 from cogram.synthdata import Dataset, load_csv, save_csv
+from cogram.training import OptimizerConfig
 
 REPORT_KEYS = ["epoch_losses", "final_train_accuracy", "final_test_accuracy", "epochs_run", "seed"]
 
@@ -803,9 +805,9 @@ def test_sweep_bad_fisher_samples_exit_2(tmp_path, capsys, value):
 
 
 @pytest.mark.parametrize("settings, message", [
-    ({"prototype": "kmeans:0"}, "k_per_class must be an integer >= 1, got 0"),
-    ({"prototype": "batch:0"}, "batch_size must be an integer >= 1, got 0"),
-    ({"prototype": "batch:-3"}, "batch_size must be an integer >= 1, got -3"),
+    ({"prototype": "kmeans:0"}, "K in prototype 'kmeans:0' must be an integer >= 1, got 0"),
+    ({"prototype": "batch:0"}, "N in prototype 'batch:0' must be an integer >= 1, got 0"),
+    ({"prototype": "batch:-3"}, "N in prototype 'batch:-3' must be an integer >= 1, got -3"),
     ({"prototype": "kmeans:x"}, "bad prototype spec 'kmeans:x'"),
     ({"prototype": 5}, "bad prototype spec 5"),
     ({"iterations": 2.5}, "iterations must be an integer >= 1, got 2.5"),
@@ -876,6 +878,10 @@ def test_config_settings_left_out_take_the_dataclass_defaults():
      "--tau-min must be a number >= 0, got -1.0"),
     (["--method", "fisher+cogram", "--tau-max", "nan"],
      "--tau-max must be a number >= 0, got nan"),
+    (["--method", "fisher+cogram", "--tau-min", "2", "--tau-max", "1"],
+     "need 0 <= tau_min <= tau_max"),
+    (["--method", "fisher+cogram", "--prototype", "kmeans:0"],
+     "K in prototype 'kmeans:0' must be an integer >= 1, got 0"),
 ])
 def test_merge_bad_numeric_flags_exit_2_before_any_stage(workspace, tmp_path, capsys,
                                                          monkeypatch, flags, message):
@@ -892,9 +898,11 @@ def test_merge_bad_numeric_flags_exit_2_before_any_stage(workspace, tmp_path, ca
 
 
 @pytest.mark.parametrize("spec, message", [
-    ("kmeans:0", "k_per_class must be an integer >= 1, got 0"),
+    ("kmeans:0", "K in prototype 'kmeans:0' must be an integer >= 1, got 0"),
     ("kmeans:x", "bad prototype spec 'kmeans:x'"),
-    ("batch:0", "batch_size must be an integer >= 1, got 0"),
+    ("batch:0", "N in prototype 'batch:0' must be an integer >= 1, got 0"),
+    ("batch:1000",  # the two CSV files hold 320 rows
+     "N in prototype 'batch:1000' must be at most the 320 rows of the data, got 1000"),
 ])
 def test_merge_bad_prototype_exits_2_before_the_fisher_pass(workspace, tmp_path, capsys,
                                                              monkeypatch, spec, message):
@@ -911,6 +919,15 @@ def test_merge_bad_prototype_exits_2_before_the_fisher_pass(workspace, tmp_path,
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "m.json").exists()
+
+
+def test_flag_table_names_settings_fields_and_parser_flags():
+    settings = {f.name for cls in (MergeConfig, LevelThresholds, KickoffConfig, OptimizerConfig)
+                for f in dataclasses.fields(cls)}
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    flags = {*commands["merge"]._option_string_actions, *commands["train"]._option_string_actions}
+    assert set(cli._FLAGS) <= settings
+    assert set(cli._FLAGS.values()) <= flags
 
 
 def test_sweep_rows_carry_stage_timings(tmp_path):

@@ -673,6 +673,9 @@ def test_build_eval_set_modes():
     assert len(batch) == 7 and all((feats == row).all(axis=1).any() for row in batch.inputs)
     whole = build_eval_set(data, MergeConfig(prototype="batch"))
     assert len(whole) == 40
+    with pytest.raises(ValueError, match="^N in prototype 'batch:41' must be at most the 40 "
+                                         "rows of the data, got 41$"):
+        build_eval_set(data, MergeConfig(prototype="batch:41"))
 
 
 def test_merge_config_validation():
@@ -690,8 +693,8 @@ def test_merge_config_validation():
     ("lam", True, "lam must be"), ("lam", "5", "lam must be"), ("lam", math.nan, "lam must be"),
     ("epsilon", "x", "epsilon must be"), ("epsilon", 0.0, "epsilon must be"),
     ("iterations", 2.5, "iterations must be"), ("iterations", True, "iterations must be"),
-    ("prototype", "kmeans:0", "k_per_class must be an integer >= 1, got 0"),
-    ("prototype", "batch:0", "batch_size must be an integer >= 1, got 0"),
+    ("prototype", "kmeans:0", "K in prototype 'kmeans:0' must be an integer >= 1, got 0"),
+    ("prototype", "batch:0", "N in prototype 'batch:0' must be an integer >= 1, got 0"),
     ("prototype", "batch:2.0", "bad prototype spec 'batch:2.0'"),
     ("prototype", 5, "bad prototype spec 5"), ("prototype", None, "bad prototype spec None"),
     ("prototype", "kmeans", "bad prototype spec 'kmeans'"),
