@@ -19,6 +19,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -437,17 +438,20 @@ _FLAGS = {"lam": "--lambda", "tau_min": "--tau-min", "tau_max": "--tau-max",
           "learning_rate": "--lr", "clip_norm": "--clip-norm"}
 
 
+_FIELD_WORDS = re.compile(r"\b(" + "|".join(_FLAGS) + r")\b")
+
+
 @contextlib.contextmanager
 def _flag_errors():
     """For settings built from flags in the ``with`` body: an error that names
-    a settings field names the field's flag instead."""
+    settings fields names their flags instead, wherever they appear in it."""
     try:
         yield
     except ValueError as exc:
-        name, _, rest = str(exc).partition(" ")
-        if name not in _FLAGS:
+        message, renamed = _FIELD_WORDS.subn(lambda word: _FLAGS[word[1]], str(exc))
+        if not renamed:
             raise
-        raise UsageError(f"{_FLAGS[name]} {rest}") from None
+        raise UsageError(message) from None
 
 
 def cmd_train(args) -> int:

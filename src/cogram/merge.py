@@ -24,6 +24,18 @@ loss kernel with exactly the operations of a full forward pass, so the
 merge is bit-identical to building each candidate as a new network and
 evaluating it from the input, the reference engine of the tests. The
 finished layer leaves as a new, validated network.
+
+On an evaluation set of ``net.BLOCK_ROWS`` rows or more, the evaluator of a
+layer with a layer above it caches the layer's activated output (block
+mode): a neuron's write makes one aligned block of ``BLOCK_COLUMNS`` output
+columns stale, and a score recomputes only the stale blocks before running
+the layers above from the cache. That keeps the bits only where BLAS
+computes a block of columns in the order of additions of the whole product.
+OpenBLAS's gemm did so at 1,000-4,000 rows for 2-16 columns, but at 512 rows
+only for 4 columns or more, some blocks differed at 256 and 300 rows, and a
+one-column product (gemv) never matched. So a probe at construction checks
+every column block on the evaluator's own input and weights, and if one
+differs the evaluator keeps the full pass.
 """
 
 from __future__ import annotations
@@ -61,7 +73,7 @@ class LevelThresholds:
                 check_number(name, value)
             object.__setattr__(self, name, float(value))
         if not self.tau_min <= self.tau_max:
-            raise ValueError("need 0 <= tau_min <= tau_max")
+            raise ValueError(f"tau_min must be <= tau_max, got {self.tau_min} > {self.tau_max}")
 
 
 @dataclass(frozen=True)
@@ -205,6 +217,9 @@ def classify_case(delta_l: float, tau_min: float, tau_max: float) -> int:
     return 3
 
 
+BLOCK_COLUMNS = 8  # the columns of the working layer's output one neuron's write makes stale
+
+
 class _LayerEvaluator:
     """Loss of M with candidate parameters written into layer k.
 
@@ -213,16 +228,25 @@ class _LayerEvaluator:
     parameters of layers k and up as the three rows of one matrix: row 0,
     ``theta``, is its private network, and rows 1 and 2 are a
     ``net.NetworkStack`` for A's and B's candidate of a weight decision. A
-    candidate is written in place (``put``) at its block's positions in every
-    row (``positions``, indexed by the block's key), and ``layer``, the
+    candidate is written in place (``put``) by its block's key, at the
+    block's positions in every row (``positions[key]``), and ``layer``, the
     private network's first layer, shows every write. A score is one call of
-    the net loss function on the private network, fed the cached input and
-    run into one workspace: its operations are exactly those of a full
-    forward pass over M with the working layer, and it allocates no array.
+    the net loss function, run into one workspace: its operations are
+    exactly those of a full forward pass over M with the working layer, and
+    it allocates no array.
+
+    By default a score runs the private network from the cached input. In
+    block mode (see the module docstring) it runs the layers above from the
+    cached output of the working layer, after the one forward loop has
+    recomputed each stale column block over that block's weight columns. A
+    write to neuron i marks i's block stale, a layer write marks them all.
+    The mode is entered at construction only if every column block of the
+    whole product passes the probe (``_blocks_match``).
 
     ``pair_losses`` scores A's and B's scalar of one weight decision in one
-    stacked pass of rows 1 and 2; their workspace is made on the first weight
-    decision.
+    stacked pass of rows 1 and 2 from the cached input; their workspace is
+    made on the first weight decision. Writes to rows 1 and 2 leave the
+    cached output valid.
     """
 
     def __init__(self, m: Network, layer_idx: int, eval_set: EvalSet, loss: str):
@@ -242,40 +266,85 @@ class _LayerEvaluator:
         self.positions = upper.positions[0]
         self.layer = self._upper.layers[0]
         self._rows = EvalSet(x, eval_set.targets)
-        self._work = netmod.Workspace(self._upper, x.shape[0])
         self._pair_work: netmod.Workspace | None = None
         self._input_dim = m.input_dim
+        # what a score runs, and in block mode each column block's one-layer
+        # plan, its buffer in one scratch array and the cache's columns it fills
+        self._scored, self._scored_rows = self._upper, self._rows
+        self._blocks: list[tuple] = []
+        self._stale: list[bool] = []
+        if len(x) >= netmod.BLOCK_ROWS and layer_idx + 1 < len(m.layers):
+            self._cache_output()
+        self._work = netmod.Workspace(self._scored, len(x))
+
+    def _cache_output(self) -> None:
+        """Enter block mode unless a column block fails the probe."""
+        x, plan = self._rows.inputs, self._upper._plan
+        weights_t, biases, activation = plan[0]
+        out_dim = weights_t.shape[1]
+        cache = np.matmul(x, weights_t)
+        scratch = np.empty(len(x) * BLOCK_COLUMNS)
+        blocks = []
+        for lo in range(0, out_dim, BLOCK_COLUMNS):
+            cols = slice(lo, min(lo + BLOCK_COLUMNS, out_dim))
+            out = scratch[: len(x) * (cols.stop - lo)].reshape(len(x), -1)
+            if not _blocks_match(x, weights_t[:, cols], out, cache[:, cols]):
+                return
+            blocks.append((((weights_t[:, cols], biases[:, cols], activation),), (out,),
+                           cache[:, cols]))
+        netmod._forward_into(plan[:1], x, (cache,))
+        self._scored = Network(self._upper.layers[1:], out_dim, self._upper.num_classes)
+        self._scored_rows = EvalSet(cache, self._rows.targets)
+        self._blocks, self._stale = blocks, [False] * len(blocks)
 
     def loss(self) -> float:
-        return self._lossf(self._upper, self._rows, work=self._work)
+        for b, stale in enumerate(self._stale):
+            if stale:
+                plan, out, cached = self._blocks[b]
+                np.copyto(cached, netmod._forward_into(plan, self._rows.inputs, out))
+                self._stale[b] = False
+        return self._lossf(self._scored, self._scored_rows, work=self._work)
 
-    def pair_losses(self, pos, value_a: float, value_b: float) -> list[float]:
-        """Losses with A's and with B's scalar at position ``pos`` of the
-        working layer, from one stacked pass; the working layer is untouched."""
+    def pair_losses(self, key: tuple, value_a: float, value_b: float) -> list[float]:
+        """Losses with A's and with B's scalar at ``key``, (neuron, weight),
+        of the working layer, from one stacked pass; the working layer is
+        untouched."""
         if self._pair_work is None:
             self._pair_work = netmod.Workspace(self._upper, len(self._rows), stack=2)
-        params = self._params
+        params, pos = self._params, self.positions[key]
         params[1, pos], params[2, pos] = value_a, value_b
         losses = self._pair.losses(self._rows, self._loss, self._pair_work)
         params[1:, pos] = params[0, pos]
         return losses
 
-    def put(self, pos, block) -> None:
-        """Write ``block`` at positions ``pos`` of the working layer."""
-        self._params[:, pos] = block
+    def put(self, key: tuple, block) -> None:
+        """Write ``block`` at the block ``key`` of the working layer."""
+        self._params[:, self.positions[key]] = block
+        if self._stale:
+            if key:
+                self._stale[key[0] // BLOCK_COLUMNS] = True
+            else:
+                self._stale = [True] * len(self._stale)
 
-    def difference(self, pos, block_a, block_b) -> tuple[float, float, float]:
-        """Loss with A's block at positions ``pos`` of the working layer, with
-        B's block, and their gap. B's block stays written."""
-        self.put(pos, block_a)
+    def difference(self, key: tuple, block_a, block_b) -> tuple[float, float, float]:
+        """Loss with A's block at ``key`` of the working layer, with B's
+        block, and their gap. B's block stays written."""
+        self.put(key, block_a)
         l_a = self.loss()
-        self.put(pos, block_b)
+        self.put(key, block_b)
         l_b = self.loss()
         return l_a, l_b, l_a - l_b
 
     def network(self) -> Network:
         """M with the working layer, copied and validated as a new network."""
         return Network(self._below + self._upper.layers, self._input_dim, self._upper.num_classes)
+
+
+def _blocks_match(x, weights_t, out, full) -> bool:
+    """The probe of block mode: whether the product of ``x`` and a column
+    block's weights, computed alone into ``out``, equals ``full``, those
+    columns of the whole product, bit for bit."""
+    return np.array_equal(np.matmul(x, weights_t, out=out), full)
 
 
 # --- evaluation data ----------------------------------------------------------
@@ -323,7 +392,7 @@ def _weigh(
     record and the blend of the two blocks."""
     k = ev.layer_idx
     block_a, block_b = (x.theta[x.positions[k][key]] for x in (a, b))
-    l_a, l_b, _ = ev.difference(ev.positions[key], block_a, block_b)
+    l_a, l_b, _ = ev.difference(key, block_a, block_b)
     rec = _record(config, k, key, l_a, l_b)
     return rec, convex_combine(block_a, block_b, rec.alpha)
 
@@ -346,19 +415,17 @@ def merge_weight_level(
 
     Returns the loss after the decision.
     """
-    k = ev.layer_idx
-    value_a = a.theta[a.positions[k][neuron_idx, weight_idx]]
-    value_b = b.theta[b.positions[k][neuron_idx, weight_idx]]
-    pos = ev.positions[neuron_idx, weight_idx]
-    rec = _record(config, k, (neuron_idx, weight_idx), *ev.pair_losses(pos, value_a, value_b))
-    before = ev.theta[pos]
-    ev.put(pos, convex_combine(value_a, value_b, rec.alpha))
+    k, key = ev.layer_idx, (neuron_idx, weight_idx)
+    value_a, value_b = (x.theta[x.positions[k][key]] for x in (a, b))
+    rec = _record(config, k, key, *ev.pair_losses(key, value_a, value_b))
+    before = ev.theta[ev.positions[key]]
+    ev.put(key, convex_combine(value_a, value_b, rec.alpha))
     rec.loss_pre, rec.loss_post = loss_pre, ev.loss()
     report.records.append(rec)
     if rec.loss_post < loss_pre:
         return rec.loss_post
     rec.action = "rolled_back"
-    ev.put(pos, before)
+    ev.put(key, before)
     return loss_pre
 
 
@@ -380,12 +447,12 @@ def merge_neuron_level(
     beats the entry loss. A rollback leaves the evaluator's parameters
     bit-identical to the entry.
     """
-    pos = ev.positions[neuron_idx]
-    baseline = ev.theta[pos]
+    key = (neuron_idx,)
+    baseline = ev.theta[ev.positions[key]]
     loss_pre = ev.loss()
-    rec, fused = _weigh(ev, (neuron_idx,), a, b, config)
+    rec, fused = _weigh(ev, key, a, b, config)
     rec.loss_pre = loss_pre
-    ev.put(pos, fused)
+    ev.put(key, fused)
     report.records.append(rec)
     rec.loss_post = ev.loss()
     if rec.case != 3 and config.max_granularity != "neuron":
@@ -397,7 +464,7 @@ def merge_neuron_level(
     if rec.loss_post < loss_pre:
         return
     rec.action = "rolled_back"
-    ev.put(pos, baseline)
+    ev.put(key, baseline)
 
 
 def merge_layer_level(
@@ -418,7 +485,7 @@ def merge_layer_level(
     """
     ev = _LayerEvaluator(m, layer_idx, eval_set, config.loss)
     rec, fused = _weigh(ev, (), a, b, config)
-    ev.put(ev.positions, fused)
+    ev.put((), fused)
     report.records.append(rec)
     if rec.case != 3 and config.max_granularity != "layer":
         rec.action = "refined"

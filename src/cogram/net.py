@@ -31,6 +31,13 @@ each layer's output and takes each activation's derivative from it.
 Losses are measured on an ``EvalSet``, two arrays: the inputs and one target
 distribution per row. ``cross_entropy_loss`` and ``mse_loss`` each run
 ``forward`` and then the loss kernel; ``loss_function`` picks one by name.
+Without backprop, over ``BLOCK_ROWS`` rows or more, the kernel takes the
+cross-entropy class-major: one copy of the logits into a (C, N) buffer, then
+whole-row operations over its class rows, which cost less there than one
+reduction per row over a few classes. Its sums replicate numpy's pairwise
+order of additions for a contiguous run of C values, so each loss is the
+row-major one bit for bit; the row-major kernel keeps backprop and smaller
+sets, where it is the faster one, and is the tests' oracle.
 All three parts take a leading stack axis. A ``NetworkStack`` holds several
 networks of one shape as the rows of one parameter matrix: its ``losses``
 scores them all on one evaluation set in one pass, and ``backward_arrays``
@@ -388,6 +395,13 @@ def _pre_activation_deltas(plan, work: Workspace, delta: np.ndarray):
             delta = np.matmul(delta, weights_t.swapaxes(-1, -2), out=work.deltas[k - 1])
 
 
+def _require_finite(z: np.ndarray, caller: str, finite=None) -> None:
+    """Raise unless every logit is finite; ``finite`` is a boolean scratch
+    array shaped like ``z``, or None."""
+    if not np.logical_and.reduce(np.isfinite(z, out=finite), axis=None):
+        raise ValueError(f"{caller} requires finite logits")
+
+
 def _shift_exp_sum(logits, caller: str, shifted=None, work: Workspace | None = None):
     """The pass softmax and the losses share: the logits minus their maximum
     over the last axis (into ``shifted`` when given, which may be the logits
@@ -396,8 +410,7 @@ def _shift_exp_sum(logits, caller: str, shifted=None, work: Workspace | None = N
     from new arrays."""
     z = _as_f64(logits)
     finite, e, sums = (None, None, None) if work is None else (work.finite, work.exp, work.col)
-    if not np.logical_and.reduce(np.isfinite(z, out=finite), axis=None):
-        raise ValueError(f"{caller} requires finite logits")
+    _require_finite(z, caller, finite)
     shifted = np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True, out=sums), out=shifted)
     e = np.exp(shifted, out=e)
     return shifted, e, np.add.reduce(e, axis=-1, keepdims=True, out=sums)
@@ -408,6 +421,56 @@ def softmax(logits) -> np.ndarray:
     _, e, sums = _shift_exp_sum(logits, "softmax")
     e /= sums
     return e
+
+
+def _pairwise_class_sum(a: np.ndarray, lo: int, n: int) -> np.ndarray:
+    """Rows ``lo`` to ``lo + n`` of axis -2 of ``a`` summed in place into row
+    ``lo``, which is returned, in the order numpy's ``add.reduce`` sums a
+    contiguous run of n values (its pairwise sum): under 8 values one by one;
+    up to 128, eight partial sums r_j = a_j + a_(j+8) + ... over the first
+    n - n % 8 values, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then
+    the rest one by one; above 128, the two halves split at n // 2 rounded
+    down to a multiple of 8, each summed the same way. The other rows are
+    left as scratch."""
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        _pairwise_class_sum(a, lo, half)
+        a[..., lo, :] += _pairwise_class_sum(a, lo + half, n - half)
+        return a[..., lo, :]
+    rest = lo + 1
+    if n >= 8:
+        rest = lo + n - n % 8
+        for i in range(lo + 8, rest, 8):
+            a[..., lo:lo + 8, :] += a[..., i:i + 8, :]
+        a[..., lo:lo + 8:2, :] += a[..., lo + 1:lo + 8:2, :]
+        a[..., lo:lo + 8:4, :] += a[..., lo + 2:lo + 8:4, :]
+        a[..., lo, :] += a[..., lo + 4, :]
+    for i in range(rest, lo + n):
+        a[..., lo, :] += a[..., i, :]
+    return a[..., lo, :]
+
+
+def _class_major_cross_entropy(logits: np.ndarray, targets: np.ndarray, work: Workspace | None):
+    """Each row's sum of target times log-softmax, the values the row-major
+    cross-entropy sums with one reduction per row, bit for bit, taken over
+    contiguous rows of one class each. The logits are copied once into a
+    (C, N) buffer (``work.exp`` when given); the row max, the exp sums and
+    the target-term sums then run as whole-row operations, in numpy's own
+    order of additions (``_pairwise_class_sum``). The logits' own memory
+    holds the exp and is overwritten; the result is a view into the
+    buffer."""
+    *lead, rows, classes = logits.shape
+    shape = (*lead, classes, rows)
+    _require_finite(logits, "log_softmax", None if work is None else work.finite)
+    shifted = np.empty(shape) if work is None else work.exp.reshape(shape)
+    np.copyto(shifted, logits.swapaxes(-1, -2))
+    row = np.empty((*lead, 1, rows)) if work is None else work.row[..., None, :]
+    shifted -= np.maximum.reduce(shifted, axis=-2, keepdims=True, out=row)
+    e = np.exp(shifted, out=logits.reshape(shape))
+    np.log(_pairwise_class_sum(e, 0, classes), out=row[..., 0, :])
+    shifted -= row
+    shifted *= targets.swapaxes(-1, -2)
+    return _pairwise_class_sum(shifted, 0, classes)
 
 
 def _loss_of_logits(
@@ -425,16 +488,22 @@ def _loss_of_logits(
     so its caller must not keep them, unless ``work`` is made for backprop:
     then the logits are only read, and the exp of the shifted logits and
     their sums stay in ``work.exp`` and ``work.col`` for the backward pass.
-    The squared error only reads the logits.
+    Without backprop, over ``BLOCK_ROWS`` rows or more, the cross-entropy
+    runs class-major (``_class_major_cross_entropy``): its per-row reductions
+    over a few classes cost more there than the arithmetic, and it gives the
+    same bits. The squared error only reads the logits.
     """
     if loss == "cross_entropy":
         keep = work is not None and work.backprop
-        shifted, e, sums = _shift_exp_sum(
-            logits, "log_softmax", shifted=work.logp if keep else logits, work=work
-        )
-        shifted -= np.log(sums, out=work.log_col if keep else sums)
-        terms = np.multiply(targets, shifted, out=shifted)
-        values = np.add.reduce(terms, axis=-1, out=None if work is None else work.row)
+        if keep or logits.shape[-2] < BLOCK_ROWS:
+            shifted, e, sums = _shift_exp_sum(
+                logits, "log_softmax", shifted=work.logp if keep else logits, work=work
+            )
+            shifted -= np.log(sums, out=work.log_col if keep else sums)
+            terms = np.multiply(targets, shifted, out=shifted)
+            values = np.add.reduce(terms, axis=-1, out=None if work is None else work.row)
+        else:
+            values = _class_major_cross_entropy(logits, targets, work)
         sign = -1.0
     elif loss == "mse":
         values = np.subtract(logits, targets, out=None if work is None else work.exp)

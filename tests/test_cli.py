@@ -781,7 +781,7 @@ def test_sweep_times_each_method_stage_under_its_key(tmp_path):
     ({"tau_max": "1.5"}, "tau_max must be a number >= 0, got '1.5'"),
     ({"tau_max": float("nan")}, "tau_max must be a number >= 0, got nan"),
     ({"tau_min": -0.5}, "tau_min must be a number >= 0, got -0.5"),
-    ({"tau_min": 0.5, "tau_max": 0.1}, "need 0 <= tau_min <= tau_max"),
+    ({"tau_min": 0.5, "tau_max": 0.1}, "tau_min must be <= tau_max, got 0.5 > 0.1"),
 ])
 def test_sweep_bad_thresholds_exit_2(tmp_path, capsys, settings, message):
     path = _sweep_config(tmp_path, [0], ["fisher+cogram"])
@@ -879,7 +879,7 @@ def test_config_settings_left_out_take_the_dataclass_defaults():
     (["--method", "fisher+cogram", "--tau-max", "nan"],
      "--tau-max must be a number >= 0, got nan"),
     (["--method", "fisher+cogram", "--tau-min", "2", "--tau-max", "1"],
-     "need 0 <= tau_min <= tau_max"),
+     "--tau-min must be <= --tau-max, got 2.0 > 1.0"),
     (["--method", "fisher+cogram", "--prototype", "kmeans:0"],
      "K in prototype 'kmeans:0' must be an integer >= 1, got 0"),
 ])

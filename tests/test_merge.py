@@ -199,7 +199,7 @@ def _difference(m, k, key, a, b, es):
     their gap."""
     ev = _LayerEvaluator(m, k, es, "cross_entropy")
     block_a, block_b = (x.theta[x.positions[k][key]] for x in (a, b))
-    return ev.difference(ev.positions[key], block_a, block_b)
+    return ev.difference(key, block_a, block_b)
 
 
 def test_loss_difference_zero_for_identical_candidates():
@@ -305,7 +305,7 @@ def test_pair_losses_equal_two_single_scores_after_any_history(data):
     for op in data.draw(st.lists(st.sampled_from(["put", "neuron", "weight"]), max_size=4)):
         neuron = data.draw(st.integers(0, out_dim - 1))
         if op == "put":
-            ev.put(ev.positions[neuron], rng.normal(size=in_dim + 1))
+            ev.put((neuron,), rng.normal(size=in_dim + 1))
         elif op == "neuron":
             _neuron_decision(ev, neuron, a, b, config, report)
         else:
@@ -315,18 +315,18 @@ def test_pair_losses_equal_two_single_scores_after_any_history(data):
     neuron = data.draw(st.integers(0, out_dim - 1))
     pairs = []
     for weight in (data.draw(st.integers(0, in_dim - 1)), in_dim):  # a weight, then the bias
-        pos = ev.positions[neuron, weight]
+        key = neuron, weight
         values = rng.normal(size=2)
         before = ev.theta.tobytes()
-        pairs.append((pos, values, ev.pair_losses(pos, *values)))
+        pairs.append((key, values, ev.pair_losses(key, *values)))
         assert ev.theta.tobytes() == before
-    for pos, values, pair in pairs:
-        kept = ev.theta[pos]
+    for key, values, pair in pairs:
+        kept = ev.theta[ev.positions[key]]
         singles = []
         for value in values:
-            ev.put(pos, value)
+            ev.put(key, value)
             singles.append(ev.loss())
-        ev.put(pos, kept)
+        ev.put(key, kept)
         assert pair == singles
 
 

@@ -98,6 +98,79 @@ def test_engine_matches_reference_at_the_benchmark_weight_shape():
     assert weights == sum(sizes[rec.layer] + 1 for rec in descended) > 6000
 
 
+@pytest.fixture
+def evaluator_modes(monkeypatch):
+    """Whether each evaluator a merge makes scores in block mode."""
+    modes = []
+
+    class Recorded(merge._LayerEvaluator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            modes.append(bool(self._blocks))
+
+    monkeypatch.setattr(merge, "_LayerEvaluator", Recorded)
+    return modes
+
+
+# 16 and 24 outputs give whole blocks of BLOCK_COLUMNS, 12 a narrower last one
+LARGE_SIZES = [10, 16, 24, 12, 5]
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+@pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
+@pytest.mark.parametrize("rows", [netmod.BLOCK_ROWS, 1000, 2047])
+def test_engine_matches_reference_on_large_contexts(rows, loss, activation, evaluator_modes):
+    # BLOCK_ROWS rows or more: block-mode scores and the class-major kernel
+    config = MergeConfig(thresholds=BANDS["descend"], max_granularity="neuron", loss=loss,
+                         prototype=f"batch:{rows}", eval_seed=2)
+    eval_set = merge.build_eval_set(_dataset(n=2100, sizes=LARGE_SIZES), config)
+    m, a, b = _trio(activation, sizes=LARGE_SIZES)
+    _, reports = _assert_engine_matches_reference(m, a, b, config, eval_set)
+    assert sum(rec.level == "neuron" for rec in reports[0].records) == 16 + 24 + 12 + 5
+    assert evaluator_modes[0] is False  # the output layer, decided first, has none above it
+
+
+def test_engine_matches_reference_on_a_large_context_down_to_weights():
+    sizes = [6, 16, 8, 3]
+    config = MergeConfig(thresholds=BANDS["descend"], max_granularity="weight",
+                         prototype=f"batch:{netmod.BLOCK_ROWS}", eval_seed=4)
+    eval_set = merge.build_eval_set(_dataset(n=600, sizes=sizes), config)
+    m, a, b = _trio("relu", sizes=sizes)
+    _, reports = _assert_engine_matches_reference(m, a, b, config, eval_set)
+    assert sum(rec.level == "weight" for rec in reports[0].records) > 100
+
+
+def test_engine_matches_reference_when_the_probe_fails(monkeypatch, evaluator_modes):
+    monkeypatch.setattr(merge, "_blocks_match", lambda *args: False)
+    config = MergeConfig(thresholds=BANDS["descend"], max_granularity="neuron",
+                         prototype="batch:1000")
+    eval_set = merge.build_eval_set(_dataset(n=1000, sizes=LARGE_SIZES), config)
+    m, a, b = _trio("tanh", sizes=LARGE_SIZES)
+    _assert_engine_matches_reference(m, a, b, config, eval_set)
+    assert evaluator_modes == [False] * 4
+
+
+def test_benchmark_shape_takes_the_block_path_and_the_class_major_kernel(monkeypatch):
+    # A canary: the speed of the merge-neuron-batch workload rests on both
+    # fast paths, and a BLAS or numpy upgrade that breaks either fails here.
+    sizes = [32, 64, 64, 20]
+    config = MergeConfig(prototype="batch:2048", eval_seed=1)
+    eval_set = merge.build_eval_set(_dataset(n=2048, sizes=sizes), config)
+    m, a, _ = _trio("relu", sizes=sizes)
+    class_major = []
+    kernel = netmod._class_major_cross_entropy
+    monkeypatch.setattr(netmod, "_class_major_cross_entropy",
+                        lambda *args: class_major.append(1) or kernel(*args))
+    for k in range(3):
+        ev = merge._LayerEvaluator(m, k, eval_set, config.loss)
+        assert len(ev._blocks) == (64 // merge.BLOCK_COLUMNS if k < 2 else 0), k
+        block = block_of(a, k, (5,))
+        ev.put((5,), block)
+        class_major.clear()
+        assert ev.loss() == ref_loss(config.loss)(with_block(m, k, (5,), block), eval_set)
+        assert class_major == [1], k
+
+
 @pytest.mark.parametrize("granularity", merge.GRANULARITIES)
 def test_tie_a_equals_b_equals_m_rolls_everything_back(granularity):
     m, _, _ = _trio("relu")
@@ -144,7 +217,7 @@ def test_evaluator_loss_equals_full_forward_loss(case, data):
 
     ev = merge._LayerEvaluator(m, k, eval_set, loss)
     assert ev.loss() == ref_loss(loss)(m, eval_set)
-    ev.put(ev.positions[key], block)
+    ev.put(key, block)
     assert ev.loss() == ref_loss(loss)(with_block(m, k, key, block), eval_set)
 
 

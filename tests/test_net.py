@@ -266,6 +266,51 @@ def test_workspace_rejects_non_finite_logits_like_the_allocating_call(bad):
             netmod.cross_entropy_loss(net, es, work=work)
 
 
+def _row_major_cross_entropy(logits, targets):
+    """The row-major kernel, in plain numpy: one reduction per row over its
+    classes, then np.mean's sum over the rows; a list for stacked logits."""
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+    logp = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    values = np.sum(targets * logp, axis=-1)
+    if values.ndim == 1:
+        return -float(np.sum(values) / values.size)
+    return [-float(np.sum(v) / v.size) for v in values]
+
+
+CLASS_COUNTS = [*range(1, 41), 63, 64, 65, 127, 128, 129, 130, 257]
+
+
+@pytest.mark.parametrize("classes", CLASS_COUNTS)
+def test_class_major_cross_entropy_equals_the_row_major_kernel(classes):
+    # BLOCK_ROWS rows or more, no backprop: the class-major kernel, whose sums
+    # follow numpy's pairwise order for every class count (under 8, 8-128, above)
+    rng = np.random.default_rng(classes)
+    net = random_network([2, classes], 0)
+    for rows in (netmod.BLOCK_ROWS, 1000, 2047, 4000):
+        stack = (2,) if rows % 2 else ()
+        spread = 10.0 ** rng.uniform(-3, 3, size=stack + (rows, 1))  # per row, 1e-3 to 1e3
+        logits = rng.normal(size=stack + (rows, classes)) * spread
+        for targets in (np.eye(classes)[rng.integers(0, classes, size=rows)],
+                        softmax(rng.normal(size=(rows, classes)))):
+            expected = _row_major_cross_entropy(logits, targets)
+            for work in (None, netmod.Workspace(net, rows, *stack)):
+                got = netmod._loss_of_logits("cross_entropy", logits.copy(), targets, work)
+                assert got == expected, (rows, stack, work is None)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_class_major_cross_entropy_rejects_non_finite_logits(bad):
+    net = Network([DenseLayer(np.eye(3), np.zeros(3), "identity")], 3, 3)
+    rows = netmod.BLOCK_ROWS
+    inputs = np.random.default_rng(0).normal(size=(rows, 3))
+    inputs[rows // 2, 1] = bad
+    es = ArrayEvalSet(inputs, np.eye(3)[np.arange(rows) % 3])
+    for work in (None, netmod.Workspace(net, rows)):
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="^log_softmax requires finite logits$"):
+            netmod.cross_entropy_loss(net, es, work=work)
+
+
 def test_workspace_of_other_rows_or_widths_is_rejected():
     net, es = _workspace_case("relu", 4, False)
     wider = random_network([6, 9, 7, 5], 0)
