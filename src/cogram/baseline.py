@@ -32,8 +32,6 @@ def fisher_information(
 ) -> np.ndarray:
     """Monte Carlo estimate of the diagonal Fisher over up to sample_cap
     seeded samples, laid out like the network's ``theta``."""
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
     if sample_cap < 1:
         raise ValueError(f"the Fisher sample cap must be >= 1, got {sample_cap!r}")
     rng = np.random.default_rng(seed)
@@ -42,7 +40,7 @@ def fisher_information(
     x = dataset.features[rows]
 
     work = netmod.Workspace(net, n, backprop=True)
-    probs = netmod.softmax(netmod._forward_into(net._plan, x, work.acts))
+    probs = netmod.softmax(netmod.forward(net, x, work))
     # one label draw per sample from the model's own predictive distribution
     cum = np.cumsum(probs, axis=1)
     cum[:, -1] = 1.0  # guard cumulative rounding below 1

@@ -80,7 +80,7 @@ def _check_arch(name: str, arch) -> None:
 @dataclass
 class ExperimentConfig:
     data: DataConfig
-    mode: str = "homogeneous"
+    mode: str = synthdata.MODES[0]
     arch: list[int] = field(default_factory=lambda: [32, 64, 64, 20])
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     epochs: int = 30
@@ -104,8 +104,8 @@ class ExperimentConfig:
             _method_stages(method)
         if len(set(self.methods)) != len(self.methods):
             raise UsageError(f"methods must be unique, got {self.methods}")
-        if self.mode not in ("homogeneous", "heterogeneous"):
-            raise UsageError(f"mode must be homogeneous or heterogeneous, got {self.mode!r}")
+        if self.mode not in synthdata.MODES:
+            raise UsageError(f"mode must be {' or '.join(synthdata.MODES)}, got {self.mode!r}")
         _check_arch("arch", self.arch)
         if self.arch[0] != self.data.dim or self.arch[-1] != self.data.num_classes:
             raise UsageError(
@@ -417,9 +417,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir) -> dict:
 
 def cmd_gen_data(args) -> int:
     doc = _load_json_config(args.config)
-    mode = doc.pop("mode", "homogeneous")
-    if mode not in ("homogeneous", "heterogeneous"):
-        raise UsageError(f"mode must be homogeneous or heterogeneous, got {mode!r}")
+    mode = doc.pop("mode", synthdata.MODES[0])
     cfg = _section("data", DataConfig, doc)
     data_a, data_b, test = synthdata.generate_pair(cfg, mode)
     os.makedirs(args.out, exist_ok=True)

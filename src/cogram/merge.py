@@ -18,7 +18,7 @@ that layer: it caches the activation entering the layer, writes each
 candidate in place into the parameters of its private network for this
 layer and the ones above, and keeps or restores it. A layer or neuron
 candidate is one loss call. A weight decision scores A's and B's scalar in
-one stacked pass of a ``net.NetworkStack`` of two copies of that network,
+one loss call on a ``net.NetworkStack`` of two copies of that network,
 then the blend in one loss call. Every score runs the one forward loop and
 loss kernel with exactly the operations of a full forward pass, so the
 merge is bit-identical to building each candidate as a new network and
@@ -251,7 +251,6 @@ class _LayerEvaluator:
 
     def __init__(self, m: Network, layer_idx: int, eval_set: EvalSet, loss: str):
         self.layer_idx = layer_idx
-        self._loss = loss
         self._lossf = netmod.loss_function(loss)
         self._below = m.layers[:layer_idx]
         in_dim = m.layers[layer_idx].in_dim
@@ -313,7 +312,7 @@ class _LayerEvaluator:
             self._pair_work = netmod.Workspace(self._upper, len(self._rows), stack=2)
         params, pos = self._params, self.positions[key]
         params[1, pos], params[2, pos] = value_a, value_b
-        losses = self._pair.losses(self._rows, self._loss, self._pair_work)
+        losses = self._lossf(self._pair, self._rows, work=self._pair_work)
         params[1:, pos] = params[0, pos]
         return losses
 
@@ -558,8 +557,6 @@ def gradient_kickoff(
     """Short elevated-rate training phase, then regular fine-tuning with
     ``optimizer``. The kickoff trains with every setting of ``optimizer`` but
     its learning rate, which ``kickoff.lr_multiplier`` scales."""
-    if len(combined_train_data) == 0:
-        raise ValueError("empty dataset")
     if not 2.0 <= kickoff.lr_multiplier <= 3.0:
         warnings.warn(
             f"kickoff/finetune learning-rate ratio {kickoff.lr_multiplier:.3g} is outside the "

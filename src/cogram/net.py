@@ -39,10 +39,10 @@ order of additions for a contiguous run of C values, so each loss is the
 row-major one bit for bit; the row-major kernel keeps backprop and smaller
 sets, where it is the faster one, and is the tests' oracle.
 All three parts take a leading stack axis. A ``NetworkStack`` holds several
-networks of one shape as the rows of one parameter matrix: its ``losses``
-scores them all on one evaluation set in one pass, and ``backward_arrays``
-backpropagates through them, each with its own inputs, in one pass; every
-loss and gradient is bit-identical to its own single-network one.
+networks of one shape as the rows of one parameter matrix; ``forward``, the
+losses and ``backward_arrays`` take it wherever they take a network and run
+all its networks in one pass, every logit, loss and gradient bit-identical
+to its own single-network one.
 """
 
 from __future__ import annotations
@@ -211,8 +211,9 @@ class NetworkStack:
     """S networks shaped like ``net`` whose parameters are the rows of one
     (S, P) float64 matrix ``theta``, not copies: ``networks[s]`` is
     ``net.with_theta(theta[s])``, and whoever holds ``theta`` updates them
-    all in place. ``losses`` and ``backward_arrays`` run a stack as one
-    network whose activations, losses and gradient carry a leading axis of S.
+    all in place. ``forward``, the losses and ``backward_arrays`` run a stack
+    as one network whose activations, losses and gradient carry a leading
+    axis of S.
     """
 
     def __init__(self, net: Network, theta: np.ndarray):
@@ -222,21 +223,19 @@ class NetworkStack:
         self.net, self.theta = net, theta
         self._plan = net._plan_of(theta)
 
-    def losses(self, eval_set: EvalSet, kind: str, work: Workspace) -> list[float]:
-        """The loss ``kind`` of each network on ``eval_set``, bit for bit its
-        own ``loss_function(kind)``, from one pass of the forward loop and the
-        loss kernel into ``work``, a ``Workspace`` with ``stack`` S for the
-        set's rows; it allocates no array."""
-        net, (rows, features) = self.net, eval_set.inputs.shape
-        if features != net.input_dim or eval_set.targets.shape != (rows, net.num_classes):
-            raise ShapeError(
-                f"evaluation inputs {eval_set.inputs.shape} and targets {eval_set.targets.shape} "
-                f"do not fit {net.input_dim} features and logits {(rows, net.num_classes)}"
-            )
-        if work.key != (len(self.theta), rows, net._shapes):
-            raise ShapeError(f"workspace does not fit {len(self.theta)} networks over {rows} rows")
-        logits = _forward_into(self._plan, eval_set.inputs, work.acts)
-        return _loss_of_logits(kind, logits, eval_set.targets, work)
+
+def _parts(net: Network | NetworkStack, inputs) -> tuple[Network, tuple, tuple, np.ndarray]:
+    """What a pass of ``net`` over ``inputs`` runs on: the network whose shape
+    ``net`` has, the plan of the forward loop, the stack axes (``()``, or
+    ``(S,)`` for a stack of S) and the inputs as float64, (N, d) or, for a
+    stack, (S, N, d). Raises ShapeError if the inputs do not fit."""
+    shape, plan, lead = net, net._plan, ()
+    if isinstance(net, NetworkStack):
+        shape, lead = net.net, net.theta.shape[:-1]
+    x = _as_f64(inputs)
+    if x.ndim < 2 or x.shape[:-2] not in ((), lead) or x.shape[-1] != shape.input_dim:
+        raise ShapeError(f"inputs must have {shape.input_dim} features, got shape {x.shape}")
+    return shape, plan, lead, x
 
 
 def compatible(a: Network, b: Network) -> bool:
@@ -298,7 +297,7 @@ class Workspace:
     def __init__(self, net: Network, rows: int, stack: int | None = None,
                  backprop: bool = False):
         lead = () if stack is None else (stack,)
-        self.key = (stack, rows, net._shapes)
+        self.key = (lead, rows, net._shapes)
         self.acts = [np.empty(lead + (rows, out_dim)) for out_dim, _ in net._shapes]
         self.exp = np.empty(lead + (rows, net.num_classes))
         self.finite = np.empty(lead + (rows, net.num_classes), dtype=bool)
@@ -340,8 +339,19 @@ def _row_blocks(n: int, width: int) -> list[tuple[int, int]]:
     return [(n * i // blocks, n * (i + 1) // blocks) for i in range(blocks)]
 
 
-def forward(net: Network, inputs, work: Workspace | None = None) -> np.ndarray:
-    """Logits (N, C) for a batch of inputs (N, d). Pure.
+def _require_workspace(work: Workspace, net: Network, lead: tuple, rows: int,
+                       backprop: bool = False) -> None:
+    """Raise ShapeError unless ``work`` was made for ``rows`` rows of networks
+    shaped like ``net`` with the stack axes ``lead``, and for backprop if asked."""
+    if work.key != (lead, rows, net._shapes) or (backprop and not work.backprop):
+        raise ShapeError(f"workspace does not fit {'backprop' if backprop else 'a pass'} "
+                         f"over {lead + (rows,)} rows of layers {net._shapes}")
+
+
+def forward(net: Network | NetworkStack, inputs, work: Workspace | None = None) -> np.ndarray:
+    """Logits (N, C) for a batch of inputs (N, d). Pure. A ``NetworkStack``
+    of S networks gives (S, N, C) logits, of inputs its networks share or of
+    (S, N, d) ones.
 
     With ``work`` every layer runs into the workspace's buffers and the
     logits returned are its last one, overwritten by the next call.
@@ -354,23 +364,18 @@ def forward(net: Network, inputs, work: Workspace | None = None) -> np.ndarray:
     bit, as long as BLAS computes a row the same way in a block as in the
     whole matrix, which OpenBLAS's gemm does for such blocks.
     """
-    x = _as_f64(inputs)
-    if x.ndim != 2 or x.shape[1] != net.input_dim:
-        raise ShapeError(f"inputs must have {net.input_dim} features, got shape {x.shape}")
+    shape, plan, lead, x = _parts(net, inputs)
+    n = x.shape[-2]
     if work is not None:
-        if work.key != (None, x.shape[0], net._shapes):
-            raise ShapeError(
-                f"workspace buffers {[a.shape for a in work.acts]} do not fit "
-                f"{[(x.shape[0], out_dim) for out_dim, _ in net._shapes]}"
-            )
-        return _forward_into(net._plan, x, work.acts)
-    blocks = _row_blocks(x.shape[0], min(out_dim for out_dim, _ in net._shapes))
+        _require_workspace(work, shape, lead, n)
+        return _forward_into(plan, x, work.acts)
+    blocks = _row_blocks(n, min(out_dim for out_dim, _ in shape._shapes))
     rows = max((stop - start for start, stop in blocks), default=0)
-    hidden = [np.empty((rows, out_dim)) for out_dim, _ in net._shapes[:-1]]
-    logits = np.empty((x.shape[0], net.num_classes))
+    hidden = [np.empty(lead + (rows, out_dim)) for out_dim, _ in shape._shapes[:-1]]
+    logits = np.empty(lead + (n, shape.num_classes))
     for start, stop in blocks:
-        acts = [h[: stop - start] for h in hidden] + [logits[start:stop]]
-        _forward_into(net._plan, x[start:stop], acts)
+        acts = [h[..., : stop - start, :] for h in hidden] + [logits[..., start:stop, :]]
+        _forward_into(plan, x[..., start:stop, :], acts)
     return logits
 
 
@@ -482,7 +487,8 @@ def _loss_of_logits(
 
     ``logits`` (N, C) give one loss, a float. Logits with a leading stack
     axis, (S, N, C) against (N, C) targets or (S, N, C) ones, give a list of S
-    losses, each reduced exactly as the loss of its (N, C) slice alone. Every
+    losses, each reduced exactly as the loss of its (N, C) slice alone; any
+    other targets raise ShapeError, as broadcasting would hide them. Every
     intermediate goes into ``work``'s scratch when given, else into new
     arrays. The cross-entropy builds the log-softmax in place in ``logits``,
     so its caller must not keep them, unless ``work`` is made for backprop:
@@ -493,6 +499,10 @@ def _loss_of_logits(
     over a few classes cost more there than the arithmetic, and it gives the
     same bits. The squared error only reads the logits.
     """
+    if targets.shape not in (logits.shape, logits.shape[-2:]):
+        raise ShapeError(
+            f"targets of shape {targets.shape} do not match logits of shape {logits.shape}"
+        )
     if loss == "cross_entropy":
         keep = work is not None and work.backprop
         if keep or logits.shape[-2] < BLOCK_ROWS:
@@ -544,17 +554,15 @@ class EvalSet:
         return self.inputs.shape[0]
 
 
-def _loss(kind: str, net: Network, eval_set: EvalSet, work: Workspace | None) -> float:
-    logits = forward(net, eval_set.inputs, work=work)
-    if eval_set.targets.shape != logits.shape:
-        raise ShapeError(
-            f"targets of shape {eval_set.targets.shape} do not match logits of shape {logits.shape}"
-        )
-    return _loss_of_logits(kind, logits, eval_set.targets, work)
+def _loss(kind: str, net: Network | NetworkStack, eval_set: EvalSet,
+          work: Workspace | None) -> float | list[float]:
+    return _loss_of_logits(kind, forward(net, eval_set.inputs, work=work), eval_set.targets, work)
 
 
-def cross_entropy_loss(net: Network, eval_set: EvalSet, work: Workspace | None = None) -> float:
-    """Mean cross-entropy of softmax(logits) against the target distributions.
+def cross_entropy_loss(net: Network | NetworkStack, eval_set: EvalSet,
+                       work: Workspace | None = None) -> float | list[float]:
+    """Mean cross-entropy of softmax(logits) against the target distributions;
+    a list of one per network for a ``NetworkStack``.
 
     With ``work`` (a ``Workspace`` for the set's rows) the whole pass runs
     into its buffers and allocates no array.
@@ -562,7 +570,8 @@ def cross_entropy_loss(net: Network, eval_set: EvalSet, work: Workspace | None =
     return _loss("cross_entropy", net, eval_set, work)
 
 
-def mse_loss(net: Network, eval_set: EvalSet, work: Workspace | None = None) -> float:
+def mse_loss(net: Network | NetworkStack, eval_set: EvalSet,
+             work: Workspace | None = None) -> float | list[float]:
     """Mean over rows and output dimensions of squared residuals; ``work`` as
     for cross_entropy_loss."""
     return _loss("mse", net, eval_set, work)
@@ -598,31 +607,17 @@ def backward_arrays(
     targets and gives a list of S losses and an (S, P) gradient; each
     network's loss and gradient are bit-identical to its own call.
     """
-    if isinstance(net, NetworkStack):
-        net, theta, plan = net.net, net.theta, net._plan
-    else:
-        theta, plan = net.theta, net._plan
-    lead = theta.shape[:-1]
-    x = _as_f64(inputs)
+    shape, plan, lead, x = _parts(net, inputs)
     y = _as_f64(targets)
-    if x.shape[:-2] != lead or x.ndim != len(lead) + 2 or x.shape[-1] != net.input_dim:
-        raise ShapeError(f"inputs must have {net.input_dim} features, got shape {x.shape}")
     n = x.shape[-2]
     if n == 0:
         raise ValueError("empty evaluation set")
-    if y.shape != lead + (n, net.num_classes):
-        raise ShapeError(
-            f"targets of shape {y.shape} do not match logits of shape "
-            f"{lead + (n, net.num_classes)}"
-        )
     if out is None:
-        out = np.empty(theta.shape)
-    net.require_layout(out, "gradient buffer", lead)
-    stack = lead[0] if lead else None
+        out = np.empty(lead + shape.theta.shape)
+    shape.require_layout(out, "gradient buffer", lead)
     if work is None:
-        work = Workspace(net, n, stack, backprop=True)
-    elif work.key != (stack, n, net._shapes) or not work.backprop:
-        raise ShapeError(f"workspace does not fit backprop over {lead + (n,)} rows")
+        work = Workspace(shape, n, *lead, backprop=True)
+    _require_workspace(work, shape, lead, n, backprop=True)
     logits = _forward_into(plan, x, work.acts)
     value = _loss_of_logits(loss, logits, y, work)
 
@@ -636,9 +631,9 @@ def backward_arrays(
     else:
         np.subtract(logits, y, out=delta)
         delta *= 2.0
-        delta /= n * net.num_classes
+        delta /= n * shape.num_classes
 
-    grad_w, grad_b = net.layer_views(out)
+    grad_w, grad_b = shape.layer_views(out)
     for k, delta in _pre_activation_deltas(plan, work, delta):
         np.matmul(delta.swapaxes(-1, -2), x if k == 0 else work.acts[k - 1], out=grad_w[k])
         np.add.reduce(delta, axis=-2, out=grad_b[k])

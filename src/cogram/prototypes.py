@@ -67,8 +67,6 @@ def build_prototypes_kmeans(
     epsilon: float = DEFAULT_EPSILON,
 ) -> EvalSet:
     """k-means within each class, then one geometric-mean prototype per cluster."""
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
     if k_per_class < 1:
         raise ValueError("k_per_class must be >= 1")
     rng = np.random.default_rng(kmeans_seed)

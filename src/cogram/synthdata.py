@@ -31,6 +31,9 @@ def check_number(name: str, value, low=0, *, integer: bool = False, strict: bool
         raise ValueError(f"{name} must be {kind} {bounds}, got {value!r}")
 
 
+MODES = ("homogeneous", "heterogeneous")  # how B's data relates to A's; the first is the default
+
+
 @dataclass
 class DataConfig:
     num_classes: int = 20
@@ -60,6 +63,9 @@ class DataConfig:
 
 @dataclass
 class Dataset:
+    """Labelled rows; the one check of data: it refuses no rows, features not
+    (N, dim), N != label count, a non-finite feature, a label outside 0..C-1."""
+
     features: np.ndarray  # (N, dim)
     labels: np.ndarray    # (N,) ints in 0..num_classes-1
     num_classes: int
@@ -68,8 +74,19 @@ class Dataset:
         # C-contiguous rows: training gathers its batches from them
         self.features = np.ascontiguousarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.shape[0] != self.labels.shape[0]:
-            raise ValueError("feature rows must match label count")
+        if len(self.features) == 0:
+            raise ValueError("empty dataset")
+        if self.features.ndim != 2:
+            raise ValueError(f"features must be 2-d (rows, dim), got shape {self.features.shape}")
+        if self.labels.shape != (len(self),):
+            raise ValueError(f"{len(self)} feature rows but labels of shape {self.labels.shape}")
+        finite = np.isfinite(self.features).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"data row {np.argmin(finite) + 1} has a non-finite feature")
+        outside = (self.labels < 0) | (self.labels >= self.num_classes)
+        if outside.any():
+            raise ValueError(f"label {self.labels[np.argmax(outside)]} is outside the label "
+                             f"range 0..{self.num_classes - 1}")
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -79,7 +96,7 @@ class Dataset:
         return self.features.shape[1]
 
     def one_hot(self) -> np.ndarray:
-        return np.eye(self.num_classes, dtype=np.float64)[self.labels]
+        return one_hot(self.labels, self.num_classes)
 
 
 def one_hot(labels, num_classes: int) -> np.ndarray:
@@ -170,10 +187,10 @@ def generate_pair(cfg: DataConfig, mode: str) -> tuple[Dataset, Dataset, Dataset
     uses A's config on its own seed; the test set draws fresh subclusters
     around the shared centers. Heterogeneous: B uses a perturbed config
     (one extra subcluster, 1.5x noise and distortion); the test set takes
-    half of each class from A's generator and half from B's.
+    half of each class from A's generator (rounded up) and half from B's.
     """
-    if mode not in ("homogeneous", "heterogeneous"):
-        raise ValueError(f"unknown mode {mode!r}")
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r} (want {' or '.join(MODES)})")
     center_ss, ga_ss, gb_ss, sa_ss, sb_ss, gt_ss, st_a_ss, st_b_ss = (
         np.random.SeedSequence(cfg.seed).spawn(8)
     )
@@ -196,9 +213,10 @@ def generate_pair(cfg: DataConfig, mode: str) -> tuple[Dataset, Dataset, Dataset
     else:
         n_a = (cfg.test_samples_per_class + 1) // 2
         n_b = cfg.test_samples_per_class - n_a
-        part_a = _sample(geom_a, n_a, train_sigma_a * cfg.test_noise_multiplier, st_a_ss)
-        part_b = _sample(geom_b, n_b, train_sigma_b * cfg.test_noise_multiplier, st_b_ss)
-        test = concat(part_a, part_b)
+        test = _sample(geom_a, n_a, train_sigma_a * cfg.test_noise_multiplier, st_a_ss)
+        if n_b:  # with one test row per class, B's half is empty
+            part_b = _sample(geom_b, n_b, train_sigma_b * cfg.test_noise_multiplier, st_b_ss)
+            test = concat(test, part_b)
     return data_a, data_b, test
 
 
@@ -218,9 +236,9 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
     """Read a CSV written by save_csv. Without ``num_classes`` the label
     range is 0..max label.
 
-    Raises ValueError for rows whose width differs from the header's,
-    non-finite features, labels that are not whole numbers and labels outside
-    0..num_classes-1, instead of coercing them.
+    Raises ValueError for rows whose width differs from the header's, labels
+    that are not whole numbers and what ``Dataset`` refuses, instead of
+    coercing them.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -239,9 +257,6 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
         raise ValueError(f"{path}: no data rows")
     _check_width(path, 1, raw.shape[1], len(columns))
     features, column = raw[:, :-1], raw[:, -1]
-    finite = np.isfinite(features).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"{path}: data row {np.argmin(finite) + 1} has a non-finite feature")
     whole = np.isfinite(column) & (column == np.floor(column))
     if not whole.all():
         row = np.argmin(whole)
@@ -251,13 +266,10 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
     labels = column.astype(np.int64)
     if num_classes is None:
         num_classes = int(labels.max()) + 1
-    outside = (labels < 0) | (labels >= num_classes)
-    if outside.any():
-        raise ValueError(
-            f"{path}: label {labels[np.argmax(outside)]} is outside the label range "
-            f"0..{num_classes - 1}"
-        )
-    return Dataset(features, labels, num_classes)
+    try:
+        return Dataset(features, labels, num_classes)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _check_width(path, row: int, width: int, header_width: int) -> None:

@@ -130,8 +130,6 @@ def _update(state: OptimizerState, theta: np.ndarray, grad: np.ndarray, scratch)
 def accuracy(net: Network, dataset: Dataset) -> float:
     """Fraction of samples whose argmax logit hits the label; ties go to the
     lowest class index."""
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
     logits = netmod.forward(net, dataset.features)
     return float(np.mean(np.argmax(logits, axis=1) == dataset.labels))
 
@@ -177,10 +175,6 @@ def train_stack(
     for other in nets[1:]:
         netmod.require_compatible(net, other)
     for dataset in datasets:
-        if len(dataset) == 0:
-            raise ValueError("empty dataset")
-        if np.any(dataset.labels < 0) or np.any(dataset.labels >= dataset.num_classes):
-            raise ValueError("labels out of range for num_classes")
         if (dataset.dim, dataset.num_classes) != (net.input_dim, net.num_classes):
             raise netmod.ShapeError(
                 f"a dataset of {dataset.dim} features and {dataset.num_classes} classes does "

@@ -65,6 +65,16 @@ def test_gen_data_default_config_counts(tmp_path, capsys):
     assert "test.csv (1000 rows)" in out
 
 
+def test_gen_data_heterogeneous_with_one_test_row_per_class(tmp_path, capsys):
+    config = {"mode": "heterogeneous", "num_classes": 3, "dim": 4,
+              "samples_per_class": 5, "test_samples_per_class": 1}
+    cfg_path = tmp_path / "gen.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["gen-data", "--config", str(cfg_path), "--out", str(tmp_path / "d")]) == 0
+    assert "test.csv (3 rows)" in capsys.readouterr().out
+    assert load_csv(tmp_path / "d" / "test.csv", 3).labels.tolist() == [0, 1, 2]
+
+
 def test_gen_data_invalid_mode_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "gen.json"
     cfg_path.write_text(json.dumps({"mode": "sideways"}))

@@ -337,7 +337,7 @@ def test_network_stack_scores_each_network_like_its_own(activation, rows):
         lossf = netmod.loss_function(kind)
         expected = [lossf(net.with_theta(theta.copy()), es) for theta in thetas]
         for _ in range(2):  # a workspace keeps no state between calls
-            assert stack.losses(es, kind, work) == expected
+            assert lossf(stack, es, work=work) == expected
 
 
 def test_network_stack_losses_reject_what_they_cannot_score():
@@ -345,15 +345,64 @@ def test_network_stack_losses_reject_what_they_cannot_score():
     stack = netmod.NetworkStack(net, np.tile(net.theta, (2, 1)))
     work = netmod.Workspace(net, 4, stack=2)
     with pytest.raises(ValueError, match="unknown loss"):
-        stack.losses(es, "hinge", work)
-    for inputs, targets in ((es.inputs[:, :5], es.targets), (es.inputs, es.targets[:, :4])):
-        with pytest.raises(ShapeError, match=r"do not fit 6 features and logits \(4, 5\)"):
-            stack.losses(ArrayEvalSet(inputs, targets), "mse", work)
+        netmod.loss_function("hinge")(stack, es, work=work)
+    for inputs, targets, message in (
+        (es.inputs[:, :5], es.targets, r"inputs must have 6 features, got shape \(4, 5\)"),
+        (es.inputs, es.targets[:, :4],
+         r"targets of shape \(4, 4\) do not match logits of shape \(2, 4, 5\)"),
+    ):
+        with pytest.raises(ShapeError, match=message):
+            mse_loss(stack, ArrayEvalSet(inputs, targets), work=work)
     wider = random_network([6, 9, 7, 5], 0)
     for wrong in (netmod.Workspace(net, 4), netmod.Workspace(net, 4, stack=3),
                   netmod.Workspace(net, 3, stack=2), netmod.Workspace(wider, 4, stack=2)):
         with pytest.raises(ShapeError, match="workspace does not fit"):
-            stack.losses(es, "mse", wrong)
+            mse_loss(stack, es, work=wrong)
+
+
+def test_network_stack_forward_in_row_blocks_equals_each_network_bit_for_bit():
+    # 1,543 rows run in blocks of at most BLOCK_ROWS, each with the stack axis
+    rng = np.random.default_rng(5)
+    net = random_network([6, 16, 12, 5], 0)
+    thetas = net.theta + rng.normal(scale=0.3, size=(3, net.theta.size))
+    stack = netmod.NetworkStack(net, thetas)
+    x = rng.normal(size=(1543, 6))
+    assert len(netmod._row_blocks(len(x), 5)) > 1
+    logits = forward(stack, x)
+    assert logits.shape == (3, 1543, 5)
+    for s, theta in enumerate(thetas):
+        own = net.with_theta(theta.copy())
+        assert logits[s].tobytes() == forward(own, x).tobytes(), s
+    per_network = rng.normal(size=(3, 1543, 6))  # inputs of their own
+    logits = forward(stack, per_network)
+    for s, theta in enumerate(thetas):
+        own = net.with_theta(theta.copy())
+        assert logits[s].tobytes() == forward(own, per_network[s]).tobytes(), s
+
+
+def test_every_pass_refuses_a_workspace_that_does_not_fit_with_one_message():
+    net, es = _workspace_case("relu", 4, True)
+    stack = netmod.NetworkStack(net, np.tile(net.theta, (2, 1)))
+    x, y = np.stack([es.inputs] * 2), np.stack([es.targets] * 2)
+    wider = random_network([6, 9, 7, 5], 0)
+    passes = (
+        lambda work: forward(stack, es.inputs, work=work),
+        lambda work: netmod.cross_entropy_loss(stack, es, work=work),
+        lambda work: mse_loss(stack, es, work=work),
+        lambda work: backward_arrays(stack, x, y, work=work),
+    )
+    for wrong in (netmod.Workspace(net, 4, backprop=True),  # no stack axis
+                  netmod.Workspace(net, 4, stack=3, backprop=True),  # another stack size
+                  netmod.Workspace(net, 3, stack=2, backprop=True),  # another row count
+                  netmod.Workspace(wider, 4, stack=2, backprop=True)):  # another shape
+        for run in passes:
+            with pytest.raises(ShapeError, match=r"^workspace does not fit (a pass|backprop) "):
+                run(wrong)
+    with pytest.raises(ShapeError, match=r"^workspace does not fit backprop over \(2, 4\) rows"):
+        backward_arrays(stack, x, y, work=netmod.Workspace(net, 4, stack=2))
+    fitting = netmod.Workspace(net, 4, stack=2, backprop=True)
+    for run in passes:
+        run(fitting)
 
 
 # --- backward ----------------------------------------------------------------

@@ -163,6 +163,39 @@ def test_concat_stacks_and_validates():
         concat(a, Dataset(np.zeros((2, 3)), np.zeros(2, dtype=int), 4))
 
 
+@pytest.mark.parametrize("features, labels, message", [
+    (np.zeros((0, 3)), np.zeros(0, dtype=int), "^empty dataset$"),
+    (np.zeros(4), np.zeros(4, dtype=int), r"^features must be 2-d \(rows, dim\), got shape \(4,"),
+    (np.zeros((4, 3)), np.zeros(3, dtype=int), r"^4 feature rows but labels of shape \(3,\)$"),
+    ([[0.0, 1.0], [2.0, np.nan]], [0, 1], "^data row 2 has a non-finite feature$"),
+    ([[np.inf, 1.0], [2.0, 3.0]], [0, 1], "^data row 1 has a non-finite feature$"),
+    (np.zeros((3, 2)), [0, -1, 2], r"^label -1 is outside the label range 0\.\.2$"),
+    (np.zeros((3, 2)), [0, 3, 2], r"^label 3 is outside the label range 0\.\.2$"),
+])
+def test_dataset_refuses_rows_no_consumer_can_use(features, labels, message):
+    with pytest.raises(ValueError, match=message):
+        Dataset(features, labels, 3)
+
+
+def test_load_csv_names_the_file_in_what_dataset_refuses(tmp_path):
+    path = tmp_path / "bad.csv"
+    for rows, message in (("0.5,1.0,3\n", "label 3 is outside the label range 0..2"),
+                          ("0.5,nan,1\n", "data row 2 has a non-finite feature")):
+        path.write_text("f0,f1,label\n0.0,0.0,0\n" + rows)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_csv(path, 3)
+
+
+def test_heterogeneous_test_set_of_one_row_per_class_is_a_half_alone():
+    # (n + 1) // 2 of n test rows per class come from A's generator, so with
+    # one row B's half is empty
+    one = _small_cfg(test_samples_per_class=1)
+    _, _, test = generate_pair(one, "heterogeneous")
+    assert np.array_equal(test.labels, np.arange(4))
+    _, _, two = generate_pair(_small_cfg(test_samples_per_class=2), "heterogeneous")
+    assert np.array_equal(test.features, two.features[:4])  # A's half of two rows
+
+
 def test_csv_round_trip_exact(tmp_path):
     train, _, _ = generate_pair(_small_cfg(seed=3), "homogeneous")
     path = tmp_path / "train.csv"

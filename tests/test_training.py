@@ -223,9 +223,9 @@ def test_train_rejects_empty_and_bad_labels():
     with pytest.raises(ValueError):
         train(net, Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 2),
               OptimizerConfig(), epochs=1)
-    bad = Dataset(np.zeros((3, 2)), np.array([0, 1, 5]), 2)
-    with pytest.raises(ValueError):
-        train(net, bad, OptimizerConfig(), epochs=1)
+    with pytest.raises(ValueError, match="outside the label range"):
+        train(net, Dataset(np.zeros((3, 2)), np.array([0, 1, 5]), 2), OptimizerConfig(),
+              epochs=1)
 
 
 
