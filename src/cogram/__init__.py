@@ -20,7 +20,6 @@ from .merge import (
 )
 from .net import (
     DenseLayer,
-    EvalSet,
     FormatError,
     Network,
     NetworkStack,

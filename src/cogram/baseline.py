@@ -20,6 +20,8 @@ from . import net as netmod
 from .net import Network
 from .synthdata import Dataset
 
+FISHER_FLOOR = 1e-8  # the least weight a parameter's Fisher value gives it in the merge
+
 
 def uniform_average(a: Network, b: Network) -> Network:
     """Parameter-wise midpoint of two architecture-compatible networks."""
@@ -61,21 +63,18 @@ def fisher_information(
     return diagonal
 
 
-def fisher_merge(
-    a: Network, b: Network, f_a: np.ndarray, f_b: np.ndarray, floor: float = 1e-8
-) -> Network:
-    """Per-parameter Fisher-weighted average with both weights floored.
+def fisher_merge(a: Network, b: Network, f_a: np.ndarray, f_b: np.ndarray) -> Network:
+    """Per-parameter Fisher-weighted average with both weights floored at
+    ``FISHER_FLOOR``.
 
     Weighting is computed as wa = Fa/(Fa+Fb), theta = wa*a + (1-wa)*b, so
     equal Fisher values reduce to uniform_average bit-for-bit. Each Fisher
     diagonal must be laid out like its network's ``theta``.
     """
     netmod.require_compatible(a, b)
-    if floor <= 0:
-        raise ValueError("floor must be > 0")
     a.require_layout(f_a, "Fisher estimate of A")
     b.require_layout(f_b, "Fisher estimate of B")
-    fa = np.maximum(f_a, floor)
-    fb = np.maximum(f_b, floor)
+    fa = np.maximum(f_a, FISHER_FLOOR)
+    fb = np.maximum(f_b, FISHER_FLOOR)
     wa = fa / (fa + fb)
     return a.with_theta(wa * a.theta + (1.0 - wa) * b.theta)

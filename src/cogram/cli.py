@@ -243,7 +243,7 @@ class _Pipeline:
     optimizer: OptimizerConfig | None       # the fine-tuning rate and kind of kickoff
     kickoff: KickoffConfig | None
     batch_size: int
-    eval_set: netmod.EvalSet | None = None  # what cogram scores candidates on
+    eval_set: Dataset | None = None         # what cogram scores candidates on
     stage_s: dict = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
     done: dict = field(default_factory=dict)
 
@@ -548,7 +548,7 @@ def cmd_eval(args) -> int:
     model = netmod.load_model(args.model)
     dataset = _load_data("--data", args.data, model.input_dim, model.num_classes)
     acc = training.accuracy(model, dataset)
-    loss = netmod.cross_entropy_arrays(model, dataset.features, dataset.one_hot())
+    loss = netmod.cross_entropy_loss(model, dataset)
     doc = {"accuracy": acc, "loss": loss, "n": len(dataset)}
     print(json.dumps(doc))
     if args.out:

@@ -2,28 +2,30 @@
 
 The sweep walks layers back to front. For each structure the candidates
 from A and B are swapped into the current network M, their losses on a
-fixed evaluation set are compared, and the loss gap decides the action:
-inside the per-level threshold band the structure is blended directly
-with a sigmoid mixing factor; outside it the decision is refined one
-granularity level down (neurons, then single weights). Refined updates
-are only kept when they strictly lower the loss; otherwise the structure
-rolls back to the coarser fusion, bit for bit. The whole merge can be
-applied iteratively, each pass operating on the latest fused network.
+fixed evaluation set (a ``synthdata.Dataset``: rows and their class labels)
+are compared, and the loss gap decides the action: inside the per-level
+threshold band the structure is blended directly with a sigmoid mixing
+factor; outside it the decision is refined one granularity level down
+(neurons, then single weights). Refined updates are only kept when they
+strictly lower the loss; otherwise the structure rolls back to the coarser
+fusion, bit for bit. The whole merge can be applied iteratively, each pass
+operating on the latest fused network.
 
 A block of layer k is named by a key, ``()``, ``(i,)`` or ``(i, j)``, at
 the level ``GRANULARITIES[len(key)]``; A's is ``a.theta[a.positions[k][key]]``.
 
 One evaluator per layer (``_LayerEvaluator``) scores every candidate of
-that layer: it caches the activation entering the layer, writes each
-candidate in place into the parameters of its private network for this
-layer and the ones above, and keeps or restores it. A layer or neuron
-candidate is one loss call. A weight decision scores A's and B's scalar in
-one loss call on a ``net.NetworkStack`` of two copies of that network,
-then the blend in one loss call. Every score runs the one forward loop and
-loss kernel with exactly the operations of a full forward pass, so the
-merge is bit-identical to building each candidate as a new network and
-evaluating it from the input, the reference engine of the tests. The
-finished layer leaves as a new, validated network.
+that layer: it caches the activation entering the layer as a ``Dataset``
+with the evaluation set's labels, writes each candidate in place into the
+parameters of its private network for this layer and the ones above, and
+keeps or restores it. A layer or neuron candidate is one loss call. A
+weight decision scores A's and B's scalar in one loss call on a
+``net.NetworkStack`` of two copies of that network, then the blend in one
+loss call. Every score runs the one forward loop and loss kernel with
+exactly the operations of a full forward pass, so the merge is
+bit-identical to building each candidate as a new network and evaluating
+it from the input, the reference engine of the tests. The finished layer
+leaves as a new, validated network.
 
 On an evaluation set of ``net.BLOCK_ROWS`` rows or more, the evaluator of a
 layer with a layer above it caches the layer's activated output (block
@@ -50,7 +52,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import net as netmod
-from .net import EvalSet, Network
+from .net import Network
 from .prototypes import build_prototypes_kmeans, build_raw_batch
 from .synthdata import Dataset, check_number
 from .training import OptimizerConfig, TrainReport, train
@@ -249,12 +251,12 @@ class _LayerEvaluator:
     cached output valid.
     """
 
-    def __init__(self, m: Network, layer_idx: int, eval_set: EvalSet, loss: str):
+    def __init__(self, m: Network, layer_idx: int, eval_set: Dataset, loss: str):
         self.layer_idx = layer_idx
         self._lossf = netmod.loss_function(loss)
         self._below = m.layers[:layer_idx]
         in_dim = m.layers[layer_idx].in_dim
-        x = eval_set.inputs
+        x = eval_set.features
         if layer_idx > 0:
             x = netmod.forward(Network(self._below, m.input_dim, in_dim), x)
         upper = Network(m.layers[layer_idx:], in_dim, m.num_classes)
@@ -264,7 +266,7 @@ class _LayerEvaluator:
         self._pair = netmod.NetworkStack(upper, self._params[1:])
         self.positions = upper.positions[0]
         self.layer = self._upper.layers[0]
-        self._rows = EvalSet(x, eval_set.targets)
+        self._rows = Dataset(x, eval_set.labels, eval_set.num_classes)
         self._pair_work: netmod.Workspace | None = None
         self._input_dim = m.input_dim
         # what a score runs, and in block mode each column block's one-layer
@@ -278,7 +280,7 @@ class _LayerEvaluator:
 
     def _cache_output(self) -> None:
         """Enter block mode unless a column block fails the probe."""
-        x, plan = self._rows.inputs, self._upper._plan
+        x, plan = self._rows.features, self._upper._plan
         weights_t, biases, activation = plan[0]
         out_dim = weights_t.shape[1]
         cache = np.matmul(x, weights_t)
@@ -293,14 +295,14 @@ class _LayerEvaluator:
                            cache[:, cols]))
         netmod._forward_into(plan[:1], x, (cache,))
         self._scored = Network(self._upper.layers[1:], out_dim, self._upper.num_classes)
-        self._scored_rows = EvalSet(cache, self._rows.targets)
+        self._scored_rows = Dataset(cache, self._rows.labels, self._rows.num_classes)
         self._blocks, self._stale = blocks, [False] * len(blocks)
 
     def loss(self) -> float:
         for b, stale in enumerate(self._stale):
             if stale:
                 plan, out, cached = self._blocks[b]
-                np.copyto(cached, netmod._forward_into(plan, self._rows.inputs, out))
+                np.copyto(cached, netmod._forward_into(plan, self._rows.features, out))
                 self._stale[b] = False
         return self._lossf(self._scored, self._scored_rows, work=self._work)
 
@@ -349,7 +351,7 @@ def _blocks_match(x, weights_t, out, full) -> bool:
 # --- evaluation data ----------------------------------------------------------
 
 
-def build_eval_set(dataset: Dataset, config: MergeConfig) -> EvalSet:
+def build_eval_set(dataset: Dataset, config: MergeConfig) -> Dataset:
     """The fixed evaluation set every decision in a merge run is measured on.
     ``onehot`` is ``kmeans:1``: one cluster per class, all of its rows."""
     mode, size = _parse_prototype(config.prototype)
@@ -472,7 +474,7 @@ def merge_layer_level(
     a: Network,
     b: Network,
     config: MergeConfig,
-    eval_set: EvalSet,
+    eval_set: Dataset,
     report: MergeReport,
 ) -> Network:
     """Blend one whole layer; no rollback exists at this level.
@@ -498,7 +500,7 @@ def cogram_merge(
     a: Network,
     b: Network,
     config: MergeConfig,
-    eval_set: EvalSet,
+    eval_set: Dataset,
 ) -> tuple[Network, MergeReport]:
     """One full back-to-front sweep over all layers of M, every decision
     measured on the fixed ``eval_set``."""
@@ -522,7 +524,7 @@ def cogram_iterate(
     b: Network,
     config: MergeConfig,
     data: Dataset | None = None,
-    eval_set: EvalSet | None = None,
+    eval_set: Dataset | None = None,
 ) -> tuple[Network, list[MergeReport]]:
     """Apply the merge config.iterations times, always on the latest M.
 

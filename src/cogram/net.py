@@ -28,16 +28,17 @@ the three in turn into the buffers of a ``Workspace``, made once by the
 caller (training makes one per batch size) or else for the call; it keeps
 each layer's output and takes each activation's derivative from it.
 
-Losses are measured on an ``EvalSet``, two arrays: the inputs and one target
-distribution per row. ``cross_entropy_loss`` and ``mse_loss`` each run
-``forward`` and then the loss kernel; ``loss_function`` picks one by name.
-Without backprop, over ``BLOCK_ROWS`` rows or more, the kernel takes the
-cross-entropy class-major: one copy of the logits into a (C, N) buffer, then
-whole-row operations over its class rows, which cost less there than one
-reduction per row over a few classes. Its sums replicate numpy's pairwise
-order of additions for a contiguous run of C values, so each loss is the
-row-major one bit for bit; the row-major kernel keeps backprop and smaller
-sets, where it is the faster one, and is the tests' oracle.
+Losses are measured on a ``synthdata.Dataset``, rows and their class labels.
+``cross_entropy_loss`` and ``mse_loss`` each run ``forward`` and then the
+loss kernel, which reads each row's logit at its label and never writes into
+the logits; ``loss_function`` picks one by name. Without backprop, over
+``BLOCK_ROWS`` rows or more, the kernel takes the cross-entropy class-major:
+one copy of the logits into a (C, N) buffer, then whole-row operations over
+its class rows, which cost less there than one reduction per row over a few
+classes. Its sums replicate numpy's pairwise order of additions for a
+contiguous run of C values, so each loss is the row-major one bit for bit;
+the row-major kernel keeps backprop and smaller sets, where it is the
+faster one, and is the tests' oracle.
 All three parts take a leading stack axis. A ``NetworkStack`` holds several
 networks of one shape as the rows of one parameter matrix; ``forward``, the
 losses and ``backward_arrays`` take it wherever they take a network and run
@@ -53,6 +54,8 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+
+from .synthdata import Dataset
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 
@@ -281,17 +284,16 @@ class Workspace:
     """Caller-owned buffers for ``forward``, the losses and backprop over
     ``rows`` inputs to networks shaped like ``net``: one activation buffer per
     layer, and the scratch arrays of the loss (the exp of the shifted logits,
-    the finiteness mask, one value per row kept as a column, and the per-row
-    loss terms). One workspace serves any network of the same shape; it holds
-    no state between calls. With ``stack`` every buffer gets a leading axis
-    of that length, for a ``NetworkStack`` of that many networks.
+    the finiteness mask, two values per row, one kept as a column, and each
+    row's offset and label position in the flat logits). One workspace serves
+    any network of the same shape; it holds no state between calls. With
+    ``stack`` every buffer gets a leading axis of that length, for a
+    ``NetworkStack`` of that many networks.
 
     With ``backprop`` it also holds what ``backward_arrays`` needs: the
-    gathered batch ``x`` and ``y``; a log-softmax buffer and a second column,
-    so that the loss leaves the logits, the exp and the row sums for the
-    backward pass; the derivative of the loss with respect to each hidden
-    layer's output (``deltas[k]``, layer k + 1's delta times its weights);
-    and each layer's activation derivative (``slopes``).
+    gathered batch ``x`` and ``labels``; the derivative of the loss with
+    respect to each hidden layer's output (``deltas[k]``, layer k + 1's delta
+    times its weights); and each layer's activation derivative (``slopes``).
     """
 
     def __init__(self, net: Network, rows: int, stack: int | None = None,
@@ -303,12 +305,12 @@ class Workspace:
         self.finite = np.empty(lead + (rows, net.num_classes), dtype=bool)
         self.col = np.empty(lead + (rows, 1))
         self.row = np.empty(lead + (rows,))
+        self.offsets = np.arange(0, self.exp.size, net.num_classes).reshape(self.row.shape)
+        self.at = np.empty(lead + (rows,), dtype=np.int64)
         self.backprop = backprop
         if backprop:
             self.x = np.empty(lead + (rows, net.input_dim))
-            self.y = np.empty(lead + (rows, net.num_classes))
-            self.logp = np.empty(lead + (rows, net.num_classes))
-            self.log_col = np.empty(lead + (rows, 1))
+            self.labels = np.empty(lead + (rows,), dtype=np.int64)
             self.deltas = [np.empty(lead + (rows, out_dim)) for out_dim, _ in net._shapes[:-1]]
             self.slopes = [np.empty(lead + (rows, out_dim)) for out_dim, _ in net._shapes]
 
@@ -407,24 +409,20 @@ def _require_finite(z: np.ndarray, caller: str, finite=None) -> None:
         raise ValueError(f"{caller} requires finite logits")
 
 
-def _shift_exp_sum(logits, caller: str, shifted=None, work: Workspace | None = None):
-    """The pass softmax and the losses share: the logits minus their maximum
-    over the last axis (into ``shifted`` when given, which may be the logits
-    themselves), the exp of that, and the sums of the exp over the last axis.
-    Rejects non-finite logits. Scratch comes from ``work`` when given, else
-    from new arrays."""
-    z = _as_f64(logits)
-    finite, e, sums = (None, None, None) if work is None else (work.finite, work.exp, work.col)
+def _shift(z: np.ndarray, caller: str, work: Workspace | None = None):
+    """The logits minus their maximum over the last axis, into ``work.exp``
+    when given, and that maximum as a column, into ``work.col``. Rejects
+    non-finite logits."""
+    finite, shifted, col = (None, None, None) if work is None else (work.finite, work.exp, work.col)
     _require_finite(z, caller, finite)
-    shifted = np.subtract(z, np.maximum.reduce(z, axis=-1, keepdims=True, out=sums), out=shifted)
-    e = np.exp(shifted, out=e)
-    return shifted, e, np.add.reduce(e, axis=-1, keepdims=True, out=sums)
+    top = np.maximum.reduce(z, axis=-1, keepdims=True, out=col)
+    return np.subtract(z, top, out=shifted), top
 
 
 def softmax(logits) -> np.ndarray:
     """Max-subtracted softmax over the last axis."""
-    _, e, sums = _shift_exp_sum(logits, "softmax")
-    e /= sums
+    e = np.exp(_shift(_as_f64(logits), "softmax")[0])
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
@@ -455,15 +453,18 @@ def _pairwise_class_sum(a: np.ndarray, lo: int, n: int) -> np.ndarray:
     return a[..., lo, :]
 
 
-def _class_major_cross_entropy(logits: np.ndarray, targets: np.ndarray, work: Workspace | None):
-    """Each row's sum of target times log-softmax, the values the row-major
-    cross-entropy sums with one reduction per row, bit for bit, taken over
-    contiguous rows of one class each. The logits are copied once into a
-    (C, N) buffer (``work.exp`` when given); the row max, the exp sums and
-    the target-term sums then run as whole-row operations, in numpy's own
-    order of additions (``_pairwise_class_sum``). The logits' own memory
-    holds the exp and is overwritten; the result is a view into the
-    buffer."""
+def _at_labels(a: np.ndarray, at: np.ndarray, out=None) -> np.ndarray:
+    """The entries of (..., N, C) ``a`` at the flat positions ``at`` of the
+    rows' labels (checked before; mode "raise" would copy ``out``)."""
+    return np.take(a.reshape(-1), at, out=out, mode="clip")
+
+
+def _class_major_cross_entropy(logits: np.ndarray, at: np.ndarray, work: Workspace | None):
+    """Each row's log-softmax at its label, the row-major kernel's values bit
+    for bit, taken over contiguous rows of one class each. The logits are
+    copied once into a (C, N) buffer (``work.exp`` when given); the row max
+    and the exp sums then run as whole-row operations, the sums in numpy's
+    own order of additions (``_pairwise_class_sum``)."""
     *lead, rows, classes = logits.shape
     shape = (*lead, classes, rows)
     _require_finite(logits, "log_softmax", None if work is None else work.finite)
@@ -471,52 +472,54 @@ def _class_major_cross_entropy(logits: np.ndarray, targets: np.ndarray, work: Wo
     np.copyto(shifted, logits.swapaxes(-1, -2))
     row = np.empty((*lead, 1, rows)) if work is None else work.row[..., None, :]
     shifted -= np.maximum.reduce(shifted, axis=-2, keepdims=True, out=row)
-    e = np.exp(shifted, out=logits.reshape(shape))
+    picked = _at_labels(logits, at, None if work is None else work.col[..., 0])
+    picked -= row[..., 0, :]
+    e = np.exp(shifted, out=shifted)
     np.log(_pairwise_class_sum(e, 0, classes), out=row[..., 0, :])
-    shifted -= row
-    shifted *= targets.swapaxes(-1, -2)
-    return _pairwise_class_sum(shifted, 0, classes)
+    return np.subtract(picked, row[..., 0, :], out=picked)
 
 
 def _loss_of_logits(
-    loss: str, logits: np.ndarray, targets: np.ndarray, work: Workspace | None = None
+    loss: str, logits: np.ndarray, labels: np.ndarray, work: Workspace | None = None
 ):
-    """The one loss kernel: mean cross-entropy of softmax(logits) against
-    target distributions, or the mean over samples and output dimensions of
-    squared residuals.
+    """The one loss kernel: mean cross-entropy of softmax(logits) at each
+    row's class label, or the mean over samples and output dimensions of
+    squared residuals from the one-hot target of each row's label.
 
     ``logits`` (N, C) give one loss, a float. Logits with a leading stack
-    axis, (S, N, C) against (N, C) targets or (S, N, C) ones, give a list of S
-    losses, each reduced exactly as the loss of its (N, C) slice alone; any
-    other targets raise ShapeError, as broadcasting would hide them. Every
-    intermediate goes into ``work``'s scratch when given, else into new
-    arrays. The cross-entropy builds the log-softmax in place in ``logits``,
-    so its caller must not keep them, unless ``work`` is made for backprop:
-    then the logits are only read, and the exp of the shifted logits and
-    their sums stay in ``work.exp`` and ``work.col`` for the backward pass.
-    Without backprop, over ``BLOCK_ROWS`` rows or more, the cross-entropy
-    runs class-major (``_class_major_cross_entropy``): its per-row reductions
-    over a few classes cost more there than the arithmetic, and it gives the
-    same bits. The squared error only reads the logits.
+    axis, (S, N, C) against (N,) labels or (S, N) ones, give a list of S
+    losses, each reduced exactly as the loss of its (N, C) slice alone. The
+    labels are integers in 0..C-1, checked by the caller. The logits are only
+    read; every intermediate goes into ``work``'s scratch when given, else
+    into new arrays. The flat positions of the rows' labels stay in
+    ``work.at``, and with a workspace made for backprop the cross-entropy
+    leaves the softmax in ``work.exp``, for the backward pass. Without
+    backprop, over ``BLOCK_ROWS`` rows or more, the cross-entropy runs
+    class-major (``_class_major_cross_entropy``): its per-row reductions over
+    a few classes cost more there than the arithmetic, and it gives the same
+    bits.
     """
-    if targets.shape not in (logits.shape, logits.shape[-2:]):
-        raise ShapeError(
-            f"targets of shape {targets.shape} do not match logits of shape {logits.shape}"
-        )
+    if work is None:
+        at = np.arange(0, logits.size, logits.shape[-1]).reshape(logits.shape[:-1]) + labels
+    else:
+        at = np.add(work.offsets, labels, out=work.at)
     if loss == "cross_entropy":
         keep = work is not None and work.backprop
         if keep or logits.shape[-2] < BLOCK_ROWS:
-            shifted, e, sums = _shift_exp_sum(
-                logits, "log_softmax", shifted=work.logp if keep else logits, work=work
-            )
-            shifted -= np.log(sums, out=work.log_col if keep else sums)
-            terms = np.multiply(targets, shifted, out=shifted)
-            values = np.add.reduce(terms, axis=-1, out=None if work is None else work.row)
+            shifted, top = _shift(logits, "log_softmax", work)
+            values = _at_labels(shifted, at, None if work is None else work.row)
+            e = np.exp(shifted, out=shifted)
+            sums = np.add.reduce(e, axis=-1, keepdims=True, out=top)
+            if keep:
+                e /= sums  # the softmax, for the backward pass
+            values -= np.log(sums, out=sums)[..., 0]
         else:
-            values = _class_major_cross_entropy(logits, targets, work)
+            values = _class_major_cross_entropy(logits, at, work)
         sign = -1.0
     elif loss == "mse":
-        values = np.subtract(logits, targets, out=None if work is None else work.exp)
+        values = np.empty(logits.shape) if work is None else work.exp
+        np.copyto(values, logits)
+        np.subtract.at(values.reshape(-1), at, 1.0)  # minus the one-hot targets
         np.square(values, out=values)
         sign = 1.0
     else:
@@ -527,54 +530,31 @@ def _loss_of_logits(
     return [sign * float(np.add.reduce(v, axis=None) / v.size) for v in values]
 
 
-@dataclass(eq=False)
-class EvalSet:
-    """A fixed evaluation set: ``inputs`` (N, d) and the target distribution
-    of each row, ``targets`` (N, C), both float64, with N >= 1."""
-
-    inputs: np.ndarray
-    targets: np.ndarray
-
-    def __post_init__(self):
-        self.inputs = _as_f64(self.inputs)
-        self.targets = _as_f64(self.targets)
-        if self.inputs.ndim != 2 or self.targets.ndim != 2:
-            raise ShapeError(
-                f"evaluation inputs and targets must be 2-d, got shapes "
-                f"{self.inputs.shape} and {self.targets.shape}"
-            )
-        if self.inputs.shape[0] != self.targets.shape[0]:
-            raise ShapeError(
-                f"{self.inputs.shape[0]} evaluation inputs but {self.targets.shape[0]} targets"
-            )
-        if self.inputs.shape[0] == 0:
-            raise ValueError("empty evaluation set")
-
-    def __len__(self) -> int:
-        return self.inputs.shape[0]
-
-
-def _loss(kind: str, net: Network | NetworkStack, eval_set: EvalSet,
+def _loss(kind: str, net: Network | NetworkStack, dataset: Dataset,
           work: Workspace | None) -> float | list[float]:
-    return _loss_of_logits(kind, forward(net, eval_set.inputs, work=work), eval_set.targets, work)
+    logits = forward(net, dataset.features, work=work)
+    if logits.shape[-1] != dataset.num_classes:
+        raise ShapeError(f"a dataset of {dataset.num_classes} classes does not fit a "
+                         f"network of {logits.shape[-1]} logits")
+    return _loss_of_logits(kind, logits, dataset.labels, work)
 
 
-def cross_entropy_loss(net: Network | NetworkStack, eval_set: EvalSet,
+def cross_entropy_loss(net: Network | NetworkStack, dataset: Dataset,
                        work: Workspace | None = None) -> float | list[float]:
-    """Mean cross-entropy of softmax(logits) against the target distributions;
-    a list of one per network for a ``NetworkStack``.
+    """Mean cross-entropy of softmax(logits) at the rows' labels; a list of
+    one per network for a ``NetworkStack``.
 
     With ``work`` (a ``Workspace`` for the set's rows) the whole pass runs
     into its buffers and allocates no array.
     """
-    return _loss("cross_entropy", net, eval_set, work)
+    return _loss("cross_entropy", net, dataset, work)
 
 
-def mse_loss(net: Network | NetworkStack, eval_set: EvalSet,
+def mse_loss(net: Network | NetworkStack, dataset: Dataset,
              work: Workspace | None = None) -> float | list[float]:
-    """Mean over rows and output dimensions of squared residuals; ``work`` as
-    for cross_entropy_loss."""
-    return _loss("mse", net, eval_set, work)
+    """Mean over rows and output dimensions of squared residuals from the
+    one-hot targets of the rows' labels; ``work`` as for cross_entropy_loss."""
+    return _loss("mse", net, dataset, work)
 
 
 def loss_function(kind: str):
@@ -587,15 +567,19 @@ def loss_function(kind: str):
 
 
 def cross_entropy_arrays(net: Network, inputs: np.ndarray, targets: np.ndarray) -> float:
-    """cross_entropy_loss over the evaluation set of these rows."""
-    return cross_entropy_loss(net, EvalSet(inputs, targets))
+    """cross_entropy_loss over these rows; their (N, C) targets must be one-hot."""
+    y = _as_f64(targets)
+    if y.ndim != 2 or not (np.isin(y, (0.0, 1.0)).all() and (y.sum(axis=-1) == 1.0).all()):
+        raise ValueError(f"targets must be one-hot rows, got shape {y.shape}")
+    return cross_entropy_loss(net, Dataset(inputs, np.argmax(y, axis=-1), y.shape[-1]))
 
 
 def backward_arrays(
-    net: Network | NetworkStack, inputs: np.ndarray, targets: np.ndarray,
+    net: Network | NetworkStack, inputs: np.ndarray, labels: np.ndarray,
     loss: str = "cross_entropy", out: np.ndarray | None = None, work: Workspace | None = None,
 ) -> tuple[float | list[float], np.ndarray]:
-    """Loss and its exact analytic gradient w.r.t. every weight and bias.
+    """Loss over rows with integer class ``labels`` and its exact analytic
+    gradient w.r.t. every weight and bias.
 
     The gradient is one vector laid out like ``theta``: written into ``out``
     when given (which must have ``theta``'s shape, and is returned as the
@@ -603,15 +587,24 @@ def backward_arrays(
     ``work``, a ``Workspace`` with ``backprop`` for these rows, or into one
     made for the call.
 
-    A ``NetworkStack`` of S networks takes (S, N, d) inputs and (S, N, C)
-    targets and gives a list of S losses and an (S, P) gradient; each
-    network's loss and gradient are bit-identical to its own call.
+    A ``NetworkStack`` of S networks takes (S, N, d) inputs and (S, N)
+    labels, or (N,) ones they share, and gives a list of S losses and an
+    (S, P) gradient; each network's loss and gradient are bit-identical to
+    its own call.
     """
     shape, plan, lead, x = _parts(net, inputs)
-    y = _as_f64(targets)
     n = x.shape[-2]
     if n == 0:
         raise ValueError("empty evaluation set")
+    labels = np.asarray(labels)
+    if labels.shape not in (lead + (n,), (n,)):
+        raise ShapeError(f"labels of shape {labels.shape} do not fit rows {lead + (n,)}")
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got {labels.dtype}")
+    low, high = labels.min(), labels.max()
+    if low < 0 or high >= shape.num_classes:
+        raise ValueError(f"label {low if low < 0 else high} is outside the label range "
+                         f"0..{shape.num_classes - 1}")
     if out is None:
         out = np.empty(lead + shape.theta.shape)
     shape.require_layout(out, "gradient buffer", lead)
@@ -619,17 +612,18 @@ def backward_arrays(
         work = Workspace(shape, n, *lead, backprop=True)
     _require_workspace(work, shape, lead, n, backprop=True)
     logits = _forward_into(plan, x, work.acts)
-    value = _loss_of_logits(loss, logits, y, work)
+    value = _loss_of_logits(loss, logits, labels, work)
 
+    # d(mean loss)/dlogits from the one-hot targets of the labels: the
+    # cross-entropy's (softmax - onehot) / n, its softmax left in work.exp by
+    # the loss, or the squared error's 2 (logits - onehot) / (n C)
     delta = work.exp
+    if loss == "mse":
+        np.copyto(delta, logits)
+    np.subtract.at(delta.reshape(-1), work.at, 1.0)
     if loss == "cross_entropy":
-        # the shift/exp/sum of the loss gives d(mean CE)/dlogits = (softmax - y) / n,
-        # which holds for any target distribution summing to 1
-        delta /= work.col
-        delta -= y
         delta /= n
     else:
-        np.subtract(logits, y, out=delta)
         delta *= 2.0
         delta /= n * shape.num_classes
 

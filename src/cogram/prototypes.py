@@ -5,18 +5,18 @@ representative input: the elementwise geometric mean of the magnitude
 vectors |x|, epsilon-stabilized and computed in log space. Clusters come
 from per-class k-means; with one cluster per class, every row of the class.
 Raw-batch mode skips the compression and evaluates on sampled rows. Every
-builder returns a ``net.EvalSet``: the rows stacked into one input array, and
-the one-hot targets of their classes.
+builder returns a ``synthdata.Dataset``: the rows stacked into one feature
+array, and the class label of each.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .net import EvalSet
-from .synthdata import Dataset, one_hot
+from .synthdata import Dataset
 
 DEFAULT_EPSILON = 1e-6
+KMEANS_MAX_ITERS = 50  # Lloyd's iterations per class before it stops unconverged
 
 
 def geometric_mean_prototype(samples, epsilon: float = DEFAULT_EPSILON) -> np.ndarray:
@@ -31,13 +31,13 @@ def geometric_mean_prototype(samples, epsilon: float = DEFAULT_EPSILON) -> np.nd
     return np.exp(np.mean(np.log(np.abs(x) + epsilon), axis=0))
 
 
-def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator, max_iters: int):
+def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator):
     """Plain Lloyd's k-means. Empty clusters are re-seeded with the point
     farthest from its assigned centroid (lowest index on ties)."""
     n = points.shape[0]
     centroids = points[rng.choice(n, size=k, replace=False)].copy()
     assignment = np.full(n, -1, dtype=np.int64)
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         dists = np.linalg.norm(points[:, None, :] - centroids[None, :, :], axis=2)
         new_assignment = np.argmin(dists, axis=1)
         moved: set[int] = set()
@@ -63,9 +63,8 @@ def build_prototypes_kmeans(
     dataset: Dataset,
     k_per_class: int,
     kmeans_seed: int = 0,
-    max_iters: int = 50,
     epsilon: float = DEFAULT_EPSILON,
-) -> EvalSet:
+) -> Dataset:
     """k-means within each class, then one geometric-mean prototype per cluster."""
     if k_per_class < 1:
         raise ValueError("k_per_class must be >= 1")
@@ -77,17 +76,17 @@ def build_prototypes_kmeans(
             raise ValueError(
                 f"class {int(c)} has {members.shape[0]} samples, fewer than k={k_per_class}"
             )
-        assignment = _lloyd(members, k_per_class, rng, max_iters)
+        assignment = _lloyd(members, k_per_class, rng)
         clusters = [members[assignment == j] for j in range(k_per_class)]
         rows += [geometric_mean_prototype(cluster, epsilon) for cluster in clusters]
         classes += [c] * len(clusters)
-    return EvalSet(np.stack(rows), one_hot(classes, dataset.num_classes))
+    return Dataset(np.stack(rows), classes, dataset.num_classes)
 
 
-def build_raw_batch(dataset: Dataset, batch_size: int, seed: int = 0) -> EvalSet:
+def build_raw_batch(dataset: Dataset, batch_size: int, seed: int = 0) -> Dataset:
     """Seeded sample without replacement; rows stay untransformed."""
     n = len(dataset)
     if not 1 <= batch_size <= n:
         raise ValueError(f"batch_size must be in 1..{n}, got {batch_size}")
     rows = np.random.default_rng(seed).choice(n, size=batch_size, replace=False)
-    return EvalSet(dataset.features[rows], one_hot(dataset.labels[rows], dataset.num_classes))
+    return Dataset(dataset.features[rows], dataset.labels[rows], dataset.num_classes)

@@ -61,10 +61,12 @@ class DataConfig:
         check_number("test_noise_multiplier", self.test_noise_multiplier, 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
     """Labelled rows; the one check of data: it refuses no rows, features not
-    (N, dim), N != label count, a non-finite feature, a label outside 0..C-1."""
+    (N, dim), N != label count, a non-finite feature, a label that is not a
+    whole number or is outside 0..C-1. No field can be reassigned and the
+    labels are a read-only copy, so the losses can trust them."""
 
     features: np.ndarray  # (N, dim)
     labels: np.ndarray    # (N,) ints in 0..num_classes-1
@@ -72,21 +74,31 @@ class Dataset:
 
     def __post_init__(self):
         # C-contiguous rows: training gathers its batches from them
-        self.features = np.ascontiguousarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        object.__setattr__(self, "features", np.ascontiguousarray(self.features, np.float64))
+        labels = np.asarray(self.labels)
         if len(self.features) == 0:
             raise ValueError("empty dataset")
         if self.features.ndim != 2:
             raise ValueError(f"features must be 2-d (rows, dim), got shape {self.features.shape}")
-        if self.labels.shape != (len(self),):
-            raise ValueError(f"{len(self)} feature rows but labels of shape {self.labels.shape}")
+        if labels.shape != (len(self),):
+            raise ValueError(f"{len(self)} feature rows but labels of shape {labels.shape}")
         finite = np.isfinite(self.features).all(axis=1)
         if not finite.all():
             raise ValueError(f"data row {np.argmin(finite) + 1} has a non-finite feature")
-        outside = (self.labels < 0) | (self.labels >= self.num_classes)
+        if labels.dtype.kind not in "iu":
+            labels = labels.astype(np.float64)
+            whole = np.isfinite(labels) & (labels == np.floor(labels))
+            if not whole.all():
+                row = np.argmin(whole)
+                raise ValueError(f"data row {row + 1} has label {float(labels[row])!r}, "
+                                 "not a whole number")
+        outside = (labels < 0) | (labels >= self.num_classes)
         if outside.any():
-            raise ValueError(f"label {self.labels[np.argmax(outside)]} is outside the label "
+            raise ValueError(f"label {int(labels[np.argmax(outside)])} is outside the label "
                              f"range 0..{self.num_classes - 1}")
+        labels = labels.astype(np.int64)
+        labels.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -96,11 +108,7 @@ class Dataset:
         return self.features.shape[1]
 
     def one_hot(self) -> np.ndarray:
-        return one_hot(self.labels, self.num_classes)
-
-
-def one_hot(labels, num_classes: int) -> np.ndarray:
-    return np.eye(num_classes, dtype=np.float64)[np.asarray(labels, dtype=np.int64)]
+        return np.eye(self.num_classes)[self.labels]
 
 
 def concat(a: Dataset, b: Dataset) -> Dataset:
@@ -236,9 +244,8 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
     """Read a CSV written by save_csv. Without ``num_classes`` the label
     range is 0..max label.
 
-    Raises ValueError for rows whose width differs from the header's, labels
-    that are not whole numbers and what ``Dataset`` refuses, instead of
-    coercing them.
+    Raises ValueError for rows whose width differs from the header's and
+    for what ``Dataset`` refuses, instead of coercing them.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -256,16 +263,9 @@ def load_csv(path, num_classes: int | None = None) -> Dataset:
     if raw.size == 0:
         raise ValueError(f"{path}: no data rows")
     _check_width(path, 1, raw.shape[1], len(columns))
-    features, column = raw[:, :-1], raw[:, -1]
-    whole = np.isfinite(column) & (column == np.floor(column))
-    if not whole.all():
-        row = np.argmin(whole)
-        raise ValueError(
-            f"{path}: data row {row + 1} has label {float(column[row])!r}, not a whole number"
-        )
-    labels = column.astype(np.int64)
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1
+    features, labels = raw[:, :-1], raw[:, -1]
+    if num_classes is None:  # Dataset refuses a label that is not finite
+        num_classes = int(np.max(labels, where=np.isfinite(labels), initial=0)) + 1
     try:
         return Dataset(features, labels, num_classes)
     except ValueError as exc:

@@ -187,8 +187,6 @@ def train_stack(
         )
     check_number("batch_size", batch_size, 1, integer=True)
     check_number("epochs", epochs, 0, integer=True)
-    features = [dataset.features for dataset in datasets]
-    targets = [dataset.one_hot() for dataset in datasets]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     state = _zero_state(optimizer_config, (len(nets), net.theta.size))
     clip_norm = optimizer_config.clip_norm
@@ -212,10 +210,10 @@ def train_stack(
             for s, order in enumerate(orders):
                 idx = order[start : start + rows]
                 # the indices are in range; mode "raise" would copy ``out`` on every call
-                np.take(features[s], idx, axis=0, out=work.x[s], mode="clip")
-                np.take(targets[s], idx, axis=0, out=work.y[s], mode="clip")
+                np.take(datasets[s].features, idx, axis=0, out=work.x[s], mode="clip")
+                np.take(datasets[s].labels, idx, out=work.labels[s], mode="clip")
             losses, _ = netmod.backward_arrays(
-                stack, work.x, work.y, loss="cross_entropy", out=grad, work=work
+                stack, work.x, work.labels, loss="cross_entropy", out=grad, work=work
             )
             if clip_norm is not None:
                 for s, row in enumerate(trained):

@@ -43,11 +43,11 @@ def _ref_log_softmax(z):
 
 def ref_loss(kind):
     def lossf(net, eval_set):
-        x = np.asarray(eval_set.inputs, dtype=np.float64)
+        x = np.asarray(eval_set.features, dtype=np.float64)
         if x.shape[0] == 0:
             raise ValueError("empty evaluation set")
         logits = _ref_forward(net, x)
-        targets = np.asarray(eval_set.targets, dtype=np.float64)
+        targets = np.eye(logits.shape[-1])[eval_set.labels]  # the labels' one-hot targets
         if kind == "cross_entropy":
             return float(-np.mean(np.sum(targets * _ref_log_softmax(logits), axis=-1)))
         return float(np.mean((logits - targets) ** 2))

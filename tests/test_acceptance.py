@@ -34,8 +34,8 @@ from cogram.net import (
     random_network,
 )
 from cogram.prototypes import geometric_mean_prototype
-from cogram.synthdata import DataConfig
-from conftest import ArrayEvalSet, assert_gradients_match_finite_differences
+from cogram.synthdata import DataConfig, Dataset
+from conftest import assert_gradients_match_finite_differences
 from merge_reference import assert_matches_reference
 
 
@@ -45,8 +45,7 @@ def _announce(number, name, detail=""):
 
 def _random_eval(rng, n, dim, num_classes):
     x = rng.normal(size=(n, dim))
-    y = np.eye(num_classes)[rng.integers(0, num_classes, size=n)]
-    return ArrayEvalSet(x, y)
+    return Dataset(x, rng.integers(0, num_classes, size=n), num_classes)
 
 
 # --- criterion 1: gradient correctness ----------------------------------------
@@ -60,8 +59,8 @@ def test_criterion_01_gradient_correctness():
         rng = np.random.default_rng(10_000 + trial)
         net = random_network(list(sizes), seed=20_000 + trial)
         x = rng.normal(size=(4, sizes[0]))
-        y = np.eye(sizes[-1])[rng.integers(0, sizes[-1], size=4)]
-        assert_gradients_match_finite_differences(net, x, y, h=1e-5, tol=1e-5)
+        labels = rng.integers(0, sizes[-1], size=4)
+        assert_gradients_match_finite_differences(net, x, labels, h=1e-5, tol=1e-5)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"gradient check took {elapsed:.1f}s"
     _announce(1, "gradient correctness", f"(20 networks, {elapsed:.2f}s)")
@@ -107,7 +106,7 @@ def test_criterion_02_equation_unit_suite():
     # uniform predictor cross-entropy
     c = 20
     net = Network([DenseLayer(np.zeros((c, 32)), np.zeros(c), "identity")], 32, c)
-    es = ArrayEvalSet(rng.normal(size=(c, 32)), np.eye(c))
+    es = Dataset(rng.normal(size=(c, 32)), np.arange(c), c)
     assert abs(cross_entropy_loss(net, es) - math.log(20)) < 1e-12
     _announce(2, "equation unit suite")
 

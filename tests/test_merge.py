@@ -38,11 +38,10 @@ from cogram.net import (
     cross_entropy_loss,
     forward,
     random_network,
-    softmax,
 )
 from cogram.synthdata import Dataset
 from cogram.training import OptimizerConfig, accuracy
-from conftest import ArrayEvalSet
+from conftest import self_consistent_eval
 
 
 def _param_bytes(net):
@@ -51,8 +50,7 @@ def _param_bytes(net):
 
 def _random_eval(rng, n, dim, num_classes):
     x = rng.normal(size=(n, dim))
-    y = np.eye(num_classes)[rng.integers(0, num_classes, size=n)]
-    return ArrayEvalSet(x, y)
+    return Dataset(x, rng.integers(0, num_classes, size=n), num_classes)
 
 
 def _neuron_decision(ev, neuron, a, b, config, report):
@@ -65,14 +63,6 @@ def _neuron_decision(ev, neuron, a, b, config, report):
     if rec.action == "rolled_back":
         assert ev.theta.tobytes() == entry
         assert ev.loss() == rec.loss_pre
-
-
-def _self_consistent_eval(net, rng, n):
-    """Targets equal M's own softmax outputs: M is the strict global optimum
-    of the cross-entropy on this set, so any output change raises the loss."""
-    x = rng.normal(size=(n, net.input_dim))
-    y = softmax(forward(net, x))
-    return ArrayEvalSet(x, y)
 
 
 FORCE_DESCENT = Thresholds(
@@ -296,7 +286,7 @@ def test_pair_losses_equal_two_single_scores_after_any_history(data):
     k = data.draw(st.integers(0, len(sizes) - 2))
     out_dim, in_dim = m.layers[k].weights.shape
     if data.draw(st.booleans()):  # M starts at the optimum, so neuron passes roll back
-        es = _self_consistent_eval(m, rng, data.draw(st.integers(1, 6)))
+        m, es = self_consistent_eval(m, rng, data.draw(st.integers(1, 6)))
     else:
         es = _random_eval(rng, data.draw(st.integers(1, 6)), sizes[0], sizes[-1])
     config = dataclasses.replace(FORCE_WEIGHT_PASS, loss=loss)
@@ -435,8 +425,7 @@ def test_merge_neuron_level_tie_rolls_back_bit_identical():
 
 def test_merge_neuron_level_adversarial_eval_always_rolls_back():
     rng = np.random.default_rng(11)
-    m = random_network([6, 5, 4], seed=0)
-    es = _self_consistent_eval(m, rng, 10)
+    m, es = self_consistent_eval(random_network([6, 5, 4], seed=0), rng, 10)
     a = random_network([6, 5, 4], seed=1)
     b = random_network([6, 5, 4], seed=2)
     cfg = MergeConfig()
@@ -495,7 +484,7 @@ def test_merge_weight_level_bias_index():
     m = random_network([4, 3], seed=0)
     a = random_network([4, 3], seed=1)
     b = random_network([4, 3], seed=2)
-    es = _self_consistent_eval(a, rng, 8)  # favors A's parameters
+    a, es = self_consistent_eval(a, rng, 8)  # favors A's parameters
     cfg = MergeConfig()
     rep = _empty_report()
     in_dim = m.layers[0].in_dim
@@ -666,11 +655,11 @@ def test_build_eval_set_modes():
     labels = np.repeat(np.arange(4), 10)
     data = Dataset(feats, labels, 4)
     onehot = build_eval_set(data, MergeConfig(prototype="onehot"))
-    assert len(onehot) == 4 and np.array_equal(onehot.targets, np.eye(4))
+    assert len(onehot) == 4 and np.array_equal(onehot.labels, np.arange(4))
     kmeans = build_eval_set(data, MergeConfig(prototype="kmeans:2"))
     assert len(kmeans) == 8
     batch = build_eval_set(data, MergeConfig(prototype="batch:7"))
-    assert len(batch) == 7 and all((feats == row).all(axis=1).any() for row in batch.inputs)
+    assert len(batch) == 7 and all((feats == row).all(axis=1).any() for row in batch.features)
     whole = build_eval_set(data, MergeConfig(prototype="batch"))
     assert len(whole) == 40
     with pytest.raises(ValueError, match="^N in prototype 'batch:41' must be at most the 40 "

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from cogram import merge, net as netmod
 from cogram.merge import LevelThresholds, MergeConfig, MergeReport, Thresholds
 from cogram.synthdata import Dataset
-from conftest import ArrayEvalSet
+from conftest import self_consistent_eval
 from merge_reference import assert_matches_reference, block_of, ref_loss, with_block
 
 # --- engine against reference -----------------------------------------------------
@@ -77,7 +77,7 @@ def test_engine_matches_reference_at_the_benchmark_shape():
     config = MergeConfig(thresholds=BANDS["descend"], max_granularity="neuron",
                          prototype="batch:2048", eval_seed=1)
     eval_set = merge.build_eval_set(_dataset(n=2048, sizes=sizes), config)
-    assert eval_set.inputs.shape == (2048, 32)
+    assert eval_set.features.shape == (2048, 32)
     m, a, b = _trio("relu", sizes=sizes)
     _, reports = _assert_engine_matches_reference(m, a, b, config, eval_set)
     assert sum(rec.level == "neuron" for rec in reports[0].records) == 64 + 64 + 20
@@ -89,7 +89,7 @@ def test_engine_matches_reference_at_the_benchmark_weight_shape():
     sizes = [32, 64, 64, 20]
     config = MergeConfig(thresholds=BANDS["descend"], max_granularity="weight")
     eval_set = merge.build_eval_set(_dataset(n=400, sizes=sizes), config)
-    assert eval_set.inputs.shape == (20, 32)
+    assert eval_set.features.shape == (20, 32)
     m, a, b = _trio("relu", sizes=sizes)
     _, reports = _assert_engine_matches_reference(m, a, b, config, eval_set)
     records = reports[0].records
@@ -198,8 +198,8 @@ def _merge_case(draw):
                for i in range(3))
     rng = np.random.default_rng(seed)
     rows = draw(st.integers(1, 6))
-    eval_set = ArrayEvalSet(rng.normal(size=(rows, sizes[0])),
-                            np.eye(sizes[-1])[rng.integers(0, sizes[-1], size=rows)])
+    eval_set = Dataset(rng.normal(size=(rows, sizes[0])),
+                       rng.integers(0, sizes[-1], size=rows), sizes[-1])
     layer = draw(st.integers(0, len(sizes) - 2))
     return m, a, b, eval_set, layer, rng
 
@@ -248,9 +248,9 @@ def test_running_loss_never_increases_across_a_weight_pass(case, data):
 @PROPERTY_SETTINGS
 @given(_merge_case(), st.data())
 def test_rolled_back_neuron_row_is_bit_identical_to_its_baseline(case, data):
-    m, a, b, eval_set, k, _ = case
-    # targets equal M's own softmax: any change to M's outputs raises the loss
-    eval_set.targets = netmod.softmax(netmod.forward(m, eval_set.inputs))
+    m, a, b, eval_set, k, rng = case
+    # M scaled to a cross-entropy of exactly 0.0: no change to it lowers the loss
+    m, eval_set = self_consistent_eval(m, rng, len(eval_set))
     config = data.draw(st.sampled_from([MergeConfig(max_granularity="neuron"), FORCE_WEIGHTS]))
     neuron = data.draw(st.integers(0, m.layers[k].out_dim - 1))
     report = MergeReport([], 0.0, 0.0, 0.0)

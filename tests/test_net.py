@@ -7,7 +7,6 @@ import pytest
 from cogram import net as netmod
 from cogram.net import (
     DenseLayer,
-    EvalSet,
     FormatError,
     Network,
     ShapeError,
@@ -18,7 +17,8 @@ from cogram.net import (
     random_network,
     softmax,
 )
-from conftest import ArrayEvalSet, assert_gradients_match_finite_differences
+from cogram.synthdata import Dataset
+from conftest import assert_gradients_match_finite_differences
 
 
 def _param_bytes(net):
@@ -135,7 +135,7 @@ def test_softmax_rejects_non_finite():
 def test_cross_entropy_uniform_predictor_is_log_c():
     c = 20
     net = Network([DenseLayer(np.zeros((c, 32)), np.zeros(c), "identity")], 32, c)
-    es = ArrayEvalSet(np.random.default_rng(0).normal(size=(c, 32)), np.eye(c))
+    es = Dataset(np.random.default_rng(0).normal(size=(c, 32)), np.arange(c), c)
     assert abs(netmod.cross_entropy_loss(net, es) - math.log(20)) < 1e-12
 
 
@@ -143,7 +143,7 @@ def test_cross_entropy_perfect_prediction_limit():
     # margin 20 -> wrong-class mass ~ 5 * e^-20 ~ 1e-8, so loss -> 0+
     c = 6
     net = Network([DenseLayer(20.0 * np.eye(c), np.zeros(c), "identity")], c, c)
-    es = ArrayEvalSet(np.eye(c), np.eye(c))
+    es = Dataset(np.eye(c), np.arange(c), c)
     loss = netmod.cross_entropy_loss(net, es)
     assert 0.0 < loss < 1e-7
 
@@ -151,64 +151,112 @@ def test_cross_entropy_perfect_prediction_limit():
 def test_cross_entropy_equals_mean_of_per_sample_oracle():
     rng = np.random.default_rng(11)
     net = random_network([7, 6, 4], seed=3)
-    es = ArrayEvalSet(rng.normal(size=(5, 7)), np.eye(4)[rng.integers(0, 4, size=5)])
+    es = Dataset(rng.normal(size=(5, 7)), rng.integers(0, 4, size=5), 4)
     got = netmod.cross_entropy_loss(net, es)
 
     # oracle: per-sample softmax probabilities, direct log, then average
     per_sample = []
     for k in range(5):
-        [logits] = forward(net, es.inputs[k : k + 1])
+        [logits] = forward(net, es.features[k : k + 1])
         e = np.exp(logits - logits.max())
         p = e / e.sum()
-        per_sample.append(-float(np.dot(es.targets[k], np.log(p))))
+        per_sample.append(-float(np.log(p[es.labels[k]])))
     assert abs(got - np.mean(per_sample)) < 1e-12
 
 
 def test_cross_entropy_rejects_empty():
     net = random_network([4, 3], seed=0)
-    with pytest.raises(ValueError, match="^empty evaluation set$"):
+    with pytest.raises(ValueError, match="^empty dataset$"):
         cross_entropy_arrays(net, np.zeros((0, 4)), np.zeros((0, 3)))
+    with pytest.raises(ValueError, match="^empty evaluation set$"):
+        backward_arrays(net, np.zeros((0, 4)), np.zeros(0, dtype=int))
 
 
 def test_mse_zero_when_outputs_equal_targets():
+    # the identity network's outputs are the one-hot targets of the labels
     net = Network([DenseLayer(np.eye(3), np.zeros(3), "identity")], 3, 3)
-    x = np.random.default_rng(1).normal(size=(4, 3))
-    assert mse_loss(net, EvalSet(x, x)) == 0.0
+    labels = np.array([0, 2, 1, 1])
+    assert mse_loss(net, Dataset(np.eye(3)[labels], labels, 3)) == 0.0
 
 
 def test_mse_single_prototype_value():
-    # output (1, 0) vs target (0, 0): (1 + 0) / 2 = 0.5
+    # output (3, 0.5) vs target (0, 1): (9 + 0.25) / 2 = 4.625
     net = Network([DenseLayer(np.eye(2), np.zeros(2), "identity")], 2, 2)
-    assert mse_loss(net, EvalSet(np.array([[1.0, 0.0]]), np.array([[0.0, 0.0]]))) == 0.5
+    assert mse_loss(net, Dataset(np.array([[3.0, 0.5]]), [1], 2)) == 4.625
 
 
 def test_mse_quadratic_homogeneity():
+    # residuals d from the one-hot targets, then 2d: the loss scales by 4
     net = Network([DenseLayer(np.eye(2), np.zeros(2), "identity")], 2, 2)
-    x = np.array([[1.0, -2.0], [0.5, 3.0]])
-    base = mse_loss(net, EvalSet(x, np.zeros_like(x)))
-    scaled = mse_loss(net, EvalSet(2.0 * x, np.zeros_like(x)))
+    labels = np.array([1, 0])
+    d = np.array([[1.0, -2.0], [0.5, 3.0]])
+    base = mse_loss(net, Dataset(np.eye(2)[labels] + d, labels, 2))
+    scaled = mse_loss(net, Dataset(np.eye(2)[labels] + 2.0 * d, labels, 2))
     assert abs(scaled - 4.0 * base) < 1e-12
 
 
-# --- mis-shaped targets -----------------------------------------------------
+# --- bad labels ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("shape", [(6, 1), (3,), (1, 3), (6, 2), (6, 4)])
-@pytest.mark.parametrize("lossf", [netmod.cross_entropy_loss, mse_loss])
-def test_losses_reject_targets_not_shaped_like_the_logits(lossf, shape):
-    # broadcasting would turn each of these into a plausible number
-    net = random_network([4, 5, 3], seed=0)
+def _labelled_rows():
     rng = np.random.default_rng(0)
-    es = EvalSet(rng.normal(size=(6, 4)), np.eye(3)[rng.integers(0, 3, size=6)])
-    es.targets = np.full(shape, 1.0 / shape[-1])
-    for work in (None, netmod.Workspace(net, 6)):
-        with pytest.raises(ShapeError, match="do not match logits of shape"):
-            lossf(net, es, work=work)
-    if len(shape) == 2 and shape[0] == 6:
-        with pytest.raises(ShapeError):
-            cross_entropy_arrays(net, es.inputs, es.targets)
-    with pytest.raises(ShapeError, match="do not match logits of shape"):
-        backward_arrays(net, es.inputs, es.targets, loss=lossf.__name__.removesuffix("_loss"))
+    return random_network([4, 5, 3], seed=0), rng.normal(size=(6, 4)), rng.integers(0, 3, size=6)
+
+
+@pytest.mark.parametrize("lossf", [netmod.cross_entropy_loss, mse_loss])
+def test_losses_refuse_a_dataset_of_another_class_count(lossf):
+    # a dataset itself refuses labels that are not whole numbers or are out
+    # of range (see test_synthdata)
+    net, x, labels = _labelled_rows()
+    for classes in (2, 4):
+        es = Dataset(x, labels % classes, classes)
+        for work in (None, netmod.Workspace(net, 6)):
+            with pytest.raises(ShapeError, match=f"^a dataset of {classes} classes does not "
+                                                 "fit a network of 3 logits$"):
+                lossf(net, es, work=work)
+
+
+BAD_LABELS = {
+    "fewer": (lambda y: y[:5], ShapeError, r"^labels of shape \(5,\) do not fit rows \(6,\)$"),
+    "column": (lambda y: y[:, None], ShapeError,
+               r"^labels of shape \(6, 1\) do not fit rows \(6,\)$"),
+    "stacked": (lambda y: np.stack([y] * 2), ShapeError,
+                r"^labels of shape \(2, 6\) do not fit rows \(6,\)$"),
+    "float": (lambda y: y.astype(float), ValueError, "^labels must be integers, got float64$"),
+    "bool": (lambda y: y == 1, ValueError, "^labels must be integers, got bool$"),
+    # a negative label never wraps to the last class
+    "negative": (lambda y: np.where(y == 2, -1, y), ValueError,
+                 r"^label -1 is outside the label range 0\.\.2$"),
+    "too_large": (lambda y: np.where(y == 2, 3, y), ValueError,
+                  r"^label 3 is outside the label range 0\.\.2$"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_LABELS)
+@pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
+def test_backprop_refuses_bad_labels(loss, bad):
+    net, x, labels = _labelled_rows()
+    change, error, message = BAD_LABELS[bad]
+    for work in (None, netmod.Workspace(net, 6, backprop=True)):
+        with pytest.raises(error, match=message):
+            backward_arrays(net, x, change(labels), loss=loss, work=work)
+
+
+def test_cross_entropy_arrays_takes_only_one_hot_targets():
+    net, x, labels = _labelled_rows()
+    for targets in (np.full((6, 3), 1.0 / 3), np.eye(3)[labels][:, :2], np.eye(3)[labels][0]):
+        with pytest.raises(ValueError, match="^targets must be one-hot rows"):
+            cross_entropy_arrays(net, x, targets)
+    assert cross_entropy_arrays(net, x, np.eye(3)[labels]) == \
+        netmod.cross_entropy_loss(net, Dataset(x, labels, 3))
+
+
+def test_stacked_backprop_refuses_labels_of_another_stack_size():
+    net = random_network([4, 5, 3], seed=0)
+    stack = netmod.NetworkStack(net, np.tile(net.theta, (2, 1)))
+    x = np.random.default_rng(0).normal(size=(2, 6, 4))
+    with pytest.raises(ShapeError, match=r"^labels of shape \(3, 6\) do not fit rows \(2, 6\)$"):
+        backward_arrays(stack, x, np.zeros((3, 6), dtype=int))
 
 
 def test_loss_function_by_name():
@@ -221,33 +269,34 @@ def test_loss_function_by_name():
 # --- workspaces --------------------------------------------------------------
 
 
-def _workspace_case(activation, rows, soft, seed=0):
+def _workspace_case(activation, rows, labels="random", seed=0):
+    """A network with nonzero biases and a set of ``rows`` rows, labelled at
+    random or all with the last class (the last entry of the flat logits)."""
     rng = np.random.default_rng(seed)
     net = random_network([6, 8, 7, 5], seed, hidden_activation=activation)
     layers = [DenseLayer(l.weights, rng.normal(scale=0.1, size=l.out_dim), l.activation)
               for l in net.layers]
     net = Network(layers, net.input_dim, net.num_classes)
-    targets = (softmax(rng.normal(size=(rows, 5))) if soft
-               else np.eye(5)[rng.integers(0, 5, size=rows)])
-    return net, ArrayEvalSet(rng.normal(size=(rows, 6)), targets)
+    classes = rng.integers(0, 5, size=rows) if labels == "random" else np.full(rows, 4)
+    return net, Dataset(rng.normal(size=(rows, 6)), classes, 5)
 
 
 @pytest.mark.parametrize("rows", [1, 37])
-@pytest.mark.parametrize("soft", [False, True])
+@pytest.mark.parametrize("labels", ["random", "last"])
 @pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
-def test_workspace_matches_allocating_call_bit_for_bit(activation, soft, rows):
-    net, es = _workspace_case(activation, rows, soft)
+def test_workspace_matches_allocating_call_bit_for_bit(activation, labels, rows):
+    net, es = _workspace_case(activation, rows, labels)
     work = netmod.Workspace(net, rows)
     for lossf in (netmod.cross_entropy_loss, netmod.mse_loss):
         assert lossf(net, es, work=work) == lossf(net, es)
-    logits = forward(net, es.inputs)
-    assert forward(net, es.inputs, work=work).tobytes() == logits.tobytes()
-    assert forward(net, es.inputs[:1], work=netmod.Workspace(net, 1)).tobytes() == \
-        forward(net, es.inputs[:1]).tobytes()
+    logits = forward(net, es.features)
+    assert forward(net, es.features, work=work).tobytes() == logits.tobytes()
+    assert forward(net, es.features[:1], work=netmod.Workspace(net, 1)).tobytes() == \
+        forward(net, es.features[:1]).tobytes()
 
 
 def test_workspace_reused_across_networks_keeps_no_state():
-    (n1, es), (n2, _) = _workspace_case("relu", 9, True, 1), _workspace_case("relu", 9, True, 2)
+    (n1, es), (n2, _) = _workspace_case("relu", 9, seed=1), _workspace_case("relu", 9, seed=2)
     work = netmod.Workspace(n1, 9)
     for lossf in (netmod.cross_entropy_loss, netmod.mse_loss):
         expected = lossf(n1, es), lossf(n2, es)
@@ -256,25 +305,59 @@ def test_workspace_reused_across_networks_keeps_no_state():
         assert (lossf(n2, es, work=work), lossf(n1, es, work=work)) == expected[::-1]
 
 
+def _overflowing(bad, rows):
+    """A network and ``rows`` finite rows whose logit 1 of the middle row is
+    ``bad`` (nan, inf or -inf): its weights of 1e308 overflow."""
+    weights = np.eye(3)
+    weights[1, 1:] = 1e308
+    net = Network([DenseLayer(weights, np.zeros(3), "identity")], 3, 3)
+    inputs = np.zeros((rows, 3))
+    inputs[:, 0] = np.random.default_rng(0).normal(size=rows)
+    inputs[rows // 2, 1:] = (10.0, -10.0) if np.isnan(bad) else (10.0 * np.sign(bad), 0.0)
+    return net, Dataset(inputs, np.arange(rows) % 3, 3)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_workspace_rejects_non_finite_logits_like_the_allocating_call(bad):
-    net = Network([DenseLayer(np.eye(3), np.zeros(3), "identity")], 3, 3)
-    es = ArrayEvalSet(np.array([[0.0, bad, 1.0], [1.0, 2.0, 3.0]]), np.eye(3)[:2])
+    net, es = _overflowing(bad, 2)
     for work in (None, netmod.Workspace(net, 2)):
-        with np.errstate(invalid="ignore"), \
+        with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="^log_softmax requires finite logits$"):
             netmod.cross_entropy_loss(net, es, work=work)
 
 
-def _row_major_cross_entropy(logits, targets):
-    """The row-major kernel, in plain numpy: one reduction per row over its
-    classes, then np.mean's sum over the rows; a list for stacked logits."""
+def _one_hot_losses(logits, labels):
+    """The cross-entropy and the squared error against the one-hot targets of
+    ``labels``, in plain numpy: one reduction per row over its classes, then
+    np.mean's sum over the rows; a list for stacked logits."""
+    targets = np.eye(logits.shape[-1])[labels]
     shifted = logits - np.max(logits, axis=-1, keepdims=True)
     logp = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
-    values = np.sum(targets * logp, axis=-1)
-    if values.ndim == 1:
-        return -float(np.sum(values) / values.size)
-    return [-float(np.sum(v) / v.size) for v in values]
+    per_row = np.sum(targets * logp, axis=-1)
+    squares = (logits - targets) ** 2
+    if logits.ndim == 2:
+        return {"cross_entropy": -float(np.sum(per_row) / per_row.size),
+                "mse": float(np.mean(squares))}
+    return {"cross_entropy": [-float(np.sum(v) / v.size) for v in per_row],
+            "mse": [float(np.mean(v)) for v in squares]}
+
+
+def _one_hot_gradient(theta, x, labels, kind):
+    """The gradient of a one-layer network whose parameters are ``theta``
+    (the (C, d) weights, then the biases) on rows ``x`` with ``labels``, from
+    the one-hot delta formula in plain numpy."""
+    classes, d = theta.size // (x.shape[-1] + 1), x.shape[-1]
+    weights, biases = theta[: classes * d].reshape(classes, d), theta[classes * d :]
+    logits = x @ weights.T
+    logits += biases
+    targets = np.eye(biases.size)[labels]
+    n = len(x)
+    if kind == "cross_entropy":
+        e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+        delta = (e / np.sum(e, axis=-1, keepdims=True) - targets) / n
+    else:
+        delta = 2.0 * (logits - targets) / (n * biases.size)
+    return np.concatenate([(delta.T @ x).ravel(), delta.sum(axis=0)])
 
 
 CLASS_COUNTS = [*range(1, 41), 63, 64, 65, 127, 128, 129, 130, 257]
@@ -282,53 +365,72 @@ CLASS_COUNTS = [*range(1, 41), 63, 64, 65, 127, 128, 129, 130, 257]
 
 @pytest.mark.parametrize("classes", CLASS_COUNTS)
 def test_class_major_cross_entropy_equals_the_row_major_kernel(classes):
-    # BLOCK_ROWS rows or more, no backprop: the class-major kernel, whose sums
-    # follow numpy's pairwise order for every class count (under 8, 8-128, above)
+    # both kernels against the one-hot formula, bit for bit: the row-major one
+    # under BLOCK_ROWS rows and with backprop, the class-major one from
+    # BLOCK_ROWS rows, whose sums follow numpy's pairwise order for every
+    # class count (under 8, 8-128, above); an odd row count runs a stack of
+    # two, with shared labels and with labels of each network's own
     rng = np.random.default_rng(classes)
     net = random_network([2, classes], 0)
-    for rows in (netmod.BLOCK_ROWS, 1000, 2047, 4000):
+    for rows in (1, 37, netmod.BLOCK_ROWS - 1, netmod.BLOCK_ROWS, 1000, 2047, 4000):
         stack = (2,) if rows % 2 else ()
         spread = 10.0 ** rng.uniform(-3, 3, size=stack + (rows, 1))  # per row, 1e-3 to 1e3
         logits = rng.normal(size=stack + (rows, classes)) * spread
-        for targets in (np.eye(classes)[rng.integers(0, classes, size=rows)],
-                        softmax(rng.normal(size=(rows, classes)))):
-            expected = _row_major_cross_entropy(logits, targets)
-            for work in (None, netmod.Workspace(net, rows, *stack)):
-                got = netmod._loss_of_logits("cross_entropy", logits.copy(), targets, work)
-                assert got == expected, (rows, stack, work is None)
+        before = logits.tobytes()
+        for labels in (rng.integers(0, classes, size=rows),
+                       rng.integers(0, classes, size=stack + (rows,)),
+                       np.full(rows, classes - 1)):
+            expected = _one_hot_losses(logits, labels)
+            for kind in ("cross_entropy", "mse"):
+                for work in (None, netmod.Workspace(net, rows, *stack),
+                             netmod.Workspace(net, rows, *stack, backprop=True)):
+                    got = netmod._loss_of_logits(kind, logits, labels, work)
+                    assert got == expected[kind], (rows, stack, kind, work is None)
+                    assert logits.tobytes() == before  # no loss writes into its logits
+        if rows > 1000:
+            continue
+        thetas = net.theta + rng.normal(size=stack + net.theta.shape)
+        model = netmod.NetworkStack(net, thetas) if stack else net.with_theta(thetas)
+        x = rng.normal(size=stack + (rows, 2))
+        for labels in (rng.integers(0, classes, size=rows),
+                       rng.integers(0, classes, size=stack + (rows,))):
+            for kind in ("cross_entropy", "mse"):
+                for work in (None, netmod.Workspace(net, rows, *stack, backprop=True)):
+                    _, grad = backward_arrays(model, x, labels, loss=kind, work=work)
+                    for s in np.ndindex(stack):
+                        own = labels[s] if labels.ndim > 1 else labels
+                        want = _one_hot_gradient(thetas[s], x[s], own, kind)
+                        assert grad[s].tobytes() == want.tobytes(), (rows, s, kind)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_class_major_cross_entropy_rejects_non_finite_logits(bad):
-    net = Network([DenseLayer(np.eye(3), np.zeros(3), "identity")], 3, 3)
     rows = netmod.BLOCK_ROWS
-    inputs = np.random.default_rng(0).normal(size=(rows, 3))
-    inputs[rows // 2, 1] = bad
-    es = ArrayEvalSet(inputs, np.eye(3)[np.arange(rows) % 3])
+    net, es = _overflowing(bad, rows)
     for work in (None, netmod.Workspace(net, rows)):
-        with np.errstate(invalid="ignore"), \
+        with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="^log_softmax requires finite logits$"):
             netmod.cross_entropy_loss(net, es, work=work)
 
 
 def test_workspace_of_other_rows_or_widths_is_rejected():
-    net, es = _workspace_case("relu", 4, False)
+    net, es = _workspace_case("relu", 4)
     wider = random_network([6, 9, 7, 5], 0)
     for work in (netmod.Workspace(net, 3), netmod.Workspace(net, 1), netmod.Workspace(wider, 4)):
         with pytest.raises(ShapeError):
             netmod.cross_entropy_loss(net, es, work=work)
         with pytest.raises(ShapeError):
-            forward(net, es.inputs, work=work)
+            forward(net, es.features, work=work)
     for work in (netmod.Workspace(net, 4), netmod.Workspace(net, 3, backprop=True),
                  netmod.Workspace(net, 4, 1, backprop=True)):
         with pytest.raises(ShapeError, match="workspace"):
-            backward_arrays(net, es.inputs, es.targets, work=work)
+            backward_arrays(net, es.features, es.labels, work=work)
 
 
 @pytest.mark.parametrize("rows", [1, 37])
 @pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
 def test_network_stack_scores_each_network_like_its_own(activation, rows):
-    net, es = _workspace_case(activation, rows, True)
+    net, es = _workspace_case(activation, rows)
     rng = np.random.default_rng(1)
     thetas = net.theta + rng.normal(size=(3, net.theta.size))  # every layer differs
     stack = netmod.NetworkStack(net, thetas)
@@ -341,18 +443,19 @@ def test_network_stack_scores_each_network_like_its_own(activation, rows):
 
 
 def test_network_stack_losses_reject_what_they_cannot_score():
-    net, es = _workspace_case("relu", 4, False)
+    net, es = _workspace_case("relu", 4)
     stack = netmod.NetworkStack(net, np.tile(net.theta, (2, 1)))
     work = netmod.Workspace(net, 4, stack=2)
     with pytest.raises(ValueError, match="unknown loss"):
         netmod.loss_function("hinge")(stack, es, work=work)
-    for inputs, targets, message in (
-        (es.inputs[:, :5], es.targets, r"inputs must have 6 features, got shape \(4, 5\)"),
-        (es.inputs, es.targets[:, :4],
-         r"targets of shape \(4, 4\) do not match logits of shape \(2, 4, 5\)"),
+    for rows, message in (
+        (Dataset(es.features[:, :5], es.labels, 5),
+         r"inputs must have 6 features, got shape \(4, 5\)"),
+        (Dataset(es.features, es.labels % 4, 4),
+         r"a dataset of 4 classes does not fit a network of 5 logits"),
     ):
         with pytest.raises(ShapeError, match=message):
-            mse_loss(stack, ArrayEvalSet(inputs, targets), work=work)
+            mse_loss(stack, rows, work=work)
     wider = random_network([6, 9, 7, 5], 0)
     for wrong in (netmod.Workspace(net, 4), netmod.Workspace(net, 4, stack=3),
                   netmod.Workspace(net, 3, stack=2), netmod.Workspace(wider, 4, stack=2)):
@@ -381,12 +484,12 @@ def test_network_stack_forward_in_row_blocks_equals_each_network_bit_for_bit():
 
 
 def test_every_pass_refuses_a_workspace_that_does_not_fit_with_one_message():
-    net, es = _workspace_case("relu", 4, True)
+    net, es = _workspace_case("relu", 4)
     stack = netmod.NetworkStack(net, np.tile(net.theta, (2, 1)))
-    x, y = np.stack([es.inputs] * 2), np.stack([es.targets] * 2)
+    x, y = np.stack([es.features] * 2), np.stack([es.labels] * 2)
     wider = random_network([6, 9, 7, 5], 0)
     passes = (
-        lambda work: forward(stack, es.inputs, work=work),
+        lambda work: forward(stack, es.features, work=work),
         lambda work: netmod.cross_entropy_loss(stack, es, work=work),
         lambda work: mse_loss(stack, es, work=work),
         lambda work: backward_arrays(stack, x, y, work=work),
@@ -409,16 +512,17 @@ def test_every_pass_refuses_a_workspace_that_does_not_fit_with_one_message():
 
 
 def test_backward_zero_gradient_at_exact_minimum():
-    # zero net emits uniform softmax; uniform targets make it an exact optimum
+    # the zero net emits the uniform softmax; with every class equally often
+    # the output bias gradient, the mean of softmax - onehot, is zero, and
+    # every other gradient meets a zero activation or a zero weight
     c = 5
     net = Network(
         [DenseLayer(np.zeros((4, 6)), np.zeros(4), "relu"),
          DenseLayer(np.zeros((c, 4)), np.zeros(c), "identity")],
         6, c,
     )
-    x = np.random.default_rng(0).normal(size=(8, 6))
-    y = np.full((8, c), 1.0 / c)
-    _, grad = backward_arrays(net, x, y)
+    x = np.random.default_rng(0).normal(size=(2 * c, 6))
+    _, grad = backward_arrays(net, x, np.arange(2 * c) % c)
     assert grad.shape == net.theta.shape
     assert np.linalg.norm(grad) < 1e-8
 
@@ -428,17 +532,17 @@ def test_backward_matches_finite_differences_small_net(loss):
     rng = np.random.default_rng(9)
     net = random_network([4, 3, 2], seed=5)
     x = rng.normal(size=(6, 4))
-    y = np.eye(2)[rng.integers(0, 2, size=6)]
-    assert_gradients_match_finite_differences(net, x, y, kind=loss)
+    labels = rng.integers(0, 2, size=6)
+    assert_gradients_match_finite_differences(net, x, labels, kind=loss)
 
 
 def test_backward_duplication_invariance():
     rng = np.random.default_rng(21)
     net = random_network([5, 4, 3], seed=2)
     x = rng.normal(size=(6, 5))
-    y = np.eye(3)[rng.integers(0, 3, size=6)]
-    loss1, g1 = backward_arrays(net, x, y)
-    loss2, g2 = backward_arrays(net, np.vstack([x, x]), np.vstack([y, y]))
+    labels = rng.integers(0, 3, size=6)
+    loss1, g1 = backward_arrays(net, x, labels)
+    loss2, g2 = backward_arrays(net, np.vstack([x, x]), np.concatenate([labels, labels]))
     assert abs(loss1 - loss2) < 1e-12
     assert np.allclose(g1, g2, rtol=1e-12, atol=1e-15)
 
@@ -447,11 +551,11 @@ def test_backward_rejects_a_gradient_buffer_not_laid_out_like_theta():
     rng = np.random.default_rng(4)
     net = random_network([5, 4, 3], seed=1)
     x = rng.normal(size=(7, 5))
-    y = np.eye(3)[rng.integers(0, 3, size=7)]
+    labels = rng.integers(0, 3, size=7)
     n = net.theta.size
     for bad in (np.empty(n - 1), np.empty(n + 1), np.empty((1, n)), np.empty(0)):
         with pytest.raises(ShapeError, match="not laid out like"):
-            backward_arrays(net, x, y, out=bad)
+            backward_arrays(net, x, labels, out=bad)
 
 
 # --- parameter layout and positions ---------------------------------------------------
@@ -598,5 +702,5 @@ def test_gradcheck_required_shapes(sizes):
     rng = np.random.default_rng(sum(sizes))
     net = random_network(list(sizes), seed=sum(sizes))
     x = rng.normal(size=(4, sizes[0]))
-    y = np.eye(sizes[-1])[rng.integers(0, sizes[-1], size=4)]
-    assert_gradients_match_finite_differences(net, x, y, kind="cross_entropy")
+    labels = rng.integers(0, sizes[-1], size=4)
+    assert_gradients_match_finite_differences(net, x, labels, kind="cross_entropy")

@@ -5,13 +5,12 @@ import pytest
 
 from cogram import prototypes
 from cogram.merge import MergeConfig, build_eval_set
-from cogram.net import EvalSet, ShapeError
 from cogram.prototypes import (
     build_prototypes_kmeans,
     build_raw_batch,
     geometric_mean_prototype,
 )
-from cogram.synthdata import Dataset, one_hot
+from cogram.synthdata import Dataset
 
 
 def _dataset(features, labels, num_classes):
@@ -87,7 +86,7 @@ def test_geometric_mean_strictly_positive_and_validated():
 def test_onehot_counts_balanced():
     pset = _onehot(_balanced_dataset(np.random.default_rng(0)))
     assert len(pset) == 4
-    assert pset.targets.argmax(1).tolist() == [0, 1, 2, 3]
+    assert pset.labels.tolist() == [0, 1, 2, 3]
 
 
 def test_onehot_skips_absent_class():
@@ -97,21 +96,19 @@ def test_onehot_skips_absent_class():
     pruned = _dataset(ds.features[keep], ds.labels[keep], 4)
     pset = _onehot(pruned)
     assert len(pset) == 3
-    assert 3 not in pset.targets.argmax(1)
+    assert 3 not in pset.labels
 
 
 def test_onehot_degenerate_cluster():
     v = np.array([2.0, -3.0, 0.5])
     ds = _dataset(np.tile(v, (5, 1)), np.zeros(5, dtype=int), 2)
     pset = _onehot(ds, epsilon=1e-6)
-    assert np.allclose(pset.inputs[0], np.abs(v) + 1e-6, rtol=1e-12)
+    assert np.allclose(pset.features[0], np.abs(v) + 1e-6, rtol=1e-12)
 
 
-def test_onehot_targets_are_valid_distributions():
+def test_onehot_labels_are_integer_classes():
     pset = _onehot(_balanced_dataset(np.random.default_rng(2)))
-    for y in pset.targets:
-        assert np.all(y >= 0)
-        assert abs(y.sum() - 1.0) < 1e-12
+    assert pset.labels.dtype == np.int64 and pset.num_classes == 4
 
 
 def test_onehot_rejects_empty():
@@ -126,7 +123,8 @@ def test_onehot_eval_set_equals_kmeans_1():
     ds = _balanced_dataset(np.random.default_rng(3))
     via_onehot = build_eval_set(ds, MergeConfig(prototype="onehot"))
     via_kmeans = build_eval_set(ds, MergeConfig(prototype="kmeans:1"))
-    for a, b in ((via_onehot.inputs, via_kmeans.inputs), (via_onehot.targets, via_kmeans.targets)):
+    for a, b in ((via_onehot.features, via_kmeans.features),
+                 (via_onehot.labels, via_kmeans.labels)):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
@@ -142,7 +140,7 @@ def test_kmeans_recovers_planted_blobs():
     pset = build_prototypes_kmeans(ds, k_per_class=2, kmeans_seed=1)
     assert len(pset) == 6
     for c in range(3):
-        xs = [x.mean() for x in pset.inputs[pset.targets.argmax(1) == c]]
+        xs = [x.mean() for x in pset.features[pset.labels == c]]
         lo, hi = sorted(xs)
         assert abs(lo - (blob_lo + c * 0.1)) < 0.5
         assert abs(hi - (blob_hi + c * 0.1)) < 0.5
@@ -152,8 +150,8 @@ def test_kmeans_deterministic():
     ds = _balanced_dataset(np.random.default_rng(5))
     p1 = build_prototypes_kmeans(ds, k_per_class=3, kmeans_seed=9)
     p2 = build_prototypes_kmeans(ds, k_per_class=3, kmeans_seed=9)
-    assert np.array_equal(p1.inputs, p2.inputs)
-    assert np.array_equal(p1.targets, p2.targets)
+    assert np.array_equal(p1.features, p2.features)
+    assert np.array_equal(p1.labels, p2.labels)
 
 
 def test_kmeans_rejects_k_larger_than_class():
@@ -168,7 +166,7 @@ def test_kmeans_rejects_k_larger_than_class():
 def test_raw_batch_full_size_covers_every_row():
     ds = _balanced_dataset(np.random.default_rng(7), n_per_class=6)
     pset = build_raw_batch(ds, batch_size=len(ds), seed=0)
-    got = np.sort(pset.inputs.view([("", float)] * ds.dim), axis=0)
+    got = np.sort(pset.features.view([("", float)] * ds.dim), axis=0)
     want = np.sort(ds.features.view([("", float)] * ds.dim), axis=0)
     assert np.array_equal(got, want)
 
@@ -177,13 +175,13 @@ def test_raw_batch_single_element():
     ds = _balanced_dataset(np.random.default_rng(8), n_per_class=4)
     pset = build_raw_batch(ds, batch_size=1, seed=3)
     assert len(pset) == 1
-    assert pset.inputs.shape == (1, ds.dim) and pset.targets.shape == (1, 4)
+    assert pset.features.shape == (1, ds.dim) and pset.labels.shape == (1,)
 
 
 def test_raw_batch_keeps_raw_signed_features():
     ds = _dataset([[-1.5, 2.0], [3.0, -4.0]], [0, 1], 2)
     pset = build_raw_batch(ds, batch_size=2, seed=0)
-    rows = {tuple(x) for x in pset.inputs}
+    rows = {tuple(x) for x in pset.features}
     assert rows == {(-1.5, 2.0), (3.0, -4.0)}
 
 
@@ -191,7 +189,7 @@ def test_raw_batch_deterministic_and_validated():
     ds = _balanced_dataset(np.random.default_rng(9))
     b1 = build_raw_batch(ds, 10, seed=4)
     b2 = build_raw_batch(ds, 10, seed=4)
-    assert np.array_equal(b1.inputs, b2.inputs)
+    assert np.array_equal(b1.features, b2.features)
     with pytest.raises(ValueError):
         build_raw_batch(ds, 0, seed=0)
     with pytest.raises(ValueError):
@@ -201,33 +199,13 @@ def test_raw_batch_deterministic_and_validated():
 # --- the evaluation-set type ---------------------------------------------------
 
 
-def test_builders_return_eval_sets_of_one_hot_rows():
+def test_builders_return_datasets_of_labelled_rows():
     ds = _balanced_dataset(np.random.default_rng(10))
     for es in (_onehot(ds), build_prototypes_kmeans(ds, 2),
                build_raw_batch(ds, 7, seed=1)):
-        assert isinstance(es, EvalSet)
-        assert es.inputs.shape == (len(es), ds.dim) and es.targets.shape == (len(es), 4)
-        assert np.array_equal(es.targets, one_hot(es.targets.argmax(1), 4))
-
-
-def test_eval_set_holds_float64_arrays():
-    es = EvalSet([[1, 2], [3, 4], [5, 6]], [[1, 0], [0, 1], [1, 0]])
-    assert len(es) == 3
-    assert es.inputs.dtype == es.targets.dtype == np.float64
-    assert es.inputs.shape == (3, 2) and es.targets.shape == (3, 2)
-
-
-@pytest.mark.parametrize("inputs, targets, error", [
-    (np.zeros(4), np.eye(4), ShapeError),                  # 1-d inputs
-    (np.zeros((4, 2)), np.zeros(4), ShapeError),           # 1-d targets
-    (np.zeros((4, 2, 1)), np.eye(4), ShapeError),          # 3-d inputs
-    (np.zeros((4, 2)), np.eye(3), ShapeError),             # row counts differ
-    (np.zeros((0, 3)), np.zeros((0, 2)), ValueError),      # no rows
-])
-def test_eval_set_validation(inputs, targets, error):
-    with pytest.raises(error) as exc:
-        EvalSet(inputs, targets)
-    assert type(exc.value) is error
+        assert isinstance(es, Dataset) and es.num_classes == 4
+        assert es.features.dtype == np.float64 and es.features.shape == (len(es), ds.dim)
+        assert es.labels.dtype == np.int64 and es.labels.shape == (len(es),)
 
 
 # --- the per-row builders they replace, kept verbatim as the reference ----------------
@@ -254,7 +232,6 @@ class PrototypeSet:
     prototypes: list[Prototype]
     eval_mode: str = "prototypes"  # "prototypes" | "raw_batch"
     _inputs: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _targets: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.prototypes:
@@ -274,12 +251,6 @@ class PrototypeSet:
             self._inputs = np.vstack([p.x for p in self.prototypes])
         return self._inputs
 
-    @property
-    def targets(self) -> np.ndarray:
-        if self._targets is None:
-            self._targets = np.vstack([p.y for p in self.prototypes])
-        return self._targets
-
 
 def ref_build_prototypes_onehot(
     dataset: Dataset, epsilon: float = prototypes.DEFAULT_EPSILON
@@ -293,7 +264,7 @@ def ref_build_prototypes_onehot(
         protos.append(
             Prototype(
                 x=geometric_mean_prototype(members, epsilon),
-                y=one_hot([int(c)], dataset.num_classes)[0],
+                y=np.eye(dataset.num_classes)[int(c)],
                 source_class=int(c),
                 member_count=members.shape[0],
             )
@@ -305,7 +276,6 @@ def ref_build_prototypes_kmeans(
     dataset: Dataset,
     k_per_class: int,
     kmeans_seed: int = 0,
-    max_iters: int = 50,
     epsilon: float = prototypes.DEFAULT_EPSILON,
 ) -> PrototypeSet:
     """k-means within each class, then one geometric-mean prototype per cluster."""
@@ -324,13 +294,13 @@ def ref_build_prototypes_kmeans(
         if k_per_class == 1:
             clusters = [members]
         else:
-            assignment = prototypes._lloyd(members, k_per_class, rng, max_iters)
+            assignment = prototypes._lloyd(members, k_per_class, rng)
             clusters = [members[assignment == j] for j in range(k_per_class)]
         for cluster in clusters:
             protos.append(
                 Prototype(
                     x=geometric_mean_prototype(cluster, epsilon),
-                    y=one_hot([int(c)], dataset.num_classes)[0],
+                    y=np.eye(dataset.num_classes)[int(c)],
                     source_class=int(c),
                     member_count=cluster.shape[0],
                 )
@@ -348,7 +318,7 @@ def ref_build_raw_batch(dataset: Dataset, batch_size: int, seed: int = 0) -> Pro
     protos = [
         Prototype(
             x=dataset.features[i].copy(),
-            y=one_hot([int(dataset.labels[i])], dataset.num_classes)[0],
+            y=np.eye(dataset.num_classes)[int(dataset.labels[i])],
             source_class=int(dataset.labels[i]),
             member_count=1,
         )
@@ -382,6 +352,6 @@ def test_builders_are_byte_equal_to_the_per_row_reference(build, reference, seed
     ds = _uneven_dataset(seed)
     got, want = build(ds, seed), reference(ds, seed)
     assert len(got) == len(want)
-    for a, b in ((got.inputs, want.inputs), (got.targets, want.targets)):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
+    assert got.features.dtype == want.inputs.dtype and got.features.shape == want.inputs.shape
+    assert got.features.tobytes() == want.inputs.tobytes()
+    assert got.labels.tolist() == [p.source_class for p in want.prototypes]

@@ -16,7 +16,7 @@ import pytest
 
 from cogram import merge, net as netmod, training
 from cogram.merge import DecisionRecord, MergeConfig, MergeReport
-from cogram.net import DenseLayer, EvalSet, Network
+from cogram.net import DenseLayer, Network
 from cogram.synthdata import Dataset
 
 
@@ -64,7 +64,7 @@ def _network(hidden, output, seed=0, sizes=SIZES):
 def _rows(n, seed=1, sizes=SIZES):
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, sizes[-1], size=n)
-    return rng.normal(size=(n, sizes[0])), labels, np.eye(sizes[-1])[labels]
+    return rng.normal(size=(n, sizes[0])), labels
 
 
 @pytest.mark.parametrize("n, sizes", CASES)
@@ -72,22 +72,22 @@ def _rows(n, seed=1, sizes=SIZES):
 @pytest.mark.parametrize("output", ["relu", "tanh", "identity"])
 def test_blocked_passes_equal_one_shot_reference(n, sizes, hidden, output):
     net = _network(hidden, output, sizes=sizes)
-    x, labels, targets = _rows(n, sizes=sizes)
+    x, labels = _rows(n, sizes=sizes)
     ref = _ref_forward(net, x)
     logits = netmod.forward(net, x)
     assert logits.shape == (n, sizes[-1])
     assert logits.tobytes() == ref.tobytes()
-    eval_set = EvalSet(x, targets)
+    dataset = Dataset(x, labels, sizes[-1])
     for kind, lossf in (("cross_entropy", netmod.cross_entropy_loss), ("mse", netmod.mse_loss)):
-        expected = netmod._loss_of_logits(kind, _ref_forward(net, x), targets)
-        assert lossf(net, eval_set) == expected
+        expected = netmod._loss_of_logits(kind, _ref_forward(net, x), labels)
+        assert lossf(net, dataset) == expected
     expected = float(np.mean(np.argmax(ref, axis=1) == labels))
-    assert training.accuracy(net, Dataset(x, labels, sizes[-1])) == expected
+    assert training.accuracy(net, dataset) == expected
 
 
 def test_one_row_and_zero_rows():
     net = _network("relu", "identity")
-    x, _, _ = _rows(3)
+    x, _ = _rows(3)
     assert netmod.forward(net, x[1:2]).tobytes() == _ref_forward(net, x[1:2]).tobytes()
     empty = netmod.forward(net, np.zeros((0, SIZES[0])))
     assert empty.shape == (0, SIZES[-1])
@@ -104,7 +104,7 @@ def _spy_blocks(monkeypatch, net, n):
 
     loop = netmod._forward_into
     monkeypatch.setattr(netmod, "_forward_into", spy)
-    x, _, _ = _rows(n, sizes=[net.input_dim, net.num_classes])
+    x, _ = _rows(n, sizes=[net.input_dim, net.num_classes])
     return netmod.forward(net, x), calls
 
 
@@ -135,7 +135,7 @@ def test_a_layer_under_the_blocked_width_keeps_the_pass_whole(monkeypatch, sizes
 def test_accuracy_peaks_below_one_hidden_layer_of_all_rows():
     sizes = [16, 64, 64, 10]
     net = _network("relu", "identity", sizes=sizes)
-    x, labels, _ = _rows(8 * 512, sizes=sizes)
+    x, labels = _rows(8 * 512, sizes=sizes)
     data = Dataset(x, labels, sizes[-1])
     tracemalloc.start()
     try:

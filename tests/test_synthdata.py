@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -171,10 +172,26 @@ def test_concat_stacks_and_validates():
     ([[np.inf, 1.0], [2.0, 3.0]], [0, 1], "^data row 1 has a non-finite feature$"),
     (np.zeros((3, 2)), [0, -1, 2], r"^label -1 is outside the label range 0\.\.2$"),
     (np.zeros((3, 2)), [0, 3, 2], r"^label 3 is outside the label range 0\.\.2$"),
+    (np.zeros((3, 2)), [0.5, 1.7, 2.2], r"^data row 1 has label 0\.5, not a whole number$"),
+    (np.zeros((3, 2)), [0.0, 1.0, 1.5], r"^data row 3 has label 1\.5, not a whole number$"),
+    (np.zeros((3, 2)), [0.0, np.nan, 2.0], r"^data row 2 has label nan, not a whole number$"),
+    (np.zeros((3, 2)), [0.0, 1.0, -np.inf], r"^data row 3 has label -inf, not a whole number$"),
+    (np.zeros((3, 2)), [0.0, 1e30, 2.0], r"^label 1000000000000000019884624838656 is outside "),
 ])
 def test_dataset_refuses_rows_no_consumer_can_use(features, labels, message):
     with pytest.raises(ValueError, match=message):
         Dataset(features, labels, 3)
+
+
+def test_dataset_labels_cannot_change_after_the_checks():
+    labels = np.array([0, 2, 1])
+    data = Dataset(np.zeros((3, 2)), labels, 3)
+    labels[1] = -1  # the dataset holds its own copy
+    assert data.labels.tolist() == [0, 2, 1]
+    with pytest.raises(ValueError, match="read-only"):
+        data.labels[1] = -1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        data.labels = np.array([0, -1, 1])
 
 
 def test_load_csv_names_the_file_in_what_dataset_refuses(tmp_path):

@@ -39,7 +39,7 @@ def _full_batch(net, data, cfg, epochs=1):
 
 
 def _gradient(net, data):
-    return netmod.backward_arrays(net, data.features, data.one_hot())[1]
+    return netmod.backward_arrays(net, data.features, data.labels)[1]
 
 
 def _toy_separable(n=100, seed=0):

@@ -315,12 +315,12 @@ def test_stacked_backward_matches_each_network_alone(loss, hidden, output):
     thetas = np.stack([net.theta, rng.normal(scale=0.5, size=net.theta.size)])
     stack = netmod.NetworkStack(net, thetas)
     x = rng.normal(size=(2, 13, 8))
-    y = np.eye(5)[rng.integers(0, 5, size=(2, 13))]
+    labels = rng.integers(0, 5, size=(2, 13))
     work = netmod.Workspace(net, 13, 2, backprop=True)
     for _ in range(2):  # a workspace keeps no state between calls
-        values, grad = netmod.backward_arrays(stack, x, y, loss=loss, work=work)
+        values, grad = netmod.backward_arrays(stack, x, labels, loss=loss, work=work)
         for s, row in enumerate(stack.networks):
-            value, alone = netmod.backward_arrays(row, x[s], y[s], loss=loss)
+            value, alone = netmod.backward_arrays(row, x[s], labels[s], loss=loss)
             assert values[s] == value
             assert grad[s].tobytes() == alone.tobytes()
 
@@ -342,14 +342,14 @@ def test_backward_into_buffers_matches_allocating_and_reference(loss, activation
     *body, last = net.layers
     net = Network([*body, DenseLayer(last.weights, last.biases, output)], 6, 4)
     x = rng.normal(size=(13, 6))
-    y = np.eye(4)[rng.integers(0, 4, size=13)]
-    value, alloc = netmod.backward_arrays(net, x, y, loss=loss)
-    ref_value, ref = _ref_backward(net, x, y, loss)
+    labels = rng.integers(0, 4, size=13)
+    value, alloc = netmod.backward_arrays(net, x, labels, loss=loss)
+    ref_value, ref = _ref_backward(net, x, np.eye(4)[labels], loss)
     buffers = np.full_like(net.theta, np.nan)
-    out_value, returned = netmod.backward_arrays(net, x, y, loss=loss, out=buffers)
+    out_value, returned = netmod.backward_arrays(net, x, labels, loss=loss, out=buffers)
     assert returned is buffers
     work = netmod.Workspace(net, 13, backprop=True)
-    worked = [netmod.backward_arrays(net, x, y, loss=loss, work=work) for _ in range(2)]
+    worked = [netmod.backward_arrays(net, x, labels, loss=loss, work=work) for _ in range(2)]
     assert value == out_value == ref_value == worked[0][0] == worked[1][0]
     for flat in (alloc, buffers, worked[0][1], worked[1][1]):
         got = _RefGradients(*net.layer_views(flat))
@@ -364,7 +364,7 @@ def test_non_finite_update_raises_the_reference_error():
     config = OptimizerConfig(kind="sgd_momentum", learning_rate=1e200)
     rng = np.random.default_rng(0)
     huge = synthdata.Dataset(rng.normal(scale=1e200, size=(4, 3)), [1, 0, 1, 0], 2)
-    _, grad = netmod.backward_arrays(net, huge.features, huge.one_hot())
+    _, grad = netmod.backward_arrays(net, huge.features, huge.labels)
     assert np.isfinite(grad).all()
     with np.errstate(over="ignore"), pytest.raises(ValueError) as want:
         _ref_train(net, huge, config, 1, 4)
