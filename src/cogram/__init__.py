@@ -30,7 +30,6 @@ from .net import (
     deserialize,
     forward,
     load_model,
-    mse_loss,
     random_network,
     save_model,
     serialize,

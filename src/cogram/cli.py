@@ -137,8 +137,7 @@ def _section(name: str, cls, doc: dict):
 
 # a merge setting's key in a sweep config -> its MergeConfig field
 _MERGE_KEYS = {"lambda": "lam", "granularity": "max_granularity", "epsilon": "epsilon",
-               "prototype": "prototype", "eval_seed": "eval_seed", "iterations": "iterations",
-               "loss": "loss"}
+               "prototype": "prototype", "eval_seed": "eval_seed", "iterations": "iterations"}
 
 
 def _mergeconfig_from_dict(doc: dict) -> MergeConfig:
@@ -298,7 +297,6 @@ def run_experiment_seed(cfg: ExperimentConfig, seed: int) -> SweepRow:
     with _timed(stage_s, "eval_set"):
         combined = synthdata.concat(data_a, data_b)
         eval_set = merge.build_eval_set(combined, cfg.merge)
-    lossf = netmod.loss_function(cfg.merge.loss)
 
     pipeline = _Pipeline(
         net_a, net_b, data_a, data_b, combined, seed,
@@ -309,7 +307,7 @@ def run_experiment_seed(cfg: ExperimentConfig, seed: int) -> SweepRow:
         fused, _ = pipeline.run(_method_stages(method))
         with _timed(stage_s, "evaluate"):
             row.accuracies[_column(method)] = training.accuracy(fused, test)
-            row.eval_losses[_column(method)] = lossf(fused, eval_set)
+            row.eval_losses[_column(method)] = netmod.cross_entropy_loss(fused, eval_set)
     row.wall_time_s = time.perf_counter() - start
     return row
 
@@ -564,6 +562,11 @@ def cmd_sweep(args) -> int:
     for name, stats in doc["summary"].items():
         print(f"  {name}: mean acc {stats['mean_accuracy']:.4f} "
               f"(std {stats['std_accuracy']:.4f}, n={stats['n']})")
+    if all(row["status"] == "failed" for row in doc["rows"]):
+        first = doc["rows"][0]
+        print(f"failure: every seed failed; seed {first['seed']}: {first['error']}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -21,11 +21,12 @@ parameters of its private network for this layer and the ones above, and
 keeps or restores it. A layer or neuron candidate is one loss call. A
 weight decision scores A's and B's scalar in one loss call on a
 ``net.NetworkStack`` of two copies of that network, then the blend in one
-loss call. Every score runs the one forward loop and loss kernel with
-exactly the operations of a full forward pass, so the merge is
-bit-identical to building each candidate as a new network and evaluating
-it from the input, the reference engine of the tests. The finished layer
-leaves as a new, validated network.
+loss call. Every loss is the cross-entropy (``net.cross_entropy_loss``),
+the loss the networks are trained with. Every score runs the one forward
+loop and loss kernel with exactly the operations of a full forward pass,
+so the merge is bit-identical to building each candidate as a new network
+and evaluating it from the input, the reference engine of the tests. The
+finished layer leaves as a new, validated network.
 
 On an evaluation set of ``net.BLOCK_ROWS`` rows or more, the evaluator of a
 layer with a layer above it caches the layer's activated output (block
@@ -102,7 +103,6 @@ class MergeConfig:
     prototype: str = "onehot"             # the evaluation set, see _parse_prototype
     eval_seed: int = 0
     iterations: int = 1
-    loss: str = "cross_entropy"           # a name net.loss_function knows
 
     def __post_init__(self):
         for name in ("lam", "epsilon"):
@@ -113,7 +113,6 @@ class MergeConfig:
             raise ValueError(f"unknown granularity {self.max_granularity!r}")
         mode, size = _parse_prototype(self.prototype)
         self.prototype = mode if size is None else f"{mode}:{size}"
-        netmod.loss_function(self.loss)  # refuses a loss it does not know
 
 
 def _parse_prototype(spec) -> tuple[str, int | None]:
@@ -233,7 +232,7 @@ class _LayerEvaluator:
     candidate is written in place (``put``) by its block's key, at the
     block's positions in every row (``positions[key]``), and ``layer``, the
     private network's first layer, shows every write. A score is one call of
-    the net loss function, run into one workspace: its operations are
+    ``net.cross_entropy_loss``, run into one workspace: its operations are
     exactly those of a full forward pass over M with the working layer, and
     it allocates no array.
 
@@ -251,9 +250,8 @@ class _LayerEvaluator:
     cached output valid.
     """
 
-    def __init__(self, m: Network, layer_idx: int, eval_set: Dataset, loss: str):
+    def __init__(self, m: Network, layer_idx: int, eval_set: Dataset):
         self.layer_idx = layer_idx
-        self._lossf = netmod.loss_function(loss)
         self._below = m.layers[:layer_idx]
         in_dim = m.layers[layer_idx].in_dim
         x = eval_set.features
@@ -304,7 +302,7 @@ class _LayerEvaluator:
                 plan, out, cached = self._blocks[b]
                 np.copyto(cached, netmod._forward_into(plan, self._rows.features, out))
                 self._stale[b] = False
-        return self._lossf(self._scored, self._scored_rows, work=self._work)
+        return netmod.cross_entropy_loss(self._scored, self._scored_rows, work=self._work)
 
     def pair_losses(self, key: tuple, value_a: float, value_b: float) -> list[float]:
         """Losses with A's and with B's scalar at ``key``, (neuron, weight),
@@ -314,7 +312,7 @@ class _LayerEvaluator:
             self._pair_work = netmod.Workspace(self._upper, len(self._rows), stack=2)
         params, pos = self._params, self.positions[key]
         params[1, pos], params[2, pos] = value_a, value_b
-        losses = self._lossf(self._pair, self._rows, work=self._pair_work)
+        losses = netmod.cross_entropy_loss(self._pair, self._rows, work=self._pair_work)
         params[1:, pos] = params[0, pos]
         return losses
 
@@ -484,7 +482,7 @@ def merge_layer_level(
     and every neuron of the layer is refined individually, all in one
     evaluator for the layer.
     """
-    ev = _LayerEvaluator(m, layer_idx, eval_set, config.loss)
+    ev = _LayerEvaluator(m, layer_idx, eval_set)
     rec, fused = _weigh(ev, (), a, b, config)
     ev.put((), fused)
     report.records.append(rec)
@@ -506,14 +504,14 @@ def cogram_merge(
     measured on the fixed ``eval_set``."""
     netmod.require_compatible(m, a)
     netmod.require_compatible(m, b)
-    lossf = netmod.loss_function(config.loss)
     start = time.perf_counter()
     report = MergeReport(
-        records=[], loss_before=lossf(m, eval_set), loss_after=math.nan, wall_time_s=0.0
+        records=[], loss_before=netmod.cross_entropy_loss(m, eval_set), loss_after=math.nan,
+        wall_time_s=0.0,
     )
     for layer_idx in reversed(range(len(m.layers))):
         m = merge_layer_level(m, layer_idx, a, b, config, eval_set, report)
-    report.loss_after = lossf(m, eval_set)
+    report.loss_after = netmod.cross_entropy_loss(m, eval_set)
     report.wall_time_s = time.perf_counter() - start
     return m, report
 
@@ -604,7 +602,6 @@ def config_to_json_dict(config: MergeConfig) -> dict:
         "prototype": config.prototype,
         "eval_seed": config.eval_seed,
         "iterations": config.iterations,
-        "loss": config.loss,
     }
 
 
@@ -624,7 +621,6 @@ def config_from_json_dict(doc: dict) -> MergeConfig:
         prototype=doc["prototype"],
         eval_seed=doc["eval_seed"],
         iterations=doc["iterations"],
-        loss=doc["loss"],
     )
 
 

@@ -28,20 +28,19 @@ the three in turn into the buffers of a ``Workspace``, made once by the
 caller (training makes one per batch size) or else for the call; it keeps
 each layer's output and takes each activation's derivative from it.
 
-Losses are measured on a ``synthdata.Dataset``, rows and their class labels.
-``cross_entropy_loss`` and ``mse_loss`` each run ``forward`` and then the
+The one loss is the cross-entropy, measured on a ``synthdata.Dataset``, rows
+and their class labels. ``cross_entropy_loss`` runs ``forward`` and then the
 loss kernel, which reads each row's logit at its label and never writes into
-the logits; ``loss_function`` picks one by name. Without backprop, over
-``BLOCK_ROWS`` rows or more, the kernel takes the cross-entropy class-major:
-one copy of the logits into a (C, N) buffer, then whole-row operations over
-its class rows, which cost less there than one reduction per row over a few
-classes. Its sums replicate numpy's pairwise order of additions for a
-contiguous run of C values, so each loss is the row-major one bit for bit;
-the row-major kernel keeps backprop and smaller sets, where it is the
-faster one, and is the tests' oracle.
+the logits. Without backprop, over ``BLOCK_ROWS`` rows or more, the kernel
+runs class-major: one copy of the logits into a (C, N) buffer, then
+whole-row operations over its class rows, which cost less there than one
+reduction per row over a few classes. Its sums replicate numpy's pairwise
+order of additions for a contiguous run of C values, so each loss is the
+row-major one bit for bit; the row-major kernel keeps backprop and smaller
+sets, where it is the faster one, and is the tests' oracle.
 All three parts take a leading stack axis. A ``NetworkStack`` holds several
 networks of one shape as the rows of one parameter matrix; ``forward``, the
-losses and ``backward_arrays`` take it wherever they take a network and run
+loss and ``backward_arrays`` take it wherever they take a network and run
 all its networks in one pass, every logit, loss and gradient bit-identical
 to its own single-network one.
 """
@@ -479,12 +478,9 @@ def _class_major_cross_entropy(logits: np.ndarray, at: np.ndarray, work: Workspa
     return np.subtract(picked, row[..., 0, :], out=picked)
 
 
-def _loss_of_logits(
-    loss: str, logits: np.ndarray, labels: np.ndarray, work: Workspace | None = None
-):
+def _loss_of_logits(logits: np.ndarray, labels: np.ndarray, work: Workspace | None = None):
     """The one loss kernel: mean cross-entropy of softmax(logits) at each
-    row's class label, or the mean over samples and output dimensions of
-    squared residuals from the one-hot target of each row's label.
+    row's class label.
 
     ``logits`` (N, C) give one loss, a float. Logits with a leading stack
     axis, (S, N, C) against (N,) labels or (S, N) ones, give a list of S
@@ -492,51 +488,31 @@ def _loss_of_logits(
     labels are integers in 0..C-1, checked by the caller. The logits are only
     read; every intermediate goes into ``work``'s scratch when given, else
     into new arrays. The flat positions of the rows' labels stay in
-    ``work.at``, and with a workspace made for backprop the cross-entropy
-    leaves the softmax in ``work.exp``, for the backward pass. Without
-    backprop, over ``BLOCK_ROWS`` rows or more, the cross-entropy runs
-    class-major (``_class_major_cross_entropy``): its per-row reductions over
-    a few classes cost more there than the arithmetic, and it gives the same
-    bits.
+    ``work.at``, and with a workspace made for backprop the kernel leaves the
+    softmax in ``work.exp``, for the backward pass. Without backprop, over
+    ``BLOCK_ROWS`` rows or more, it runs class-major
+    (``_class_major_cross_entropy``): its per-row reductions over a few
+    classes cost more there than the arithmetic, and it gives the same bits.
     """
     if work is None:
         at = np.arange(0, logits.size, logits.shape[-1]).reshape(logits.shape[:-1]) + labels
     else:
         at = np.add(work.offsets, labels, out=work.at)
-    if loss == "cross_entropy":
-        keep = work is not None and work.backprop
-        if keep or logits.shape[-2] < BLOCK_ROWS:
-            shifted, top = _shift(logits, "log_softmax", work)
-            values = _at_labels(shifted, at, None if work is None else work.row)
-            e = np.exp(shifted, out=shifted)
-            sums = np.add.reduce(e, axis=-1, keepdims=True, out=top)
-            if keep:
-                e /= sums  # the softmax, for the backward pass
-            values -= np.log(sums, out=sums)[..., 0]
-        else:
-            values = _class_major_cross_entropy(logits, at, work)
-        sign = -1.0
-    elif loss == "mse":
-        values = np.empty(logits.shape) if work is None else work.exp
-        np.copyto(values, logits)
-        np.subtract.at(values.reshape(-1), at, 1.0)  # minus the one-hot targets
-        np.square(values, out=values)
-        sign = 1.0
+    keep = work is not None and work.backprop
+    if keep or logits.shape[-2] < BLOCK_ROWS:
+        shifted, top = _shift(logits, "log_softmax", work)
+        values = _at_labels(shifted, at, None if work is None else work.row)
+        e = np.exp(shifted, out=shifted)
+        sums = np.add.reduce(e, axis=-1, keepdims=True, out=top)
+        if keep:
+            e /= sums  # the softmax, for the backward pass
+        values -= np.log(sums, out=sums)[..., 0]
     else:
-        raise ValueError(f"unknown loss {loss!r}")
+        values = _class_major_cross_entropy(logits, at, work)
     # the mean np.mean takes: one add.reduce over all values, over their count
     if logits.ndim == 2:
-        return sign * float(np.add.reduce(values, axis=None) / values.size)
-    return [sign * float(np.add.reduce(v, axis=None) / v.size) for v in values]
-
-
-def _loss(kind: str, net: Network | NetworkStack, dataset: Dataset,
-          work: Workspace | None) -> float | list[float]:
-    logits = forward(net, dataset.features, work=work)
-    if logits.shape[-1] != dataset.num_classes:
-        raise ShapeError(f"a dataset of {dataset.num_classes} classes does not fit a "
-                         f"network of {logits.shape[-1]} logits")
-    return _loss_of_logits(kind, logits, dataset.labels, work)
+        return -float(np.add.reduce(values, axis=None) / values.size)
+    return [-float(np.add.reduce(v, axis=None) / v.size) for v in values]
 
 
 def cross_entropy_loss(net: Network | NetworkStack, dataset: Dataset,
@@ -547,23 +523,11 @@ def cross_entropy_loss(net: Network | NetworkStack, dataset: Dataset,
     With ``work`` (a ``Workspace`` for the set's rows) the whole pass runs
     into its buffers and allocates no array.
     """
-    return _loss("cross_entropy", net, dataset, work)
-
-
-def mse_loss(net: Network | NetworkStack, dataset: Dataset,
-             work: Workspace | None = None) -> float | list[float]:
-    """Mean over rows and output dimensions of squared residuals from the
-    one-hot targets of the rows' labels; ``work`` as for cross_entropy_loss."""
-    return _loss("mse", net, dataset, work)
-
-
-def loss_function(kind: str):
-    """``cross_entropy_loss`` or ``mse_loss``, by name."""
-    if kind == "cross_entropy":
-        return cross_entropy_loss
-    if kind == "mse":
-        return mse_loss
-    raise ValueError(f"unknown loss {kind!r}")
+    logits = forward(net, dataset.features, work=work)
+    if logits.shape[-1] != dataset.num_classes:
+        raise ShapeError(f"a dataset of {dataset.num_classes} classes does not fit a "
+                         f"network of {logits.shape[-1]} logits")
+    return _loss_of_logits(logits, dataset.labels, work)
 
 
 def cross_entropy_arrays(net: Network, inputs: np.ndarray, targets: np.ndarray) -> float:
@@ -576,7 +540,7 @@ def cross_entropy_arrays(net: Network, inputs: np.ndarray, targets: np.ndarray) 
 
 def backward_arrays(
     net: Network | NetworkStack, inputs: np.ndarray, labels: np.ndarray,
-    loss: str = "cross_entropy", out: np.ndarray | None = None, work: Workspace | None = None,
+    out: np.ndarray | None = None, work: Workspace | None = None,
 ) -> tuple[float | list[float], np.ndarray]:
     """Loss over rows with integer class ``labels`` and its exact analytic
     gradient w.r.t. every weight and bias.
@@ -612,20 +576,13 @@ def backward_arrays(
         work = Workspace(shape, n, *lead, backprop=True)
     _require_workspace(work, shape, lead, n, backprop=True)
     logits = _forward_into(plan, x, work.acts)
-    value = _loss_of_logits(loss, logits, labels, work)
+    value = _loss_of_logits(logits, labels, work)
 
-    # d(mean loss)/dlogits from the one-hot targets of the labels: the
-    # cross-entropy's (softmax - onehot) / n, its softmax left in work.exp by
-    # the loss, or the squared error's 2 (logits - onehot) / (n C)
+    # d(mean loss)/dlogits, (softmax - onehot) / n, the softmax left in
+    # work.exp by the loss
     delta = work.exp
-    if loss == "mse":
-        np.copyto(delta, logits)
     np.subtract.at(delta.reshape(-1), work.at, 1.0)
-    if loss == "cross_entropy":
-        delta /= n
-    else:
-        delta *= 2.0
-        delta /= n * shape.num_classes
+    delta /= n
 
     grad_w, grad_b = shape.layer_views(out)
     for k, delta in _pre_activation_deltas(plan, work, delta):

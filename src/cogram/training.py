@@ -213,7 +213,7 @@ def train_stack(
                 np.take(datasets[s].features, idx, axis=0, out=work.x[s], mode="clip")
                 np.take(datasets[s].labels, idx, out=work.labels[s], mode="clip")
             losses, _ = netmod.backward_arrays(
-                stack, work.x, work.labels, loss="cross_entropy", out=grad, work=work
+                stack, work.x, work.labels, out=grad, work=work
             )
             if clip_norm is not None:
                 for s, row in enumerate(trained):

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from cogram import net as netmod
 from cogram.synthdata import Dataset
@@ -25,17 +24,15 @@ def _forward_ld(net, x):
     return a
 
 
-def _loss_ld(net, x, labels, kind):
+def _loss_ld(net, x, labels):
     logits = _forward_ld(net, x)
     y = np.eye(net.num_classes)[labels]  # the one-hot targets of the labels
-    if kind == "mse":
-        return np.mean((logits - y.astype(np.longdouble)) ** 2)
     shifted = logits - logits.max(axis=1, keepdims=True)
     logprobs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     return -np.mean(np.sum(y.astype(np.longdouble) * logprobs, axis=1))
 
 
-def central_difference_gradient(net, x, labels, k, i, j, kind="cross_entropy", h=1e-5):
+def central_difference_gradient(net, x, labels, k, i, j, h=1e-5):
     """d loss / d (weight [k][i, j], or bias [k][i] when j is None)."""
 
     def perturbed(delta):
@@ -49,27 +46,26 @@ def central_difference_gradient(net, x, labels, k, i, j, kind="cross_entropy", h
             layers[k].weights[i, j] += delta
         return netmod.Network(layers, net.input_dim, net.num_classes)
 
-    hi = _loss_ld(perturbed(h), x, labels, kind)
-    lo = _loss_ld(perturbed(-h), x, labels, kind)
+    hi = _loss_ld(perturbed(h), x, labels)
+    lo = _loss_ld(perturbed(-h), x, labels)
     return float((hi - lo) / np.longdouble(2 * h))
 
 
-def assert_gradients_match_finite_differences(net, x, labels, kind="cross_entropy",
-                                              h=1e-5, tol=1e-5):
+def assert_gradients_match_finite_differences(net, x, labels, h=1e-5, tol=1e-5):
     """Every analytic entry within tol relative of the central difference."""
-    _, grad = netmod.backward_arrays(net, x, labels, loss=kind)
+    _, grad = netmod.backward_arrays(net, x, labels)
     grad_w, grad_b = net.layer_views(grad)
     worst = 0.0
     for k, layer in enumerate(net.layers):
         for (i, j), _ in np.ndenumerate(layer.weights):
             analytic = grad_w[k][i, j]
-            numeric = central_difference_gradient(net, x, labels, k, i, j, kind, h)
+            numeric = central_difference_gradient(net, x, labels, k, i, j, h)
             rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
             worst = max(worst, rel)
             assert rel < tol, (k, i, j, analytic, numeric)
         for i in range(layer.out_dim):
             analytic = grad_b[k][i]
-            numeric = central_difference_gradient(net, x, labels, k, i, None, kind, h)
+            numeric = central_difference_gradient(net, x, labels, k, i, None, h)
             rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
             worst = max(worst, rel)
             assert rel < tol, (k, i, "bias", analytic, numeric)
@@ -104,11 +100,3 @@ def self_consistent_eval(net, rng, n):
     assert np.all(margins(scaled) > 40)
     assert netmod.cross_entropy_loss(scaled, es) == 0.0
     return scaled, es
-
-
-@pytest.fixture
-def random_net_factory():
-    def make(sizes, seed, activation="relu"):
-        return netmod.random_network(sizes, seed, hidden_activation=activation)
-
-    return make

@@ -41,18 +41,13 @@ def _ref_log_softmax(z):
     return shifted
 
 
-def ref_loss(kind):
-    def lossf(net, eval_set):
-        x = np.asarray(eval_set.features, dtype=np.float64)
-        if x.shape[0] == 0:
-            raise ValueError("empty evaluation set")
-        logits = _ref_forward(net, x)
-        targets = np.eye(logits.shape[-1])[eval_set.labels]  # the labels' one-hot targets
-        if kind == "cross_entropy":
-            return float(-np.mean(np.sum(targets * _ref_log_softmax(logits), axis=-1)))
-        return float(np.mean((logits - targets) ** 2))
-
-    return lossf
+def ref_loss(net, eval_set):
+    x = np.asarray(eval_set.features, dtype=np.float64)
+    if x.shape[0] == 0:
+        raise ValueError("empty evaluation set")
+    logits = _ref_forward(net, x)
+    targets = np.eye(logits.shape[-1])[eval_set.labels]  # the labels' one-hot targets
+    return float(-np.mean(np.sum(targets * _ref_log_softmax(logits), axis=-1)))
 
 
 def block_of(net, k, key):
@@ -76,9 +71,8 @@ def with_block(net, k, key, block):
 
 
 def _ref_decide(m, k, key, a, b, config, eval_set):
-    lossf = ref_loss(config.loss)
-    l_a = lossf(with_block(m, k, key, block_of(a, k, key)), eval_set)
-    l_b = lossf(with_block(m, k, key, block_of(b, k, key)), eval_set)
+    l_a = ref_loss(with_block(m, k, key, block_of(a, k, key)), eval_set)
+    l_b = ref_loss(with_block(m, k, key, block_of(b, k, key)), eval_set)
     delta = l_a - l_b
     band = config.thresholds.for_level(("layer", "neuron", "weight")[len(key)])
     case = classify_case(delta, band.tau_min, band.tau_max)
@@ -90,7 +84,7 @@ def _ref_decide(m, k, key, a, b, config, eval_set):
 def _ref_weight(m, k, n, w, a, b, config, eval_set, records, loss_pre):
     l_a, l_b, delta, case, alpha, fused = _ref_decide(m, k, (n, w), a, b, config, eval_set)
     candidate = with_block(m, k, (n, w), fused)
-    loss_post = ref_loss(config.loss)(candidate, eval_set)
+    loss_post = ref_loss(candidate, eval_set)
     if loss_post < loss_pre:
         action, m, current = "merged", candidate, loss_post
     else:
@@ -101,12 +95,11 @@ def _ref_weight(m, k, n, w, a, b, config, eval_set, records, loss_pre):
 
 
 def _ref_neuron(m, k, n, a, b, config, eval_set, records):
-    lossf = ref_loss(config.loss)
-    loss_pre = lossf(m, eval_set)
+    loss_pre = ref_loss(m, eval_set)
     l_a, l_b, delta, case, alpha, fused = _ref_decide(m, k, (n,), a, b, config, eval_set)
     if case == 3 or config.max_granularity == "neuron":
         candidate = with_block(m, k, (n,), fused)
-        loss_post = lossf(candidate, eval_set)
+        loss_post = ref_loss(candidate, eval_set)
         action = "merged" if loss_post < loss_pre else "rolled_back"
         records.append(DecisionRecord("neuron", k, n, None, l_a, l_b, delta, case, alpha,
                                       action, loss_pre, loss_post))
@@ -115,7 +108,7 @@ def _ref_neuron(m, k, n, a, b, config, eval_set, records):
                          "refined", loss_pre, None)
     records.append(rec)
     work = with_block(m, k, (n,), fused)
-    running = lossf(work, eval_set)
+    running = ref_loss(work, eval_set)
     for w in range(m.layers[k].in_dim + 1):
         work, running = _ref_weight(work, k, n, w, a, b, config, eval_set, records, running)
     rec.loss_post = running
@@ -138,13 +131,12 @@ def _ref_layer(m, k, a, b, config, eval_set, records):
 
 
 def reference_iterate(m, a, b, config, eval_set):
-    lossf = ref_loss(config.loss)
     reports = []
     for _ in range(config.iterations):
-        report = MergeReport([], lossf(m, eval_set), math.nan, 0.0)
+        report = MergeReport([], ref_loss(m, eval_set), math.nan, 0.0)
         for k in reversed(range(len(m.layers))):
             m = _ref_layer(m, k, a, b, config, eval_set, report.records)
-        report.loss_after = lossf(m, eval_set)
+        report.loss_after = ref_loss(m, eval_set)
         reports.append(report)
     return m, reports
 

@@ -353,7 +353,7 @@ def test_merge_fisher_cogram_pipeline(workspace, tmp_path):
     assert merged.num_classes == 4
     report = json.loads((tmp_path / "r.json").read_text())
     assert list(report["config"]) == ["lambda", "thresholds", "max_granularity", "epsilon",
-                                      "prototype", "eval_seed", "iterations", "loss"]
+                                      "prototype", "eval_seed", "iterations"]
     assert report["config"]["lambda"] == 5.5 and report["config"]["prototype"] == "onehot"
     layer_records = [r for r in report["iterations"][0]["records"]
                      if r["level"] == "layer"]
@@ -826,6 +826,7 @@ def test_sweep_bad_fisher_samples_exit_2(tmp_path, capsys, value):
     ({"lambda": "5"}, "lam must be a number > 0, got '5'"),
     ({"lambda": True}, "lam must be a number > 0, got True"),
     ({"epsilon": "x"}, "epsilon must be a number > 0, got 'x'"),
+    ({"loss": "mse"}, "unknown merge config fields: ['loss']"),
 ])
 def test_sweep_bad_merge_settings_exit_2_before_any_seed(tmp_path, capsys, settings, message):
     path = _sweep_config(tmp_path, [0], ["fisher+cogram"])
@@ -1003,9 +1004,10 @@ def test_sweep_csv_same_bytes_for_one_and_two_workers(tmp_path, monkeypatch):
         (tmp_path / "2" / "sweep.csv").read_bytes()
 
 
-def test_sweep_failed_seed_is_flagged_but_kept(tmp_path):
+def test_sweep_failed_seed_is_flagged_but_kept(tmp_path, capsys):
     # an impossible evaluation batch size fails each seed at merge time;
-    # rows must survive with status=failed and empty metric cells
+    # rows must survive with status=failed and empty metric cells, and a
+    # sweep whose every seed failed exits 1 with the first seed's error
     doc = {
         "data": {"num_classes": 3, "dim": 5, "samples_per_class": 10,
                  "test_samples_per_class": 5},
@@ -1017,7 +1019,11 @@ def test_sweep_failed_seed_is_flagged_but_kept(tmp_path):
     }
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(doc))
-    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    rows = json.loads((tmp_path / "out" / "sweep.json").read_text())["rows"]
+    assert [(r["seed"], r["status"]) for r in rows] == [(0, "failed"), (1, "failed")]
+    assert capsys.readouterr().err == \
+        f"failure: every seed failed; seed 0: {rows[0]['error']}\n"
     lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
     assert len(lines) == 3  # header + one row per seed
     for line in lines[1:]:

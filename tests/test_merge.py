@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import re
@@ -187,7 +186,7 @@ def test_classify_case_validation():
 def _difference(m, k, key, a, b, es):
     """Loss of M with A's block at ``key`` of layer k, with B's block, and
     their gap."""
-    ev = _LayerEvaluator(m, k, es, "cross_entropy")
+    ev = _LayerEvaluator(m, k, es)
     block_a, block_b = (x.theta[x.positions[k][key]] for x in (a, b))
     return ev.difference(key, block_a, block_b)
 
@@ -244,14 +243,13 @@ def test_loss_difference_leaves_m_untouched():
     assert _param_bytes(m) == before
 
 
-@pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
-def test_evaluator_score_allocates_less_than_one_logits_array(loss):
+def test_evaluator_score_allocates_less_than_one_logits_array():
     # 2,048 rows, 20 classes: one N x C float64 array is 320 KiB
     rng = np.random.default_rng(0)
     m = random_network([32, 64, 64, 20], seed=0)
     eval_set = _random_eval(rng, 2048, 32, 20)
     for k in range(len(m.layers)):
-        ev = _LayerEvaluator(m, k, eval_set, loss)
+        ev = _LayerEvaluator(m, k, eval_set)
         expected = ev.loss()
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
@@ -279,7 +277,6 @@ FORCE_WEIGHT_PASS = MergeConfig(
 def test_pair_losses_equal_two_single_scores_after_any_history(data):
     sizes = [data.draw(st.integers(2, 5)) for _ in range(data.draw(st.integers(2, 4)))]
     activation = data.draw(st.sampled_from(["relu", "tanh", "identity"]))
-    loss = data.draw(st.sampled_from(["cross_entropy", "mse"]))
     seed = data.draw(st.integers(0, 2**16))
     rng = np.random.default_rng(seed)
     m, a, b = (random_network(sizes, seed + i, hidden_activation=activation) for i in range(3))
@@ -289,18 +286,17 @@ def test_pair_losses_equal_two_single_scores_after_any_history(data):
         m, es = self_consistent_eval(m, rng, data.draw(st.integers(1, 6)))
     else:
         es = _random_eval(rng, data.draw(st.integers(1, 6)), sizes[0], sizes[-1])
-    config = dataclasses.replace(FORCE_WEIGHT_PASS, loss=loss)
     report = _empty_report()
-    ev = _LayerEvaluator(m, k, es, loss)
+    ev = _LayerEvaluator(m, k, es)
     for op in data.draw(st.lists(st.sampled_from(["put", "neuron", "weight"]), max_size=4)):
         neuron = data.draw(st.integers(0, out_dim - 1))
         if op == "put":
             ev.put((neuron,), rng.normal(size=in_dim + 1))
         elif op == "neuron":
-            _neuron_decision(ev, neuron, a, b, config, report)
+            _neuron_decision(ev, neuron, a, b, FORCE_WEIGHT_PASS, report)
         else:
             weight = data.draw(st.integers(0, in_dim))
-            merge_weight_level(ev, neuron, weight, a, b, config, report, ev.loss())
+            merge_weight_level(ev, neuron, weight, a, b, FORCE_WEIGHT_PASS, report, ev.loss())
 
     neuron = data.draw(st.integers(0, out_dim - 1))
     pairs = []
@@ -327,7 +323,7 @@ def test_weight_decision_allocates_nothing_after_the_first(rows):
     es = _random_eval(rng, rows, 32, 20)
     cfg = MergeConfig()
     for k in range(len(m.layers)):
-        ev = _LayerEvaluator(m, k, es, cfg.loss)
+        ev = _LayerEvaluator(m, k, es)
         report = _empty_report()
         running = merge_weight_level(ev, 0, 0, a, b, cfg, report, ev.loss())  # makes the pair
         # A broadcasting ufunc takes an iterator buffer of up to bufsize elements
@@ -414,7 +410,7 @@ def test_merge_neuron_level_tie_rolls_back_bit_identical():
     es = _random_eval(rng, 6, 5, 3)
     cfg = MergeConfig()
     rep = _empty_report()
-    ev = _LayerEvaluator(m, 1, es, cfg.loss)
+    ev = _LayerEvaluator(m, 1, es)
     _neuron_decision(ev, 2, m, m, cfg, rep)
     merged = ev.network()
     rec = rep.records[-1]
@@ -430,7 +426,7 @@ def test_merge_neuron_level_adversarial_eval_always_rolls_back():
     b = random_network([6, 5, 4], seed=2)
     cfg = MergeConfig()
     rep = _empty_report()
-    ev = _LayerEvaluator(m, 0, es, cfg.loss)
+    ev = _LayerEvaluator(m, 0, es)
     for neuron in range(5):
         _neuron_decision(ev, neuron, a, b, cfg, rep)
     out = ev.network()
@@ -449,7 +445,7 @@ def test_merge_neuron_level_loss_never_increases():
         es = _random_eval(rng, 8, 5, 3)
         rep = _empty_report()
         before = cross_entropy_loss(m, es)
-        ev = _LayerEvaluator(m, 1, es, cfg.loss)
+        ev = _LayerEvaluator(m, 1, es)
         merge_neuron_level(ev, trial % 3, a, b, cfg, rep)
         out = ev.network()
         assert cross_entropy_loss(out, es) <= before
@@ -461,7 +457,7 @@ def test_merge_weight_level_tie_and_locality():
     es = _random_eval(rng, 6, 5, 3)
     cfg = MergeConfig()
     rep = _empty_report()
-    ev = _LayerEvaluator(m, 1, es, cfg.loss)
+    ev = _LayerEvaluator(m, 1, es)
     merge_weight_level(ev, 1, 2, m, m, cfg, rep, ev.loss())
     out = ev.network()
     assert rep.records[-1].action == "rolled_back"
@@ -470,7 +466,7 @@ def test_merge_weight_level_tie_and_locality():
     a = random_network([5, 4, 3], seed=1)
     b = random_network([5, 4, 3], seed=2)
     rep = _empty_report()
-    ev = _LayerEvaluator(m, 1, es, cfg.loss)
+    ev = _LayerEvaluator(m, 1, es)
     merge_weight_level(ev, 1, 2, a, b, cfg, rep, ev.loss())
     out = ev.network()
     if rep.records[-1].action == "merged":
@@ -488,7 +484,7 @@ def test_merge_weight_level_bias_index():
     cfg = MergeConfig()
     rep = _empty_report()
     in_dim = m.layers[0].in_dim
-    ev = _LayerEvaluator(m, 0, es, cfg.loss)
+    ev = _LayerEvaluator(m, 0, es)
     merge_weight_level(ev, 1, in_dim, a, b, cfg, rep, ev.loss())
     out = ev.network()
     rec = rep.records[-1]

@@ -30,14 +30,15 @@ def _dataset(seed=0, n=40, sizes=SIZES):
     return Dataset(rng.normal(size=(n, sizes[0])), np.arange(n) % sizes[-1], sizes[-1])
 
 
-def _trio(activation, seed=0, sizes=SIZES):
-    """Three random networks with nonzero biases."""
+def _trio(activation, seed=0, sizes=SIZES, output="identity"):
+    """Three random networks with nonzero biases and an ``output`` last layer."""
     rng = np.random.default_rng(seed)
     nets = []
     for i in range(3):
         net = netmod.random_network(sizes, seed + i, hidden_activation=activation)
-        layers = [netmod.DenseLayer(l.weights, rng.normal(scale=0.1, size=l.out_dim),
-                                    l.activation) for l in net.layers]
+        acts = [l.activation for l in net.layers[:-1]] + [output]
+        layers = [netmod.DenseLayer(l.weights, rng.normal(scale=0.1, size=l.out_dim), act)
+                  for l, act in zip(net.layers, acts)]
         nets.append(netmod.Network(layers, net.input_dim, net.num_classes))
     return nets
 
@@ -56,16 +57,24 @@ EVAL_MODES = {
 BANDS = {"descend": Thresholds.uniform(0.0, 0.0), "band": Thresholds.uniform(0.002, 0.05)}
 
 
+# the activation of the last layer, whose outputs are the logits; relu and
+# tanh ones keep the logits small and the loss gaps about a tenth as wide,
+# so their band is a tenth as wide to still reach every case and level
+OUTPUTS = ["identity", "relu", "tanh"]
+NARROW_BANDS = {"descend": BANDS["descend"], "band": Thresholds.uniform(0.0002, 0.005)}
+
+
+@pytest.mark.parametrize("output", OUTPUTS)
 @pytest.mark.parametrize("band", BANDS)
 @pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
-@pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
 @pytest.mark.parametrize("eval_mode", EVAL_MODES)
 @pytest.mark.parametrize("granularity", merge.GRANULARITIES)
-def test_engine_matches_reference_bit_for_bit(granularity, eval_mode, loss, activation, band):
-    config = MergeConfig(thresholds=BANDS[band], max_granularity=granularity, loss=loss,
-                         iterations=2, **EVAL_MODES[eval_mode])
+def test_engine_matches_reference_bit_for_bit(granularity, eval_mode, activation, band, output):
+    bands = BANDS if output == "identity" else NARROW_BANDS
+    config = MergeConfig(thresholds=bands[band], max_granularity=granularity, iterations=2,
+                         **EVAL_MODES[eval_mode])
     eval_set = merge.build_eval_set(_dataset(), config)
-    m, a, b = _trio(activation)
+    m, a, b = _trio(activation, output=output)
     _, reports = _assert_engine_matches_reference(m, a, b, config, eval_set)
     levels = {rec.level for rep in reports for rec in rep.records}
     assert levels == set(merge.GRANULARITIES[:merge.GRANULARITIES.index(granularity) + 1])
@@ -116,15 +125,15 @@ def evaluator_modes(monkeypatch):
 LARGE_SIZES = [10, 16, 24, 12, 5]
 
 
+@pytest.mark.parametrize("output", ["identity", "tanh"])
 @pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
-@pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
 @pytest.mark.parametrize("rows", [netmod.BLOCK_ROWS, 1000, 2047])
-def test_engine_matches_reference_on_large_contexts(rows, loss, activation, evaluator_modes):
+def test_engine_matches_reference_on_large_contexts(rows, activation, output, evaluator_modes):
     # BLOCK_ROWS rows or more: block-mode scores and the class-major kernel
-    config = MergeConfig(thresholds=BANDS["descend"], max_granularity="neuron", loss=loss,
+    config = MergeConfig(thresholds=BANDS["descend"], max_granularity="neuron",
                          prototype=f"batch:{rows}", eval_seed=2)
     eval_set = merge.build_eval_set(_dataset(n=2100, sizes=LARGE_SIZES), config)
-    m, a, b = _trio(activation, sizes=LARGE_SIZES)
+    m, a, b = _trio(activation, sizes=LARGE_SIZES, output=output)
     _, reports = _assert_engine_matches_reference(m, a, b, config, eval_set)
     assert sum(rec.level == "neuron" for rec in reports[0].records) == 16 + 24 + 12 + 5
     assert evaluator_modes[0] is False  # the output layer, decided first, has none above it
@@ -162,12 +171,12 @@ def test_benchmark_shape_takes_the_block_path_and_the_class_major_kernel(monkeyp
     monkeypatch.setattr(netmod, "_class_major_cross_entropy",
                         lambda *args: class_major.append(1) or kernel(*args))
     for k in range(3):
-        ev = merge._LayerEvaluator(m, k, eval_set, config.loss)
+        ev = merge._LayerEvaluator(m, k, eval_set)
         assert len(ev._blocks) == (64 // merge.BLOCK_COLUMNS if k < 2 else 0), k
         block = block_of(a, k, (5,))
         ev.put((5,), block)
         class_major.clear()
-        assert ev.loss() == ref_loss(config.loss)(with_block(m, k, (5,), block), eval_set)
+        assert ev.loss() == ref_loss(with_block(m, k, (5,), block), eval_set)
         assert class_major == [1], k
 
 
@@ -208,17 +217,16 @@ def _merge_case(draw):
 @given(_merge_case(), st.data())
 def test_evaluator_loss_equals_full_forward_loss(case, data):
     m, _, _, eval_set, k, rng = case
-    loss = data.draw(st.sampled_from(["cross_entropy", "mse"]))
     out_dim, in_dim = m.layers[k].weights.shape
     neuron = data.draw(st.none() | st.integers(0, out_dim - 1))
     weight = None if neuron is None else data.draw(st.none() | st.integers(0, in_dim))
     key = tuple(i for i in (neuron, weight) if i is not None)
     block = block_of(m, k, key) + rng.normal(size=np.shape(block_of(m, k, key)))
 
-    ev = merge._LayerEvaluator(m, k, eval_set, loss)
-    assert ev.loss() == ref_loss(loss)(m, eval_set)
+    ev = merge._LayerEvaluator(m, k, eval_set)
+    assert ev.loss() == ref_loss(m, eval_set)
     ev.put(key, block)
-    assert ev.loss() == ref_loss(loss)(with_block(m, k, key, block), eval_set)
+    assert ev.loss() == ref_loss(with_block(m, k, key, block), eval_set)
 
 
 FORCE_WEIGHTS = MergeConfig(
@@ -233,7 +241,7 @@ def test_running_loss_never_increases_across_a_weight_pass(case, data):
     m, a, b, eval_set, k, _ = case
     neuron = data.draw(st.integers(0, m.layers[k].out_dim - 1))
     report = MergeReport([], 0.0, 0.0, 0.0)
-    ev = merge._LayerEvaluator(m, k, eval_set, FORCE_WEIGHTS.loss)
+    ev = merge._LayerEvaluator(m, k, eval_set)
     merge.merge_neuron_level(ev, neuron, a, b, FORCE_WEIGHTS, report)
     head, *weights = report.records
     assert head.case == 1 and len(weights) == m.layers[k].in_dim + 1
@@ -254,7 +262,7 @@ def test_rolled_back_neuron_row_is_bit_identical_to_its_baseline(case, data):
     config = data.draw(st.sampled_from([MergeConfig(max_granularity="neuron"), FORCE_WEIGHTS]))
     neuron = data.draw(st.integers(0, m.layers[k].out_dim - 1))
     report = MergeReport([], 0.0, 0.0, 0.0)
-    ev = merge._LayerEvaluator(m, k, eval_set, config.loss)
+    ev = merge._LayerEvaluator(m, k, eval_set)
     baseline = ev.theta[ev.positions[neuron]].tobytes()
     merge.merge_neuron_level(ev, neuron, a, b, config, report)
     if report.records[0].action == "rolled_back":

@@ -13,7 +13,6 @@ from cogram.net import (
     backward_arrays,
     cross_entropy_arrays,
     forward,
-    mse_loss,
     random_network,
     softmax,
 )
@@ -172,29 +171,6 @@ def test_cross_entropy_rejects_empty():
         backward_arrays(net, np.zeros((0, 4)), np.zeros(0, dtype=int))
 
 
-def test_mse_zero_when_outputs_equal_targets():
-    # the identity network's outputs are the one-hot targets of the labels
-    net = Network([DenseLayer(np.eye(3), np.zeros(3), "identity")], 3, 3)
-    labels = np.array([0, 2, 1, 1])
-    assert mse_loss(net, Dataset(np.eye(3)[labels], labels, 3)) == 0.0
-
-
-def test_mse_single_prototype_value():
-    # output (3, 0.5) vs target (0, 1): (9 + 0.25) / 2 = 4.625
-    net = Network([DenseLayer(np.eye(2), np.zeros(2), "identity")], 2, 2)
-    assert mse_loss(net, Dataset(np.array([[3.0, 0.5]]), [1], 2)) == 4.625
-
-
-def test_mse_quadratic_homogeneity():
-    # residuals d from the one-hot targets, then 2d: the loss scales by 4
-    net = Network([DenseLayer(np.eye(2), np.zeros(2), "identity")], 2, 2)
-    labels = np.array([1, 0])
-    d = np.array([[1.0, -2.0], [0.5, 3.0]])
-    base = mse_loss(net, Dataset(np.eye(2)[labels] + d, labels, 2))
-    scaled = mse_loss(net, Dataset(np.eye(2)[labels] + 2.0 * d, labels, 2))
-    assert abs(scaled - 4.0 * base) < 1e-12
-
-
 # --- bad labels ---------------------------------------------------------------
 
 
@@ -203,8 +179,7 @@ def _labelled_rows():
     return random_network([4, 5, 3], seed=0), rng.normal(size=(6, 4)), rng.integers(0, 3, size=6)
 
 
-@pytest.mark.parametrize("lossf", [netmod.cross_entropy_loss, mse_loss])
-def test_losses_refuse_a_dataset_of_another_class_count(lossf):
+def test_cross_entropy_refuses_a_dataset_of_another_class_count():
     # a dataset itself refuses labels that are not whole numbers or are out
     # of range (see test_synthdata)
     net, x, labels = _labelled_rows()
@@ -213,7 +188,7 @@ def test_losses_refuse_a_dataset_of_another_class_count(lossf):
         for work in (None, netmod.Workspace(net, 6)):
             with pytest.raises(ShapeError, match=f"^a dataset of {classes} classes does not "
                                                  "fit a network of 3 logits$"):
-                lossf(net, es, work=work)
+                netmod.cross_entropy_loss(net, es, work=work)
 
 
 BAD_LABELS = {
@@ -233,13 +208,12 @@ BAD_LABELS = {
 
 
 @pytest.mark.parametrize("bad", BAD_LABELS)
-@pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
-def test_backprop_refuses_bad_labels(loss, bad):
+def test_backprop_refuses_bad_labels(bad):
     net, x, labels = _labelled_rows()
     change, error, message = BAD_LABELS[bad]
     for work in (None, netmod.Workspace(net, 6, backprop=True)):
         with pytest.raises(error, match=message):
-            backward_arrays(net, x, change(labels), loss=loss, work=work)
+            backward_arrays(net, x, change(labels), work=work)
 
 
 def test_cross_entropy_arrays_takes_only_one_hot_targets():
@@ -257,13 +231,6 @@ def test_stacked_backprop_refuses_labels_of_another_stack_size():
     x = np.random.default_rng(0).normal(size=(2, 6, 4))
     with pytest.raises(ShapeError, match=r"^labels of shape \(3, 6\) do not fit rows \(2, 6\)$"):
         backward_arrays(stack, x, np.zeros((3, 6), dtype=int))
-
-
-def test_loss_function_by_name():
-    assert netmod.loss_function("cross_entropy") is netmod.cross_entropy_loss
-    assert netmod.loss_function("mse") is netmod.mse_loss
-    with pytest.raises(ValueError, match="unknown loss"):
-        netmod.loss_function("hinge")
 
 
 # --- workspaces --------------------------------------------------------------
@@ -287,8 +254,7 @@ def _workspace_case(activation, rows, labels="random", seed=0):
 def test_workspace_matches_allocating_call_bit_for_bit(activation, labels, rows):
     net, es = _workspace_case(activation, rows, labels)
     work = netmod.Workspace(net, rows)
-    for lossf in (netmod.cross_entropy_loss, netmod.mse_loss):
-        assert lossf(net, es, work=work) == lossf(net, es)
+    assert netmod.cross_entropy_loss(net, es, work=work) == netmod.cross_entropy_loss(net, es)
     logits = forward(net, es.features)
     assert forward(net, es.features, work=work).tobytes() == logits.tobytes()
     assert forward(net, es.features[:1], work=netmod.Workspace(net, 1)).tobytes() == \
@@ -298,11 +264,11 @@ def test_workspace_matches_allocating_call_bit_for_bit(activation, labels, rows)
 def test_workspace_reused_across_networks_keeps_no_state():
     (n1, es), (n2, _) = _workspace_case("relu", 9, seed=1), _workspace_case("relu", 9, seed=2)
     work = netmod.Workspace(n1, 9)
-    for lossf in (netmod.cross_entropy_loss, netmod.mse_loss):
-        expected = lossf(n1, es), lossf(n2, es)
-        assert expected[0] != expected[1]
-        assert (lossf(n1, es, work=work), lossf(n2, es, work=work)) == expected
-        assert (lossf(n2, es, work=work), lossf(n1, es, work=work)) == expected[::-1]
+    lossf = netmod.cross_entropy_loss
+    expected = lossf(n1, es), lossf(n2, es)
+    assert expected[0] != expected[1]
+    assert (lossf(n1, es, work=work), lossf(n2, es, work=work)) == expected
+    assert (lossf(n2, es, work=work), lossf(n1, es, work=work)) == expected[::-1]
 
 
 def _overflowing(bad, rows):
@@ -326,23 +292,20 @@ def test_workspace_rejects_non_finite_logits_like_the_allocating_call(bad):
             netmod.cross_entropy_loss(net, es, work=work)
 
 
-def _one_hot_losses(logits, labels):
-    """The cross-entropy and the squared error against the one-hot targets of
-    ``labels``, in plain numpy: one reduction per row over its classes, then
-    np.mean's sum over the rows; a list for stacked logits."""
+def _one_hot_loss(logits, labels):
+    """The cross-entropy against the one-hot targets of ``labels``, in plain
+    numpy: one reduction per row over its classes, then np.mean's sum over
+    the rows; a list for stacked logits."""
     targets = np.eye(logits.shape[-1])[labels]
     shifted = logits - np.max(logits, axis=-1, keepdims=True)
     logp = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
     per_row = np.sum(targets * logp, axis=-1)
-    squares = (logits - targets) ** 2
     if logits.ndim == 2:
-        return {"cross_entropy": -float(np.sum(per_row) / per_row.size),
-                "mse": float(np.mean(squares))}
-    return {"cross_entropy": [-float(np.sum(v) / v.size) for v in per_row],
-            "mse": [float(np.mean(v)) for v in squares]}
+        return -float(np.sum(per_row) / per_row.size)
+    return [-float(np.sum(v) / v.size) for v in per_row]
 
 
-def _one_hot_gradient(theta, x, labels, kind):
+def _one_hot_gradient(theta, x, labels):
     """The gradient of a one-layer network whose parameters are ``theta``
     (the (C, d) weights, then the biases) on rows ``x`` with ``labels``, from
     the one-hot delta formula in plain numpy."""
@@ -351,12 +314,8 @@ def _one_hot_gradient(theta, x, labels, kind):
     logits = x @ weights.T
     logits += biases
     targets = np.eye(biases.size)[labels]
-    n = len(x)
-    if kind == "cross_entropy":
-        e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
-        delta = (e / np.sum(e, axis=-1, keepdims=True) - targets) / n
-    else:
-        delta = 2.0 * (logits - targets) / (n * biases.size)
+    e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+    delta = (e / np.sum(e, axis=-1, keepdims=True) - targets) / len(x)
     return np.concatenate([(delta.T @ x).ravel(), delta.sum(axis=0)])
 
 
@@ -380,13 +339,12 @@ def test_class_major_cross_entropy_equals_the_row_major_kernel(classes):
         for labels in (rng.integers(0, classes, size=rows),
                        rng.integers(0, classes, size=stack + (rows,)),
                        np.full(rows, classes - 1)):
-            expected = _one_hot_losses(logits, labels)
-            for kind in ("cross_entropy", "mse"):
-                for work in (None, netmod.Workspace(net, rows, *stack),
-                             netmod.Workspace(net, rows, *stack, backprop=True)):
-                    got = netmod._loss_of_logits(kind, logits, labels, work)
-                    assert got == expected[kind], (rows, stack, kind, work is None)
-                    assert logits.tobytes() == before  # no loss writes into its logits
+            expected = _one_hot_loss(logits, labels)
+            for work in (None, netmod.Workspace(net, rows, *stack),
+                         netmod.Workspace(net, rows, *stack, backprop=True)):
+                got = netmod._loss_of_logits(logits, labels, work)
+                assert got == expected, (rows, stack, work is None)
+                assert logits.tobytes() == before  # no loss writes into its logits
         if rows > 1000:
             continue
         thetas = net.theta + rng.normal(size=stack + net.theta.shape)
@@ -394,13 +352,12 @@ def test_class_major_cross_entropy_equals_the_row_major_kernel(classes):
         x = rng.normal(size=stack + (rows, 2))
         for labels in (rng.integers(0, classes, size=rows),
                        rng.integers(0, classes, size=stack + (rows,))):
-            for kind in ("cross_entropy", "mse"):
-                for work in (None, netmod.Workspace(net, rows, *stack, backprop=True)):
-                    _, grad = backward_arrays(model, x, labels, loss=kind, work=work)
-                    for s in np.ndindex(stack):
-                        own = labels[s] if labels.ndim > 1 else labels
-                        want = _one_hot_gradient(thetas[s], x[s], own, kind)
-                        assert grad[s].tobytes() == want.tobytes(), (rows, s, kind)
+            for work in (None, netmod.Workspace(net, rows, *stack, backprop=True)):
+                _, grad = backward_arrays(model, x, labels, work=work)
+                for s in np.ndindex(stack):
+                    own = labels[s] if labels.ndim > 1 else labels
+                    want = _one_hot_gradient(thetas[s], x[s], own)
+                    assert grad[s].tobytes() == want.tobytes(), (rows, s)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -435,19 +392,15 @@ def test_network_stack_scores_each_network_like_its_own(activation, rows):
     thetas = net.theta + rng.normal(size=(3, net.theta.size))  # every layer differs
     stack = netmod.NetworkStack(net, thetas)
     work = netmod.Workspace(net, rows, stack=3)
-    for kind in ("cross_entropy", "mse"):
-        lossf = netmod.loss_function(kind)
-        expected = [lossf(net.with_theta(theta.copy()), es) for theta in thetas]
-        for _ in range(2):  # a workspace keeps no state between calls
-            assert lossf(stack, es, work=work) == expected
+    expected = [netmod.cross_entropy_loss(net.with_theta(theta.copy()), es) for theta in thetas]
+    for _ in range(2):  # a workspace keeps no state between calls
+        assert netmod.cross_entropy_loss(stack, es, work=work) == expected
 
 
 def test_network_stack_losses_reject_what_they_cannot_score():
     net, es = _workspace_case("relu", 4)
     stack = netmod.NetworkStack(net, np.tile(net.theta, (2, 1)))
     work = netmod.Workspace(net, 4, stack=2)
-    with pytest.raises(ValueError, match="unknown loss"):
-        netmod.loss_function("hinge")(stack, es, work=work)
     for rows, message in (
         (Dataset(es.features[:, :5], es.labels, 5),
          r"inputs must have 6 features, got shape \(4, 5\)"),
@@ -455,12 +408,12 @@ def test_network_stack_losses_reject_what_they_cannot_score():
          r"a dataset of 4 classes does not fit a network of 5 logits"),
     ):
         with pytest.raises(ShapeError, match=message):
-            mse_loss(stack, rows, work=work)
+            netmod.cross_entropy_loss(stack, rows, work=work)
     wider = random_network([6, 9, 7, 5], 0)
     for wrong in (netmod.Workspace(net, 4), netmod.Workspace(net, 4, stack=3),
                   netmod.Workspace(net, 3, stack=2), netmod.Workspace(wider, 4, stack=2)):
         with pytest.raises(ShapeError, match="workspace does not fit"):
-            mse_loss(stack, es, work=wrong)
+            netmod.cross_entropy_loss(stack, es, work=wrong)
 
 
 def test_network_stack_forward_in_row_blocks_equals_each_network_bit_for_bit():
@@ -491,7 +444,6 @@ def test_every_pass_refuses_a_workspace_that_does_not_fit_with_one_message():
     passes = (
         lambda work: forward(stack, es.features, work=work),
         lambda work: netmod.cross_entropy_loss(stack, es, work=work),
-        lambda work: mse_loss(stack, es, work=work),
         lambda work: backward_arrays(stack, x, y, work=work),
     )
     for wrong in (netmod.Workspace(net, 4, backprop=True),  # no stack axis
@@ -527,13 +479,12 @@ def test_backward_zero_gradient_at_exact_minimum():
     assert np.linalg.norm(grad) < 1e-8
 
 
-@pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
-def test_backward_matches_finite_differences_small_net(loss):
+def test_backward_matches_finite_differences_small_net():
     rng = np.random.default_rng(9)
     net = random_network([4, 3, 2], seed=5)
     x = rng.normal(size=(6, 4))
     labels = rng.integers(0, 2, size=6)
-    assert_gradients_match_finite_differences(net, x, labels, kind=loss)
+    assert_gradients_match_finite_differences(net, x, labels)
 
 
 def test_backward_duplication_invariance():
@@ -703,4 +654,4 @@ def test_gradcheck_required_shapes(sizes):
     net = random_network(list(sizes), seed=sum(sizes))
     x = rng.normal(size=(4, sizes[0]))
     labels = rng.integers(0, sizes[-1], size=4)
-    assert_gradients_match_finite_differences(net, x, labels, kind="cross_entropy")
+    assert_gradients_match_finite_differences(net, x, labels)
