@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import re
 import sys
@@ -31,11 +30,13 @@ import numpy as np
 from . import baseline, merge, net as netmod, synthdata, training
 from .merge import KickoffConfig, LevelThresholds, MergeConfig, Thresholds
 from .synthdata import DataConfig, Dataset, check_number
-from .training import OptimizerConfig
+from .training import OPTIMIZERS, OptimizerConfig
 
 # the stages of a merge method: a start point (average or fisher), then cogram
 # and kickoff, each optional and in this order; sweep.csv orders its columns so
 METHOD_STAGES = ("average", "fisher", "cogram", "kickoff")
+
+DEFAULT_ARCH = (32, 64, 64, 20)  # a sweep's and `cogram train`'s layer sizes
 
 
 class UsageError(ValueError):
@@ -81,7 +82,7 @@ def _check_arch(name: str, arch) -> None:
 class ExperimentConfig:
     data: DataConfig
     mode: str = synthdata.MODES[0]
-    arch: list[int] = field(default_factory=lambda: [32, 64, 64, 20])
+    arch: list[int] = field(default_factory=lambda: list(DEFAULT_ARCH))
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     epochs: int = 30
     batch_size: int = 64
@@ -114,6 +115,15 @@ class ExperimentConfig:
             )
         for name, low in (("epochs", 0), ("batch_size", 1), ("fisher_samples", 1)):
             check_number(name, getattr(self, name), low, integer=True)
+        # the eval set's source, A's and B's rows: samples_per_class per class each
+        spec, per_class = self.merge.prototype, 2 * self.data.samples_per_class
+        mode, size = merge._parse_prototype(spec)
+        if mode == "kmeans" and size > per_class:
+            raise UsageError(f"K in prototype {spec!r} must be at most the {per_class} "
+                             f"rows of each class, got {size}")
+        if mode == "batch" and size is not None and size > per_class * self.data.num_classes:
+            raise UsageError(f"N in prototype {spec!r} must be at most the "
+                             f"{per_class * self.data.num_classes} rows of the data, got {size}")
 
 
 def _json_object(name: str, value) -> dict:
@@ -588,12 +598,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a subnetwork on a CSV dataset", allow_abbrev=False)
     p.add_argument("--data", required=True)
-    p.add_argument("--arch", default="32,64,64,20", help="comma-separated layer sizes")
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--optimizer", choices=["adam", "sgd_momentum"], default="adam")
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--clip-norm", type=float, default=None)
+    p.add_argument("--arch", default=",".join(map(str, DEFAULT_ARCH)),
+                   help="comma-separated layer sizes")
+    p.add_argument("--epochs", type=int, default=ExperimentConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=ExperimentConfig.batch_size)
+    p.add_argument("--optimizer", choices=OPTIMIZERS, default=OptimizerConfig.kind)
+    p.add_argument("--lr", type=float, default=OptimizerConfig.learning_rate)
+    p.add_argument("--clip-norm", type=float, default=OptimizerConfig.clip_norm)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--test-data", default=None)
     p.add_argument("--out", required=True, help="model JSON path")
@@ -609,20 +620,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-b", required=True)
     p.add_argument("--data-a", default=None)
     p.add_argument("--data-b", default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=5.5)
+    p.add_argument("--lambda", dest="lam", type=float, default=MergeConfig.lam)
     p.add_argument("--granularity", choices=merge.GRANULARITIES,
                    default=MergeConfig.max_granularity)
-    p.add_argument("--tau-min", type=float, default=0.0)
-    p.add_argument("--tau-max", type=float, default=math.inf, help="default: unbounded")
-    p.add_argument("--iterations", type=int, default=1)
-    p.add_argument("--prototype", default="onehot", help="onehot | kmeans:K | batch | batch:N")
-    p.add_argument("--fisher-samples", type=int, default=512)
+    p.add_argument("--tau-min", type=float, default=LevelThresholds.tau_min)
+    p.add_argument("--tau-max", type=float, default=LevelThresholds.tau_max,
+                   help="default: unbounded")
+    p.add_argument("--iterations", type=int, default=MergeConfig.iterations)
+    p.add_argument("--prototype", default=MergeConfig.prototype,
+                   help="onehot | kmeans:K | batch | batch:N")
+    p.add_argument("--fisher-samples", type=int, default=ExperimentConfig.fisher_samples)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kickoff-epochs", type=int, default=8)
-    p.add_argument("--finetune-epochs", type=int, default=20)
-    p.add_argument("--lr", type=float, default=1e-3, help="fine-tuning learning rate")
-    p.add_argument("--lr-mult", type=float, default=2.5)
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--kickoff-epochs", type=int, default=KickoffConfig.kickoff_epochs)
+    p.add_argument("--finetune-epochs", type=int, default=KickoffConfig.finetune_epochs)
+    p.add_argument("--lr", type=float, default=OptimizerConfig.learning_rate,
+                   help="fine-tuning learning rate")
+    p.add_argument("--lr-mult", type=float, default=KickoffConfig.lr_multiplier)
+    p.add_argument("--batch-size", type=int, default=ExperimentConfig.batch_size)
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_merge)

@@ -54,7 +54,7 @@ import numpy as np
 
 from . import net as netmod
 from .net import Network
-from .prototypes import build_prototypes_kmeans, build_raw_batch
+from .prototypes import DEFAULT_EPSILON, build_prototypes_kmeans, build_raw_batch
 from .synthdata import Dataset, check_number
 from .training import OptimizerConfig, TrainReport, train
 
@@ -99,7 +99,7 @@ class MergeConfig:
     lam: float = 5.5                      # sigmoid steepness
     thresholds: Thresholds = field(default_factory=Thresholds)
     max_granularity: str = "layer"        # deepest level the sweep may enter
-    epsilon: float = 1e-6                 # prototype stabilizer
+    epsilon: float = DEFAULT_EPSILON      # prototype stabilizer
     prototype: str = "onehot"             # the evaluation set, see _parse_prototype
     eval_seed: int = 0
     iterations: int = 1
@@ -605,7 +605,22 @@ def config_to_json_dict(config: MergeConfig) -> dict:
     }
 
 
+def _require_keys(what: str, doc, written: dict) -> None:
+    """Raise FormatError unless ``doc`` is an object with exactly the keys of
+    ``written``, and so on down each object in ``written``."""
+    if not isinstance(doc, dict):
+        raise netmod.FormatError(f"{what} must be a JSON object, got {doc!r}")
+    unknown, missing = sorted(set(doc) - set(written)), sorted(set(written) - set(doc))
+    if unknown or missing:
+        raise netmod.FormatError(f"{what}: unknown keys {unknown}, missing keys {missing}")
+    for key, value in written.items():
+        if isinstance(value, dict):
+            _require_keys(f"{what} {key!r}", doc[key], value)
+
+
 def config_from_json_dict(doc: dict) -> MergeConfig:
+    """Inverse of config_to_json_dict; refuses a key it does not write or lacks."""
+    _require_keys("report config", doc, config_to_json_dict(MergeConfig()))
     thresholds = Thresholds(**{
         level: LevelThresholds(
             _tau_from_json(doc["thresholds"][level]["tau_min"]),

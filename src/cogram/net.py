@@ -18,15 +18,11 @@ and bias (``(i,)``) or of one weight (``(i, j)``, the bias at j = in_dim).
 There is one forward loop, ``_forward_into``, one loss kernel,
 ``_loss_of_logits``, and one backward sweep, ``_pre_activation_deltas``.
 ``forward``, the losses, backprop and the Fisher pass all run the forward
-loop. ``forward`` without a workspace runs it over blocks of at most
-``BLOCK_ROWS`` rows that share one buffer per hidden layer, so a pass over a
-whole dataset holds one block's activations and the logits of all rows, not
-every layer's activations of all rows; a network with a layer of fewer than
-``MIN_BLOCKED_WIDTH`` outputs runs in one block, as the blocks would not
-give the logits of one pass bit for bit. Backprop (``backward_arrays``) runs
-the three in turn into the buffers of a ``Workspace``, made once by the
-caller (training makes one per batch size) or else for the call; it keeps
-each layer's output and takes each activation's derivative from it.
+loop, once per call, over all rows at once. The losses and backprop
+(``backward_arrays``) run into the buffers of a ``Workspace``, made once by
+the caller (training makes one per batch size, the merge one per layer) or
+else for the call; backprop keeps each layer's output and takes each
+activation's derivative from it.
 
 The one loss is the cross-entropy, measured on a ``synthdata.Dataset``, rows
 and their class labels. ``cross_entropy_loss`` runs ``forward`` and then the
@@ -60,8 +56,7 @@ ACTIVATIONS = ("relu", "tanh", "identity")
 
 MODEL_FORMAT = "cogram-net-v1"
 
-BLOCK_ROWS = 512  # the most rows a forward pass without a workspace runs at once
-MIN_BLOCKED_WIDTH = 5  # a network with a narrower layer runs such a pass in one block
+BLOCK_ROWS = 512  # from this many rows the loss runs class-major and the merge in block mode
 
 
 class ShapeError(ValueError):
@@ -326,20 +321,6 @@ def _forward_into(plan, a: np.ndarray, acts) -> np.ndarray:
     return a
 
 
-def _row_blocks(n: int, width: int) -> list[tuple[int, int]]:
-    """(start, stop) of the fewest blocks of at most ``BLOCK_ROWS`` rows that
-    cover ``n`` rows, their sizes differing by at most one, for a network
-    whose narrowest layer has ``width`` outputs; one block if that is under
-    ``MIN_BLOCKED_WIDTH``. Each block's matmul must take the kernel a whole
-    pass takes: BLAS computes a single row (gemv) or a small product
-    (OpenBLAS: outputs x rows <= 1,200, 32 or more inputs) in another order
-    of additions. Even blocks of a pass over 512 rows hold 257 rows or more,
-    so every layer of 5 or more outputs stays above that limit; a narrower
-    layer would not."""
-    blocks = -(-n // BLOCK_ROWS) if width >= MIN_BLOCKED_WIDTH else min(n, 1)
-    return [(n * i // blocks, n * (i + 1) // blocks) for i in range(blocks)]
-
-
 def _require_workspace(work: Workspace, net: Network, lead: tuple, rows: int,
                        backprop: bool = False) -> None:
     """Raise ShapeError unless ``work`` was made for ``rows`` rows of networks
@@ -356,28 +337,16 @@ def forward(net: Network | NetworkStack, inputs, work: Workspace | None = None) 
 
     With ``work`` every layer runs into the workspace's buffers and the
     logits returned are its last one, overwritten by the next call.
-    Otherwise the rows run through the same loop in blocks of at most
-    ``BLOCK_ROWS`` (see ``_row_blocks``), which share one buffer per hidden
-    layer made for the call, and each block's logits go into their rows of
-    one new (N, C) array. A pass of ``BLOCK_ROWS`` rows or fewer, or of a
-    network with a layer of fewer than ``MIN_BLOCKED_WIDTH`` outputs, is one
-    block. The logits are those of a one-shot pass over all rows, bit for
-    bit, as long as BLAS computes a row the same way in a block as in the
-    whole matrix, which OpenBLAS's gemm does for such blocks.
+    Otherwise every layer runs into a new array of its own.
     """
     shape, plan, lead, x = _parts(net, inputs)
     n = x.shape[-2]
-    if work is not None:
+    if work is None:
+        acts = [np.empty(lead + (n, out_dim)) for out_dim, _ in shape._shapes]
+    else:
         _require_workspace(work, shape, lead, n)
-        return _forward_into(plan, x, work.acts)
-    blocks = _row_blocks(n, min(out_dim for out_dim, _ in shape._shapes))
-    rows = max((stop - start for start, stop in blocks), default=0)
-    hidden = [np.empty(lead + (rows, out_dim)) for out_dim, _ in shape._shapes[:-1]]
-    logits = np.empty(lead + (n, shape.num_classes))
-    for start, stop in blocks:
-        acts = [h[..., : stop - start, :] for h in hidden] + [logits[..., start:stop, :]]
-        _forward_into(plan, x[..., start:stop, :], acts)
-    return logits
+        acts = work.acts
+    return _forward_into(plan, x, acts)
 
 
 def _pre_activation_deltas(plan, work: Workspace, delta: np.ndarray):
@@ -452,33 +421,32 @@ def _pairwise_class_sum(a: np.ndarray, lo: int, n: int) -> np.ndarray:
     return a[..., lo, :]
 
 
-def _at_labels(a: np.ndarray, at: np.ndarray, out=None) -> np.ndarray:
+def _at_labels(a: np.ndarray, at: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The entries of (..., N, C) ``a`` at the flat positions ``at`` of the
     rows' labels (checked before; mode "raise" would copy ``out``)."""
     return np.take(a.reshape(-1), at, out=out, mode="clip")
 
 
-def _class_major_cross_entropy(logits: np.ndarray, at: np.ndarray, work: Workspace | None):
+def _class_major_cross_entropy(logits: np.ndarray, at: np.ndarray, work: Workspace):
     """Each row's log-softmax at its label, the row-major kernel's values bit
     for bit, taken over contiguous rows of one class each. The logits are
-    copied once into a (C, N) buffer (``work.exp`` when given); the row max
-    and the exp sums then run as whole-row operations, the sums in numpy's
-    own order of additions (``_pairwise_class_sum``)."""
+    copied once into ``work.exp`` as a (C, N) buffer; the row max and the exp
+    sums then run as whole-row operations, the sums in numpy's own order of
+    additions (``_pairwise_class_sum``)."""
     *lead, rows, classes = logits.shape
-    shape = (*lead, classes, rows)
-    _require_finite(logits, "log_softmax", None if work is None else work.finite)
-    shifted = np.empty(shape) if work is None else work.exp.reshape(shape)
+    _require_finite(logits, "log_softmax", work.finite)
+    shifted = work.exp.reshape((*lead, classes, rows))
     np.copyto(shifted, logits.swapaxes(-1, -2))
-    row = np.empty((*lead, 1, rows)) if work is None else work.row[..., None, :]
+    row = work.row[..., None, :]
     shifted -= np.maximum.reduce(shifted, axis=-2, keepdims=True, out=row)
-    picked = _at_labels(logits, at, None if work is None else work.col[..., 0])
+    picked = _at_labels(logits, at, work.col[..., 0])
     picked -= row[..., 0, :]
     e = np.exp(shifted, out=shifted)
     np.log(_pairwise_class_sum(e, 0, classes), out=row[..., 0, :])
     return np.subtract(picked, row[..., 0, :], out=picked)
 
 
-def _loss_of_logits(logits: np.ndarray, labels: np.ndarray, work: Workspace | None = None):
+def _loss_of_logits(logits: np.ndarray, labels: np.ndarray, work: Workspace):
     """The one loss kernel: mean cross-entropy of softmax(logits) at each
     row's class label.
 
@@ -486,25 +454,21 @@ def _loss_of_logits(logits: np.ndarray, labels: np.ndarray, work: Workspace | No
     axis, (S, N, C) against (N,) labels or (S, N) ones, give a list of S
     losses, each reduced exactly as the loss of its (N, C) slice alone. The
     labels are integers in 0..C-1, checked by the caller. The logits are only
-    read; every intermediate goes into ``work``'s scratch when given, else
-    into new arrays. The flat positions of the rows' labels stay in
-    ``work.at``, and with a workspace made for backprop the kernel leaves the
-    softmax in ``work.exp``, for the backward pass. Without backprop, over
-    ``BLOCK_ROWS`` rows or more, it runs class-major
-    (``_class_major_cross_entropy``): its per-row reductions over a few
-    classes cost more there than the arithmetic, and it gives the same bits.
+    read; every intermediate goes into ``work``'s scratch. The flat positions
+    of the rows' labels stay in ``work.at``, and with a workspace made for
+    backprop the kernel leaves the softmax in ``work.exp``, for the backward
+    pass. Without backprop, over ``BLOCK_ROWS`` rows or more, it runs
+    class-major (``_class_major_cross_entropy``): its per-row reductions over
+    a few classes cost more there than the arithmetic, and it gives the same
+    bits.
     """
-    if work is None:
-        at = np.arange(0, logits.size, logits.shape[-1]).reshape(logits.shape[:-1]) + labels
-    else:
-        at = np.add(work.offsets, labels, out=work.at)
-    keep = work is not None and work.backprop
-    if keep or logits.shape[-2] < BLOCK_ROWS:
+    at = np.add(work.offsets, labels, out=work.at)
+    if work.backprop or logits.shape[-2] < BLOCK_ROWS:
         shifted, top = _shift(logits, "log_softmax", work)
-        values = _at_labels(shifted, at, None if work is None else work.row)
+        values = _at_labels(shifted, at, work.row)
         e = np.exp(shifted, out=shifted)
         sums = np.add.reduce(e, axis=-1, keepdims=True, out=top)
-        if keep:
+        if work.backprop:
             e /= sums  # the softmax, for the backward pass
         values -= np.log(sums, out=sums)[..., 0]
     else:
@@ -520,9 +484,13 @@ def cross_entropy_loss(net: Network | NetworkStack, dataset: Dataset,
     """Mean cross-entropy of softmax(logits) at the rows' labels; a list of
     one per network for a ``NetworkStack``.
 
-    With ``work`` (a ``Workspace`` for the set's rows) the whole pass runs
-    into its buffers and allocates no array.
+    The whole pass runs into the buffers of ``work``, a ``Workspace`` for the
+    set's rows, and allocates no array; without one it makes one for the
+    call.
     """
+    if work is None:
+        shape, _, lead, _ = _parts(net, dataset.features)
+        work = Workspace(shape, len(dataset), *lead)
     logits = forward(net, dataset.features, work=work)
     if logits.shape[-1] != dataset.num_classes:
         raise ShapeError(f"a dataset of {dataset.num_classes} classes does not fit a "

@@ -27,10 +27,12 @@ from . import net as netmod
 from .net import Network
 from .synthdata import Dataset, check_number
 
+OPTIMIZERS = ("adam", "sgd_momentum")
+
 
 @dataclass
 class OptimizerConfig:
-    kind: str = "adam"                    # "sgd_momentum" | "adam"
+    kind: str = "adam"                    # one of OPTIMIZERS
     learning_rate: float = 1e-3
     momentum: float = 0.9                 # sgd only
     betas: tuple[float, float] = (0.9, 0.999)
@@ -38,7 +40,7 @@ class OptimizerConfig:
     clip_norm: float | None = None        # global L2 ceiling, optional
 
     def __post_init__(self):
-        if self.kind not in ("sgd_momentum", "adam"):
+        if self.kind not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.kind!r}")
         check_number("learning_rate", self.learning_rate, strict=True)
         check_number("eps", self.eps, strict=True)

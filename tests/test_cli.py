@@ -827,6 +827,11 @@ def test_sweep_bad_fisher_samples_exit_2(tmp_path, capsys, value):
     ({"lambda": True}, "lam must be a number > 0, got True"),
     ({"epsilon": "x"}, "epsilon must be a number > 0, got 'x'"),
     ({"loss": "mse"}, "unknown merge config fields: ['loss']"),
+    # the helper's data: 25 rows of each of 3 classes per side
+    ({"prototype": "kmeans:51"},
+     "K in prototype 'kmeans:51' must be at most the 50 rows of each class, got 51"),
+    ({"prototype": "batch:151"},
+     "N in prototype 'batch:151' must be at most the 150 rows of the data, got 151"),
 ])
 def test_sweep_bad_merge_settings_exit_2_before_any_seed(tmp_path, capsys, settings, message):
     path = _sweep_config(tmp_path, [0], ["fisher+cogram"])
@@ -836,6 +841,16 @@ def test_sweep_bad_merge_settings_exit_2_before_any_seed(tmp_path, capsys, setti
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("prototype", ["kmeans:50", "batch:150"])
+def test_sweep_eval_set_of_all_its_rows_runs(tmp_path, prototype):
+    path = _sweep_config(tmp_path, [0], ["fisher+cogram"])
+    doc = json.loads(path.read_text())
+    doc["merge"] = {"prototype": prototype}
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1].endswith(",ok")
 
 
 @pytest.mark.parametrize("settings", [
@@ -852,6 +867,30 @@ def test_sweep_merge_settings_have_one_key_each(tmp_path, capsys, settings):
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     unknown = sorted(k for k in settings if k != "prototype")
     assert f"unknown merge config fields: {unknown}" in capsys.readouterr().err
+
+
+def test_settings_flags_default_to_their_settings_fields():
+    parser = cli.build_parser()
+    train = parser.parse_args(["train", "--data", "a.csv", "--out", "m.json"])
+    merge = parser.parse_args(["merge", "--method", "fisher", "--model-a", "a.json",
+                               "--model-b", "b.json", "--out", "m.json"])
+    experiment, optimizer = cli.ExperimentConfig(cli.DataConfig()), OptimizerConfig()
+    config, band, kickoff = MergeConfig(), LevelThresholds(), KickoffConfig()
+    assert config.thresholds == Thresholds.uniform(band.tau_min, band.tau_max)
+    flags = [
+        (train, {"arch": ",".join(map(str, experiment.arch)), "epochs": experiment.epochs,
+                 "batch_size": experiment.batch_size, "optimizer": optimizer.kind,
+                 "lr": optimizer.learning_rate, "clip_norm": optimizer.clip_norm}),
+        (merge, {"lam": config.lam, "granularity": config.max_granularity,
+                 "tau_min": band.tau_min, "tau_max": band.tau_max,
+                 "iterations": config.iterations, "prototype": config.prototype,
+                 "fisher_samples": experiment.fisher_samples,
+                 "kickoff_epochs": kickoff.kickoff_epochs,
+                 "finetune_epochs": kickoff.finetune_epochs, "lr": optimizer.learning_rate,
+                 "lr_mult": kickoff.lr_multiplier, "batch_size": experiment.batch_size}),
+    ]
+    for args, defaults in flags:
+        assert {name: getattr(args, name) for name in defaults} == defaults
 
 
 def test_config_settings_left_out_take_the_dataclass_defaults():
@@ -1004,16 +1043,21 @@ def test_sweep_csv_same_bytes_for_one_and_two_workers(tmp_path, monkeypatch):
         (tmp_path / "2" / "sweep.csv").read_bytes()
 
 
-def test_sweep_failed_seed_is_flagged_but_kept(tmp_path, capsys):
-    # an impossible evaluation batch size fails each seed at merge time;
+def _no_eval_set(dataset, config):
+    raise ValueError("no evaluation set")
+
+
+def test_sweep_failed_seed_is_flagged_but_kept(tmp_path, capsys, monkeypatch):
+    # an evaluation set that cannot be built fails each seed at merge time;
     # rows must survive with status=failed and empty metric cells, and a
     # sweep whose every seed failed exits 1 with the first seed's error
+    monkeypatch.setenv("COGRAM_THREADS", "1")  # the seeds run in this process
+    monkeypatch.setattr(cli.merge, "build_eval_set", _no_eval_set)
     doc = {
         "data": {"num_classes": 3, "dim": 5, "samples_per_class": 10,
                  "test_samples_per_class": 5},
         "arch": [5, 8, 3],
         "train": {"epochs": 1},
-        "merge": {"prototype": "batch:999999"},
         "methods": ["fisher", "fisher+cogram"],
         "seeds": [0, 1],
     }

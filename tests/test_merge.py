@@ -844,3 +844,25 @@ def test_config_json_round_trip_with_infinities():
     doc = config_to_json_dict(cfg)
     back = config_from_json_dict(doc)
     assert back == cfg
+
+
+def _rename_neuron_tau_min(config):
+    band = config["thresholds"]["neuron"]
+    band["tau"] = band.pop("tau_min")
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda doc: doc.update(loss="mse"),
+     r"^report config: unknown keys \['loss'\], missing keys \[\]$"),
+    (lambda doc: doc.pop("iterations"),
+     r"^report config: unknown keys \[\], missing keys \['iterations'\]$"),
+    (_rename_neuron_tau_min,
+     r"^report config 'thresholds' 'neuron': unknown keys \['tau'\], "
+     r"missing keys \['tau_min'\]$"),
+])
+def test_report_config_with_an_unknown_or_a_missing_key_is_refused(change, message):
+    # a report is read back only with the keys config_to_json_dict writes
+    doc = json.loads(reports_to_json([MergeReport([], 1.0, 0.5, 0.25)], MergeConfig()))
+    change(doc["config"])
+    with pytest.raises(netmod.FormatError, match=message):
+        reports_from_json(json.dumps(doc))

@@ -340,10 +340,10 @@ def test_class_major_cross_entropy_equals_the_row_major_kernel(classes):
                        rng.integers(0, classes, size=stack + (rows,)),
                        np.full(rows, classes - 1)):
             expected = _one_hot_loss(logits, labels)
-            for work in (None, netmod.Workspace(net, rows, *stack),
+            for work in (netmod.Workspace(net, rows, *stack),
                          netmod.Workspace(net, rows, *stack, backprop=True)):
                 got = netmod._loss_of_logits(logits, labels, work)
-                assert got == expected, (rows, stack, work is None)
+                assert got == expected, (rows, stack, work.backprop)
                 assert logits.tobytes() == before  # no loss writes into its logits
         if rows > 1000:
             continue
@@ -416,14 +416,13 @@ def test_network_stack_losses_reject_what_they_cannot_score():
             netmod.cross_entropy_loss(stack, es, work=wrong)
 
 
-def test_network_stack_forward_in_row_blocks_equals_each_network_bit_for_bit():
-    # 1,543 rows run in blocks of at most BLOCK_ROWS, each with the stack axis
+def test_network_stack_forward_over_many_rows_equals_each_network_bit_for_bit():
+    # 1,543 rows, more than BLOCK_ROWS, in one pass with the stack axis
     rng = np.random.default_rng(5)
     net = random_network([6, 16, 12, 5], 0)
     thetas = net.theta + rng.normal(scale=0.3, size=(3, net.theta.size))
     stack = netmod.NetworkStack(net, thetas)
     x = rng.normal(size=(1543, 6))
-    assert len(netmod._row_blocks(len(x), 5)) > 1
     logits = forward(stack, x)
     assert logits.shape == (3, 1543, 5)
     for s, theta in enumerate(thetas):

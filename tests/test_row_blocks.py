@@ -1,12 +1,13 @@
-"""Whole-dataset passes run in row blocks and stay bounded in memory.
+"""Whole-dataset passes equal a one-shot reference and the report writer
+stays bounded in memory.
 
-``forward`` without a workspace runs the forward loop over blocks of at most
-``net.BLOCK_ROWS`` rows. Its logits, the losses built on it and
+``forward`` runs the forward loop once over all rows, and the losses run it
+into a workspace. Its logits, the losses built on it and
 ``training.accuracy`` must equal a one-shot pass over all rows, bit for bit:
-the reference below is the allocating forward pass as it was before row
-blocks, kept verbatim, so a change to net's shared loop cannot move the
-reference along with it. The memory bounds are measured with tracemalloc,
-which sees numpy's array allocations.
+the reference below is the allocating forward pass, kept verbatim, so a
+change to net's shared loop cannot move the reference along with it. The
+memory bound is measured with tracemalloc, which sees numpy's array
+allocations.
 """
 
 import tracemalloc
@@ -42,10 +43,10 @@ def _ref_forward(net, x):
 
 ROWS = [1, 511, 512, 513, 3 * 512 + 7]
 SIZES = [33, 64, 40, 7]
-# Layers of fewer than 5 outputs fed by 32 or more inputs: blocked, these
-# row counts would put some blocks on OpenBLAS's small-matrix kernel and the
-# whole pass on its gemm, so such networks run in one block. 5 outputs is
-# the narrowest layer that is blocked.
+# Narrow layers fed by 32 or more inputs, about where OpenBLAS switches
+# kernels: it computes a small product (outputs x rows <= 1,200) in another
+# order of additions than its gemm, so a pass split into blocks of rows could
+# move these logits' bits, and a pass over all rows at once must not.
 NARROW = [[32, 64, c] for c in (1, 2, 3, 5)] + [[32, 3, 64, 7]]
 CASES = [(n, SIZES) for n in ROWS] + [(n, s) for s in NARROW for n in (700, 1100, 3000)]
 
@@ -71,6 +72,8 @@ def _rows(n, seed=1, sizes=SIZES):
 @pytest.mark.parametrize("hidden", ["relu", "tanh"])
 @pytest.mark.parametrize("output", ["relu", "tanh", "identity"])
 def test_blocked_passes_equal_one_shot_reference(n, sizes, hidden, output):
+    # the one-shot oracle of forward, cross_entropy_loss and accuracy (named
+    # when forward ran in row blocks; the name keeps the test's ids)
     net = _network(hidden, output, sizes=sizes)
     x, labels = _rows(n, sizes=sizes)
     ref = _ref_forward(net, x)
@@ -78,7 +81,7 @@ def test_blocked_passes_equal_one_shot_reference(n, sizes, hidden, output):
     assert logits.shape == (n, sizes[-1])
     assert logits.tobytes() == ref.tobytes()
     dataset = Dataset(x, labels, sizes[-1])
-    expected = netmod._loss_of_logits(_ref_forward(net, x), labels)
+    expected = netmod._loss_of_logits(_ref_forward(net, x), labels, netmod.Workspace(net, n))
     assert netmod.cross_entropy_loss(net, dataset) == expected
     expected = float(np.mean(np.argmax(ref, axis=1) == labels))
     assert training.accuracy(net, dataset) == expected
@@ -92,57 +95,20 @@ def test_one_row_and_zero_rows():
     assert empty.shape == (0, SIZES[-1])
 
 
-def _spy_blocks(monkeypatch, net, n):
-    """Runs ``forward`` over ``n`` rows; per call of the loop, its rows, the
-    rows of each buffer and each buffer's address."""
+@pytest.mark.parametrize("n", [1, 513, 3000])
+@pytest.mark.parametrize("sizes", [SIZES, [32, 64, 3]])
+def test_forward_runs_the_one_loop_once_over_all_rows(monkeypatch, n, sizes):
     calls = []
 
     def spy(plan, a, acts):
-        calls.append((a.shape[0], [b.shape[0] for b in acts], [b.ctypes.data for b in acts]))
+        calls.append((a.shape[0], [b.shape[0] for b in acts]))
         return loop(plan, a, acts)
 
     loop = netmod._forward_into
     monkeypatch.setattr(netmod, "_forward_into", spy)
-    x, _ = _rows(n, sizes=[net.input_dim, net.num_classes])
-    return netmod.forward(net, x), calls
-
-
-@pytest.mark.parametrize("n, sizes", [
-    (1, [1]), (512, [512]), (513, [256, 257]), (1024, [512, 512]),
-    (3 * 512 + 7, [385, 386, 386, 386]), (4000, [500] * 8),
-])
-def test_blocks_are_even_and_run_through_the_one_loop(monkeypatch, n, sizes):
-    logits, calls = _spy_blocks(monkeypatch, _network("relu", "identity"), n)
-    assert [rows for rows, _, _ in calls] == sizes
-    assert all(set(shapes) == {rows} for rows, shapes, _ in calls)
-    # every block runs into the same hidden-layer buffers, and its logits
-    # straight into its rows of the result
-    assert len({tuple(data[:-1]) for _, _, data in calls}) == 1
-    starts = np.cumsum([0] + sizes[:-1])
-    row_bytes = SIZES[-1] * logits.itemsize
-    assert [data[-1] for _, _, data in calls] == [logits.ctypes.data + s * row_bytes for s in starts]
-
-
-@pytest.mark.parametrize("sizes, blocks", [
-    ([32, 64, 4], 1), ([32, 4, 64, 7], 1), ([32, 64, 5], 6), ([32, 5, 64, 7], 6),
-])
-def test_a_layer_under_the_blocked_width_keeps_the_pass_whole(monkeypatch, sizes, blocks):
-    _, calls = _spy_blocks(monkeypatch, _network("relu", "identity", sizes=sizes), 3000)
-    assert len(calls) == blocks and sum(rows for rows, _, _ in calls) == 3000
-
-
-def test_accuracy_peaks_below_one_hidden_layer_of_all_rows():
-    sizes = [16, 64, 64, 10]
-    net = _network("relu", "identity", sizes=sizes)
-    x, labels = _rows(8 * 512, sizes=sizes)
-    data = Dataset(x, labels, sizes[-1])
-    tracemalloc.start()
-    try:
-        training.accuracy(net, data)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < len(data) * 64 * 8  # one (N, 64) float64 array
+    x, _ = _rows(n, sizes=sizes)
+    netmod.forward(_network("relu", "identity", sizes=sizes), x)
+    assert calls == [(n, [n] * (len(sizes) - 1))]
 
 
 def _weight_report(records=2000, seed=0):
