@@ -159,10 +159,10 @@ def _mergeconfig_from_dict(doc: dict) -> MergeConfig:
     if doc:
         raise UsageError(f"unknown merge config fields: {sorted(doc)}")
     try:
-        level = LevelThresholds(**band)
-        return MergeConfig(thresholds=Thresholds(level, level, level), **kwargs)
+        return MergeConfig(thresholds=Thresholds.uniform(**band), **kwargs)
     except ValueError as exc:
-        raise UsageError(f"bad merge config: {exc}") from exc
+        keys = {name: key for key, name in _MERGE_KEYS.items()}
+        raise UsageError(f"bad merge config: {_renamed(exc, keys)}") from exc
 
 
 def _experiment_from_dict(doc: dict) -> ExperimentConfig:
@@ -444,7 +444,13 @@ _FLAGS = {"lam": "--lambda", "tau_min": "--tau-min", "tau_max": "--tau-max",
           "learning_rate": "--lr", "clip_norm": "--clip-norm"}
 
 
-_FIELD_WORDS = re.compile(r"\b(" + "|".join(_FLAGS) + r")\b")
+_WORD = re.compile(r"'[^']*'|\w+")  # a quoted value the user wrote is one word
+
+
+def _renamed(exc: ValueError, names: dict) -> str:
+    """The message of ``exc`` with every word that is a key of ``names``
+    replaced by its value; quoted values keep their spelling."""
+    return _WORD.sub(lambda word: names.get(word[0], word[0]), str(exc))
 
 
 @contextlib.contextmanager
@@ -454,8 +460,8 @@ def _flag_errors():
     try:
         yield
     except ValueError as exc:
-        message, renamed = _FIELD_WORDS.subn(lambda word: _FLAGS[word[1]], str(exc))
-        if not renamed:
+        message = _renamed(exc, _FLAGS)
+        if message == str(exc):
             raise
         raise UsageError(message) from None
 

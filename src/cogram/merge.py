@@ -48,7 +48,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -86,7 +86,8 @@ class Thresholds:
     weight: LevelThresholds = LevelThresholds()
 
     @classmethod
-    def uniform(cls, tau_min: float, tau_max: float) -> "Thresholds":
+    def uniform(cls, tau_min: float = LevelThresholds.tau_min,
+                tau_max: float = LevelThresholds.tau_max) -> "Thresholds":
         level = LevelThresholds(tau_min, tau_max)
         return cls(layer=level, neuron=level, weight=level)
 
@@ -353,6 +354,12 @@ def build_eval_set(dataset: Dataset, config: MergeConfig) -> Dataset:
     """The fixed evaluation set every decision in a merge run is measured on.
     ``onehot`` is ``kmeans:1``: one cluster per class, all of its rows."""
     mode, size = _parse_prototype(config.prototype)
+    if mode == "kmeans":
+        classes, counts = np.unique(dataset.labels, return_counts=True)
+        smallest = np.argmin(counts)
+        if size > counts[smallest]:
+            raise ValueError(f"K in prototype {config.prototype!r} must be at most the "
+                             f"{counts[smallest]} rows of class {classes[smallest]}, got {size}")
     if mode in ("onehot", "kmeans"):
         return build_prototypes_kmeans(
             dataset, size or 1, kmeans_seed=config.eval_seed, epsilon=config.epsilon
@@ -579,30 +586,15 @@ def gradient_kickoff(
 # --- report serialization -----------------------------------------------------
 
 
-def _tau_to_json(v: float):
-    return "inf" if math.isinf(v) else v
-
-
-def _tau_from_json(v) -> float:
-    return math.inf if v == "inf" else float(v)
-
-
 def config_to_json_dict(config: MergeConfig) -> dict:
-    return {
-        "lambda": config.lam,
-        "thresholds": {
-            level: {
-                "tau_min": _tau_to_json(config.thresholds.for_level(level).tau_min),
-                "tau_max": _tau_to_json(config.thresholds.for_level(level).tau_max),
-            }
-            for level in GRANULARITIES
-        },
-        "max_granularity": config.max_granularity,
-        "epsilon": config.epsilon,
-        "prototype": config.prototype,
-        "eval_seed": config.eval_seed,
-        "iterations": config.iterations,
+    """``config`` field by field, in field order, with ``lam`` written as
+    ``"lambda"`` and an unbounded tau as ``"inf"``."""
+    doc = {"lambda" if name == "lam" else name: value for name, value in asdict(config).items()}
+    doc["thresholds"] = {
+        level: {name: "inf" if tau == math.inf else tau for name, tau in taus.items()}
+        for level, taus in doc["thresholds"].items()
     }
+    return doc
 
 
 def _require_keys(what: str, doc, written: dict) -> None:
@@ -619,24 +611,16 @@ def _require_keys(what: str, doc, written: dict) -> None:
 
 
 def config_from_json_dict(doc: dict) -> MergeConfig:
-    """Inverse of config_to_json_dict; refuses a key it does not write or lacks."""
+    """Inverse of config_to_json_dict; refuses a key it does not write or
+    lacks, and every value the settings refuse."""
     _require_keys("report config", doc, config_to_json_dict(MergeConfig()))
-    thresholds = Thresholds(**{
-        level: LevelThresholds(
-            _tau_from_json(doc["thresholds"][level]["tau_min"]),
-            _tau_from_json(doc["thresholds"][level]["tau_max"]),
-        )
-        for level in GRANULARITIES
+    fields = {"lam" if key == "lambda" else key: value for key, value in doc.items()}
+    fields["thresholds"] = Thresholds(**{
+        level: LevelThresholds(**{name: math.inf if tau == "inf" else tau
+                                  for name, tau in taus.items()})
+        for level, taus in doc["thresholds"].items()
     })
-    return MergeConfig(
-        lam=doc["lambda"],
-        thresholds=thresholds,
-        max_granularity=doc["max_granularity"],
-        epsilon=doc["epsilon"],
-        prototype=doc["prototype"],
-        eval_seed=doc["eval_seed"],
-        iterations=doc["iterations"],
-    )
+    return MergeConfig(**fields)
 
 
 # DecisionRecord's fields, in report order, and each one's key in the report
@@ -649,7 +633,8 @@ def _record_to_json_dict(rec: DecisionRecord) -> dict:
     return {key: getattr(rec, name) for name, key in _RECORD_KEYS.items()}
 
 
-def _record_from_json_dict(doc: dict) -> DecisionRecord:
+def _record_from_json_dict(what: str, doc) -> DecisionRecord:
+    _require_keys(what, doc, dict.fromkeys(_RECORD_KEYS.values()))
     return DecisionRecord(**{name: doc[key] for name, key in _RECORD_KEYS.items()})
 
 
@@ -682,15 +667,19 @@ def reports_from_json(text: str) -> tuple[list[MergeReport], MergeConfig, float]
     the file, so the total is assigned to the first report (keeping the sum,
     and with it re-serialization, exact)."""
     doc = json.loads(text)
+    _require_keys("report", doc, dict.fromkeys(("config", "iterations", "wall_time_s")))
     config = config_from_json_dict(doc["config"])
+    check_number("report wall_time_s", doc["wall_time_s"])
     total = float(doc["wall_time_s"])
-    reports = [
-        MergeReport(
-            records=[_record_from_json_dict(r) for r in it["records"]],
+    reports = []
+    for i, it in enumerate(doc["iterations"]):
+        what = f"report iteration {i}"
+        _require_keys(what, it, dict.fromkeys(("records", "loss_before", "loss_after")))
+        reports.append(MergeReport(
+            records=[_record_from_json_dict(f"{what} record {j}", r)
+                     for j, r in enumerate(it["records"])],
             loss_before=it["loss_before"],
             loss_after=it["loss_after"],
             wall_time_s=total if i == 0 else 0.0,
-        )
-        for i, it in enumerate(doc["iterations"])
-    ]
+        ))
     return reports, config, total

@@ -823,8 +823,8 @@ def test_sweep_bad_fisher_samples_exit_2(tmp_path, capsys, value):
     ({"iterations": 2.5}, "iterations must be an integer >= 1, got 2.5"),
     ({"eval_seed": 1.5}, "eval_seed must be an integer >= 0, got 1.5"),
     ({"eval_seed": -1}, "eval_seed must be an integer >= 0, got -1"),
-    ({"lambda": "5"}, "lam must be a number > 0, got '5'"),
-    ({"lambda": True}, "lam must be a number > 0, got True"),
+    ({"lambda": "5"}, "lambda must be a number > 0, got '5'"),
+    ({"lambda": True}, "lambda must be a number > 0, got True"),
     ({"epsilon": "x"}, "epsilon must be a number > 0, got 'x'"),
     ({"loss": "mse"}, "unknown merge config fields: ['loss']"),
     # the helper's data: 25 rows of each of 3 classes per side
@@ -832,6 +832,9 @@ def test_sweep_bad_fisher_samples_exit_2(tmp_path, capsys, value):
      "K in prototype 'kmeans:51' must be at most the 50 rows of each class, got 51"),
     ({"prototype": "batch:151"},
      "N in prototype 'batch:151' must be at most the 150 rows of the data, got 151"),
+    ({"lambda": -1}, "bad merge config: lambda must be a number > 0, got -1"),
+    ({"tau_min": 2, "tau_max": 1}, "bad merge config: tau_min must be <= tau_max, got 2.0 > 1.0"),
+    ({"prototype": "lam"}, "bad prototype spec 'lam'"),
 ])
 def test_sweep_bad_merge_settings_exit_2_before_any_seed(tmp_path, capsys, settings, message):
     path = _sweep_config(tmp_path, [0], ["fisher+cogram"])
@@ -932,6 +935,8 @@ def test_config_settings_left_out_take_the_dataclass_defaults():
      "--tau-min must be <= --tau-max, got 2.0 > 1.0"),
     (["--method", "fisher+cogram", "--prototype", "kmeans:0"],
      "K in prototype 'kmeans:0' must be an integer >= 1, got 0"),
+    (["--method", "fisher+cogram", "--prototype", "iterations"],  # a value, not a field
+     "bad prototype spec 'iterations'"),
 ])
 def test_merge_bad_numeric_flags_exit_2_before_any_stage(workspace, tmp_path, capsys,
                                                          monkeypatch, flags, message):
@@ -953,6 +958,8 @@ def test_merge_bad_numeric_flags_exit_2_before_any_stage(workspace, tmp_path, ca
     ("batch:0", "N in prototype 'batch:0' must be an integer >= 1, got 0"),
     ("batch:1000",  # the two CSV files hold 320 rows
      "N in prototype 'batch:1000' must be at most the 320 rows of the data, got 1000"),
+    ("kmeans:81",  # 80 rows of each of the 4 classes
+     "K in prototype 'kmeans:81' must be at most the 80 rows of class 0, got 81"),
 ])
 def test_merge_bad_prototype_exits_2_before_the_fisher_pass(workspace, tmp_path, capsys,
                                                              monkeypatch, spec, message):

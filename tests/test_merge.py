@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -836,33 +837,81 @@ def test_report_text_of_iterations_without_records(iterations):
 
 
 def test_config_json_round_trip_with_infinities():
-    cfg = MergeConfig(thresholds=Thresholds(
+    cfg = MergeConfig(lam=2.25, thresholds=Thresholds(
         layer=LevelThresholds(0.0, math.inf),
         neuron=LevelThresholds(0.1, 0.2),
         weight=LevelThresholds(math.inf, math.inf),
-    ), prototype="batch:7")
+    ), max_granularity="weight", epsilon=1e-3, prototype="kmeans:2", eval_seed=7, iterations=3)
+    assert all(getattr(cfg, f.name) != f.default for f in dataclasses.fields(MergeConfig)
+               if f.default is not dataclasses.MISSING)
     doc = config_to_json_dict(cfg)
+    # the report's config is MergeConfig field by field, in field order
+    assert list(doc) == ["lambda" if f.name == "lam" else f.name
+                         for f in dataclasses.fields(MergeConfig)]
+    assert doc["lambda"] == 2.25
+    assert doc["thresholds"]["layer"] == {"tau_min": 0.0, "tau_max": "inf"}
+    assert doc["thresholds"]["weight"] == {"tau_min": "inf", "tau_max": "inf"}
     back = config_from_json_dict(doc)
     assert back == cfg
 
 
-def _rename_neuron_tau_min(config):
-    band = config["thresholds"]["neuron"]
+@pytest.mark.parametrize("tau, message", [
+    ("1.5", "tau_min must be a number >= 0, got '1.5'"),
+    (True, "tau_min must be a number >= 0, got True"),
+    ("Infinity", "tau_min must be a number >= 0, got 'Infinity'"),
+])
+def test_report_config_tau_the_settings_refuse_is_refused(tau, message):
+    # a tau is read as the settings take it, not coerced with float()
+    doc = config_to_json_dict(MergeConfig())
+    doc["thresholds"]["neuron"]["tau_min"] = tau
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        config_from_json_dict(doc)
+
+
+@pytest.mark.parametrize("wall_time", ["0.25", True, -1.0])
+def test_report_wall_time_the_writer_would_not_write_is_refused(wall_time):
+    doc = json.loads(reports_to_json([MergeReport([], 1.0, 0.5, 0.25)], MergeConfig()))
+    doc["wall_time_s"] = wall_time
+    with pytest.raises(ValueError, match=f"^report wall_time_s must be a number >= 0, got "
+                                         f"{re.escape(repr(wall_time))}$"):
+        reports_from_json(json.dumps(doc))
+
+
+def _rename_neuron_tau_min(doc):
+    band = doc["config"]["thresholds"]["neuron"]
     band["tau"] = band.pop("tau_min")
 
 
+_RECORD = merge.DecisionRecord(level="layer", layer=0, neuron=None, weight=None, loss_a=0.5,
+                               loss_b=0.25, delta=0.25, case=3, alpha=0.2, action="merged")
+
+
 @pytest.mark.parametrize("change, message", [
-    (lambda doc: doc.update(loss="mse"),
+    (lambda doc: doc["config"].update(loss="mse"),
      r"^report config: unknown keys \['loss'\], missing keys \[\]$"),
-    (lambda doc: doc.pop("iterations"),
+    (lambda doc: doc["config"].pop("iterations"),
      r"^report config: unknown keys \[\], missing keys \['iterations'\]$"),
     (_rename_neuron_tau_min,
      r"^report config 'thresholds' 'neuron': unknown keys \['tau'\], "
      r"missing keys \['tau_min'\]$"),
+    (lambda doc: doc["iterations"][0]["records"][1].update(note="x"),
+     r"^report iteration 0 record 1: unknown keys \['note'\], missing keys \[\]$"),
+    (lambda doc: doc["iterations"][0]["records"][0].pop("L_A"),
+     r"^report iteration 0 record 0: unknown keys \[\], missing keys \['L_A'\]$"),
+    (lambda doc: doc["iterations"][0].pop("loss_after"),
+     r"^report iteration 0: unknown keys \[\], missing keys \['loss_after'\]$"),
+    (lambda doc: doc.pop("wall_time_s"),
+     r"^report: unknown keys \[\], missing keys \['wall_time_s'\]$"),
+    # what `cogram merge` writes without a cogram stage
+    (lambda doc: doc.clear() or doc.update(method="fisher", records=[]),
+     r"^report: unknown keys \['method', 'records'\], "
+     r"missing keys \['config', 'iterations', 'wall_time_s'\]$"),
 ])
 def test_report_config_with_an_unknown_or_a_missing_key_is_refused(change, message):
-    # a report is read back only with the keys config_to_json_dict writes
-    doc = json.loads(reports_to_json([MergeReport([], 1.0, 0.5, 0.25)], MergeConfig()))
-    change(doc["config"])
+    # a report is read back only with the keys its writer writes, at every level
+    doc = json.loads(reports_to_json([MergeReport([_RECORD, _RECORD], 1.0, 0.5, 0.25)],
+                                     MergeConfig()))
+    reports_from_json(json.dumps(doc))
+    change(doc)
     with pytest.raises(netmod.FormatError, match=message):
         reports_from_json(json.dumps(doc))
