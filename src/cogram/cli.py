@@ -116,14 +116,8 @@ class ExperimentConfig:
         for name, low in (("epochs", 0), ("batch_size", 1), ("fisher_samples", 1)):
             check_number(name, getattr(self, name), low, integer=True)
         # the eval set's source, A's and B's rows: samples_per_class per class each
-        spec, per_class = self.merge.prototype, 2 * self.data.samples_per_class
-        mode, size = merge._parse_prototype(spec)
-        if mode == "kmeans" and size > per_class:
-            raise UsageError(f"K in prototype {spec!r} must be at most the {per_class} "
-                             f"rows of each class, got {size}")
-        if mode == "batch" and size is not None and size > per_class * self.data.num_classes:
-            raise UsageError(f"N in prototype {spec!r} must be at most the "
-                             f"{per_class * self.data.num_classes} rows of the data, got {size}")
+        per_class = 2 * self.data.samples_per_class
+        merge.check_context(self.merge.prototype, per_class, per_class * self.data.num_classes)
 
 
 def _json_object(name: str, value) -> dict:
@@ -161,12 +155,15 @@ def _mergeconfig_from_dict(doc: dict) -> MergeConfig:
     try:
         return MergeConfig(thresholds=Thresholds.uniform(**band), **kwargs)
     except ValueError as exc:
-        keys = {name: key for key, name in _MERGE_KEYS.items()}
-        raise UsageError(f"bad merge config: {_renamed(exc, keys)}") from exc
+        raise UsageError(f"bad merge config: {exc}") from exc
 
 
 def _experiment_from_dict(doc: dict) -> ExperimentConfig:
-    data = _section("data", DataConfig, _json_object("data", doc.pop("data", {})))
+    data_doc = _json_object("data", doc.pop("data", {}))
+    if "seed" in data_doc:  # each of the sweep's seeds generates its own data
+        raise UsageError(f"a sweep's data config takes no seed, got {data_doc['seed']!r}; "
+                         "list the data seeds under seeds")
+    data = _section("data", DataConfig, data_doc)
     train_doc = _json_object("train", doc.pop("train", {}))
     kwargs = {key: train_doc.pop(key) for key in ("epochs", "batch_size") if key in train_doc}
     kwargs["optimizer"] = _section("train", OptimizerConfig, train_doc)
@@ -437,8 +434,9 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-# a settings field -> the flag of ``cogram merge`` or ``cogram train`` that fills it
-_FLAGS = {"lam": "--lambda", "tau_min": "--tau-min", "tau_max": "--tau-max",
+# a name in a settings error (the field's, but "lambda" for ``lam``) -> the flag of
+# ``cogram merge`` or ``cogram train`` that fills that setting
+_FLAGS = {"lambda": "--lambda", "tau_min": "--tau-min", "tau_max": "--tau-max",
           "iterations": "--iterations", "kickoff_epochs": "--kickoff-epochs",
           "finetune_epochs": "--finetune-epochs", "lr_multiplier": "--lr-mult",
           "learning_rate": "--lr", "clip_norm": "--clip-norm"}
@@ -447,20 +445,15 @@ _FLAGS = {"lam": "--lambda", "tau_min": "--tau-min", "tau_max": "--tau-max",
 _WORD = re.compile(r"'[^']*'|\w+")  # a quoted value the user wrote is one word
 
 
-def _renamed(exc: ValueError, names: dict) -> str:
-    """The message of ``exc`` with every word that is a key of ``names``
-    replaced by its value; quoted values keep their spelling."""
-    return _WORD.sub(lambda word: names.get(word[0], word[0]), str(exc))
-
-
 @contextlib.contextmanager
 def _flag_errors():
     """For settings built from flags in the ``with`` body: an error that names
-    settings fields names their flags instead, wherever they appear in it."""
+    settings names their flags instead, wherever they appear in it; quoted
+    values keep their spelling."""
     try:
         yield
     except ValueError as exc:
-        message = _renamed(exc, _FLAGS)
+        message = _WORD.sub(lambda word: _FLAGS.get(word[0], word[0]), str(exc))
         if message == str(exc):
             raise
         raise UsageError(message) from None
@@ -503,6 +496,8 @@ def cmd_train(args) -> int:
 def cmd_merge(args) -> int:
     stages = _method_stages(args.method, args.init)
     # the flags of the stages that run, before any file is read
+    if args.report and "cogram" not in stages:
+        raise UsageError(f"--report needs a cogram stage, got --method {args.method!r}")
     check_number("--seed", args.seed, 0, integer=True)
     check_number("--fisher-samples", args.fisher_samples, 1, integer=True)
     if "kickoff" in stages:
@@ -549,10 +544,7 @@ def cmd_merge(args) -> int:
     netmod.save_model(fused, args.out)
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
-            if reports:
-                merge.write_report(fh, reports, merge_cfg)
-            else:
-                json.dump({"method": args.method, "records": []}, fh)
+            merge.write_report(fh, reports, merge_cfg)
     print(f"merged with method={args.method}; model -> {args.out}"
           + (f", report -> {args.report}" if args.report else ""))
     return 0

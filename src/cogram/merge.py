@@ -46,6 +46,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 import time
 import warnings
 from dataclasses import asdict, dataclass, field, replace
@@ -106,8 +107,8 @@ class MergeConfig:
     iterations: int = 1
 
     def __post_init__(self):
-        for name in ("lam", "epsilon"):
-            check_number(name, getattr(self, name), strict=True)
+        check_number("lambda", self.lam, strict=True)  # the key sweeps and reports use
+        check_number("epsilon", self.epsilon, strict=True)
         for name, low in (("iterations", 1), ("eval_seed", 0)):
             check_number(name, getattr(self, name), low, integer=True)
         if self.max_granularity not in GRANULARITIES:
@@ -350,23 +351,29 @@ def _blocks_match(x, weights_t, out, full) -> bool:
 # --- evaluation data ----------------------------------------------------------
 
 
+def check_context(spec, smallest_class: int, rows: int) -> tuple[str, int | None]:
+    """The mode and size of the prototype ``spec`` for data of ``rows`` rows
+    whose smallest class has ``smallest_class``; refuses a K above the
+    smallest class's rows and an N above all rows."""
+    mode, size = _parse_prototype(spec)
+    if mode == "kmeans" and size > smallest_class:
+        raise ValueError(f"K in prototype {spec!r} must be at most the {smallest_class} "
+                         f"rows of the smallest class, got {size}")
+    if mode == "batch" and size is not None and size > rows:
+        raise ValueError(f"N in prototype {spec!r} must be at most the {rows} rows of the "
+                         f"data, got {size}")
+    return mode, size
+
+
 def build_eval_set(dataset: Dataset, config: MergeConfig) -> Dataset:
     """The fixed evaluation set every decision in a merge run is measured on.
     ``onehot`` is ``kmeans:1``: one cluster per class, all of its rows."""
-    mode, size = _parse_prototype(config.prototype)
-    if mode == "kmeans":
-        classes, counts = np.unique(dataset.labels, return_counts=True)
-        smallest = np.argmin(counts)
-        if size > counts[smallest]:
-            raise ValueError(f"K in prototype {config.prototype!r} must be at most the "
-                             f"{counts[smallest]} rows of class {classes[smallest]}, got {size}")
+    smallest_class = int(np.unique(dataset.labels, return_counts=True)[1].min())
+    mode, size = check_context(config.prototype, smallest_class, len(dataset))
     if mode in ("onehot", "kmeans"):
         return build_prototypes_kmeans(
             dataset, size or 1, kmeans_seed=config.eval_seed, epsilon=config.epsilon
         )
-    if size is not None and size > len(dataset):
-        raise ValueError(f"N in prototype {config.prototype!r} must be at most the "
-                         f"{len(dataset)} rows of the data, got {size}")
     return build_raw_batch(dataset, size or len(dataset), seed=config.eval_seed)
 
 
@@ -612,7 +619,8 @@ def _require_keys(what: str, doc, written: dict) -> None:
 
 def config_from_json_dict(doc: dict) -> MergeConfig:
     """Inverse of config_to_json_dict; refuses a key it does not write or
-    lacks, and every value the settings refuse."""
+    lacks, every value the settings refuse, and a value it would write in
+    another spelling."""
     _require_keys("report config", doc, config_to_json_dict(MergeConfig()))
     fields = {"lam" if key == "lambda" else key: value for key, value in doc.items()}
     fields["thresholds"] = Thresholds(**{
@@ -620,7 +628,26 @@ def config_from_json_dict(doc: dict) -> MergeConfig:
                                   for name, tau in taus.items()})
         for level, taus in doc["thresholds"].items()
     })
-    return MergeConfig(**fields)
+    config = MergeConfig(**fields)
+    for key, written in config_to_json_dict(config).items():
+        if doc[key] != written:
+            raise netmod.FormatError(f"report config {key} {doc[key]!r} is written {written!r}")
+    return config
+
+
+def _require_list(what: str, value) -> list:
+    if not isinstance(value, list):
+        raise netmod.FormatError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
+def _require_loss(what: str, value, optional: bool = False) -> None:
+    """Raise FormatError unless ``value`` is a finite number, or None if
+    ``optional``: a loss as the writer writes it."""
+    if optional and value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise netmod.FormatError(f"{what} must be a finite number, got {value!r}")
 
 
 # DecisionRecord's fields, in report order, and each one's key in the report
@@ -635,6 +662,8 @@ def _record_to_json_dict(rec: DecisionRecord) -> dict:
 
 def _record_from_json_dict(what: str, doc) -> DecisionRecord:
     _require_keys(what, doc, dict.fromkeys(_RECORD_KEYS.values()))
+    for key in ("L_A", "L_B", "delta_L", "L_pre", "L_post"):
+        _require_loss(f"{what} {key}", doc[key], optional=key in ("L_pre", "L_post"))
     return DecisionRecord(**{name: doc[key] for name, key in _RECORD_KEYS.items()})
 
 
@@ -672,12 +701,14 @@ def reports_from_json(text: str) -> tuple[list[MergeReport], MergeConfig, float]
     check_number("report wall_time_s", doc["wall_time_s"])
     total = float(doc["wall_time_s"])
     reports = []
-    for i, it in enumerate(doc["iterations"]):
+    for i, it in enumerate(_require_list("report iterations", doc["iterations"])):
         what = f"report iteration {i}"
         _require_keys(what, it, dict.fromkeys(("records", "loss_before", "loss_after")))
+        for key in ("loss_before", "loss_after"):
+            _require_loss(f"{what} {key}", it[key])
         reports.append(MergeReport(
             records=[_record_from_json_dict(f"{what} record {j}", r)
-                     for j, r in enumerate(it["records"])],
+                     for j, r in enumerate(_require_list(f"{what} records", it["records"]))],
             loss_before=it["loss_before"],
             loss_after=it["loss_after"],
             wall_time_s=total if i == 0 else 0.0,

@@ -274,6 +274,16 @@ def test_eval_reproduces_train_report_accuracy(workspace, tmp_path, capsys):
     assert doc["accuracy"] == report["final_train_accuracy"]
 
 
+def test_eval_out_writes_the_printed_result(workspace, tmp_path, capsys):
+    data = workspace / "data" / "test.csv"
+    rc = main(["eval", "--model", str(workspace / "a.json"), "--data", str(data),
+               "--out", str(tmp_path / "eval.json")])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["accuracy", "loss", "n"] and doc["n"] == len(load_csv(data, 4))
+    assert (tmp_path / "eval.json").read_text() == json.dumps(doc, indent=2)
+
+
 def test_eval_zero_weight_model_balanced_labels(tmp_path, capsys):
     layers = [netmod.DenseLayer(np.zeros((4, 6)), np.zeros(4), "identity")]
     netmod.save_model(netmod.Network(layers, 6, 4), tmp_path / "zero.json")
@@ -439,27 +449,66 @@ TINY_KICKOFF = ["--kickoff-epochs", "1", "--finetune-epochs", "1"]
 
 @pytest.mark.parametrize("method", ALL_METHODS)
 def test_merge_runs_each_method_of_the_grammar(workspace, tmp_path, method):
-    """Each chain runs. One with stages after its start point gives the bytes
-    of those stages run with --init on the saved start point."""
+    """Each chain runs, a chain with a cogram stage also writing its report.
+    One with stages after its start point gives the bytes of those stages
+    run with --init on the saved start point."""
     def merged(*flags):
+        report = ["--report", str(tmp_path / "r.json")] if "cogram" in flags[-1] else []
         args = _merge_args(workspace, tmp_path, *flags, *TINY_KICKOFF, "--granularity", "neuron",
-                           "--tau-max", "0", "--report", str(tmp_path / "r.json"))
+                           "--tau-max", "0", *report)
         assert main(args) == 0
-        report = json.loads((tmp_path / "r.json").read_text())
-        report.pop("wall_time_s", None)
-        return (tmp_path / "m.json").read_bytes(), report
+        if not report:
+            return (tmp_path / "m.json").read_bytes(), None
+        doc = json.loads((tmp_path / "r.json").read_text())
+        doc.pop("wall_time_s")
+        return (tmp_path / "m.json").read_bytes(), doc
 
     model, report = merged("--method", method)
     start, *after = method.split("+")
     if not after:
-        assert report == {"method": method, "records": []}
         return
     (tmp_path / "start.json").write_bytes(merged("--method", start)[0])
     after = "+".join(after)
-    assert merged("--init", str(tmp_path / "start.json"), "--method", after) == (
-        model, report if "cogram" in after else {"method": after, "records": []})
+    assert merged("--init", str(tmp_path / "start.json"), "--method", after) == (model, report)
     if "cogram" in after:
         assert len(report["iterations"][0]["records"]) == 2 + 12 + 4
+
+
+@pytest.mark.parametrize("flags", [
+    ["--method", "fisher"],
+    ["--method", "average+kickoff"],
+    ["--init", "m0.json", "--method", "kickoff"],
+])
+def test_merge_report_without_a_cogram_stage_exits_2_before_any_file_is_read(
+        workspace, tmp_path, capsys, monkeypatch, flags):
+    # every report is a merge report, and only a cogram stage makes one
+    def no_file(*args, **kwargs):
+        raise AssertionError("a file was read before the flags were checked")
+
+    monkeypatch.setattr(cli.netmod, "load_model", no_file)
+    monkeypatch.setattr(cli.synthdata, "load_csv", no_file)
+    args = _merge_args(workspace, tmp_path, *flags, "--report", str(tmp_path / "r.json"))
+    assert main(args) == 2
+    method = flags[-1]
+    assert f"--report needs a cogram stage, got --method {method!r}" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists() and not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("method, data", [
+    ("fisher", []),
+    ("average+cogram", ["--data-a"]),
+    ("average+kickoff", ["--data-b"]),
+])
+def test_merge_stage_that_reads_rows_needs_both_data_flags(workspace, tmp_path, capsys,
+                                                           method, data):
+    args = ["merge", "--method", method, "--model-a", str(workspace / "a.json"),
+            "--model-b", str(workspace / "b.json"), "--out", str(tmp_path / "m.json")]
+    for flag in data:
+        args += [flag, str(workspace / "data" / f"data_{flag[-1]}.csv")]
+    assert main(args) == 2
+    stage = method.split("+")[-1]
+    assert f"the {stage} stage needs --data-a and --data-b" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_merge_init_model_is_the_start_point(workspace, tmp_path):
@@ -617,6 +666,10 @@ def test_sweep_bad_training_settings_exit_2(tmp_path, capsys, section, settings)
     ({"kickoff": {"lr_multiplier": "2"}}, "lr_multiplier must be a number > 0, got '2'"),
     ({"train": {"epochs": 8, "x": 1}}, "unknown train config fields: ['x']"),
     ({"kickoff": {"epochs": 1}}, "unknown kickoff config fields: ['epochs']"),
+    ({"mode": "mixed"}, "mode must be homogeneous or heterogeneous, got 'mixed'"),
+    ({"arch": [5, 8, 4]}, "arch [5, 8, 4] does not match data (dim=5, classes=3)"),
+    ({"arch": [6, 8, 3]}, "arch [6, 8, 3] does not match data (dim=5, classes=3)"),
+    ({"epoch": 8}, "unknown experiment config fields: ['epoch']"),
 ])
 def test_sweep_bad_experiment_settings_exit_2(tmp_path, capsys, settings, message):
     path = _sweep_config(tmp_path, [0], ["fisher+cogram+kickoff"])
@@ -648,6 +701,31 @@ def test_bad_data_settings_exit_2_before_any_seed_runs(tmp_path, capsys, data, m
     assert main(["gen-data", "--config", str(gen), "--out", str(tmp_path / "data")]) == 2
     assert f"bad data config: {message}" in capsys.readouterr().err
     assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_sweep_data_seed_exits_2_before_any_seed_runs(tmp_path, capsys, monkeypatch, seed):
+    # each of the sweep's seeds generates its own data, so a data seed would be ignored
+    def no_seed(*args, **kwargs):
+        raise AssertionError("a seed ran")
+
+    monkeypatch.setattr(cli, "run_experiment_seed", no_seed)
+    path = _sweep_config(tmp_path, [0], ["average"])
+    doc = json.loads(path.read_text())
+    doc["data"]["seed"] = seed
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"a sweep's data config takes no seed, got {seed}; list the data seeds under seeds" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_config_that_is_not_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "sweep.json"
+    path.write_text('{"seeds": [0],}')
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"config file {path} is not valid JSON: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("methods", ["average", [], None])
@@ -829,7 +907,7 @@ def test_sweep_bad_fisher_samples_exit_2(tmp_path, capsys, value):
     ({"loss": "mse"}, "unknown merge config fields: ['loss']"),
     # the helper's data: 25 rows of each of 3 classes per side
     ({"prototype": "kmeans:51"},
-     "K in prototype 'kmeans:51' must be at most the 50 rows of each class, got 51"),
+     "K in prototype 'kmeans:51' must be at most the 50 rows of the smallest class, got 51"),
     ({"prototype": "batch:151"},
      "N in prototype 'batch:151' must be at most the 150 rows of the data, got 151"),
     ({"lambda": -1}, "bad merge config: lambda must be a number > 0, got -1"),
@@ -959,7 +1037,7 @@ def test_merge_bad_numeric_flags_exit_2_before_any_stage(workspace, tmp_path, ca
     ("batch:1000",  # the two CSV files hold 320 rows
      "N in prototype 'batch:1000' must be at most the 320 rows of the data, got 1000"),
     ("kmeans:81",  # 80 rows of each of the 4 classes
-     "K in prototype 'kmeans:81' must be at most the 80 rows of class 0, got 81"),
+     "K in prototype 'kmeans:81' must be at most the 80 rows of the smallest class, got 81"),
 ])
 def test_merge_bad_prototype_exits_2_before_the_fisher_pass(workspace, tmp_path, capsys,
                                                              monkeypatch, spec, message):
@@ -979,7 +1057,9 @@ def test_merge_bad_prototype_exits_2_before_the_fisher_pass(workspace, tmp_path,
 
 
 def test_flag_table_names_settings_fields_and_parser_flags():
-    settings = {f.name for cls in (MergeConfig, LevelThresholds, KickoffConfig, OptimizerConfig)
+    # the names settings errors use: the field names, but "lambda" for MergeConfig.lam
+    settings = {"lambda" if f.name == "lam" else f.name
+                for cls in (MergeConfig, LevelThresholds, KickoffConfig, OptimizerConfig)
                 for f in dataclasses.fields(cls)}
     commands = cli.build_parser()._subparsers._group_actions[0].choices
     flags = {*commands["merge"]._option_string_actions, *commands["train"]._option_string_actions}

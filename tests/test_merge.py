@@ -662,6 +662,11 @@ def test_build_eval_set_modes():
     with pytest.raises(ValueError, match="^N in prototype 'batch:41' must be at most the 40 "
                                          "rows of the data, got 41$"):
         build_eval_set(data, MergeConfig(prototype="batch:41"))
+    uneven = Dataset(feats[5:], labels[5:], 4)  # class 0 keeps 5 of its 10 rows
+    assert len(build_eval_set(uneven, MergeConfig(prototype="kmeans:5"))) == 20
+    with pytest.raises(ValueError, match="^K in prototype 'kmeans:6' must be at most the 5 "
+                                         "rows of the smallest class, got 6$"):
+        build_eval_set(uneven, MergeConfig(prototype="kmeans:6"))
 
 
 def test_merge_config_validation():
@@ -676,7 +681,8 @@ def test_merge_config_validation():
 
 
 @pytest.mark.parametrize("field, value, message", [
-    ("lam", True, "lam must be"), ("lam", "5", "lam must be"), ("lam", math.nan, "lam must be"),
+    ("lam", True, "lambda must be"), ("lam", "5", "lambda must be"),
+    ("lam", math.nan, "lambda must be"),
     ("epsilon", "x", "epsilon must be"), ("epsilon", 0.0, "epsilon must be"),
     ("iterations", 2.5, "iterations must be"), ("iterations", True, "iterations must be"),
     ("prototype", "kmeans:0", "K in prototype 'kmeans:0' must be an integer >= 1, got 0"),
@@ -902,7 +908,7 @@ _RECORD = merge.DecisionRecord(level="layer", layer=0, neuron=None, weight=None,
      r"^report iteration 0: unknown keys \[\], missing keys \['loss_after'\]$"),
     (lambda doc: doc.pop("wall_time_s"),
      r"^report: unknown keys \[\], missing keys \['wall_time_s'\]$"),
-    # what `cogram merge` writes without a cogram stage
+    # a document of another kind, not a merge report
     (lambda doc: doc.clear() or doc.update(method="fisher", records=[]),
      r"^report: unknown keys \['method', 'records'\], "
      r"missing keys \['config', 'iterations', 'wall_time_s'\]$"),
@@ -914,4 +920,32 @@ def test_report_config_with_an_unknown_or_a_missing_key_is_refused(change, messa
     reports_from_json(json.dumps(doc))
     change(doc)
     with pytest.raises(netmod.FormatError, match=message):
+        reports_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda doc: doc["iterations"][0].update(loss_before=math.nan),
+     "report iteration 0 loss_before must be a finite number, got nan"),
+    (lambda doc: doc["iterations"][0].update(loss_after="0.5"),
+     "report iteration 0 loss_after must be a finite number, got '0.5'"),
+    (lambda doc: doc["iterations"][0]["records"][1].update(L_A="0.5"),
+     "report iteration 0 record 1 L_A must be a finite number, got '0.5'"),
+    (lambda doc: doc["iterations"][0]["records"][0].update(delta_L=math.inf),
+     "report iteration 0 record 0 delta_L must be a finite number, got inf"),
+    (lambda doc: doc["iterations"][0]["records"][0].update(L_post=True),
+     "report iteration 0 record 0 L_post must be a finite number, got True"),
+    (lambda doc: doc.update(iterations={}), "report iterations must be a JSON list, got {}"),
+    (lambda doc: doc["iterations"][0].update(records={}),
+     "report iteration 0 records must be a JSON list, got {}"),
+    (lambda doc: doc["config"].update(prototype="kmeans:02"),
+     "report config prototype 'kmeans:02' is written 'kmeans:2'"),
+    (lambda doc: doc["config"].update({"lambda": -1}), "lambda must be a number > 0, got -1"),
+])
+def test_report_value_the_writer_would_not_write_is_refused(change, message):
+    config = MergeConfig(prototype="kmeans:2")
+    record = dataclasses.replace(_RECORD, loss_pre=0.75, loss_post=0.5)
+    doc = json.loads(reports_to_json([MergeReport([record, _RECORD], 1.0, 0.5, 0.25)], config))
+    reports_from_json(json.dumps(doc))
+    change(doc)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         reports_from_json(json.dumps(doc))

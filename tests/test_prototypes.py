@@ -160,6 +160,24 @@ def test_kmeans_rejects_k_larger_than_class():
         build_prototypes_kmeans(ds, k_per_class=4)
 
 
+class _FirstRows:
+    """An rng whose sample without replacement is the first ``size`` rows."""
+
+    @staticmethod
+    def choice(n, size, replace):
+        assert not replace
+        return np.arange(size)
+
+
+@pytest.mark.parametrize("k, want", [(2, [0, 0, 0, 0, 1, 0]), (3, [0, 0, 0, 0, 1, 2])])
+def test_lloyd_reseeds_an_empty_cluster_with_the_farthest_point(k, want):
+    # the starting centroids are duplicate rows, so every point ties on
+    # cluster 0 and the others start empty; rows 4 and 5 tie as the farthest
+    # point, so the first empty cluster takes row 4 and the next one row 5
+    points = np.array([[0.0, 0.0]] * 4 + [[3.0, 0.0], [-3.0, 0.0]])
+    assert prototypes._lloyd(points, k, _FirstRows()).tolist() == want
+
+
 # --- raw batches -----------------------------------------------------------------
 
 
