@@ -189,6 +189,15 @@ def _load_data(flag: str, path, input_dim: int, num_classes: int) -> Dataset:
     return dataset
 
 
+def _check_out_dirs(*outputs) -> None:
+    """Each (flag, path) of a file a command will write, or of None: the
+    file's directory must exist. Checked before any input is read."""
+    for flag, path in outputs:
+        directory = path and os.path.dirname(path)
+        if directory and not os.path.isdir(directory):
+            raise UsageError(f"{flag} {path!r}: directory {directory!r} does not exist")
+
+
 def _load_json_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -470,6 +479,8 @@ def cmd_train(args) -> int:
     check_number("--batch-size", args.batch_size, 1, integer=True)
     with _flag_errors():
         opt = OptimizerConfig(kind=args.optimizer, learning_rate=args.lr, clip_norm=args.clip_norm)
+    # the default report, <out>.report.json, is written beside --out
+    _check_out_dirs(("--out", args.out), ("--report", args.report))
     dataset = _load_data("--data", args.data, arch[0], arch[-1])
     test_data = None
     if args.test_data:
@@ -513,6 +524,7 @@ def cmd_merge(args) -> int:
         if "kickoff" in stages:
             kickoff = KickoffConfig(args.kickoff_epochs, args.finetune_epochs, args.lr_mult)
             optimizer = OptimizerConfig(learning_rate=args.lr)
+    _check_out_dirs(("--out", args.out), ("--report", args.report))
     net_a = netmod.load_model(args.model_a)
     net_b = netmod.load_model(args.model_b)
     if not netmod.compatible(net_a, net_b):
@@ -551,6 +563,7 @@ def cmd_merge(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_out_dirs(("--out", args.out))
     model = netmod.load_model(args.model)
     dataset = _load_data("--data", args.data, model.input_dim, model.num_classes)
     acc = training.accuracy(model, dataset)

@@ -383,127 +383,85 @@ def build_eval_set(dataset: Dataset, config: MergeConfig) -> Dataset:
 def _record(config: MergeConfig, layer: int, key: tuple, l_a: float, l_b: float) -> DecisionRecord:
     """The record of a decision on the block at ``key`` of ``layer`` between
     A's candidate (loss ``l_a``) and B's: their gap, classified against the
-    level's band, and the mixing factor. Its action is "merged" until the
-    caller says otherwise."""
+    level's band, the mixing factor, and the action, "refined" if the gap is
+    outside the band and a finer level is allowed, else "merged". The sweep
+    and the report reader both build records here."""
     level = GRANULARITIES[len(key)]
     neuron, weight = (*key, None, None)[:2]
     delta = l_a - l_b
     band = config.thresholds.for_level(level)
-    alpha = mixing_factor(delta, config.lam)
+    case = classify_case(delta, band.tau_min, band.tau_max)
+    refines = case != 3 and len(key) < GRANULARITIES.index(config.max_granularity)
     return DecisionRecord(
         level=level, layer=layer, neuron=neuron, weight=weight, loss_a=l_a, loss_b=l_b,
-        delta=delta, case=classify_case(delta, band.tau_min, band.tau_max), alpha=alpha,
-        action="merged",
+        delta=delta, case=case, alpha=mixing_factor(delta, config.lam),
+        action="refined" if refines else "merged",
     )
 
 
-def _weigh(
-    ev: _LayerEvaluator, key: tuple, a: Network, b: Network, config: MergeConfig
-) -> tuple[DecisionRecord, np.ndarray]:
-    """Score A's and B's block at ``key`` of the working layer, the layer
-    ``()`` or a neuron ``(i,)``, one loss call each. Returns the decision's
-    record and the blend of the two blocks."""
-    k = ev.layer_idx
-    block_a, block_b = (x.theta[x.positions[k][key]] for x in (a, b))
-    l_a, l_b, _ = ev.difference(key, block_a, block_b)
-    rec = _record(config, k, key, l_a, l_b)
-    return rec, convex_combine(block_a, block_b, rec.alpha)
+def _decide(ev: _LayerEvaluator, key: tuple, a: Network, b: Network, config: MergeConfig,
+            report: MergeReport, loss_pre: float | None) -> float | None:
+    """Decide the block at ``key`` of the working layer: the layer ``()``, a
+    neuron ``(i,)`` or a weight ``(i, j)``, whose index in_dim is the bias.
 
+    A's and B's block are scored, one loss call each or, for a weight, one
+    stacked pass, and their blend is written. A refined decision then decides
+    each block one level down in turn, from the blend. Below the layer level
+    the record holds the entry loss ``loss_pre`` and the loss after the
+    decision, and the block rolls back, bit for bit, unless that loss ends
+    strictly under ``loss_pre``; the layer level never rolls back.
 
-def merge_weight_level(
-    ev: _LayerEvaluator,
-    neuron_idx: int,
-    weight_idx: int,
-    a: Network,
-    b: Network,
-    config: MergeConfig,
-    report: MergeReport,
-    loss_pre: float,
-) -> float:
-    """Blend one scalar of the working layer (index in_dim is the bias); keep
-    it only on strict improvement over ``loss_pre``, else the neuron-level
-    value stays. A's and B's scalar are scored in one stacked pass, the blend
-    in one loss call. Terminal level: threshold cases are logged but trigger
-    no descent.
-
-    Returns the loss after the decision.
+    Returns the loss after the decision, None at the layer level.
     """
-    k, key = ev.layer_idx, (neuron_idx, weight_idx)
-    value_a, value_b = (x.theta[x.positions[k][key]] for x in (a, b))
-    rec = _record(config, k, key, *ev.pair_losses(key, value_a, value_b))
-    before = ev.theta[ev.positions[key]]
-    ev.put(key, convex_combine(value_a, value_b, rec.alpha))
-    rec.loss_pre, rec.loss_post = loss_pre, ev.loss()
+    k = ev.layer_idx
+    saved = ev.theta[ev.positions[key]]
+    block_a, block_b = (x.theta[x.positions[k][key]] for x in (a, b))
+    if len(key) == 2:
+        l_a, l_b = ev.pair_losses(key, block_a, block_b)
+    else:
+        l_a, l_b, _ = ev.difference(key, block_a, block_b)
+    rec = _record(config, k, key, l_a, l_b)
     report.records.append(rec)
-    if rec.loss_post < loss_pre:
+    ev.put(key, convex_combine(block_a, block_b, rec.alpha))
+    if key:
+        rec.loss_pre, rec.loss_post = loss_pre, ev.loss()
+    # one level down by the public names, looked up at each call, so that a
+    # tracer patching them counts every decision
+    if rec.action == "refined" and key:
+        for weight_idx in range(ev.layer.in_dim + 1):  # incoming weights, then the bias
+            rec.loss_post = merge_weight_level(
+                ev, *key, weight_idx, a, b, config, report, rec.loss_post
+            )
+    elif rec.action == "refined":
+        for neuron_idx in range(ev.layer.out_dim):
+            merge_neuron_level(ev, neuron_idx, a, b, config, report)
+    if not key or rec.loss_post < loss_pre:
         return rec.loss_post
     rec.action = "rolled_back"
-    ev.put(key, before)
+    ev.put(key, saved)
     return loss_pre
 
 
-def merge_neuron_level(
-    ev: _LayerEvaluator,
-    neuron_idx: int,
-    a: Network,
-    b: Network,
-    config: MergeConfig,
-    report: MergeReport,
-) -> None:
-    """Blend one neuron (weight row + bias) of the working layer against the
-    layer-level baseline.
-
-    Inside the threshold band (or when neurons are the granularity limit)
-    the blend is kept only on strict loss improvement. Outside the band the
-    blend becomes the provisional baseline for a weight-level pass, and the
-    whole neuron rolls back to the layer-level parameters unless the pass
-    beats the entry loss. A rollback leaves the evaluator's parameters
-    bit-identical to the entry.
-    """
-    key = (neuron_idx,)
-    baseline = ev.theta[ev.positions[key]]
-    loss_pre = ev.loss()
-    rec, fused = _weigh(ev, key, a, b, config)
-    rec.loss_pre = loss_pre
-    ev.put(key, fused)
-    report.records.append(rec)
-    rec.loss_post = ev.loss()
-    if rec.case != 3 and config.max_granularity != "neuron":
-        rec.action = "refined"  # to single weights, from the fused-neuron baseline
-        for weight_idx in range(ev.layer.in_dim + 1):  # incoming weights, then the bias
-            rec.loss_post = merge_weight_level(
-                ev, neuron_idx, weight_idx, a, b, config, report, rec.loss_post
-            )
-    if rec.loss_post < loss_pre:
-        return
-    rec.action = "rolled_back"
-    ev.put(key, baseline)
+def merge_weight_level(ev: _LayerEvaluator, neuron_idx: int, weight_idx: int, a: Network,
+                       b: Network, config: MergeConfig, report: MergeReport,
+                       loss_pre: float) -> float:
+    """Decide one scalar of the working layer (index in_dim is the bias) from
+    the entry loss ``loss_pre``; returns the loss after it."""
+    return _decide(ev, (neuron_idx, weight_idx), a, b, config, report, loss_pre)
 
 
-def merge_layer_level(
-    m: Network,
-    layer_idx: int,
-    a: Network,
-    b: Network,
-    config: MergeConfig,
-    eval_set: Dataset,
-    report: MergeReport,
-) -> Network:
-    """Blend one whole layer; no rollback exists at this level.
+def merge_neuron_level(ev: _LayerEvaluator, neuron_idx: int, a: Network, b: Network,
+                       config: MergeConfig, report: MergeReport) -> None:
+    """Decide one neuron (weight row + bias) of the working layer from the
+    evaluator's loss as it stands."""
+    _decide(ev, (neuron_idx,), a, b, config, report, ev.loss())
 
-    Inside the band (or when layers are the granularity limit) the blend is
-    final. Outside it the blend still goes in as the provisional baseline
-    and every neuron of the layer is refined individually, all in one
-    evaluator for the layer.
-    """
+
+def merge_layer_level(m: Network, layer_idx: int, a: Network, b: Network, config: MergeConfig,
+                      eval_set: Dataset, report: MergeReport) -> Network:
+    """Decide one whole layer of M, in one evaluator; returns M with it."""
     ev = _LayerEvaluator(m, layer_idx, eval_set)
-    rec, fused = _weigh(ev, (), a, b, config)
-    ev.put((), fused)
-    report.records.append(rec)
-    if rec.case != 3 and config.max_granularity != "layer":
-        rec.action = "refined"
-        for neuron_idx in range(ev.layer.out_dim):
-            merge_neuron_level(ev, neuron_idx, a, b, config, report)
+    _decide(ev, (), a, b, config, report, None)
     return ev.network()
 
 
@@ -660,10 +618,24 @@ def _record_to_json_dict(rec: DecisionRecord) -> dict:
     return {key: getattr(rec, name) for name, key in _RECORD_KEYS.items()}
 
 
-def _record_from_json_dict(what: str, doc) -> DecisionRecord:
+def _record_from_json_dict(what: str, doc, config: MergeConfig) -> DecisionRecord:
+    """The record ``doc`` of a report on ``config``; refuses every value the
+    sweep would not write for the record's block and losses."""
     _require_keys(what, doc, dict.fromkeys(_RECORD_KEYS.values()))
-    for key in ("L_A", "L_B", "delta_L", "L_pre", "L_post"):
-        _require_loss(f"{what} {key}", doc[key], optional=key in ("L_pre", "L_post"))
+    for key in ("layer", "neuron", "weight"):
+        if key == "layer" or doc[key] is not None:
+            check_number(f"{what} {key}", doc[key], integer=True)
+    block = tuple(i for i in (doc["neuron"], doc["weight"]) if i is not None)
+    for key in ("L_A", "L_B", "delta_L", "L_pre", "L_post"):  # L_pre, L_post below the layer
+        _require_loss(f"{what} {key}", doc[key], optional=not block and key in ("L_pre", "L_post"))
+    written = _record_to_json_dict(_record(config, doc["layer"], block, doc["L_A"], doc["L_B"]))
+    if block:  # a rollback unless the loss fell
+        written.update(L_pre=doc["L_pre"], L_post=doc["L_post"])
+        if not doc["L_post"] < doc["L_pre"]:
+            written["action"] = "rolled_back"
+    for key, value in written.items():
+        if type(doc[key]) is not type(value) or doc[key] != value:  # 3.0 is not written 3
+            raise netmod.FormatError(f"{what} {key} {doc[key]!r} is written {value!r}")
     return DecisionRecord(**{name: doc[key] for name, key in _RECORD_KEYS.items()})
 
 
@@ -707,7 +679,7 @@ def reports_from_json(text: str) -> tuple[list[MergeReport], MergeConfig, float]
         for key in ("loss_before", "loss_after"):
             _require_loss(f"{what} {key}", it[key])
         reports.append(MergeReport(
-            records=[_record_from_json_dict(f"{what} record {j}", r)
+            records=[_record_from_json_dict(f"{what} record {j}", r, config)
                      for j, r in enumerate(_require_list(f"{what} records", it["records"]))],
             loss_before=it["loss_before"],
             loss_after=it["loss_after"],

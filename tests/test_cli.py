@@ -563,6 +563,42 @@ def test_merge_missing_data_file_exits_2(workspace, tmp_path, capsys):
     assert f"file not found: {tmp_path / 'missing.csv'}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--out"), ("train", "--report"),
+    ("merge", "--out"), ("merge", "--report"),
+    ("eval", "--out"),
+])
+def test_output_in_a_missing_directory_exits_2_before_any_input_is_read(
+        workspace, tmp_path, capsys, monkeypatch, command, flag):
+    # the command used to run, write its other outputs, and only then fail
+    def no_file(*args, **kwargs):
+        raise AssertionError("an input was read before the output paths were checked")
+
+    monkeypatch.setattr(cli.netmod, "load_model", no_file)
+    monkeypatch.setattr(cli.synthdata, "load_csv", no_file)
+    out, report = tmp_path / "m.json", tmp_path / "r.json"
+    if flag == "--out":
+        out = tmp_path / "nodir" / "m.json"
+    else:
+        report = tmp_path / "nodir" / "r.json"
+    data = str(workspace / "data" / "data_a.csv")
+    args = {
+        # without --report, train writes <out>.report.json beside --out
+        "train": ["train", "--data", data, "--arch", "6,12,4", "--out", str(out)]
+                 + (["--report", str(report)] if flag == "--report" else []),
+        "merge": _merge_args(workspace, tmp_path, "--method", "fisher+cogram",
+                             "--report", str(report)),
+        "eval": ["eval", "--model", str(workspace / "a.json"), "--data", data,
+                 "--out", str(out)],
+    }[command]
+    args[args.index("--out") + 1] = str(out)
+    assert main(args) == 2
+    path = out if flag == "--out" else report
+    assert (f"error: {flag} {str(path)!r}: directory {str(path.parent)!r} does not exist"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
 def _sweep_config(tmp_path, seeds, methods):
     doc = {
         "data": {"num_classes": 3, "dim": 5, "samples_per_class": 25,

@@ -317,6 +317,27 @@ def test_pair_losses_equal_two_single_scores_after_any_history(data):
         assert pair == singles
 
 
+@pytest.mark.parametrize("rows", [20, netmod.BLOCK_ROWS])
+def test_loss_calls_per_decision_at_every_level(monkeypatch, rows):
+    # 2 per layer decision (A, B), 4 per neuron (entry, A, B, blend), 2 per
+    # weight (the stacked pair, the blend) and 2 per pass (before, after); a
+    # weight decision is the hot path, so an added score there costs about half
+    calls = []
+    loss = netmod.cross_entropy_loss
+    monkeypatch.setattr(netmod, "cross_entropy_loss",
+                        lambda *args, **kwargs: calls.append(1) or loss(*args, **kwargs))
+    sizes = [6, 8, 5, 3]
+    m, a, b = (random_network(sizes, seed=i) for i in range(3))
+    es = _random_eval(np.random.default_rng(0), rows, 6, 3)
+    cfg = MergeConfig(thresholds=Thresholds.uniform(0.0, 0.0), max_granularity="weight")
+    _, report = cogram_merge(m, a, b, cfg, es)
+    levels = [rec.level for rec in report.records]
+    assert levels.count("layer") == 3 and levels.count("neuron") == 8 + 5 + 3
+    assert levels.count("weight") == 8 * 7 + 5 * 9 + 3 * 6  # every neuron refined
+    assert len(calls) == (2 * levels.count("layer") + 4 * levels.count("neuron")
+                          + 2 * levels.count("weight") + 2)
+
+
 @pytest.mark.parametrize("rows", [20, 2048])
 def test_weight_decision_allocates_nothing_after_the_first(rows):
     rng = np.random.default_rng(0)
@@ -889,7 +910,8 @@ def _rename_neuron_tau_min(doc):
 
 
 _RECORD = merge.DecisionRecord(level="layer", layer=0, neuron=None, weight=None, loss_a=0.5,
-                               loss_b=0.25, delta=0.25, case=3, alpha=0.2, action="merged")
+                               loss_b=0.25, delta=0.25, case=3,
+                               alpha=merge.mixing_factor(0.25, MergeConfig.lam), action="merged")
 
 
 @pytest.mark.parametrize("change, message", [
@@ -943,9 +965,59 @@ def test_report_config_with_an_unknown_or_a_missing_key_is_refused(change, messa
 ])
 def test_report_value_the_writer_would_not_write_is_refused(change, message):
     config = MergeConfig(prototype="kmeans:2")
-    record = dataclasses.replace(_RECORD, loss_pre=0.75, loss_post=0.5)
+    record = dataclasses.replace(_RECORD, level="neuron", neuron=0, loss_pre=0.75, loss_post=0.5)
     doc = json.loads(reports_to_json([MergeReport([record, _RECORD], 1.0, 0.5, 0.25)], config))
     reports_from_json(json.dumps(doc))
     change(doc)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        reports_from_json(json.dumps(doc))
+
+
+def _weight_merge_doc():
+    """A band (0, 0) weight-granularity merge's report document: record 0 is
+    the output layer's (refined), record 1 its neuron 0's, record 2 that
+    neuron's weight 0's."""
+    m, a, b = (random_network([5, 4, 3], seed=i) for i in range(3))
+    cfg = MergeConfig(thresholds=Thresholds.uniform(0.0, 0.0), max_granularity="weight")
+    _, reports = cogram_iterate(m, a, b, cfg, eval_set=_random_eval(np.random.default_rng(23),
+                                                                     6, 5, 3))
+    return json.loads(reports_to_json(reports, cfg))
+
+
+@pytest.mark.parametrize("index, change, message", [
+    (0, {"case": "3"}, "case '3' is written 2"),
+    (0, {"case": 2.0}, "case 2.0 is written 2"),
+    (0, {"alpha": 7.5}, "alpha 7.5 is written "),
+    (0, {"level": "tensor"}, "level 'tensor' is written 'layer'"),
+    (2, {"action": "kept"}, "action 'kept' is written "),
+    (0, {"action": "merged"}, "action 'merged' is written 'refined'"),
+    (0, {"action": "rolled_back"}, "action 'rolled_back' is written 'refined'"),
+    (2, lambda record: record.update(
+        action="merged" if record["action"] == "rolled_back" else "rolled_back"), "action "),
+    (0, {"layer": -1}, "layer must be an integer >= 0, got -1"),
+    (1, {"neuron": True}, "neuron must be an integer >= 0, got True"),
+    (1, {"weight": 0}, "level 'neuron' is written 'weight'"),
+    (2, {"neuron": None}, "level 'weight' is written 'neuron'"),
+    (0, {"L_pre": 0.5}, "L_pre 0.5 is written None"),
+    (1, {"L_post": None}, "L_post must be a finite number, got None"),
+    (2, {"L_pre": None}, "L_pre must be a finite number, got None"),
+    (1, lambda record: record.update(delta_L=record["L_B"] - record["L_A"]), "delta_L "),
+])
+def test_report_record_the_sweep_would_not_write_is_refused(index, change, message):
+    # a record's level, block, gap, case, alpha and action follow from its losses
+    # and the config, through `merge._record`, which the sweep builds its records with
+    doc = _weight_merge_doc()
+    records = doc["iterations"][0]["records"]
+    assert [rec["level"] for rec in records[:3]] == ["layer", "neuron", "weight"]
+    assert records[0]["case"] == 2
+    assert {(rec["level"], rec["action"]) for rec in records} == {
+        ("layer", "refined"), ("neuron", "refined"), ("neuron", "rolled_back"),
+        ("weight", "merged"), ("weight", "rolled_back")}
+    reports_from_json(json.dumps(doc))  # every level and action the sweep writes
+    if callable(change):
+        change(records[index])
+    else:
+        records[index].update(change)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'report iteration 0 record {index} ')}"
+                                         f"{re.escape(message)}"):
         reports_from_json(json.dumps(doc))

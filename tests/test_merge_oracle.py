@@ -149,6 +149,32 @@ def test_engine_matches_reference_on_a_large_context_down_to_weights():
     assert sum(rec.level == "weight" for rec in reports[0].records) > 100
 
 
+@pytest.mark.parametrize("granularity", ["neuron", "weight"])
+@pytest.mark.parametrize("rows", [20, 1024])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_neuron_entry_loss_is_the_committed_loss_of_the_neuron_before_it(
+        seed, rows, granularity, evaluator_modes):
+    # each neuron's L_pre, scored afresh, equals bit for bit the loss its
+    # predecessor in the layer committed: L_post if kept, L_pre if rolled back
+    config = MergeConfig(thresholds=BANDS["descend"], max_granularity=granularity,
+                         prototype=f"batch:{rows}", eval_seed=seed, iterations=2)
+    eval_set = merge.build_eval_set(_dataset(seed, n=rows, sizes=LARGE_SIZES), config)
+    m, a, b = _trio("relu", seed, sizes=LARGE_SIZES)
+    _, reports = merge.cogram_iterate(m, a, b, config, eval_set=eval_set)
+    pairs = 0
+    for report in reports:
+        before = None
+        for rec in report.records:
+            if rec.level == "neuron" and before is not None:
+                committed = before.loss_pre if before.action == "rolled_back" else before.loss_post
+                assert rec.loss_pre == committed, (before, rec)
+                pairs += 1
+            if rec.level != "weight":
+                before = rec if rec.level == "neuron" else None
+    assert pairs == 2 * sum(out - 1 for out in LARGE_SIZES[1:])
+    assert any(evaluator_modes) == (rows >= netmod.BLOCK_ROWS)
+
+
 def test_engine_matches_reference_when_the_probe_fails(monkeypatch, evaluator_modes):
     monkeypatch.setattr(merge, "_blocks_match", lambda *args: False)
     config = MergeConfig(thresholds=BANDS["descend"], max_granularity="neuron",
