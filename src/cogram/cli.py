@@ -139,21 +139,14 @@ def _section(name: str, cls, doc: dict):
         raise UsageError(f"bad {name} config: {exc}") from exc
 
 
-# a merge setting's key in a sweep config -> its MergeConfig field
-_MERGE_KEYS = {"lambda": "lam", "granularity": "max_granularity", "epsilon": "epsilon",
-               "prototype": "prototype", "eval_seed": "eval_seed", "iterations": "iterations"}
-
-
 def _mergeconfig_from_dict(doc: dict) -> MergeConfig:
-    """The merge settings of a sweep config; a ``tau_max`` of None is unbounded."""
-    if "tau_max" in doc and doc["tau_max"] is None:
-        del doc["tau_max"]
-    band = {key: doc.pop(key) for key in ("tau_min", "tau_max") if key in doc}
-    kwargs = {name: doc.pop(key) for key, name in _MERGE_KEYS.items() if key in doc}
-    if doc:
-        raise UsageError(f"unknown merge config fields: {sorted(doc)}")
+    """A sweep's merge section; ``granularity`` is read as ``max_granularity``."""
+    if "granularity" in doc:  # the key of bench/run.py's sweep config
+        if "max_granularity" in doc:
+            raise UsageError("bad merge config: give max_granularity or granularity, not both")
+        doc["max_granularity"] = doc.pop("granularity")
     try:
-        return MergeConfig(thresholds=Thresholds.uniform(**band), **kwargs)
+        return merge.config_from_json_dict(doc, partial=True)
     except ValueError as exc:
         raise UsageError(f"bad merge config: {exc}") from exc
 

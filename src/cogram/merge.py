@@ -43,6 +43,7 @@ differs the evaluator keeps the full pass.
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import math
@@ -412,6 +413,15 @@ def _decide(ev: _LayerEvaluator, key: tuple, a: Network, b: Network, config: Mer
     strictly under ``loss_pre``; the layer level never rolls back.
 
     Returns the loss after the decision, None at the layer level.
+
+    So the records of one iteration are a depth-first walk, the order the
+    report reader checks. The layer records run down by one to layer 0, and
+    no record is deeper than ``max_granularity``. A decision that refined
+    (action "refined", or "rolled_back" after refining) is followed by the
+    record of its block's first sub-block, index 0. Any other record is
+    followed by the next sibling of its block or of a block enclosing it, a
+    sub-block's index one up or the layer one down, or by the iteration's end
+    after layer 0.
     """
     k = ev.layer_idx
     saved = ev.theta[ev.positions[key]]
@@ -562,24 +572,30 @@ def config_to_json_dict(config: MergeConfig) -> dict:
     return doc
 
 
-def _require_keys(what: str, doc, written: dict) -> None:
+def _require_keys(what: str, doc, written: dict, fill: bool = False) -> None:
     """Raise FormatError unless ``doc`` is an object with exactly the keys of
-    ``written``, and so on down each object in ``written``."""
+    ``written``, and so on down each object in ``written``. With ``fill``, each
+    key ``doc`` lacks is first set to its value in ``written``."""
     if not isinstance(doc, dict):
         raise netmod.FormatError(f"{what} must be a JSON object, got {doc!r}")
+    if fill:
+        doc.update((key, value) for key, value in written.items() if key not in doc)
     unknown, missing = sorted(set(doc) - set(written)), sorted(set(written) - set(doc))
     if unknown or missing:
         raise netmod.FormatError(f"{what}: unknown keys {unknown}, missing keys {missing}")
     for key, value in written.items():
         if isinstance(value, dict):
-            _require_keys(f"{what} {key!r}", doc[key], value)
+            _require_keys(f"{what} {key!r}", doc[key], value, fill)
 
 
-def config_from_json_dict(doc: dict) -> MergeConfig:
+def config_from_json_dict(doc: dict, partial: bool = False) -> MergeConfig:
     """Inverse of config_to_json_dict; refuses a key it does not write or
     lacks, every value the settings refuse, and a value it would write in
-    another spelling."""
-    _require_keys("report config", doc, config_to_json_dict(MergeConfig()))
+    another spelling. A ``partial`` document, a sweep's ``merge`` section, may
+    lack any key, threshold level or tau: each takes MergeConfig's default."""
+    what = "merge" if partial else "report config"
+    doc = copy.deepcopy(doc)  # _require_keys fills a partial one in place
+    _require_keys(what, doc, config_to_json_dict(MergeConfig()), fill=partial)
     fields = {"lam" if key == "lambda" else key: value for key, value in doc.items()}
     fields["thresholds"] = Thresholds(**{
         level: LevelThresholds(**{name: math.inf if tau == "inf" else tau
@@ -589,7 +605,7 @@ def config_from_json_dict(doc: dict) -> MergeConfig:
     config = MergeConfig(**fields)
     for key, written in config_to_json_dict(config).items():
         if doc[key] != written:
-            raise netmod.FormatError(f"report config {key} {doc[key]!r} is written {written!r}")
+            raise netmod.FormatError(f"{what} {key} {doc[key]!r} is written {written!r}")
     return config
 
 
@@ -626,6 +642,9 @@ def _record_from_json_dict(what: str, doc, config: MergeConfig) -> DecisionRecor
         if key == "layer" or doc[key] is not None:
             check_number(f"{what} {key}", doc[key], integer=True)
     block = tuple(i for i in (doc["neuron"], doc["weight"]) if i is not None)
+    if len(block) > GRANULARITIES.index(config.max_granularity):
+        raise netmod.FormatError(f"{what} is a {GRANULARITIES[len(block)]} record, deeper than "
+                                 f"max_granularity {config.max_granularity!r}")
     for key in ("L_A", "L_B", "delta_L", "L_pre", "L_post"):  # L_pre, L_post below the layer
         _require_loss(f"{what} {key}", doc[key], optional=not block and key in ("L_pre", "L_post"))
     written = _record_to_json_dict(_record(config, doc["layer"], block, doc["L_A"], doc["L_B"]))
@@ -637,6 +656,34 @@ def _record_from_json_dict(what: str, doc, config: MergeConfig) -> DecisionRecor
         if type(doc[key]) is not type(value) or doc[key] != value:  # 3.0 is not written 3
             raise netmod.FormatError(f"{what} {key} {doc[key]!r} is written {value!r}")
     return DecisionRecord(**{name: doc[key] for name, key in _RECORD_KEYS.items()})
+
+
+def _place(path: tuple) -> str:
+    """The block at ``path``, (-layer, *key), in words; the layer after layer 0
+    is the end of an iteration."""
+    if path == (1,):
+        return "the end"
+    return " ".join(f"{name} {i}" for name, i in zip(GRANULARITIES, (-path[0], *path[1:])))
+
+
+def _check_order(what: str, records: list[DecisionRecord], config: MergeConfig) -> None:
+    """Raise FormatError unless one iteration's ``records`` of a merge on
+    ``config`` run in the sweep's order (see ``_decide``)."""
+    paths = [(-rec.layer, *(i for i in (rec.neuron, rec.weight) if i is not None))
+             for rec in records] + [(1,)]
+    for j, path in enumerate(paths):
+        if j == 0:
+            follows, want = len(path) == 1 and path[0] <= 0, "a layer"
+        else:
+            last, rec = paths[j - 1], records[j - 1]
+            # whether the record before refined: its action before any rollback
+            action = _record(config, rec.layer, last[1:], rec.loss_a, rec.loss_b).action
+            nexts = ([last + (0,)] if action == "refined" else
+                     [last[:depth] + (last[depth] + 1,) for depth in reversed(range(len(last)))])
+            follows, want = path in nexts, " or ".join(map(_place, nexts))
+        if not follows:
+            raise netmod.FormatError(f"{what}: {_place(path)} at record {j}, where the sweep "
+                                     f"writes {want}")
 
 
 def write_report(fh, reports: list[MergeReport], config: MergeConfig) -> None:
@@ -672,17 +719,22 @@ def reports_from_json(text: str) -> tuple[list[MergeReport], MergeConfig, float]
     config = config_from_json_dict(doc["config"])
     check_number("report wall_time_s", doc["wall_time_s"])
     total = float(doc["wall_time_s"])
+    iterations = _require_list("report iterations", doc["iterations"])
+    if len(iterations) != config.iterations:
+        raise netmod.FormatError(f"report has {len(iterations)} iterations, its config "
+                                 f"{config.iterations}")
     reports = []
-    for i, it in enumerate(_require_list("report iterations", doc["iterations"])):
+    for i, it in enumerate(iterations):
         what = f"report iteration {i}"
         _require_keys(what, it, dict.fromkeys(("records", "loss_before", "loss_after")))
         for key in ("loss_before", "loss_after"):
             _require_loss(f"{what} {key}", it[key])
-        reports.append(MergeReport(
-            records=[_record_from_json_dict(f"{what} record {j}", r, config)
-                     for j, r in enumerate(_require_list(f"{what} records", it["records"]))],
-            loss_before=it["loss_before"],
-            loss_after=it["loss_after"],
-            wall_time_s=total if i == 0 else 0.0,
-        ))
+        if i and it["loss_before"] != reports[-1].loss_after:  # the loss of one network
+            raise netmod.FormatError(f"{what} loss_before {it['loss_before']!r} is written "
+                                     f"{reports[-1].loss_after!r}")
+        records = [_record_from_json_dict(f"{what} record {j}", r, config)
+                   for j, r in enumerate(_require_list(f"{what} records", it["records"]))]
+        _check_order(what, records, config)
+        reports.append(MergeReport(records, it["loss_before"], it["loss_after"],
+                                   wall_time_s=total if i == 0 else 0.0))
     return reports, config, total

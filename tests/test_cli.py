@@ -3,6 +3,8 @@ import json
 import math
 import multiprocessing
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -12,7 +14,7 @@ import pytest
 
 from cogram import cli, net as netmod, training
 from cogram.cli import SweepRow, main
-from cogram.merge import KickoffConfig, LevelThresholds, MergeConfig, Thresholds
+from cogram.merge import GRANULARITIES, KickoffConfig, LevelThresholds, MergeConfig, Thresholds
 from cogram.synthdata import Dataset, load_csv, save_csv
 from cogram.training import OptimizerConfig
 
@@ -900,12 +902,17 @@ def test_sweep_times_each_method_stage_under_its_key(tmp_path):
         assert {k for k in ("fisher", "cogram", "kickoff") if stage_s[k] > 0.0} == timed
 
 
+def _uniform(**band) -> dict:
+    """A sweep's merge section with the tau ``band`` at every level."""
+    return {"thresholds": dict.fromkeys(GRANULARITIES, band)}
+
+
 @pytest.mark.parametrize("settings, message", [
-    ({"tau_min": True}, "tau_min must be a number >= 0, got True"),
-    ({"tau_max": "1.5"}, "tau_max must be a number >= 0, got '1.5'"),
-    ({"tau_max": float("nan")}, "tau_max must be a number >= 0, got nan"),
-    ({"tau_min": -0.5}, "tau_min must be a number >= 0, got -0.5"),
-    ({"tau_min": 0.5, "tau_max": 0.1}, "tau_min must be <= tau_max, got 0.5 > 0.1"),
+    (_uniform(tau_min=True), "tau_min must be a number >= 0, got True"),
+    (_uniform(tau_max="1.5"), "tau_max must be a number >= 0, got '1.5'"),
+    (_uniform(tau_max=float("nan")), "tau_max must be a number >= 0, got nan"),
+    (_uniform(tau_min=-0.5), "tau_min must be a number >= 0, got -0.5"),
+    (_uniform(tau_min=0.5, tau_max=0.1), "tau_min must be <= tau_max, got 0.5 > 0.1"),
 ])
 def test_sweep_bad_thresholds_exit_2(tmp_path, capsys, settings, message):
     path = _sweep_config(tmp_path, [0], ["fisher+cogram"])
@@ -940,15 +947,25 @@ def test_sweep_bad_fisher_samples_exit_2(tmp_path, capsys, value):
     ({"lambda": "5"}, "lambda must be a number > 0, got '5'"),
     ({"lambda": True}, "lambda must be a number > 0, got True"),
     ({"epsilon": "x"}, "epsilon must be a number > 0, got 'x'"),
-    ({"loss": "mse"}, "unknown merge config fields: ['loss']"),
+    ({"loss": "mse"}, "bad merge config: merge: unknown keys ['loss'], missing keys []"),
     # the helper's data: 25 rows of each of 3 classes per side
     ({"prototype": "kmeans:51"},
      "K in prototype 'kmeans:51' must be at most the 50 rows of the smallest class, got 51"),
     ({"prototype": "batch:151"},
      "N in prototype 'batch:151' must be at most the 150 rows of the data, got 151"),
     ({"lambda": -1}, "bad merge config: lambda must be a number > 0, got -1"),
-    ({"tau_min": 2, "tau_max": 1}, "bad merge config: tau_min must be <= tau_max, got 2.0 > 1.0"),
+    (_uniform(tau_min=2, tau_max=1), "bad merge config: tau_min must be <= tau_max, got 2.0 > 1.0"),
     ({"prototype": "lam"}, "bad prototype spec 'lam'"),
+    # spellings of the merge settings other than a report's config
+    ({"tau_max": None}, "bad merge config: merge: unknown keys ['tau_max'], missing keys []"),
+    ({"thresholds": {"tensor": {"tau_max": 0}}},
+     "bad merge config: merge 'thresholds': unknown keys ['tensor'], missing keys []"),
+    ({"thresholds": {"weight": {"tau_max": None}}},
+     "bad merge config: tau_max must be a number >= 0, got None"),
+    ({"granularity": "neuron", "max_granularity": "neuron"},
+     "bad merge config: give max_granularity or granularity, not both"),
+    ({"prototype": "kmeans:02"}, "bad merge config: merge prototype 'kmeans:02' is written "
+                                 "'kmeans:2'"),
 ])
 def test_sweep_bad_merge_settings_exit_2_before_any_seed(tmp_path, capsys, settings, message):
     path = _sweep_config(tmp_path, [0], ["fisher+cogram"])
@@ -972,9 +989,10 @@ def test_sweep_eval_set_of_all_its_rows_runs(tmp_path, prototype):
 
 @pytest.mark.parametrize("settings", [
     {"lam": 3.0},
-    {"max_granularity": "neuron"},
+    {"tau_min": 0.5},  # one band for every level, which thresholds holds per level
     {"prototype": "kmeans:2", "k_per_class": 0},
     {"prototype": "batch", "batch_size": 10},
+    {"tau_max": 1.0},
 ])
 def test_sweep_merge_settings_have_one_key_each(tmp_path, capsys, settings):
     path = _sweep_config(tmp_path, [0], ["fisher+cogram"])
@@ -983,7 +1001,9 @@ def test_sweep_merge_settings_have_one_key_each(tmp_path, capsys, settings):
     path.write_text(json.dumps(doc))
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     unknown = sorted(k for k in settings if k != "prototype")
-    assert f"unknown merge config fields: {unknown}" in capsys.readouterr().err
+    assert f"bad merge config: merge: unknown keys {unknown}, missing keys []" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_settings_flags_default_to_their_settings_fields():
@@ -1013,8 +1033,40 @@ def test_settings_flags_default_to_their_settings_fields():
 def test_config_settings_left_out_take_the_dataclass_defaults():
     assert cli._experiment_from_dict({}) == cli.ExperimentConfig(cli.DataConfig())
     assert cli._mergeconfig_from_dict({}) == MergeConfig()
-    assert cli._mergeconfig_from_dict({"tau_min": 0.5, "tau_max": None}) == \
+    assert cli._mergeconfig_from_dict(_uniform(tau_min=0.5)) == \
         MergeConfig(thresholds=Thresholds.uniform(0.5, math.inf))
+    # one level, or one tau of it: the rest keep their defaults
+    assert cli._mergeconfig_from_dict({"thresholds": {"weight": {"tau_max": 0}}}) == \
+        MergeConfig(thresholds=Thresholds(weight=LevelThresholds(0.0, 0.0)))
+    assert cli._mergeconfig_from_dict({"thresholds": {"neuron": {}}, "lambda": 2}) == \
+        MergeConfig(lam=2)
+    # granularity, the key of the benchmark's sweep config, is max_granularity
+    assert cli._mergeconfig_from_dict({"granularity": "weight"}) == \
+        cli._mergeconfig_from_dict({"max_granularity": "weight"}) == \
+        MergeConfig(max_granularity="weight")
+
+
+def test_report_config_replays_as_a_sweep_merge_section(workspace, tmp_path):
+    flags = ["--lambda", "3", "--granularity", "neuron", "--tau-min", "0.01", "--tau-max", "0.5",
+             "--iterations", "2", "--prototype", "kmeans:2", "--seed", "4"]
+    report = tmp_path / "r.json"
+    assert main(_merge_args(workspace, tmp_path, "--method", "fisher+cogram", *flags,
+                            "--report", str(report))) == 0
+    written = MergeConfig(lam=3.0, thresholds=Thresholds.uniform(0.01, 0.5),
+                          max_granularity="neuron", prototype="kmeans:2", eval_seed=4,
+                          iterations=2)
+    assert cli.merge.reports_from_json(report.read_text())[1] == written
+    path = _sweep_config(tmp_path, [0], ["fisher+cogram"])
+    doc = json.loads(path.read_text())
+    doc["merge"] = json.loads(report.read_text())["config"]  # verbatim
+    assert cli._experiment_from_dict(doc).merge == written
+
+
+def test_readme_experiment_config_is_a_sweep_config():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"Example `experiment\.json`:\n\n```json\n(.*?)```", readme, re.S)
+    cfg = cli._experiment_from_dict(json.loads(example[1]))
+    assert cfg.merge.max_granularity == "layer" and len(cfg.seeds) == 10
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -1258,7 +1310,7 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     (tmp_path / "gen.json").write_text(json.dumps({"mode": "heterogeneous", "seed": 3, **data}))
     (tmp_path / "sweep.json").write_text(json.dumps({
         "data": data, "mode": "heterogeneous", "arch": [32, 64, 20], "train": {"epochs": 3},
-        "merge": {"granularity": "neuron", "tau_max": 0, "prototype": "batch:300"},
+        "merge": {"max_granularity": "neuron", **_uniform(tau_max=0), "prototype": "batch:300"},
         "kickoff": {"kickoff_epochs": 1, "finetune_epochs": 1},
         "methods": ["average", "fisher", "fisher+cogram", "fisher+cogram+kickoff"],
         "seeds": [0, 1],

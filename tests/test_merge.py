@@ -937,8 +937,8 @@ _RECORD = merge.DecisionRecord(level="layer", layer=0, neuron=None, weight=None,
 ])
 def test_report_config_with_an_unknown_or_a_missing_key_is_refused(change, message):
     # a report is read back only with the keys its writer writes, at every level
-    doc = json.loads(reports_to_json([MergeReport([_RECORD, _RECORD], 1.0, 0.5, 0.25)],
-                                     MergeConfig()))
+    records = [dataclasses.replace(_RECORD, layer=1), _RECORD]
+    doc = json.loads(reports_to_json([MergeReport(records, 1.0, 0.5, 0.25)], MergeConfig()))
     reports_from_json(json.dumps(doc))
     change(doc)
     with pytest.raises(netmod.FormatError, match=message):
@@ -964,9 +964,12 @@ def test_report_config_with_an_unknown_or_a_missing_key_is_refused(change, messa
     (lambda doc: doc["config"].update({"lambda": -1}), "lambda must be a number > 0, got -1"),
 ])
 def test_report_value_the_writer_would_not_write_is_refused(change, message):
-    config = MergeConfig(prototype="kmeans:2")
-    record = dataclasses.replace(_RECORD, level="neuron", neuron=0, loss_pre=0.75, loss_post=0.5)
-    doc = json.loads(reports_to_json([MergeReport([record, _RECORD], 1.0, 0.5, 0.25)], config))
+    # layer 0, refined as its gap is under the layer's tau_min, then its neuron 0
+    config = MergeConfig(thresholds=Thresholds(layer=LevelThresholds(0.5, math.inf)),
+                         max_granularity="neuron", prototype="kmeans:2")
+    records = [dataclasses.replace(_RECORD, case=1, action="refined"),
+               dataclasses.replace(_RECORD, level="neuron", neuron=0, loss_pre=0.75, loss_post=0.5)]
+    doc = json.loads(reports_to_json([MergeReport(records, 1.0, 0.5, 0.25)], config))
     reports_from_json(json.dumps(doc))
     change(doc)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -1020,4 +1023,82 @@ def test_report_record_the_sweep_would_not_write_is_refused(index, change, messa
         records[index].update(change)
     with pytest.raises(ValueError, match=f"^{re.escape(f'report iteration 0 record {index} ')}"
                                          f"{re.escape(message)}"):
+        reports_from_json(json.dumps(doc))
+
+
+def _neuron_merge_doc():
+    """A 2-iteration, band (0, 0) neuron-granularity merge's report document
+    for a 4-5-3 pair: each iteration's records are layer 1 (refined), its
+    neurons 0-2, layer 0 (refined) and its neurons 0-4."""
+    m, a, b = (random_network([4, 5, 3], seed=i) for i in range(3))
+    cfg = MergeConfig(thresholds=Thresholds.uniform(0.0, 0.0), max_granularity="neuron",
+                      iterations=2)
+    _, reports = cogram_iterate(m, a, b, cfg, eval_set=_random_eval(np.random.default_rng(5),
+                                                                     6, 4, 3))
+    return json.loads(reports_to_json(reports, cfg))
+
+
+def _merge_layers_only(doc):
+    """Neuron records under layer records that merged: a layer-granularity report."""
+    doc["config"]["max_granularity"] = "layer"
+    for iteration in doc["iterations"]:
+        for record in iteration["records"]:
+            if record["level"] == "layer":
+                record["action"] = "merged"
+
+
+def _swap_first_and_last(records):
+    records[0], records[-1] = records[-1], records[0]
+
+
+def _layer_0_first(records):
+    records[:] = records[4:] + records[:4]
+
+
+def _drop_layer_0s_neurons(records):
+    del records[5:]
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda doc: doc["iterations"].pop(), "report has 1 iterations, its config 2"),
+    (lambda doc: doc["iterations"][1].update(loss_before=doc["iterations"][1]["loss_before"] + 1),
+     "report iteration 1 loss_before "),
+    (_merge_layers_only,
+     "report iteration 0 record 1 is a neuron record, deeper than max_granularity 'layer'"),
+    (lambda doc: doc["iterations"][0]["records"].pop(1),
+     "report iteration 0: layer 1 neuron 1 at record 1, where the sweep writes layer 1 neuron 0"),
+    (lambda doc: _swap_first_and_last(doc["iterations"][0]["records"]),
+     "report iteration 0: layer 0 neuron 4 at record 0, where the sweep writes a layer"),
+    (lambda doc: doc["iterations"][0]["records"].pop(2),
+     "report iteration 0: layer 1 neuron 2 at record 2, where the sweep writes layer 1 neuron 1 "
+     "or layer 0"),
+    (lambda doc: _layer_0_first(doc["iterations"][0]["records"]),
+     "report iteration 0: layer 1 at record 6, where the sweep writes layer 0 neuron 5 or the end"),
+    (lambda doc: _drop_layer_0s_neurons(doc["iterations"][1]["records"]),
+     "report iteration 1: the end at record 5, where the sweep writes layer 0 neuron 0"),
+    (lambda doc: doc["iterations"][1]["records"].clear(),
+     "report iteration 1: the end at record 0, where the sweep writes a layer"),
+])
+def test_report_out_of_the_sweep_order_is_refused(change, message):
+    # a report's iterations, their losses and the order of their records are
+    # those of the sweep: _decide's depth-first walk, down to max_granularity
+    doc = _neuron_merge_doc()
+    records = doc["iterations"][0]["records"]
+    assert [(r["layer"], r["neuron"], r["action"] == "refined") for r in records] == [
+        (1, None, True), (1, 0, False), (1, 1, False), (1, 2, False),
+        (0, None, True), *((0, i, False) for i in range(5))]
+    reports_from_json(json.dumps(doc))
+    change(doc)
+    with pytest.raises(netmod.FormatError, match=f"^{re.escape(message)}"):
+        reports_from_json(json.dumps(doc))
+
+
+def test_report_weight_record_out_of_the_sweep_order_is_refused():
+    doc = _weight_merge_doc()
+    records = doc["iterations"][0]["records"]
+    reports_from_json(json.dumps(doc))
+    del records[2]  # the first weight record of the refined neuron 0 of layer 1
+    with pytest.raises(netmod.FormatError, match=re.escape(
+            "report iteration 0: layer 1 neuron 0 weight 1 at record 2, where the sweep writes "
+            "layer 1 neuron 0 weight 0")):
         reports_from_json(json.dumps(doc))
